@@ -12,7 +12,6 @@ from .algebra import (
     check_dorroh_pair_algebra,
     check_iterated_algebra_triple,
     direct_product_pair,
-    find_identity,
     regular_bimodule,
     split_algebra_extension,
     unital_ideal_iso,
@@ -32,7 +31,6 @@ from .coalgebra import (
     check_iterated_coalgebra_triple,
     counit_balance_check,
     counital_split_iso,
-    find_counit,
     pushforward_pair,
     regular_bicomodule,
     split_coalgebra_extension,

@@ -12,25 +12,16 @@ Algebras here need not be unital and modules need not respect units.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, invert, solve_linear
 from .reports import Report
-from .tensors import SparseTensor3
+from .tensors import SparseTensor3, first_witness
 
 LEFT = "left"
 RIGHT = "right"
 BI = "bi"
 SIDES = (LEFT, RIGHT, BI)
-
-
-def _diff_is_zero(field, acc):
-    for v in acc.values():
-        if field.canon(v) != 0:
-            return False
-    return True
 
 
 class Algebra:
@@ -114,31 +105,30 @@ class Algebra:
 
 
 def check_associativity(a: Algebra) -> Report:
-    """Brute-force (e_i e_j) e_k = e_i (e_j e_k); first witness in lex order."""
+    """(e_i e_j) e_k = e_i (e_j e_k); first witness in lex order."""
+    m = a.mul
+    return Report().add_witness(
+        "associativity", first_witness(a.field, "ijk", "m", ("ijl,lkm", m, m), ("jkl,ilm", m, m))
+    )
+
+
+def _action_laws(field, mul, left, right, names) -> Report:
+    """The left, right and two-sided action laws, named by ``names``, for
+    whichever of the actions left (a,x,y) and right (x,a,y) are present."""
     report = Report()
-    g = a.mul.by_first_two()
-    field = a.field
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            pij = g.get((i, j), ())
-            for k in range(n):
-                acc = {}
-                for l, c in pij:
-                    for m, c2 in g.get((l, k), ()):
-                        acc[m] = acc.get(m, 0) + c * c2
-                for l, c in g.get((j, k), ()):
-                    for m, c2 in g.get((i, l), ()):
-                        acc[m] = acc.get(m, 0) - c * c2
-                if not _diff_is_zero(field, acc):
-                    report.add("associativity", False, (i, j, k))
-                    return report
-    report.add("associativity", True)
+    if left is not None:
+        report.add_witness(
+            names[0], first_witness(field, "abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left))
+        )
+    if right is not None:
+        report.add_witness(
+            names[1], first_witness(field, "xab", "y", ("abl,xly", mul, right), ("xaz,zby", right, right))
+        )
+    if left is not None and right is not None:
+        report.add_witness(
+            names[2], first_witness(field, "axb", "y", ("axz,zby", left, right), ("xbz,azy", right, left))
+        )
     return report
-
-
-def find_identity(a: Algebra):
-    return a.find_identity()
 
 
 class BimoduleAction:
@@ -181,74 +171,10 @@ class BimoduleAction:
 
     def validate(self) -> Report:
         """Bimodule axioms over all basis triples."""
-        report = Report()
-        field = self.acting.field
-        na = self.acting.dim
-        ni = self.carrier_dim
-        gm = self.acting.mul.by_first_two()
-        gl = self.left.by_first_two()
-        gr = self.right.by_first_two()
-
-        ok, wit = True, None
-        for a in range(na):
-            for b in range(na):
-                for x in range(ni):
-                    acc = {}
-                    for l, c in gm.get((a, b), ()):
-                        for y, c2 in gl.get((l, x), ()):
-                            acc[y] = acc.get(y, 0) + c * c2
-                    for z, c in gl.get((b, x), ()):
-                        for y, c2 in gl.get((a, z), ()):
-                            acc[y] = acc.get(y, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (a, b, x)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(ab)x=a(bx)", ok, wit)
-
-        ok, wit = True, None
-        for x in range(ni):
-            for a in range(na):
-                for b in range(na):
-                    acc = {}
-                    for l, c in gm.get((a, b), ()):
-                        for y, c2 in gr.get((x, l), ()):
-                            acc[y] = acc.get(y, 0) + c * c2
-                    for z, c in gr.get((x, a), ()):
-                        for y, c2 in gr.get((z, b), ()):
-                            acc[y] = acc.get(y, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (x, a, b)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("x(ab)=(xa)b", ok, wit)
-
-        ok, wit = True, None
-        for a in range(na):
-            for x in range(ni):
-                for b in range(na):
-                    acc = {}
-                    for z, c in gl.get((a, x), ()):
-                        for y, c2 in gr.get((z, b), ()):
-                            acc[y] = acc.get(y, 0) + c * c2
-                    for z, c in gr.get((x, b), ()):
-                        for y, c2 in gl.get((a, z), ()):
-                            acc[y] = acc.get(y, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (a, x, b)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(ax)b=a(xb)", ok, wit)
-        return report
+        return _action_laws(
+            self.acting.field, self.acting.mul, self.left, self.right,
+            ("(ab)x=a(bx)", "x(ab)=(xa)b", "(ax)b=a(xb)"),
+        )
 
 
 class DorrohPairAlgebra:
@@ -295,71 +221,13 @@ def check_dorroh_pair_algebra(pair: DorrohPairAlgebra) -> Report:
     the actions and the multiplication of I."""
     report = pair.action.validate()
     field = pair.field
-    na = pair.A.dim
-    ni = pair.I.dim
-    gmi = pair.I.mul.by_first_two()
-    gl = pair.action.left.by_first_two()
-    gr = pair.action.right.by_first_two()
-
-    ok, wit = True, None
-    for a in range(na):
-        for x in range(ni):
-            for y in range(ni):
-                acc = {}
-                for z, c in gmi.get((x, y), ()):
-                    for w, c2 in gl.get((a, z), ()):
-                        acc[w] = acc.get(w, 0) + c * c2
-                for z, c in gl.get((a, x), ()):
-                    for w, c2 in gmi.get((z, y), ()):
-                        acc[w] = acc.get(w, 0) - c * c2
-                if not _diff_is_zero(field, acc):
-                    ok, wit = False, (a, x, y)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("a(xy)=(ax)y", ok, wit)
-
-    ok, wit = True, None
-    for x in range(ni):
-        for a in range(na):
-            for y in range(ni):
-                acc = {}
-                for z, c in gr.get((x, a), ()):
-                    for w, c2 in gmi.get((z, y), ()):
-                        acc[w] = acc.get(w, 0) + c * c2
-                for z, c in gl.get((a, y), ()):
-                    for w, c2 in gmi.get((x, z), ()):
-                        acc[w] = acc.get(w, 0) - c * c2
-                if not _diff_is_zero(field, acc):
-                    ok, wit = False, (x, a, y)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("(xa)y=x(ay)", ok, wit)
-
-    ok, wit = True, None
-    for x in range(ni):
-        for y in range(ni):
-            for a in range(na):
-                acc = {}
-                for z, c in gmi.get((x, y), ()):
-                    for w, c2 in gr.get((z, a), ()):
-                        acc[w] = acc.get(w, 0) + c * c2
-                for z, c in gr.get((y, a), ()):
-                    for w, c2 in gmi.get((x, z), ()):
-                        acc[w] = acc.get(w, 0) - c * c2
-                if not _diff_is_zero(field, acc):
-                    ok, wit = False, (x, y, a)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("(xy)a=x(ya)", ok, wit)
+    mi, left, right = pair.I.mul, pair.action.left, pair.action.right
+    for name, box, lhs, rhs in (
+        ("a(xy)=(ax)y", "axy", ("xyz,azw", mi, left), ("axz,zyw", left, mi)),
+        ("(xa)y=x(ay)", "xay", ("xaz,zyw", right, mi), ("ayz,xzw", left, mi)),
+        ("(xy)a=x(ya)", "xya", ("xyz,zaw", mi, right), ("yaz,xzw", right, mi)),
+    ):
+        report.add_witness(name, first_witness(field, box, "w", lhs, rhs))
     return report
 
 
@@ -648,8 +516,6 @@ def universal_map_algebra(
     report = verify_algebra_morphism(eta)
     if not report.ok:
         raise ValidationFailure(report, "universal map failed verification")
-    assert [eta.matrix.column(j) for j in range(na)] == phi_cols
-    assert [eta.matrix.column(na + j) for j in range(ni)] == f_cols
     return eta
 
 
@@ -681,76 +547,10 @@ class ModuleOverAlgebra:
         self.right = right
 
     def validate(self) -> Report:
-        report = Report()
-        field = self.algebra.field
-        na = self.algebra.dim
-        nm = self.dim
-        gm = self.algebra.mul.by_first_two()
-        if self.left is not None:
-            gl = self.left.by_first_two()
-            ok, wit = True, None
-            for a in range(na):
-                for b in range(na):
-                    for m in range(nm):
-                        acc = {}
-                        for l, c in gm.get((a, b), ()):
-                            for m2, c2 in gl.get((l, m), ()):
-                                acc[m2] = acc.get(m2, 0) + c * c2
-                        for z, c in gl.get((b, m), ()):
-                            for m2, c2 in gl.get((a, z), ()):
-                                acc[m2] = acc.get(m2, 0) - c * c2
-                        if not _diff_is_zero(field, acc):
-                            ok, wit = False, (a, b, m)
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.add("(ab)m=a(bm)", ok, wit)
-        if self.right is not None:
-            gr = self.right.by_first_two()
-            ok, wit = True, None
-            for m in range(nm):
-                for a in range(na):
-                    for b in range(na):
-                        acc = {}
-                        for l, c in gm.get((a, b), ()):
-                            for m2, c2 in gr.get((m, l), ()):
-                                acc[m2] = acc.get(m2, 0) + c * c2
-                        for z, c in gr.get((m, a), ()):
-                            for m2, c2 in gr.get((z, b), ()):
-                                acc[m2] = acc.get(m2, 0) - c * c2
-                        if not _diff_is_zero(field, acc):
-                            ok, wit = False, (m, a, b)
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.add("m(ab)=(ma)b", ok, wit)
-        if self.side == BI:
-            gl = self.left.by_first_two()
-            gr = self.right.by_first_two()
-            ok, wit = True, None
-            for a in range(na):
-                for m in range(nm):
-                    for b in range(na):
-                        acc = {}
-                        for z, c in gl.get((a, m), ()):
-                            for m2, c2 in gr.get((z, b), ()):
-                                acc[m2] = acc.get(m2, 0) + c * c2
-                        for z, c in gr.get((m, b), ()):
-                            for m2, c2 in gl.get((a, z), ()):
-                                acc[m2] = acc.get(m2, 0) - c * c2
-                        if not _diff_is_zero(field, acc):
-                            ok, wit = False, (a, m, b)
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.add("(am)b=a(mb)", ok, wit)
-        return report
+        return _action_laws(
+            self.algebra.field, self.algebra.mul, self.left, self.right,
+            ("(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)"),
+        )
 
 
 def regular_bimodule(a: Algebra) -> ModuleOverAlgebra:
@@ -775,144 +575,31 @@ def assemble_module(
         raise InputError("modules must be over the pair's A and I")
     pair.require_valid()
     field = pair.field
-    na, ni, nm = pair.A.dim, pair.I.dim, m_a.dim
+    na, nm = pair.A.dim, m_a.dim
 
     report = Report()
     report.merge(m_a.validate(), prefix="A-module:")
     report.merge(m_i.validate(), prefix="I-module:")
-    gl_pair = pair.action.left.by_first_two()
-    gr_pair = pair.action.right.by_first_two()
-
+    la, li, ra, ri = m_a.left, m_i.left, m_a.right, m_i.right
+    pl, pr = pair.action.left, pair.action.right
+    laws = []
     if side in (LEFT, BI):
-        gla = m_a.left.by_first_two()
-        gli = m_i.left.by_first_two()
-        ok, wit = True, None
-        for a in range(na):
-            for x in range(ni):
-                for m in range(nm):
-                    acc = {}
-                    for z, c in gli.get((x, m), ()):
-                        for m2, c2 in gla.get((a, z), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for y, c in gl_pair.get((a, x), ()):
-                        for m2, c2 in gli.get((y, m), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (a, x, m)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("a(xm)=(ax)m", ok, wit)
-
-        ok, wit = True, None
-        for x in range(ni):
-            for a in range(na):
-                for m in range(nm):
-                    acc = {}
-                    for z, c in gla.get((a, m), ()):
-                        for m2, c2 in gli.get((x, z), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for y, c in gr_pair.get((x, a), ()):
-                        for m2, c2 in gli.get((y, m), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (x, a, m)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("x(am)=(xa)m", ok, wit)
-
+        laws += [
+            ("a(xm)=(ax)m", "axm", ("xmz,azn", li, la), ("axy,ymn", pl, li)),
+            ("x(am)=(xa)m", "xam", ("amz,xzn", la, li), ("xay,ymn", pr, li)),
+        ]
     if side in (RIGHT, BI):
-        gra = m_a.right.by_first_two()
-        gri = m_i.right.by_first_two()
-        ok, wit = True, None
-        for m in range(nm):
-            for x in range(ni):
-                for a in range(na):
-                    acc = {}
-                    for z, c in gri.get((m, x), ()):
-                        for m2, c2 in gra.get((z, a), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for y, c in gr_pair.get((x, a), ()):
-                        for m2, c2 in gri.get((m, y), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (m, x, a)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(mx)a=m(xa)", ok, wit)
-
-        ok, wit = True, None
-        for m in range(nm):
-            for a in range(na):
-                for x in range(ni):
-                    acc = {}
-                    for z, c in gra.get((m, a), ()):
-                        for m2, c2 in gri.get((z, x), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for y, c in gl_pair.get((a, x), ()):
-                        for m2, c2 in gri.get((m, y), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (m, a, x)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(ma)x=m(ax)", ok, wit)
-
+        laws += [
+            ("(mx)a=m(xa)", "mxa", ("mxz,zan", ri, ra), ("xay,myn", pr, ri)),
+            ("(ma)x=m(ax)", "max", ("maz,zxn", ra, ri), ("axy,myn", pl, ri)),
+        ]
     if side == BI:
-        gla = m_a.left.by_first_two()
-        gli = m_i.left.by_first_two()
-        gra = m_a.right.by_first_two()
-        gri = m_i.right.by_first_two()
-        ok, wit = True, None
-        for a in range(na):
-            for m in range(nm):
-                for x in range(ni):
-                    acc = {}
-                    for z, c in gla.get((a, m), ()):
-                        for m2, c2 in gri.get((z, x), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for z, c in gri.get((m, x), ()):
-                        for m2, c2 in gla.get((a, z), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (a, m, x)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(am)x=a(mx)", ok, wit)
-
-        ok, wit = True, None
-        for x in range(ni):
-            for m in range(nm):
-                for a in range(na):
-                    acc = {}
-                    for z, c in gli.get((x, m), ()):
-                        for m2, c2 in gra.get((z, a), ()):
-                            acc[m2] = acc.get(m2, 0) + c * c2
-                    for z, c in gra.get((m, a), ()):
-                        for m2, c2 in gli.get((x, z), ()):
-                            acc[m2] = acc.get(m2, 0) - c * c2
-                    if not _diff_is_zero(field, acc):
-                        ok, wit = False, (x, m, a)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.add("(xm)a=x(ma)", ok, wit)
+        laws += [
+            ("(am)x=a(mx)", "amx", ("amz,zxn", la, ri), ("mxz,azn", ri, la)),
+            ("(xm)a=x(ma)", "xma", ("xmz,zan", li, ra), ("maz,xzn", ra, li)),
+        ]
+    for name, box, lhs, rhs in laws:
+        report.add_witness(name, first_witness(field, box, "n", lhs, rhs))
 
     if not report.ok:
         raise ValidationFailure(report, "module compatibility failed")
@@ -951,86 +638,18 @@ def check_iterated_algebra_triple(
     report.merge(check_dorroh_pair_algebra(DorrohPairAlgebra(a1, a3, act13)), prefix="A1A3:")
     report.merge(check_dorroh_pair_algebra(DorrohPairAlgebra(a2, a3, act23)), prefix="A2A3:")
 
-    gl12 = act12.left.by_first_two()
-    gr12 = act12.right.by_first_two()
-    gl13 = act13.left.by_first_two()
-    gr13 = act13.right.by_first_two()
-    gl23 = act23.left.by_first_two()
-    gr23 = act23.right.by_first_two()
-
-    def scan(name, ranges, lhs, rhs):
-        ok, wit = True, None
-        for idx in itertools.product(*(range(r) for r in ranges)):
-            acc = {}
-            for k, v in lhs(*idx):
-                acc[k] = acc.get(k, 0) + v
-            for k, v in rhs(*idx):
-                acc[k] = acc.get(k, 0) - v
-            if not _diff_is_zero(field, acc):
-                ok, wit = False, idx
-                break
-        report.add(name, ok, wit)
-
-    scan(
-        "(a1.a3)a2=a1(a3.a2)",
-        (n1, n3, n2),
-        lambda a, x, b: (
-            (y, c * c2) for z, c in gl13.get((a, x), ()) for y, c2 in gr23.get((z, b), ())
-        ),
-        lambda a, x, b: (
-            (y, c * c2) for z, c in gr23.get((x, b), ()) for y, c2 in gl13.get((a, z), ())
-        ),
-    )
-    scan(
-        "(a2.a3)a1=a2(a3.a1)",
-        (n2, n3, n1),
-        lambda b, x, a: (
-            (y, c * c2) for z, c in gl23.get((b, x), ()) for y, c2 in gr13.get((z, a), ())
-        ),
-        lambda b, x, a: (
-            (y, c * c2) for z, c in gr13.get((x, a), ()) for y, c2 in gl23.get((b, z), ())
-        ),
-    )
-    scan(
-        "a1(a2a3)=(a1a2)a3",
-        (n1, n2, n3),
-        lambda a, b, x: (
-            (y, c * c2) for z, c in gl23.get((b, x), ()) for y, c2 in gl13.get((a, z), ())
-        ),
-        lambda a, b, x: (
-            (y, c * c2) for w, c in gl12.get((a, b), ()) for y, c2 in gl23.get((w, x), ())
-        ),
-    )
-    scan(
-        "a2(a1a3)=(a2a1)a3",
-        (n2, n1, n3),
-        lambda b, a, x: (
-            (y, c * c2) for z, c in gl13.get((a, x), ()) for y, c2 in gl23.get((b, z), ())
-        ),
-        lambda b, a, x: (
-            (y, c * c2) for w, c in gr12.get((b, a), ()) for y, c2 in gl23.get((w, x), ())
-        ),
-    )
-    scan(
-        "(a3a2)a1=a3(a2a1)",
-        (n3, n2, n1),
-        lambda x, b, a: (
-            (y, c * c2) for z, c in gr23.get((x, b), ()) for y, c2 in gr13.get((z, a), ())
-        ),
-        lambda x, b, a: (
-            (y, c * c2) for w, c in gr12.get((b, a), ()) for y, c2 in gr23.get((x, w), ())
-        ),
-    )
-    scan(
-        "(a3a1)a2=a3(a1a2)",
-        (n3, n1, n2),
-        lambda x, a, b: (
-            (y, c * c2) for z, c in gr13.get((x, a), ()) for y, c2 in gr23.get((z, b), ())
-        ),
-        lambda x, a, b: (
-            (y, c * c2) for w, c in gl12.get((a, b), ()) for y, c2 in gr23.get((x, w), ())
-        ),
-    )
+    l12, r12 = act12.left, act12.right
+    l13, r13 = act13.left, act13.right
+    l23, r23 = act23.left, act23.right
+    for name, box, lhs, rhs in (
+        ("(a1.a3)a2=a1(a3.a2)", "axb", ("axz,zby", l13, r23), ("xbz,azy", r23, l13)),
+        ("(a2.a3)a1=a2(a3.a1)", "bxa", ("bxz,zay", l23, r13), ("xaz,bzy", r13, l23)),
+        ("a1(a2a3)=(a1a2)a3", "abx", ("bxz,azy", l23, l13), ("abw,wxy", l12, l23)),
+        ("a2(a1a3)=(a2a1)a3", "bax", ("axz,bzy", l13, l23), ("baw,wxy", r12, l23)),
+        ("(a3a2)a1=a3(a2a1)", "xba", ("xbz,zay", r23, r13), ("baw,xwy", r12, r23)),
+        ("(a3a1)a2=a3(a1a2)", "xab", ("xaz,zby", r13, r23), ("abw,xwy", l12, r23)),
+    ):
+        report.add_witness(name, first_witness(field, box, "y", lhs, rhs))
 
     if not report.ok:
         return report, None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import Algebra, AlgebraMorphism, BimoduleAction, DorrohPairAlgebra, ModuleOverAlgebra
+from .algebra import SIDES, Algebra, AlgebraMorphism, BimoduleAction, DorrohPairAlgebra, ModuleOverAlgebra
 from .coalgebra import (
     BicomoduleCoaction,
     Coalgebra,
@@ -37,7 +37,6 @@ KINDS = (
     "morphism",
     "sequence",
 )
-SIDES = ("left", "right", "bi")
 VERIFIED = ("unchecked", "hom", "iso")
 
 

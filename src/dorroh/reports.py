@@ -47,6 +47,10 @@ class Report:
         self.checks.append(CheckResult(name, ok, witness, detail))
         return self
 
+    def add_witness(self, name, witness) -> "Report":
+        """Record a check that fails exactly when it has a witness."""
+        return self.add(name, witness is None, witness)
+
     def merge(self, other: "Report", prefix: str = "") -> "Report":
         for c in other.checks:
             self.checks.append(

@@ -212,6 +212,20 @@ def test_console_entry_point():
     assert "M2" in proc.stdout
 
 
+def test_check_cost_follows_entries_not_declared_dim(tmp_path):
+    doc = tmp_path / "wide.json"
+    doc.write_text(
+        '{"format":"dorroh/1","field":{"kind":"Q"},"kind":"algebra","payload":{"dim":3000,"mul":[]}}'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dorroh.cli", "check", str(doc)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+
+
 def test_check_dispatches_all_document_kinds(tmp_path):
     from dorroh.algebra import identity_morphism
     from dorroh.duality import dual_actions

@@ -1,0 +1,519 @@
+"""Golden first witnesses of every axiom validator, and the identity engine.
+
+The corpus covers the gallery's standard pairs, seeded random pairs over
+Q, GF(3) and GF(5), single-entry perturbations of every tensor of those
+pairs, modules and comodules glued by ``assemble_*`` and iterated
+triples.  ``tests/data/validator_golden.json`` holds each object's
+checks as ``CheckResult.to_json`` dicts; the test rebuilds the corpus and
+requires byte-equal output, so check names, order, status and witness
+are all pinned.
+
+Regenerate the golden file (only for an intended behaviour change) with
+``PYTHONPATH=src python tests/test_identity_engine.py``.
+"""
+
+import itertools
+import json
+import random
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dorroh.algebra import (
+    Algebra,
+    BimoduleAction,
+    DorrohPairAlgebra,
+    ModuleOverAlgebra,
+    assemble_module,
+    build_dorroh_algebra,
+    check_associativity,
+    check_dorroh_pair_algebra,
+    check_iterated_algebra_triple,
+    regular_bimodule,
+)
+from dorroh.coalgebra import (
+    BicomoduleCoaction,
+    Coalgebra,
+    ComoduleOverCoalgebra,
+    DorrohPairCoalgebra,
+    assemble_comodule,
+    build_dorroh_coalgebra,
+    check_coassociativity,
+    check_dorroh_pair_coalgebra,
+    check_iterated_coalgebra_triple,
+    regular_bicomodule,
+)
+from dorroh.errors import ValidationFailure
+from dorroh.fields import GF, QQ
+from dorroh.gallery import (
+    algebra_k,
+    divided_power,
+    dual_numbers,
+    group_algebra_z2,
+    grouplikes,
+    matrix_algebra_2,
+    matrix_coalgebra_2,
+    nilpotent_line,
+    random_algebra_pair,
+    random_coalgebra_pair,
+    standard_algebra_pairs,
+    standard_coalgebra_pairs,
+    truncated_polynomials,
+)
+from dorroh.tensors import SparseTensor3, first_witness
+
+GOLDEN = Path(__file__).parent / "data" / "validator_golden.json"
+FIELDS = (QQ, GF(3), GF(5))
+SEED = 20200706
+RANDOM_PAIRS = 6
+MODULE_FIELDS = FIELDS[:2]
+
+# Every identity check, by the corpus kind that runs it.  Module and
+# comodule reports merged into assemble_* carry a prefix and are counted
+# under "module"/"comodule" through their own direct runs.
+IDENTITY_CHECKS = {
+    "algebra": ["associativity"],
+    "pair-algebra": [
+        "(ab)x=a(bx)", "x(ab)=(xa)b", "(ax)b=a(xb)",
+        "a(xy)=(ax)y", "(xa)y=x(ay)", "(xy)a=x(ya)",
+    ],
+    "module": ["(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)"],
+    "assemble-module": [
+        "a(xm)=(ax)m", "x(am)=(xa)m", "(mx)a=m(xa)",
+        "(ma)x=m(ax)", "(am)x=a(mx)", "(xm)a=x(ma)",
+    ],
+    "triple-algebra": [
+        "(a1.a3)a2=a1(a3.a2)", "(a2.a3)a1=a2(a3.a1)", "a1(a2a3)=(a1a2)a3",
+        "a2(a1a3)=(a2a1)a3", "(a3a2)a1=a3(a2a1)", "(a3a1)a2=a3(a1a2)",
+    ],
+    "coalgebra": ["coassociativity"],
+    "pair-coalgebra": [
+        "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",
+        "(rho_r(x)1)rho_r=(1(x)Delta)rho_r",
+        "(rho_l(x)1)rho_r=(1(x)rho_r)rho_l",
+        "eq3", "eq4", "eq5",
+    ],
+    "comodule": [
+        "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",
+        "(rho_r(x)1)rho_r=(1(x)Delta)rho_r",
+        "(rho_l(x)1)rho_r=(1(x)rho_r)rho_l",
+    ],
+    "assemble-comodule": [
+        "(1(x)rho_l^C)rho_l^P=(rho_r(x)1)rho_l^P",
+        "(1(x)rho_l^P)rho_l^C=(rho_l(x)1)rho_l^P",
+        "(rho_r^C(x)1)rho_r^P=(1(x)rho_l)rho_r^P",
+        "(rho_r^P(x)1)rho_r^C=(1(x)rho_r)rho_r^P",
+        "(rho_l^C(x)1)rho_r^P=(1(x)rho_r^P)rho_l^C",
+        "(rho_l^P(x)1)rho_r^C=(1(x)rho_r^C)rho_l^P",
+    ],
+    "triple-coalgebra": [
+        "C1-C2-bicomodule", "C2-C1-bicomodule", "eq11", "eq12", "eq13", "eq14",
+    ],
+}
+
+
+# ---------------------------------------------------------------------------
+# corpus
+
+
+def _perturb(t, rng):
+    """``t`` with one seeded entry shifted by a nonzero scalar; None on an empty box."""
+    d0, d1, d2 = t.dims
+    if not (d0 and d1 and d2):
+        return None
+    key = (rng.randrange(d0), rng.randrange(d1), rng.randrange(d2))
+    entries = dict(t.entries)
+    entries[key] = entries.get(key, 0) + rng.choice((1, -1, 2))
+    return SparseTensor3(t.dims, entries, t.field)
+
+
+def _checks(report):
+    return [c.to_json() for c in report.checks]
+
+
+def _raised(fn, *args):
+    """The checks of a ValidationFailure raised by ``fn``, or None if it returned."""
+    try:
+        fn(*args)
+    except ValidationFailure as err:
+        return {"raised": _checks(err.report)}
+    return None
+
+
+def _algebra_pair(A, I, left, right):
+    return DorrohPairAlgebra(A, I, BimoduleAction(A, I.dim, left, right))
+
+
+def _coalgebra_pair(C, P, rho_l, rho_r):
+    return DorrohPairCoalgebra(C, P, BicomoduleCoaction(C, P.dim, rho_l, rho_r))
+
+
+def _algebra_pair_records(tag, pair, rng, rounds):
+    out = {
+        f"pair-algebra|{tag}|base": _checks(check_dorroh_pair_algebra(pair)),
+        f"algebra|{tag}|A": _checks(check_associativity(pair.A)),
+        f"algebra|{tag}|I": _checks(check_associativity(pair.I)),
+        f"algebra|{tag}|extension": _checks(check_associativity(build_dorroh_algebra(pair))),
+    }
+    A, I, act = pair.A, pair.I, pair.action
+    for r in range(rounds):
+        for slot in ("A", "I", "left", "right"):
+            src = {"A": A.mul, "I": I.mul, "left": act.left, "right": act.right}[slot]
+            t = _perturb(src, rng)
+            if t is None:
+                continue
+            parts = {"A": A, "I": I, "left": act.left, "right": act.right}
+            if slot in ("A", "I"):
+                parts[slot] = Algebra(src.dims[0], t, t.field)
+                out[f"algebra|{tag}|{slot}~{r}"] = _checks(check_associativity(parts[slot]))
+            else:
+                parts[slot] = t
+            p = _algebra_pair(parts["A"], parts["I"], parts["left"], parts["right"])
+            out[f"pair-algebra|{tag}|{slot}~{r}"] = _checks(check_dorroh_pair_algebra(p))
+    return out
+
+
+def _coalgebra_pair_records(tag, pair, rng, rounds):
+    out = {
+        f"pair-coalgebra|{tag}|base": _checks(check_dorroh_pair_coalgebra(pair)),
+        f"coalgebra|{tag}|C": _checks(check_coassociativity(pair.C)),
+        f"coalgebra|{tag}|P": _checks(check_coassociativity(pair.P)),
+        f"coalgebra|{tag}|extension": _checks(check_coassociativity(build_dorroh_coalgebra(pair))),
+    }
+    C, P, co = pair.C, pair.P, pair.coaction
+    for r in range(rounds):
+        for slot in ("C", "P", "rho_l", "rho_r"):
+            src = {"C": C.delta, "P": P.delta, "rho_l": co.rho_l, "rho_r": co.rho_r}[slot]
+            t = _perturb(src, rng)
+            if t is None:
+                continue
+            parts = {"C": C, "P": P, "rho_l": co.rho_l, "rho_r": co.rho_r}
+            if slot in ("C", "P"):
+                parts[slot] = Coalgebra(src.dims[0], t, t.field)
+                out[f"coalgebra|{tag}|{slot}~{r}"] = _checks(check_coassociativity(parts[slot]))
+            else:
+                parts[slot] = t
+            p = _coalgebra_pair(parts["C"], parts["P"], parts["rho_l"], parts["rho_r"])
+            out[f"pair-coalgebra|{tag}|{slot}~{r}"] = _checks(check_dorroh_pair_coalgebra(p))
+    return out
+
+
+def _split_slot(t, slot, n):
+    """Split a tensor along index ``slot`` at n, shifting the upper part down."""
+    parts = ({}, {})
+    for key, v in t.entries.items():
+        hi = key[slot] >= n
+        k = list(key)
+        k[slot] -= n if hi else 0
+        parts[hi][tuple(k)] = v
+    dims = list(t.dims), list(t.dims)
+    dims[0][slot] = n
+    dims[1][slot] = t.dims[slot] - n
+    return tuple(SparseTensor3(tuple(d), e, t.field) for d, e in zip(dims, parts))
+
+
+def _module_records(tag, pair, rng):
+    """Restrict the regular bimodule of the extension to A and I, per side,
+    then glue it back, before and after single-entry perturbations."""
+    built = build_dorroh_algebra(pair)
+    reg = regular_bimodule(built)
+    na, n = pair.A.dim, built.dim
+    left_a, left_i = _split_slot(reg.left, 0, na)
+    right_a, right_i = _split_slot(reg.right, 1, na)
+    out = {}
+    for side in ("left", "right", "bi"):
+        base = {
+            "la": left_a if side != "right" else None,
+            "li": left_i if side != "right" else None,
+            "ra": right_a if side != "left" else None,
+            "ri": right_i if side != "left" else None,
+        }
+        variants = [("base", base)]
+        for slot in [s for s in ("la", "li", "ra", "ri") if base[s] is not None]:
+            t = _perturb(base[slot], rng)
+            if t is not None:
+                variants.append((f"{slot}~", {**base, slot: t}))
+        for name, parts in variants:
+            m_a = ModuleOverAlgebra(pair.A, n, side, left=parts["la"], right=parts["ra"])
+            m_i = ModuleOverAlgebra(pair.I, n, side, left=parts["li"], right=parts["ri"])
+            key = f"{tag}|{side}|{name}"
+            out[f"module|{key}|A"] = _checks(m_a.validate())
+            out[f"module|{key}|I"] = _checks(m_i.validate())
+            out[f"assemble-module|{key}"] = _raised(assemble_module, pair, m_a, m_i, side)
+    return out
+
+
+def _comodule_records(tag, pair, rng):
+    built = build_dorroh_coalgebra(pair)
+    reg = regular_bicomodule(built)
+    nc, n = pair.C.dim, built.dim
+    rl_c, rl_p = _split_slot(reg.rho_l, 1, nc)
+    rr_c, rr_p = _split_slot(reg.rho_r, 2, nc)
+    out = {}
+    for side in ("left", "right", "bi"):
+        base = {
+            "lc": rl_c if side != "right" else None,
+            "lp": rl_p if side != "right" else None,
+            "rc": rr_c if side != "left" else None,
+            "rp": rr_p if side != "left" else None,
+        }
+        variants = [("base", base)]
+        for slot in [s for s in ("lc", "lp", "rc", "rp") if base[s] is not None]:
+            t = _perturb(base[slot], rng)
+            if t is not None:
+                variants.append((f"{slot}~", {**base, slot: t}))
+        for name, parts in variants:
+            com_c = ComoduleOverCoalgebra(pair.C, n, side, rho_l=parts["lc"], rho_r=parts["rc"])
+            com_p = ComoduleOverCoalgebra(pair.P, n, side, rho_l=parts["lp"], rho_r=parts["rp"])
+            key = f"{tag}|{side}|{name}"
+            out[f"comodule|{key}|C"] = _checks(com_c.validate())
+            out[f"comodule|{key}|P"] = _checks(com_p.validate())
+            out[f"assemble-comodule|{key}"] = _raised(assemble_comodule, pair, com_c, com_p, side)
+    return out
+
+
+def _triple_record(check, algs, acts):
+    try:
+        report, _ = check(*algs, *acts)
+    except ValidationFailure as err:
+        return {"raised": _checks(err.report)}
+    return _checks(report)
+
+
+def _action_parts(act):
+    if isinstance(act, BimoduleAction):
+        return act.acting, [act.left, act.right]
+    return act.coacting, [act.rho_l, act.rho_r]
+
+
+def _triple_records(kind, tag, check, algs, acts, rng, rounds):
+    """Run ``check`` on a triple and on single-entry perturbations of each
+    of its six action (or coaction) tensors."""
+    out = {f"{kind}|{tag}|base": _triple_record(check, algs, acts)}
+    for r in range(rounds):
+        for which, label in enumerate(("12", "13", "23")):
+            owner, tensors = _action_parts(acts[which])
+            for side in range(2):
+                t = _perturb(tensors[side], rng)
+                if t is None:
+                    continue
+                parts = list(tensors)
+                parts[side] = t
+                bent = list(acts)
+                bent[which] = type(acts[which])(owner, acts[which].carrier_dim, *parts)
+                name = f"{label}{'lr'[side]}~{r}"
+                out[f"{kind}|{tag}|{name}"] = _triple_record(check, algs, bent)
+    return out
+
+
+def _algebra_triples(field, rng):
+    out = {}
+    small = {
+        "k": algebra_k(field),
+        "dn": dual_numbers(field),
+        "kZ2": group_algebra_z2(field),
+        "tp2": truncated_polynomials(2, field),
+        "M2": matrix_algebra_2(field),
+    }
+    for name, a in small.items():
+        reg = regular_bimodule(a)
+        act = BimoduleAction(a, a.dim, reg.left, reg.right)
+        out.update(_triple_records(
+            "triple-algebra", f"{field!r}|regular-{name}", check_iterated_algebra_triple,
+            (a, a, a), (act, act, act), rng, 1,
+        ))
+    algs = (matrix_algebra_2(field), group_algebra_z2(field), nilpotent_line(field))
+
+    def zero(x, y):
+        return BimoduleAction(
+            x, y.dim,
+            SparseTensor3.zero((x.dim, y.dim, y.dim), field),
+            SparseTensor3.zero((y.dim, x.dim, y.dim), field),
+        )
+
+    acts = (zero(algs[0], algs[1]), zero(algs[0], algs[2]), zero(algs[1], algs[2]))
+    out.update(_triple_records(
+        "triple-algebra", f"{field!r}|zero-M2-kZ2-line", check_iterated_algebra_triple,
+        algs, acts, rng, 1,
+    ))
+    return out
+
+
+def _coalgebra_triples(field, rng):
+    out = {}
+    small = {
+        "gl1": grouplikes(1, field),
+        "gl2": grouplikes(2, field),
+        "dp1": divided_power(1, field),
+        "dp2": divided_power(2, field),
+        "Mc2": matrix_coalgebra_2(field),
+    }
+    for name, c in small.items():
+        reg = regular_bicomodule(c)
+        co = BicomoduleCoaction(c, c.dim, reg.rho_l, reg.rho_r)
+        out.update(_triple_records(
+            "triple-coalgebra", f"{field!r}|regular-{name}", check_iterated_coalgebra_triple,
+            (c, c, c), (co, co, co), rng, 1,
+        ))
+    cos = (matrix_coalgebra_2(field), grouplikes(2, field), divided_power(1, field))
+
+    def zero(x, y):
+        return BicomoduleCoaction(
+            x, y.dim,
+            SparseTensor3.zero((y.dim, x.dim, y.dim), field),
+            SparseTensor3.zero((y.dim, y.dim, x.dim), field),
+        )
+
+    acts = (zero(cos[0], cos[1]), zero(cos[0], cos[2]), zero(cos[1], cos[2]))
+    out.update(_triple_records(
+        "triple-coalgebra", f"{field!r}|zero-Mc2-gl2-dp1", check_iterated_coalgebra_triple,
+        cos, acts, rng, 1,
+    ))
+    return out
+
+
+def corpus():
+    """Label -> recorded checks for every corpus object, in a fixed order."""
+    out = {}
+    rng = random.Random(SEED)
+    for field in FIELDS:
+        for name, pair in standard_algebra_pairs(field):
+            tag = f"{field!r}|{name}"
+            out.update(_algebra_pair_records(tag, pair, rng, 2))
+            if field in MODULE_FIELDS:
+                out.update(_module_records(tag, pair, rng))
+        for name, pair in standard_coalgebra_pairs(field):
+            tag = f"{field!r}|{name}"
+            out.update(_coalgebra_pair_records(tag, pair, rng, 2))
+            if field in MODULE_FIELDS:
+                out.update(_comodule_records(tag, pair, rng))
+        for i in range(RANDOM_PAIRS):
+            pair = random_algebra_pair(rng, field)
+            out.update(_algebra_pair_records(f"{field!r}|random{i}", pair, rng, 1))
+            pair = random_coalgebra_pair(rng, field)
+            out.update(_coalgebra_pair_records(f"{field!r}|random{i}", pair, rng, 1))
+        out.update(_algebra_triples(field, rng))
+        out.update(_coalgebra_triples(field, rng))
+    return out
+
+
+def render(records):
+    """The golden file's text: a JSON object with one object per line."""
+    lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in records.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _failing(records):
+    """(kind, check name) of every failing unprefixed check in the records."""
+    seen = set()
+    for label, rec in records.items():
+        kind = label.split("|", 1)[0]
+        if isinstance(rec, dict):
+            rec = rec["raised"]
+        for c in rec or ():
+            if c["status"] == "fail" and ":" not in c["name"]:
+                seen.add((kind, c["name"]))
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_corpus_matches_golden_checks():
+    assert render(corpus()) == GOLDEN.read_text()
+
+
+def test_every_identity_check_fails_somewhere_in_the_corpus():
+    assert sum(len(names) for names in IDENTITY_CHECKS.values()) == 44
+    failing = _failing(json.loads(GOLDEN.read_text()))
+    missing = [(k, n) for k, names in IDENTITY_CHECKS.items() for n in names if (k, n) not in failing]
+    assert missing == []
+
+
+def _zero_algebra(n):
+    return Algebra(n, SparseTensor3.zero((n, n, n), QQ), QQ)
+
+
+def test_empty_associativity_cost_is_bounded():
+    a = _zero_algebra(400)
+    start = time.perf_counter()
+    assert check_associativity(a).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_empty_pair_check_cost_is_bounded():
+    A, I = _zero_algebra(400), _zero_algebra(400)
+    pair = _algebra_pair(
+        A, I, SparseTensor3.zero((400, 400, 400), QQ), SparseTensor3.zero((400, 400, 400), QQ)
+    )
+    start = time.perf_counter()
+    assert check_dorroh_pair_algebra(pair).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def _dense_first_witness(field, box, out, lhs, rhs):
+    """Reference: scan the whole box in lexicographic order."""
+    sizes = {}
+    for spec, T, U in (lhs, rhs):
+        for letters, t in zip(spec.split(","), (T, U)):
+            sizes.update(zip(letters, t.dims))
+    for idx in itertools.product(*(range(sizes[c]) for c in box)):
+        for jdx in itertools.product(*(range(sizes[c]) for c in out)):
+            env = dict(zip(box + out, idx + jdx))
+            total = 0
+            for sign, (spec, T, U) in ((1, lhs), (-1, rhs)):
+                t_letters, u_letters = spec.split(",")
+                (l,) = set(t_letters) & set(u_letters)
+                for env[l] in range(sizes[l]):
+                    total += sign * T.get(*(env[c] for c in t_letters)) * U.get(
+                        *(env[c] for c in u_letters)
+                    )
+            if field.canon(total) != 0:
+                return idx
+    return None
+
+
+def _tensor(draw, dims, field):
+    cells = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    values = st.integers(-2, 2) if field.p is None else st.integers(0, field.p - 1)
+    return SparseTensor3(dims, draw(st.dictionaries(cells, values, max_size=6)), field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_first_witness_matches_dense_scan(data, na, ni, field):
+    mul = _tensor(data.draw, (na, na, na), field)
+    left = _tensor(data.draw, (na, ni, ni), field)
+    right = _tensor(data.draw, (ni, na, ni), field)
+    delta = _tensor(data.draw, (ni, ni, ni), field)
+    rho_l = _tensor(data.draw, (ni, na, ni), field)
+    identities = [
+        ("ijk", "m", ("ijl,lkm", mul, mul), ("jkl,ilm", mul, mul)),
+        ("abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left)),
+        ("xab", "y", ("abl,xly", mul, right), ("xaz,zby", right, right)),
+        ("axb", "y", ("axz,zby", left, right), ("xbz,azy", right, left)),
+        ("x", "pqr", ("xir,ipq", delta, delta), ("xpj,jqr", delta, delta)),
+        ("x", "pqy", ("xcy,cpq", rho_l, mul), ("xpz,zqy", rho_l, rho_l)),
+    ]
+    for box, out, lhs, rhs in identities:
+        expected = _dense_first_witness(field, box, out, lhs, rhs)
+        assert first_witness(field, box, out, lhs, rhs) == expected
+
+
+def test_first_witness_rejects_malformed_specs():
+    t = SparseTensor3((2, 2, 2), {}, QQ)
+    with pytest.raises(ValueError):
+        first_witness(QQ, "ijk", "m", ("ijl,lkl", t, t), ("jkl,ilm", t, t))  # l twice
+    with pytest.raises(ValueError):
+        first_witness(QQ, "ijk", "m", ("ijl,lkn", t, t), ("jkl,ilm", t, t))  # n not free
+    with pytest.raises(ValueError):
+        u = SparseTensor3((3, 2, 2), {}, QQ)
+        first_witness(QQ, "ijk", "m", ("ijl,lkm", t, u), ("jkl,ilm", t, t))  # l sized 2 and 3
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(render(corpus()))

@@ -101,6 +101,11 @@ def test_kernel_vectors_are_exact_and_independent(data, rows, cols, over_q):
 def test_inverse_is_two_sided(data, n, over_q):
     field = QQ if over_q else GF(7)
     A = _random_matrix(data.draw, field, n, n)
+    cols = A.columns()
+    assert Matrix.from_columns(cols, field).columns() == cols
+    stacked = Matrix.from_columns([c + c for c in cols], field)
+    assert [stacked.column(j)[:n] for j in range(n)] == cols
+    assert [stacked.column(j)[n:] for j in range(n)] == cols
     B = invert(A)
     if B is not None:
         assert A.mul(B).is_identity()

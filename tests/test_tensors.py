@@ -35,7 +35,6 @@ def test_accumulate_sums_and_cancels():
 def test_groupings():
     t = SparseTensor3((2, 2, 2), {(0, 1, 0): 2, (0, 0, 1): 3}, QQ)
     assert sorted(t.by_first()[0]) == [(0, 1, 3), (1, 0, 2)]
-    assert t.by_first_two()[(0, 1)] == [(0, 2)]
     assert t.sorted_items() == [((0, 0, 1), 3), ((0, 1, 0), 2)]
 
 
