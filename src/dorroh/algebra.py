@@ -16,7 +16,7 @@ from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, invert, solve_linear
 from .reports import Report
-from .tensors import SparseTensor3, first_witness
+from .tensors import SparseTensor3, first_difference, first_witness, transport
 
 LEFT = "left"
 RIGHT = "right"
@@ -39,7 +39,7 @@ class Algebra:
         self._unit = "unset"
         if unit is not None:
             unit = [field.canon(u) for u in unit]
-            if not self._is_identity_vector(unit):
+            if len(unit) != dim or not _acts_as_identity(mul, mul, unit, dim):
                 raise InputError("cached unit fails the identity law")
             self._unit = unit
 
@@ -59,13 +59,6 @@ class Algebra:
                     acc[k] += xi * yj * c
         canon = self.field.canon
         return [canon(v) for v in acc]
-
-    def _is_identity_vector(self, u):
-        for i in range(self.dim):
-            e = self.basis(i)
-            if self.product(u, e) != e or self.product(e, u) != e:
-                return False
-        return True
 
     def find_identity(self):
         """The unique two-sided identity in coordinates, or None.  Cached."""
@@ -102,6 +95,14 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field!r})"
+
+
+def _acts_as_identity(left, right, u, n) -> bool:
+    """u.e_x = e_x = e_x.u on the n basis vectors e_x, where u acts through
+    ``left`` (a,x,y) and ``right`` (x,a,y)."""
+    on_left = transport(left, ([u], None, None)).entries
+    on_right = transport(right, (None, [u], None)).entries
+    return on_left == {(0, x, x): 1 for x in range(n)} and on_right == {(x, 0, x): 1 for x in range(n)}
 
 
 def check_associativity(a: Algebra) -> Report:
@@ -254,16 +255,9 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
 
     unit = None
     ua = pair.A.find_identity()
-    if ua is not None:
-        # unital pair: the A-unit must act as identity on I from both sides.
-        padded = ua + [0] * pair.I.dim
-        unital_action = all(
-            pair.action.act_left(ua, pair.I.basis(x)) == pair.I.basis(x)
-            and pair.action.act_right(pair.I.basis(x), ua) == pair.I.basis(x)
-            for x in range(pair.I.dim)
-        )
-        if unital_action:
-            unit = padded
+    # unital pair: the A-unit must act as identity on I from both sides.
+    if ua is not None and _acts_as_identity(pair.action.left, pair.action.right, ua, pair.I.dim):
+        unit = ua + [0] * pair.I.dim
     return Algebra(n, mul, field, labels=labels, unit=unit)
 
 
@@ -296,26 +290,28 @@ def identity_morphism(a: Algebra) -> AlgebraMorphism:
 
 
 def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:
-    """Check F(e_i e_j) = F(e_i) F(e_j) on all basis pairs; optionally invertibility."""
-    report = Report()
-    src, tgt = F.source, F.target
-    cols = F.matrix.columns()
-    ok, wit = True, None
-    for i in range(src.dim):
-        for j in range(src.dim):
-            img = F.apply(src.product(src.basis(i), src.basis(j)))
-            direct = tgt.product(cols[i], cols[j])
-            if img != direct:
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    report.add("multiplicative", ok, wit)
+    """Check F(e_i e_j) = F(e_i) F(e_j) on all basis pairs; optionally invertibility.
+
+    Both sides are tensors (i, j, k): F carries the last leg of the source
+    multiplication, F^T the first two legs of the target's.  The witness
+    is the least (i, j) at which they differ.
+    """
+    M = F.matrix
+    lhs = transport(F.source.mul, (None, None, M.data))
+    Mt = M.columns()  # the rows of M^T
+    rhs = transport(F.target.mul, (Mt, Mt, None))
+    report = Report().add_witness("multiplicative", first_difference(lhs.entries, rhs.entries, 2))
+    return _record_verified(F, iso, report)
+
+
+def _record_verified(F, iso: bool, report: Report) -> Report:
+    """Add the invertibility check when ``iso`` is asked for and mark F
+    "iso" or "hom" when the report's structure check passed."""
     invertible = False
     if iso:
         invertible = F.matrix.rows == F.matrix.cols and invert(F.matrix) is not None
         report.add("invertible", invertible)
-    if ok:
+    if report.checks[0].ok:
         if iso and invertible:
             F.verified = "iso"
         elif F.verified == "unchecked":
@@ -332,26 +328,21 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
     na, ni = pair.A.dim, pair.I.dim
     field = pair.field
 
-    balance = Report()
-    ok, wit = True, None
-    for a in range(na):
-        ea = pair.A.basis(a)
-        if pair.action.act_left(ea, one_i) != pair.action.act_right(one_i, ea):
-            ok, wit = False, (a,)
-            break
-    balance.add("a.1_I=1_I.a", ok, wit)
+    # a.1_I at (a, 0, y) and 1_I.a at (0, a, y)
+    shift = transport(pair.action.left, (None, [one_i], None)).entries
+    right = transport(pair.action.right, ([one_i], None, None)).entries
+    right = {(a, 0, y): v for (_, a, y), v in right.items()}
+    balance = Report().add_witness("a.1_I=1_I.a", first_difference(shift, right, 1))
     if not balance.ok:
         raise ValidationFailure(balance, "central identity condition failed")
 
     source = build_dorroh_algebra(pair)
     target = build_dorroh_algebra(direct_product_pair(pair.A, pair.I))
-    cols = []
-    for a in range(na):
-        shift = pair.action.act_left(pair.A.basis(a), one_i)
-        cols.append(pair.A.basis(a) + shift)
-    for x in range(ni):
-        cols.append([0] * na + pair.I.basis(x))
-    eta = AlgebraMorphism(source, target, Matrix.from_columns(cols, field))
+    n = na + ni
+    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (a, _, y), v in shift.items():
+        data[na + y][a] = v
+    eta = AlgebraMorphism(source, target, Matrix(n, n, data, field))
     report = verify_algebra_morphism(eta, iso=True)
     if not report.ok:
         raise ValidationFailure(report, "unital ideal isomorphism failed verification")
@@ -388,72 +379,35 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
     if Sinv is None:
         raise InputError("bases do not span a direct sum: dependent vectors")
 
-    split_cols = S.columns()
+    # B in the split basis: (u, v, w) -> c means s_u s_v contains c s_w.
+    St = S.columns()
+    split = transport(B.mul, (St, St, Sinv.data)).entries
 
-    def coords(u, v):
-        return Sinv.apply(B.product(split_cols[u], split_cols[v]))
-
-    closure = Report()
-    mul_a = {}
-    ok, wit = True, None
-    for i in range(na):
-        for j in range(na):
-            w = coords(i, j)
-            if any(w[na + x] != 0 for x in range(ni)):
-                ok, wit = False, (i, j)
-                break
-            for k in range(na):
-                if w[k]:
-                    mul_a[(i, j, k)] = w[k]
-        if not ok:
-            break
-    closure.add("A_closed", ok, wit)
+    closure = Report().add_witness(
+        "A_closed", min(((i, j) for i, j, k in split if i < na and j < na and k >= na), default=None)
+    )
     if not closure.ok:
         raise ValidationFailure(closure, "A-span is not closed under multiplication")
 
-    ideal = Report()
-    left = {}
-    right = {}
-    mul_i = {}
-    ok, wit = True, None
-    for u in range(na):
-        for x in range(ni):
-            w = coords(u, na + x)
-            if any(w[k] != 0 for k in range(na)):
-                ok, wit = False, (u, na + x)
-                break
-            for y in range(ni):
-                if w[na + y]:
-                    left[(u, x, y)] = w[na + y]
-        if not ok:
-            break
-    if ok:
-        for x in range(ni):
-            for u in range(na):
-                w = coords(na + x, u)
-                if any(w[k] != 0 for k in range(na)):
-                    ok, wit = False, (na + x, u)
-                    break
-                for y in range(ni):
-                    if w[na + y]:
-                        right[(x, u, y)] = w[na + y]
-            if not ok:
-                break
-    if ok:
-        for x in range(ni):
-            for y in range(ni):
-                w = coords(na + x, na + y)
-                if any(w[k] != 0 for k in range(na)):
-                    ok, wit = False, (na + x, na + y)
-                    break
-                for z in range(ni):
-                    if w[na + z]:
-                        mul_i[(x, y, z)] = w[na + z]
-            if not ok:
-                break
-    ideal.add("I_ideal", ok, wit)
+    # Products landing in the A-block are reported block by block: all
+    # (u, na+x) first, then (na+x, u), then (na+x, na+y), each block in
+    # lexicographic order.  The flags (i >= na, j >= na) sort the blocks so.
+    bad = [(i >= na, j >= na, i, j) for i, j, k in split if k < na and (i >= na or j >= na)]
+    ideal = Report().add_witness("I_ideal", min(bad)[2:] if bad else None)
     if not ideal.ok:
         raise ValidationFailure(ideal, "I-span is not an ideal")
+
+    mul_a, left, right, mul_i = {}, {}, {}, {}
+    for (i, j, k), v in split.items():
+        if j < na:
+            if i < na:
+                mul_a[(i, j, k)] = v
+            else:
+                right[(i - na, j, k - na)] = v
+        elif i < na:
+            left[(i, j - na, k - na)] = v
+        else:
+            mul_i[(i - na, j - na, k - na)] = v
 
     A = Algebra(na, SparseTensor3((na, na, na), mul_a, field), field)
     I = Algebra(ni, SparseTensor3((ni, ni, ni), mul_i, field), field)
@@ -483,36 +437,19 @@ def universal_map_algebra(
     if phi.source != pair.A or f.source != pair.I or phi.target != B or f.target != B:
         raise InputError("phi must map A to B and f must map I to B")
     pair.require_valid()
-    na, ni = pair.A.dim, pair.I.dim
-    phi_cols = phi.matrix.columns()
-    f_cols = f.matrix.columns()
-
+    fm = f.matrix.data
+    ft, pt = f.matrix.columns(), phi.matrix.columns()
     conds = Report()
-    ok, wit = True, None
-    for a in range(na):
-        for x in range(ni):
-            ax = pair.action.act_left(pair.A.basis(a), pair.I.basis(x))
-            if f.apply(ax) != B.product(phi_cols[a], f_cols[x]):
-                ok, wit = False, (a, x)
-                break
-        if not ok:
-            break
-    conds.add("f(ax)=phi(a)f(x)", ok, wit)
-    ok, wit = True, None
-    for x in range(ni):
-        for a in range(na):
-            xa = pair.action.act_right(pair.I.basis(x), pair.A.basis(a))
-            if f.apply(xa) != B.product(f_cols[x], phi_cols[a]):
-                ok, wit = False, (x, a)
-                break
-        if not ok:
-            break
-    conds.add("f(xa)=f(x)phi(a)", ok, wit)
+    for name, action, legs in (
+        ("f(ax)=phi(a)f(x)", pair.action.left, (pt, ft, None)),
+        ("f(xa)=f(x)phi(a)", pair.action.right, (ft, pt, None)),
+    ):
+        image = transport(action, (None, None, fm)).entries
+        conds.add_witness(name, first_difference(image, transport(B.mul, legs).entries, 2))
     if not conds.ok:
         raise ValidationFailure(conds, "not a Dorroh homomorphism")
 
-    source = build_dorroh_algebra(pair)
-    eta = AlgebraMorphism(source, B, Matrix.from_columns(phi_cols + f_cols, pair.field))
+    eta = AlgebraMorphism(build_dorroh_algebra(pair), B, Matrix.from_columns(pt + ft, pair.field))
     report = verify_algebra_morphism(eta)
     if not report.ok:
         raise ValidationFailure(report, "universal map failed verification")

@@ -16,12 +16,12 @@ P(x)P term available).
 
 from __future__ import annotations
 
-from .algebra import BI, LEFT, RIGHT, SIDES
+from .algebra import BI, LEFT, RIGHT, SIDES, _record_verified
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, invert, solve_linear
 from .reports import Report
-from .tensors import SparseTensor3, accumulate, first_witness
+from .tensors import SparseTensor3, first_difference, first_witness, transport
 
 
 class Coalgebra:
@@ -39,7 +39,7 @@ class Coalgebra:
         self._counit = "unset"
         if counit is not None:
             counit = [field.canon(c) for c in counit]
-            if not self._is_counit_vector(counit):
+            if len(counit) != dim or not _is_counit(delta, delta, counit, dim):
                 raise InputError("cached counit fails the counit law")
             self._counit = counit
 
@@ -58,20 +58,6 @@ class Coalgebra:
                 acc[key] = acc.get(key, 0) + xk * c
         canon = self.field.canon
         return {k: cv for k, v in acc.items() if (cv := canon(v)) != 0}
-
-    def _is_counit_vector(self, eps):
-        canon = self.field.canon
-        for k in range(self.dim):
-            lhs = [0] * self.dim
-            rhs = [0] * self.dim
-            for (kk, i, j), c in self.delta.entries.items():
-                if kk == k:
-                    lhs[j] += eps[i] * c
-                    rhs[i] += eps[j] * c
-            e = self.basis(k)
-            if [canon(v) for v in lhs] != e or [canon(v) for v in rhs] != e:
-                return False
-        return True
 
     def find_counit(self):
         """The unique counit functional in dual coordinates, or None.  Cached."""
@@ -108,6 +94,14 @@ class Coalgebra:
 
     def __repr__(self):
         return f"Coalgebra(dim={self.dim}, field={self.field!r})"
+
+
+def _is_counit(rho_l, rho_r, eps, n) -> bool:
+    """(eps (x) 1) rho_l = id = (1 (x) eps) rho_r on the n basis vectors,
+    for ``rho_l`` (x,c,y) and ``rho_r`` (x,y,c)."""
+    on_left = transport(rho_l, (None, [eps], None)).entries
+    on_right = transport(rho_r, (None, None, [eps])).entries
+    return on_left == {(x, 0, x): 1 for x in range(n)} and on_right == {(x, x, 0): 1 for x in range(n)}
 
 
 def check_coassociativity(c: Coalgebra) -> Report:
@@ -248,21 +242,7 @@ def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
 
 def _bicomodule_is_counital(pair: DorrohPairCoalgebra, eps_c) -> bool:
     """sum eps_C(p_(-1)) p_(0) = p = sum p_(0) eps_C(p_(1)) for all basis p."""
-    canon = pair.field.canon
-    np_ = pair.P.dim
-    for x in range(np_):
-        lv = [0] * np_
-        rv = [0] * np_
-        for (xx, c, y), v in pair.coaction.rho_l.entries.items():
-            if xx == x:
-                lv[y] += eps_c[c] * v
-        for (xx, y, c), v in pair.coaction.rho_r.entries.items():
-            if xx == x:
-                rv[y] += eps_c[c] * v
-        e = pair.P.basis(x)
-        if [canon(v) for v in lv] != e or [canon(v) for v in rv] != e:
-            return False
-    return True
+    return _is_counit(pair.coaction.rho_l, pair.coaction.rho_r, eps_c, pair.P.dim)
 
 
 class CoalgebraMorphism:
@@ -294,45 +274,17 @@ def identity_comorphism(c: Coalgebra) -> CoalgebraMorphism:
 
 
 def verify_coalgebra_morphism(F: CoalgebraMorphism, iso: bool = False) -> Report:
-    """Check Delta(F(e_k)) = (F (x) F)(Delta(e_k)) basiswise; optionally invertibility."""
-    report = Report()
-    src, tgt = F.source, F.target
-    field = src.field
-    cols = F.matrix.columns()
-    gsrc = src.delta.by_first()
-    ok, wit = True, None
-    for k in range(src.dim):
-        acc = {}
-        img = cols[k]
-        for (d, a, b), v in tgt.delta.entries.items():
-            vd = img[d]
-            if vd:
-                key = (a, b)
-                acc[key] = acc.get(key, 0) + vd * v
-        for i, j, v in gsrc.get(k, ()):
-            ci, cj = cols[i], cols[j]
-            for a in range(tgt.dim):
-                va = ci[a]
-                if va:
-                    for b in range(tgt.dim):
-                        vb = cj[b]
-                        if vb:
-                            key = (a, b)
-                            acc[key] = acc.get(key, 0) - v * va * vb
-        if any(field.canon(v) for v in acc.values()):
-            ok, wit = False, (k,)
-            break
-    report.add("comultiplicative", ok, wit)
-    invertible = False
-    if iso:
-        invertible = F.matrix.rows == F.matrix.cols and invert(F.matrix) is not None
-        report.add("invertible", invertible)
-    if ok:
-        if iso and invertible:
-            F.verified = "iso"
-        elif F.verified == "unchecked":
-            F.verified = "hom"
-    return report
+    """Check Delta(F(e_k)) = (F (x) F)(Delta(e_k)) basiswise; optionally invertibility.
+
+    Both sides are tensors (k, a, b): F^T carries the first leg of the
+    target comultiplication, F the last two legs of the source's.  The
+    witness is the least (k,) at which they differ.
+    """
+    M = F.matrix
+    lhs = transport(F.target.delta, (M.columns(), None, None))
+    rhs = transport(F.source.delta, (None, M.data, M.data))
+    report = Report().add_witness("comultiplicative", first_difference(lhs.entries, rhs.entries, 1))
+    return _record_verified(F, iso, report)
 
 
 def zero_coaction_pair(C: Coalgebra, P: Coalgebra) -> DorrohPairCoalgebra:
@@ -350,26 +302,13 @@ def zero_coaction_pair(C: Coalgebra, P: Coalgebra) -> DorrohPairCoalgebra:
 def counit_balance_check(pair: DorrohPairCoalgebra, eps_p) -> Report:
     """sum p_(-1) eps_P(p_(0)) = sum eps_P(p_(0)) p_(1) for every basis p."""
     eps_p = [pair.field.canon(v) for v in eps_p]
-    if len(eps_p) != pair.P.dim or not pair.P._is_counit_vector(eps_p):
+    if len(eps_p) != pair.P.dim or not _is_counit(pair.P.delta, pair.P.delta, eps_p, pair.P.dim):
         raise PreconditionError("eps_P is not a counit of P")
-    report = Report()
-    canon = pair.field.canon
-    nc = pair.C.dim
-    ok, wit = True, None
-    for x in range(pair.P.dim):
-        lhs = [0] * nc
-        rhs = [0] * nc
-        for (xx, c, y), v in pair.coaction.rho_l.entries.items():
-            if xx == x:
-                lhs[c] += v * eps_p[y]
-        for (xx, y, c), v in pair.coaction.rho_r.entries.items():
-            if xx == x:
-                rhs[c] += v * eps_p[y]
-        if [canon(v) for v in lhs] != [canon(v) for v in rhs]:
-            ok, wit = False, (x,)
-            break
-    report.add("sum p(-1)eps(p(0)) = sum eps(p(0))p(1)", ok, wit)
-    return report
+    # both sides at (x, c, 0)
+    lhs = transport(pair.coaction.rho_l, (None, None, [eps_p])).entries
+    rhs = transport(pair.coaction.rho_r, (None, [eps_p], None)).entries
+    rhs = {(x, c, 0): v for (x, _, c), v in rhs.items()}
+    return Report().add_witness("sum p(-1)eps(p(0)) = sum eps(p(0))p(1)", first_difference(lhs, rhs, 1))
 
 
 def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
@@ -383,17 +322,12 @@ def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
     field = pair.field
     source = build_dorroh_coalgebra(pair)
     target = build_dorroh_coalgebra(zero_coaction_pair(pair.C, pair.P))
-    cols = []
-    for c in range(nc):
-        cols.append(source.basis(c))
-    for x in range(np_):
-        col = [0] * (nc + np_)
-        col[nc + x] = 1
-        for (xx, cc, y), v in pair.coaction.rho_l.entries.items():
-            if xx == x:
-                col[cc] -= v * eps_p[y]
-        cols.append([field.canon(v) for v in col])
-    zeta = CoalgebraMorphism(source, target, Matrix.from_columns(cols, field))
+    n = nc + np_
+    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # sum p_(-1) eps_P(p_(0)) at (x, c, 0)
+    for (x, c, _), v in transport(pair.coaction.rho_l, (None, None, [eps_p])).entries.items():
+        data[c][nc + x] = -v
+    zeta = CoalgebraMorphism(source, target, Matrix(n, n, data, field))
     report = verify_coalgebra_morphism(zeta, iso=True)
     if not report.ok:
         raise ValidationFailure(report, "counital split isomorphism failed verification")
@@ -418,60 +352,31 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
     if Sinv is None:
         raise InputError("bases do not span a direct sum: dependent vectors")
 
-    # Delta in split coordinates: Delta(s_k) = sum split[k][(a,b)] s_a (x) s_b.
-    canon = field.canon
-    split = []
-    for k in range(D.dim):
-        vec = S.column(k)
-        acc = {}
-        for (d, i, j), v in D.delta.entries.items():
-            vd = vec[d]
-            if vd:
-                for a in range(D.dim):
-                    ca = Sinv.data[a][i]
-                    if ca:
-                        for b in range(D.dim):
-                            cb = Sinv.data[b][j]
-                            if cb:
-                                key = (a, b)
-                                acc[key] = acc.get(key, 0) + vd * v * ca * cb
-        split.append({key: cv for key, v in acc.items() if (cv := canon(v)) != 0})
+    # Delta in the split basis: (k, a, b) -> v means Delta(s_k) contains v s_a (x) s_b.
+    split = transport(D.delta, (S.columns(), Sinv.data, Sinv.data)).entries
 
-    sub = Report()
-    ok, wit = True, None
-    for k in range(nc):
-        if any(a >= nc or b >= nc for (a, b) in split[k]):
-            ok, wit = False, (k,)
-            break
-    sub.add("C_subcoalgebra", ok, wit)
+    sub = Report().add_witness(
+        "C_subcoalgebra", min(((k,) for k, a, b in split if k < nc and (a >= nc or b >= nc)), default=None)
+    )
     if not sub.ok:
         raise ValidationFailure(sub, "C-span is not a subcoalgebra")
 
-    coideal = Report()
-    ok, wit = True, None
-    for x in range(np_):
-        if any(a < nc and b < nc for (a, b) in split[nc + x]):
-            ok, wit = False, (x,)
-            break
-    coideal.add("P_coideal", ok, wit)
+    coideal = Report().add_witness(
+        "P_coideal", min(((k - nc,) for k, a, b in split if k >= nc and a < nc and b < nc), default=None)
+    )
     if not coideal.ok:
         raise ValidationFailure(coideal, "P-span is not a coideal")
 
-    delta_c = {}
-    for k in range(nc):
-        for (a, b), v in split[k].items():
+    delta_c, delta_p, rho_l, rho_r = {}, {}, {}, {}
+    for (k, a, b), v in split.items():
+        if k < nc:
             delta_c[(k, a, b)] = v
-    delta_p = {}
-    rho_l = {}
-    rho_r = {}
-    for x in range(np_):
-        for (a, b), v in split[nc + x].items():
-            if a < nc:
-                rho_l[(x, a, b - nc)] = v
-            elif b < nc:
-                rho_r[(x, a - nc, b)] = v
-            else:
-                delta_p[(x, a - nc, b - nc)] = v
+        elif a < nc:
+            rho_l[(k - nc, a, b - nc)] = v
+        elif b < nc:
+            rho_r[(k - nc, a - nc, b)] = v
+        else:
+            delta_p[(k - nc, a - nc, b - nc)] = v
 
     C = Coalgebra(nc, SparseTensor3((nc, nc, nc), delta_c, field), field)
     P = Coalgebra(np_, SparseTensor3((np_, np_, np_), delta_p, field), field)
@@ -502,69 +407,20 @@ def universal_map_coalgebra(
         raise InputError("phi must map D to C and f must map D to P")
     pair.require_valid()
     field = pair.field
-    nc, np_, nd = pair.C.dim, pair.P.dim, D.dim
-    phi_cols = phi.matrix.columns()
-    f_cols = f.matrix.columns()
-    gd = D.delta.by_first()
-    gl = pair.coaction.rho_l.by_first()
-    gr = pair.coaction.rho_r.by_first()
-
+    fm, pm = f.matrix.data, phi.matrix.data
+    ft = f.matrix.columns()
     conds = Report()
-    ok, wit = True, None
-    for d in range(nd):
-        acc = {}
-        fd = f_cols[d]
-        for x in range(np_):
-            vx = fd[x]
-            if vx:
-                for c, y, v in gl.get(x, ()):
-                    key = (c, y)
-                    acc[key] = acc.get(key, 0) + vx * v
-        for i, j, v in gd.get(d, ()):
-            pi, fj = phi_cols[i], f_cols[j]
-            for c in range(nc):
-                vc = pi[c]
-                if vc:
-                    for y in range(np_):
-                        vy = fj[y]
-                        if vy:
-                            key = (c, y)
-                            acc[key] = acc.get(key, 0) - v * vc * vy
-        if any(field.canon(v) for v in acc.values()):
-            ok, wit = False, (d,)
-            break
-    conds.add("rho_l(f(d))=(phi(x)f)Delta(d)", ok, wit)
-
-    ok, wit = True, None
-    for d in range(nd):
-        acc = {}
-        fd = f_cols[d]
-        for x in range(np_):
-            vx = fd[x]
-            if vx:
-                for y, c, v in gr.get(x, ()):
-                    key = (y, c)
-                    acc[key] = acc.get(key, 0) + vx * v
-        for i, j, v in gd.get(d, ()):
-            fi, pj = f_cols[i], phi_cols[j]
-            for y in range(np_):
-                vy = fi[y]
-                if vy:
-                    for c in range(nc):
-                        vc = pj[c]
-                        if vc:
-                            key = (y, c)
-                            acc[key] = acc.get(key, 0) - v * vy * vc
-        if any(field.canon(v) for v in acc.values()):
-            ok, wit = False, (d,)
-            break
-    conds.add("rho_r(f(d))=(f(x)phi)Delta(d)", ok, wit)
+    for name, coaction, legs in (
+        ("rho_l(f(d))=(phi(x)f)Delta(d)", pair.coaction.rho_l, (None, pm, fm)),
+        ("rho_r(f(d))=(f(x)phi)Delta(d)", pair.coaction.rho_r, (None, fm, pm)),
+    ):
+        image = transport(coaction, (ft, None, None)).entries
+        conds.add_witness(name, first_difference(image, transport(D.delta, legs).entries, 1))
     if not conds.ok:
         raise ValidationFailure(conds, "not a Dorroh pair homomorphism")
 
     target = build_dorroh_coalgebra(pair)
-    cols = [phi_cols[d] + f_cols[d] for d in range(nd)]
-    eta = CoalgebraMorphism(D, target, Matrix.from_columns(cols, field))
+    eta = CoalgebraMorphism(D, target, Matrix(target.dim, D.dim, pm + fm, field))
     report = verify_coalgebra_morphism(eta)
     if not report.ok:
         raise ValidationFailure(report, "universal map failed verification")
@@ -674,31 +530,11 @@ def pushforward_pair(pair: DorrohPairCoalgebra, f: CoalgebraMorphism) -> DorrohP
         raise PreconditionError("f must be a verified coalgebra homomorphism")
     if f.source != pair.C:
         raise InputError("f must have source C")
-    field = pair.field
     D = f.target
-    np_ = pair.P.dim
-    m = f.matrix
-    rho_l = accumulate(
-        (np_, D.dim, np_),
-        (
-            (x, d, y, v * m.data[d][c])
-            for (x, c, y), v in pair.coaction.rho_l.entries.items()
-            for d in range(D.dim)
-            if m.data[d][c]
-        ),
-        field,
-    )
-    rho_r = accumulate(
-        (np_, np_, D.dim),
-        (
-            (x, y, d, v * m.data[d][c])
-            for (x, y, c), v in pair.coaction.rho_r.entries.items()
-            for d in range(D.dim)
-            if m.data[d][c]
-        ),
-        field,
-    )
-    out = DorrohPairCoalgebra(D, pair.P, BicomoduleCoaction(D, np_, rho_l, rho_r))
+    m = f.matrix.data
+    rho_l = transport(pair.coaction.rho_l, (None, m, None))
+    rho_r = transport(pair.coaction.rho_r, (None, None, m))
+    out = DorrohPairCoalgebra(D, pair.P, BicomoduleCoaction(D, pair.P.dim, rho_l, rho_r))
     out.require_valid()
     return out
 

@@ -17,16 +17,32 @@ _Q_PATTERN = re.compile(r"-?(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
 _FP_PATTERN = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
+# Moduli are capped below 2**64, where Miller-Rabin with the first twelve
+# primes as bases decides primality exactly.
+MODULUS_BOUND = 2**64
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < MODULUS_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESS_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -43,6 +59,8 @@ class FieldSpec:
             if p is not None:
                 raise InputError("rationals take no modulus")
         elif kind == self.PRIME:
+            if p is not None and p >= MODULUS_BOUND:
+                raise InputError(f"modulus must be below 2**64, got {p!r}")
             if p is None or not _is_prime(p):
                 raise InputError(f"modulus must be prime, got {p!r}")
         else:

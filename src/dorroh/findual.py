@@ -192,7 +192,8 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
 
     # Coassociativity at depth: expand each tensor leg once more and
     # compare the two triple expansions on monomials.  The inner pairings
-    # are tabulated up front so the triple loop stays cheap.
+    # are tabulated up front so the triple loop stays cheap; it reads only
+    # the triangle a + b < width of each table.
     span = range(lo, depth + 1)
     width = len(span)
 
@@ -205,7 +206,7 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
                 gv = [[v.value(n) for n in span] for v in gparts]
                 for a in range(width):
                     row = tab[a]
-                    for b in range(width):
+                    for b in range(width - a):
                         row[b] = sum(fv[u][a] * gv[u][b] for u in range(len(fparts)))
             out.append(tab)
         return out

@@ -42,7 +42,7 @@ from .fields import FieldSpec
 from .findual import RecurrentSequence
 from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, accumulate
+from .tensors import SparseTensor3, transport
 
 _NAME_RE = re.compile(r"([A-Za-z_0-9]+)(?:\((-?\d+)\))?\Z")
 
@@ -503,57 +503,19 @@ def conjugate_algebra(a: Algebra, S: Matrix) -> Algebra:
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    n = a.dim
-    items = []
-    for (u, v, w), c in a.mul.entries.items():
-        for i in range(n):
-            si = S.data[u][i]
-            if si:
-                for j in range(n):
-                    sj = S.data[v][j]
-                    if sj:
-                        for k in range(n):
-                            t = Sinv.data[k][w]
-                            if t:
-                                items.append((i, j, k, c * si * sj * t))
-    mul = accumulate((n, n, n), items, a.field)
-    return Algebra(n, mul, a.field)
+    St = S.columns()
+    return Algebra(a.dim, transport(a.mul, (St, St, Sinv.data)), a.field)
 
 
 def conjugate_algebra_pair(pair: DorrohPairAlgebra, SA: Matrix, SI: Matrix) -> DorrohPairAlgebra:
     A2 = conjugate_algebra(pair.A, SA)
     I2 = conjugate_algebra(pair.I, SI)
-    na, ni = pair.A.dim, pair.I.dim
-    SIinv = invert(SI)
-    items_l = []
-    for (a, x, y), c in pair.action.left.entries.items():
-        for i in range(na):
-            si = SA.data[a][i]
-            if si:
-                for j in range(ni):
-                    sj = SI.data[x][j]
-                    if sj:
-                        for k in range(ni):
-                            t = SIinv.data[k][y]
-                            if t:
-                                items_l.append((i, j, k, c * si * sj * t))
-    items_r = []
-    for (x, a, y), c in pair.action.right.entries.items():
-        for i in range(ni):
-            si = SI.data[x][i]
-            if si:
-                for j in range(na):
-                    sj = SA.data[a][j]
-                    if sj:
-                        for k in range(ni):
-                            t = SIinv.data[k][y]
-                            if t:
-                                items_r.append((i, j, k, c * si * sj * t))
+    SAt, SIt, SIinv = SA.columns(), SI.columns(), invert(SI).data
     action = BimoduleAction(
         A2,
-        ni,
-        accumulate((na, ni, ni), items_l, pair.field),
-        accumulate((ni, na, ni), items_r, pair.field),
+        pair.I.dim,
+        transport(pair.action.left, (SAt, SIt, SIinv)),
+        transport(pair.action.right, (SIt, SAt, SIinv)),
     )
     return DorrohPairAlgebra(A2, I2, action)
 
@@ -562,58 +524,18 @@ def conjugate_coalgebra(c: Coalgebra, S: Matrix) -> Coalgebra:
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    n = c.dim
-    items = []
-    for (k, u, v), val in c.delta.entries.items():
-        for kk in range(n):
-            sk = S.data[k][kk]
-            if sk:
-                for i in range(n):
-                    ti = Sinv.data[i][u]
-                    if ti:
-                        for j in range(n):
-                            tj = Sinv.data[j][v]
-                            if tj:
-                                items.append((kk, i, j, val * sk * ti * tj))
-    delta = accumulate((n, n, n), items, c.field)
-    return Coalgebra(n, delta, c.field)
+    return Coalgebra(c.dim, transport(c.delta, (S.columns(), Sinv.data, Sinv.data)), c.field)
 
 
 def conjugate_coalgebra_pair(pair: DorrohPairCoalgebra, SC: Matrix, SP: Matrix) -> DorrohPairCoalgebra:
     C2 = conjugate_coalgebra(pair.C, SC)
     P2 = conjugate_coalgebra(pair.P, SP)
-    nc, np_ = pair.C.dim, pair.P.dim
-    SCinv = invert(SC)
-    SPinv = invert(SP)
-    items_l = []
-    for (x, c, y), val in pair.coaction.rho_l.entries.items():
-        for xx in range(np_):
-            sx = SP.data[x][xx]
-            if sx:
-                for cc in range(nc):
-                    tc = SCinv.data[cc][c]
-                    if tc:
-                        for yy in range(np_):
-                            ty = SPinv.data[yy][y]
-                            if ty:
-                                items_l.append((xx, cc, yy, val * sx * tc * ty))
-    items_r = []
-    for (x, y, c), val in pair.coaction.rho_r.entries.items():
-        for xx in range(np_):
-            sx = SP.data[x][xx]
-            if sx:
-                for yy in range(np_):
-                    ty = SPinv.data[yy][y]
-                    if ty:
-                        for cc in range(nc):
-                            tc = SCinv.data[cc][c]
-                            if tc:
-                                items_r.append((xx, yy, cc, val * sx * ty * tc))
+    SPt, SCinv, SPinv = SP.columns(), invert(SC).data, invert(SP).data
     coaction = BicomoduleCoaction(
         C2,
-        np_,
-        accumulate((np_, nc, np_), items_l, pair.field),
-        accumulate((np_, np_, nc), items_r, pair.field),
+        pair.P.dim,
+        transport(pair.coaction.rho_l, (SPt, SCinv, SPinv)),
+        transport(pair.coaction.rho_r, (SPt, SPinv, SCinv)),
     )
     return DorrohPairCoalgebra(C2, P2, coaction)
 

@@ -5,7 +5,10 @@ stores multiplications (i,j,k), comultiplications (k,i,j), module actions
 and comodule coactions; each owner documents its own index convention.
 
 Every axiom is an identity between two contractions of such tensors;
-``first_witness`` decides one from the nonzero entries alone.
+``first_witness`` decides one from the nonzero entries alone.  Every
+morphism, basis change and vector law carries a tensor's legs through
+matrices; ``transport`` does that from the nonzero entries alone and
+``first_difference`` names where two results differ.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .fields import FieldSpec
 
 
 class SparseTensor3:
-    __slots__ = ("dims", "entries", "field", "_by1")
+    __slots__ = ("dims", "entries", "field")
 
     def __init__(self, dims, entries, field: FieldSpec):
         dims = tuple(dims)
@@ -35,7 +38,13 @@ class SparseTensor3:
         self.dims = dims
         self.entries = clean
         self.field = field
-        self._by1 = None
+
+    @classmethod
+    def _canonical(cls, dims, entries, field: FieldSpec) -> "SparseTensor3":
+        """A tensor from entries already in range, nonzero and canonical."""
+        t = cls.__new__(cls)
+        t.dims, t.entries, t.field = dims, entries, field
+        return t
 
     @classmethod
     def zero(cls, dims, field: FieldSpec) -> "SparseTensor3":
@@ -46,15 +55,6 @@ class SparseTensor3:
 
     def sorted_items(self):
         return sorted(self.entries.items())
-
-    def by_first(self):
-        """index0 -> list of (index1, index2, value)."""
-        if self._by1 is None:
-            g = {}
-            for (i, j, k), v in self.entries.items():
-                g.setdefault(i, []).append((j, k, v))
-            self._by1 = g
-        return self._by1
 
     def map_values(self, fn) -> "SparseTensor3":
         return SparseTensor3(self.dims, {k: fn(v) for k, v in self.entries.items()}, self.field)
@@ -69,15 +69,6 @@ class SparseTensor3:
 
     def __repr__(self):
         return f"SparseTensor3(dims={self.dims}, nnz={len(self.entries)})"
-
-
-def accumulate(dims, raw_items, field: FieldSpec) -> SparseTensor3:
-    """Sum possibly-repeated (i,j,k,value) contributions into a tensor."""
-    acc = {}
-    for i, j, k, v in raw_items:
-        key = (i, j, k)
-        acc[key] = acc.get(key, 0) + v
-    return SparseTensor3(dims, acc, field)
 
 
 def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
@@ -154,3 +145,75 @@ def _contract(acc, sign, term, stride, free):
             for offset, v2 in group:
                 code = base + offset
                 acc[code] = get(code, 0) + v * v2
+
+
+def transport(T: SparseTensor3, legs) -> SparseTensor3:
+    """T with each leg carried through a matrix, one leg at a time.
+
+    ``legs`` holds one entry per leg.  None leaves that leg alone; a list
+    of rows M (new size x old size) sends index j of the leg to
+    sum_i M[i][j] e_i, so a matrix F acting by columns is carried by
+    ``F.data`` and its transpose by ``F.columns()``.  A vector v is the
+    one-row matrix [v]: it contracts the leg with v and leaves a leg of
+    size 1.
+
+    A leg costs the stored entries times the nonzeros of a column of its
+    matrix, never the dense box.  Index triples are mixed-radix integers
+    while they move, so a leg rewrites one digit with an int add.
+    """
+    old = T.dims
+    new = tuple(d if M is None else len(M) for d, M in zip(old, legs))
+    radix = [max(a, b) for a, b in zip(old, new)]
+    s1 = radix[2]
+    s0 = radix[1] * s1
+    acc = {i * s0 + j * s1 + k: v for (i, j, k), v in T.entries.items()}
+    p = T.field.p
+    for d, size, stride, M in zip(old, radix, (s0, s1, 1), legs):
+        if M is not None:
+            acc = _carry(acc, size, stride, _sparse_columns(M, d), p)
+    # Every code decodes in range and every value is nonzero; over F_p it
+    # is also reduced, over Q a whole Fraction still becomes an int.
+    canon = T.field.canon
+    entries = {}
+    for code, v in acc.items():
+        i, jk = divmod(code, s0)
+        entries[(i, *divmod(jk, s1))] = v if p else canon(v)
+    return SparseTensor3._canonical(new, entries, T.field)
+
+
+def _sparse_columns(M, width):
+    """Column j of the row list M as its (row, value) nonzeros."""
+    if any(len(row) != width for row in M):
+        raise ValueError(f"leg matrix rows must have length {width}")
+    if not M:
+        return [[] for _ in range(width)]
+    return [[(i, c) for i, c in enumerate(col) if c] for col in zip(*M)]
+
+
+def _carry(acc, size, stride, cols, p):
+    """Rewrite the digit at ``stride`` of every code through ``cols``."""
+    out = {}
+    get = out.get
+    for code, v in acc.items():
+        j = code // stride % size
+        group = cols[j]
+        if group:
+            base = code - j * stride
+            for i, c in group:
+                key = base + i * stride
+                out[key] = get(key, 0) + v * c
+    # Over F_p reduce as we go; over Q the sums are already exact.
+    if p:
+        return {key: r for key, v in out.items() if (r := v % p)}
+    return {key: v for key, v in out.items() if v}
+
+
+def first_difference(lhs: dict, rhs: dict, width: int):
+    """The least key of two entry dicts at which they differ, cut to its
+    first ``width`` indices, or None when they are equal.
+
+    Both dicts hold canonical values (``SparseTensor3.entries`` or a
+    reindexing of them), so a difference is a plain inequality.
+    """
+    bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key)]
+    return min(bad)[:width] if bad else None

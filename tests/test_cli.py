@@ -59,6 +59,11 @@ def test_usage_error_exit_code():
     assert run_cli("frobnicate") == 2
 
 
+def test_field_flag_rejects_moduli_past_two_to_the_64(capsys):
+    assert run_cli("gallery", "--emit", "M2", "--field", f"Fp:{2**64 + 13}") == 2
+    assert "below 2**64" in capsys.readouterr().err
+
+
 def test_build_and_recheck(tmp_path):
     pair_doc = tmp_path / "pair.json"
     built_doc = tmp_path / "built.json"

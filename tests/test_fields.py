@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,39 @@ def test_field_construction():
         FieldSpec.prime(1)
     with pytest.raises(InputError):
         FieldSpec("R")
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    from dorroh.fields import _is_prime
+
+    assert [n for n in range(10_000) if _is_prime(n)] == [n for n in range(10_000) if _trial_division(n)]
+
+
+def test_large_moduli_are_decided_fast():
+    start = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1  # Mersenne prime
+    assert GF(18446744073709551557).p == 18446744073709551557  # largest prime below 2**64
+    for composite in (
+        4294967291 * 4294967279,  # two primes just below 2**32
+        3825123056546413051,  # strong pseudoprime to the bases 2 through 23
+        561,  # Carmichael number
+        2047,  # strong pseudoprime to base 2
+    ):
+        with pytest.raises(InputError, match="prime"):
+            FieldSpec.prime(composite)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_moduli_from_two_to_the_64_are_rejected():
+    for p in (2**64 + 13, 2**64, 2**89 - 1):
+        with pytest.raises(InputError, match="below 2"):
+            FieldSpec.prime(p)
+    with pytest.raises(InputError):
+        FieldSpec.from_json({"kind": "Fp", "p": 2**64 + 13})
 
 
 def test_canon_rationals():

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.tensors import SparseTensor3, accumulate
+from dorroh.tensors import SparseTensor3, first_difference, transport
 
 
 def test_zero_entries_are_dropped():
@@ -27,14 +30,23 @@ def test_duplicate_triple_rejected():
         SparseTensor3((2, 2, 2), [((0, 0, 0), 1), ((0, 0, 0), 2)], QQ)
 
 
-def test_accumulate_sums_and_cancels():
-    t = accumulate((2, 2, 2), [(0, 0, 0, 1), (0, 0, 0, -1), (1, 0, 0, 3)], QQ)
-    assert t.entries == {(1, 0, 0): 3}
+def test_transport_sums_and_cancels():
+    # old indices 0 and 1 of the first leg both go to new index 0
+    M = [[1, 1, 0], [0, 0, 1]]
+    t = SparseTensor3((3, 1, 1), {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): 3}, QQ)
+    assert transport(t, (M, None, None)) == SparseTensor3((2, 1, 1), {(1, 0, 0): 3}, QQ)
+    t = SparseTensor3((3, 1, 1), {(0, 0, 0): 2, (1, 0, 0): 3, (2, 0, 0): 4}, GF(5))
+    assert transport(t, (M, None, None)).entries == {(1, 0, 0): 4}
+
+
+def test_transport_rejects_mis_sized_leg():
+    t = SparseTensor3((2, 2, 2), {(0, 0, 0): 1}, QQ)
+    with pytest.raises(ValueError):
+        transport(t, (None, [[1, 0, 0]], None))
 
 
 def test_groupings():
     t = SparseTensor3((2, 2, 2), {(0, 1, 0): 2, (0, 0, 1): 3}, QQ)
-    assert sorted(t.by_first()[0]) == [(0, 1, 3), (1, 0, 2)]
     assert t.sorted_items() == [((0, 0, 1), 3), ((0, 1, 0), 2)]
 
 
@@ -43,3 +55,50 @@ def test_equality_includes_dims_and_field():
     b = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, GF(5))
     assert a != b
     assert a == SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, QQ)
+
+
+def _dense_transport(T, legs):
+    """Reference: sum T[i,j,k] M0[a][i] M1[b][j] M2[c][k] over the whole box."""
+    mats = [
+        [[int(r == c) for c in range(d)] for r in range(d)] if M is None else M
+        for d, M in zip(T.dims, legs)
+    ]
+    new = tuple(len(M) for M in mats)
+    out = {}
+    for key in itertools.product(*(range(d) for d in new)):
+        total = 0
+        for i, j, k in itertools.product(*(range(d) for d in T.dims)):
+            total += T.get(i, j, k) * mats[0][key[0]][i] * mats[1][key[1]][j] * mats[2][key[2]][k]
+        out[key] = total
+    return SparseTensor3(new, out, T.field)
+
+
+def _scalars(field):
+    return st.integers(-2, 2) if field.p is None else st.integers(0, field.p - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_transport_matches_dense_contraction(data, field):
+    dims = tuple(data.draw(st.integers(0, 3)) for _ in range(3))
+    cells = st.tuples(*(st.integers(0, max(d - 1, 0)) for d in dims))
+    entries = data.draw(st.dictionaries(cells, _scalars(field), max_size=8)) if all(dims) else {}
+    T = SparseTensor3(dims, entries, field)
+    legs = []
+    for d in dims:
+        kind = data.draw(st.sampled_from(["keep", "matrix", "vector"]))
+        rows = 1 if kind == "vector" else data.draw(st.integers(0, 3))
+        M = [data.draw(st.lists(_scalars(field), min_size=d, max_size=d)) for _ in range(rows)]
+        legs.append(None if kind == "keep" else M)
+    assert transport(T, legs) == _dense_transport(T, legs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 3))
+def test_first_difference_is_the_least_differing_prefix(data, width):
+    cells = st.tuples(*(st.integers(0, 2) for _ in range(3)))
+    lhs = data.draw(st.dictionaries(cells, st.integers(1, 2), max_size=6))
+    rhs = data.draw(st.dictionaries(cells, st.integers(1, 2), max_size=6))
+    box = itertools.product(range(3), repeat=3)
+    expected = next((key[:width] for key in box if lhs.get(key) != rhs.get(key)), None)
+    assert first_difference(lhs, rhs, width) == expected
