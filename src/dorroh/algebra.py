@@ -5,7 +5,9 @@ Conventions:
   * Bimodule actions: ``left`` (a,x,y) -> c means e_a . f_x contains c f_y,
     ``right`` (x,a,y) -> c means f_x . e_a contains c f_y.
   * Morphism matrices act by columns: column j is the image of e_j.
-  * Extensions order the basis A-block first, then I-block.
+  * Extensions order the basis A-block first, then I-block; ``place``
+    lays the four blocks of A|xI out in that order and ``block`` reads
+    them back.
 
 Algebras here need not be unital and modules need not respect units.
 """
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, invert, solve_linear
+from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, first_difference, first_witness, transport
+from .tensors import SparseTensor3, first_difference, first_witness, place, transport
 
 LEFT = "left"
 RIGHT = "right"
@@ -62,24 +64,9 @@ class Algebra:
 
     def find_identity(self):
         """The unique two-sided identity in coordinates, or None.  Cached."""
-        if self._unit != "unset":
-            return self._unit
-        n = self.dim
-        if n == 0:
-            self._unit = None
-            return None
-        rows = []
-        rhs = []
-        # u . e_j = e_j and e_j . u = e_j, one row per target coordinate.
-        for j in range(n):
-            for m in range(n):
-                rows.append([self.mul.get(i, j, m) for i in range(n)])
-                rhs.append(1 if j == m else 0)
-                rows.append([self.mul.get(j, i, m) for i in range(n)])
-                rhs.append(1 if j == m else 0)
-        sol = solve_linear(Matrix(len(rows), n, rows, self.field), rhs)
-        self._unit = sol
-        return sol
+        if self._unit == "unset":
+            self._unit = _two_sided_unit(self.mul)
+        return self._unit
 
     @property
     def unital(self):
@@ -95,6 +82,63 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field!r})"
+
+
+def _two_sided_unit(mul: SparseTensor3):
+    """The u with u.e_j = e_j = e_j.u for every j, or None, for ``mul`` (i, j, k).
+
+    Row (j, m) of u.e_j = e_j reads sum_i u_i mul[i, j, m] = [j == m], and
+    row (i, m) of e_i.u = e_i reads sum_j u_j mul[i, j, m] = [i == m].  Only
+    rows with a stored coefficient or right-hand side 1 can constrain u,
+    and a row with right-hand side 1 but no coefficient makes the system
+    inconsistent.  Two two-sided units u, u' agree (u = uu' = u'), so when
+    a solution exists it is the only one, whatever order eliminates it.
+    """
+    n = mul.dims[0]
+    if n == 0:
+        return None
+    rows = {}
+    for (i, j, m), c in mul.entries.items():
+        rows.setdefault((0, j, m), {})[i] = c
+        rows.setdefault((1, i, m), {})[j] = c
+    if any((side, j, j) not in rows for side in (0, 1) for j in range(n)):
+        return None
+    canon, inv = mul.field.canon, mul.field.inv
+
+    def subtract(row, rhs, f, prow, prhs):
+        for c, v in prow.items():
+            row[c] = canon(row.get(c, 0) - f * v)
+        return canon(rhs - f * prhs)
+
+    # Gauss-Jordan on sparse rows: pivot column -> (rest of the row, rhs),
+    # scaled to 1 at the pivot, with 0 at every other pivot column.
+    pivots = {}
+    for (_, j, m), row in rows.items():
+        row, rhs = dict(row), int(j == m)
+        for col in [c for c in row if c in pivots]:
+            rhs = subtract(row, rhs, row.pop(col), *pivots[col])
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            if rhs:
+                return None
+            continue
+        col = min(row)
+        scale = inv(row.pop(col))
+        row, rhs = {c: canon(v * scale) for c, v in row.items()}, canon(rhs * scale)
+        for other, (orow, orhs) in pivots.items():
+            if col in orow:
+                pivots[other] = (orow, subtract(orow, orhs, orow.pop(col), row, rhs))
+        pivots[col] = (row, rhs)
+        if len(pivots) == n:
+            break
+    else:
+        return None
+    # Full rank fixes u; the rows not eliminated only need checking.
+    u = [pivots[c][1] for c in range(n)]
+    for (_, j, m), row in rows.items():
+        if canon(sum(v * u[i] for i, v in row.items())) != (j == m):
+            return None
+    return u
 
 
 def _acts_as_identity(left, right, u, n) -> bool:
@@ -238,16 +282,13 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
     na = pair.A.dim
     n = na + pair.I.dim
     field = pair.field
-    entries = {}
-    for (i, j, k), c in pair.A.mul.entries.items():
-        entries[(i, j, k)] = c
-    for (a, x, y), c in pair.action.left.entries.items():
-        entries[(a, na + x, na + y)] = c
-    for (x, a, y), c in pair.action.right.entries.items():
-        entries[(na + x, a, na + y)] = c
-    for (x, y, z), c in pair.I.mul.entries.items():
-        entries[(na + x, na + y, na + z)] = c
-    mul = SparseTensor3((n, n, n), entries, field)
+    mul = place(
+        (n, n, n), field,
+        (pair.A.mul, (0, 0, 0)),
+        (pair.action.left, (0, na, na)),
+        (pair.action.right, (na, 0, na)),
+        (pair.I.mul, (na, na, na)),
+    )
 
     labels = None
     if pair.A.labels is not None and pair.I.labels is not None:
@@ -330,8 +371,8 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
 
     # a.1_I at (a, 0, y) and 1_I.a at (0, a, y)
     shift = transport(pair.action.left, (None, [one_i], None)).entries
-    right = transport(pair.action.right, ([one_i], None, None)).entries
-    right = {(a, 0, y): v for (_, a, y), v in right.items()}
+    right = transport(pair.action.right, ([one_i], None, None))
+    right = place((na, 1, ni), field, (right, (0, 0, 0), (1, 0, 2))).entries
     balance = Report().add_witness("a.1_I=1_I.a", first_difference(shift, right, 1))
     if not balance.ok:
         raise ValidationFailure(balance, "central identity condition failed")
@@ -381,7 +422,8 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
 
     # B in the split basis: (u, v, w) -> c means s_u s_v contains c s_w.
     St = S.columns()
-    split = transport(B.mul, (St, St, Sinv.data)).entries
+    T = transport(B.mul, (St, St, Sinv.data))
+    split = T.entries
 
     closure = Report().add_witness(
         "A_closed", min(((i, j) for i, j, k in split if i < na and j < na and k >= na), default=None)
@@ -397,26 +439,11 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
     if not ideal.ok:
         raise ValidationFailure(ideal, "I-span is not an ideal")
 
-    mul_a, left, right, mul_i = {}, {}, {}, {}
-    for (i, j, k), v in split.items():
-        if j < na:
-            if i < na:
-                mul_a[(i, j, k)] = v
-            else:
-                right[(i - na, j, k - na)] = v
-        elif i < na:
-            left[(i, j - na, k - na)] = v
-        else:
-            mul_i[(i - na, j - na, k - na)] = v
-
-    A = Algebra(na, SparseTensor3((na, na, na), mul_a, field), field)
-    I = Algebra(ni, SparseTensor3((ni, ni, ni), mul_i, field), field)
-    action = BimoduleAction(
-        A,
-        ni,
-        SparseTensor3((na, ni, ni), left, field),
-        SparseTensor3((ni, na, ni), right, field),
-    )
+    # Closure and the ideal property leave every entry in one of four blocks.
+    n = na + ni
+    A = Algebra(na, T.block((0, 0, 0), (na, na, na)), field)
+    I = Algebra(ni, T.block((na, na, na), (n, n, n)), field)
+    action = BimoduleAction(A, ni, T.block((0, na, na), (na, n, n)), T.block((na, 0, na), (n, na, n)))
     pair = DorrohPairAlgebra(A, I, action)
     pair.require_valid()
 
@@ -492,9 +519,7 @@ class ModuleOverAlgebra:
 
 def regular_bimodule(a: Algebra) -> ModuleOverAlgebra:
     """A acting on itself by multiplication."""
-    left = SparseTensor3(a.mul.dims, dict(a.mul.entries), a.field)
-    right = SparseTensor3(a.mul.dims, dict(a.mul.entries), a.field)
-    return ModuleOverAlgebra(a, a.dim, BI, left=left, right=right)
+    return ModuleOverAlgebra(a, a.dim, BI, left=a.mul, right=a.mul)
 
 
 def assemble_module(
@@ -542,17 +567,12 @@ def assemble_module(
         raise ValidationFailure(report, "module compatibility failed")
 
     built = build_dorroh_algebra(pair)
+    n = built.dim
     left = right = None
     if side in (LEFT, BI):
-        entries = dict(m_a.left.entries)
-        for (x, m, m2), c in m_i.left.entries.items():
-            entries[(na + x, m, m2)] = c
-        left = SparseTensor3((built.dim, nm, nm), entries, field)
+        left = place((n, nm, nm), field, (m_a.left, (0, 0, 0)), (m_i.left, (na, 0, 0)))
     if side in (RIGHT, BI):
-        entries = dict(m_a.right.entries)
-        for (m, x, m2), c in m_i.right.entries.items():
-            entries[(m, na + x, m2)] = c
-        right = SparseTensor3((nm, built.dim, nm), entries, field)
+        right = place((nm, n, nm), field, (m_a.right, (0, 0, 0)), (m_i.right, (0, na, 0)))
     return ModuleOverAlgebra(built, nm, side, left=left, right=right)
 
 
@@ -591,34 +611,26 @@ def check_iterated_algebra_triple(
     if not report.ok:
         return report, None
 
+    # A1|xA2 acts on A3 through A1 and A2 side by side ...
+    n12 = n1 + n2
     b12 = build_dorroh_algebra(pair12)
-    left_entries = dict(act13.left.entries)
-    for (b, x, y), c in act23.left.entries.items():
-        left_entries[(n1 + b, x, y)] = c
-    right_entries = dict(act13.right.entries)
-    for (x, b, y), c in act23.right.entries.items():
-        right_entries[(x, n1 + b, y)] = c
     act_12_3 = BimoduleAction(
         b12,
         n3,
-        SparseTensor3((n1 + n2, n3, n3), left_entries, field),
-        SparseTensor3((n3, n1 + n2, n3), right_entries, field),
+        place((n12, n3, n3), field, (l13, (0, 0, 0)), (l23, (n1, 0, 0))),
+        place((n3, n12, n3), field, (r13, (0, 0, 0)), (r23, (0, n1, 0))),
     )
     pair_left = DorrohPairAlgebra(b12, a3, act_12_3)
     report.merge(pair_left.validate(), prefix="left-bracketing:")
 
+    # ... and A1 acts on A2|xA3 through A2 and A3 side by side.
+    n23 = n2 + n3
     b23 = build_dorroh_algebra(DorrohPairAlgebra(a2, a3, act23))
-    left_entries = dict(act12.left.entries)
-    for (a, x, y), c in act13.left.entries.items():
-        left_entries[(a, n2 + x, n2 + y)] = c
-    right_entries = dict(act12.right.entries)
-    for (x, a, y), c in act13.right.entries.items():
-        right_entries[(n2 + x, a, n2 + y)] = c
     act_1_23 = BimoduleAction(
         a1,
-        n2 + n3,
-        SparseTensor3((n1, n2 + n3, n2 + n3), left_entries, field),
-        SparseTensor3((n2 + n3, n1, n2 + n3), right_entries, field),
+        n23,
+        place((n1, n23, n23), field, (l12, (0, 0, 0)), (l13, (0, n2, n2))),
+        place((n23, n1, n23), field, (r12, (0, 0, 0)), (r13, (n2, 0, n2))),
     )
     pair_right = DorrohPairAlgebra(a1, b23, act_1_23)
     report.merge(pair_right.validate(), prefix="right-bracketing:")

@@ -7,7 +7,8 @@ Conventions:
     contains a f_y (x) e_c.
   * Extensions order the basis C-block first, then P-block; the
     comultiplication of the extension restricted to the P-block carries
-    the rho_l, rho_r and Delta_P terms.
+    the rho_l, rho_r and Delta_P terms.  ``place`` lays the four blocks of
+    C|xP out in that order and ``block`` reads them back.
 
 Coalgebras need not be counital; a coideal is a subspace P with
 Delta(P) inside D(x)P + P(x)D (the non-counital sense, which keeps the
@@ -16,12 +17,12 @@ P(x)P term available).
 
 from __future__ import annotations
 
-from .algebra import BI, LEFT, RIGHT, SIDES, _record_verified
+from .algebra import BI, LEFT, RIGHT, SIDES, _record_verified, _two_sided_unit
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, invert, solve_linear
+from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, first_difference, first_witness, transport
+from .tensors import SparseTensor3, first_difference, first_witness, place, transport
 
 
 class Coalgebra:
@@ -60,25 +61,14 @@ class Coalgebra:
         return {k: cv for k, v in acc.items() if (cv := canon(v)) != 0}
 
     def find_counit(self):
-        """The unique counit functional in dual coordinates, or None.  Cached."""
-        if self._counit != "unset":
-            return self._counit
-        n = self.dim
-        if n == 0:
-            self._counit = None
-            return None
-        rows = []
-        rhs = []
-        # (eps (x) 1) Delta = id and (1 (x) eps) Delta = id, coordinatewise.
-        for k in range(n):
-            for j in range(n):
-                rows.append([self.delta.get(k, i, j) for i in range(n)])
-                rhs.append(1 if k == j else 0)
-                rows.append([self.delta.get(k, j, i) for i in range(n)])
-                rhs.append(1 if k == j else 0)
-        sol = solve_linear(Matrix(len(rows), n, rows, self.field), rhs)
-        self._counit = sol
-        return sol
+        """The unique counit functional in dual coordinates, or None.  Cached.
+
+        The counit of C is the unit of the convolution algebra C*.
+        """
+        if self._counit == "unset":
+            d = self.delta
+            self._counit = _two_sided_unit(place(d.dims, self.field, (d, (0, 0, 0), (1, 2, 0))))
+        return self._counit
 
     @property
     def counital(self):
@@ -218,16 +208,13 @@ def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
     nc = pair.C.dim
     n = nc + pair.P.dim
     field = pair.field
-    entries = {}
-    for (k, i, j), c in pair.C.delta.entries.items():
-        entries[(k, i, j)] = c
-    for (x, c, y), v in pair.coaction.rho_l.entries.items():
-        entries[(nc + x, c, nc + y)] = v
-    for (x, y, c), v in pair.coaction.rho_r.entries.items():
-        entries[(nc + x, nc + y, c)] = v
-    for (x, i, j), v in pair.P.delta.entries.items():
-        entries[(nc + x, nc + i, nc + j)] = v
-    delta = SparseTensor3((n, n, n), entries, field)
+    delta = place(
+        (n, n, n), field,
+        (pair.C.delta, (0, 0, 0)),
+        (pair.coaction.rho_l, (nc, 0, nc)),
+        (pair.coaction.rho_r, (nc, nc, 0)),
+        (pair.P.delta, (nc, nc, nc)),
+    )
 
     labels = None
     if pair.C.labels is not None and pair.P.labels is not None:
@@ -306,8 +293,8 @@ def counit_balance_check(pair: DorrohPairCoalgebra, eps_p) -> Report:
         raise PreconditionError("eps_P is not a counit of P")
     # both sides at (x, c, 0)
     lhs = transport(pair.coaction.rho_l, (None, None, [eps_p])).entries
-    rhs = transport(pair.coaction.rho_r, (None, [eps_p], None)).entries
-    rhs = {(x, c, 0): v for (x, _, c), v in rhs.items()}
+    rhs = transport(pair.coaction.rho_r, (None, [eps_p], None))
+    rhs = place((pair.P.dim, pair.C.dim, 1), pair.field, (rhs, (0, 0, 0), (0, 2, 1))).entries
     return Report().add_witness("sum p(-1)eps(p(0)) = sum eps(p(0))p(1)", first_difference(lhs, rhs, 1))
 
 
@@ -353,7 +340,8 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
         raise InputError("bases do not span a direct sum: dependent vectors")
 
     # Delta in the split basis: (k, a, b) -> v means Delta(s_k) contains v s_a (x) s_b.
-    split = transport(D.delta, (S.columns(), Sinv.data, Sinv.data)).entries
+    T = transport(D.delta, (S.columns(), Sinv.data, Sinv.data))
+    split = T.entries
 
     sub = Report().add_witness(
         "C_subcoalgebra", min(((k,) for k, a, b in split if k < nc and (a >= nc or b >= nc)), default=None)
@@ -367,25 +355,11 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
     if not coideal.ok:
         raise ValidationFailure(coideal, "P-span is not a coideal")
 
-    delta_c, delta_p, rho_l, rho_r = {}, {}, {}, {}
-    for (k, a, b), v in split.items():
-        if k < nc:
-            delta_c[(k, a, b)] = v
-        elif a < nc:
-            rho_l[(k - nc, a, b - nc)] = v
-        elif b < nc:
-            rho_r[(k - nc, a - nc, b)] = v
-        else:
-            delta_p[(k - nc, a - nc, b - nc)] = v
-
-    C = Coalgebra(nc, SparseTensor3((nc, nc, nc), delta_c, field), field)
-    P = Coalgebra(np_, SparseTensor3((np_, np_, np_), delta_p, field), field)
-    coaction = BicomoduleCoaction(
-        C,
-        np_,
-        SparseTensor3((np_, nc, np_), rho_l, field),
-        SparseTensor3((np_, np_, nc), rho_r, field),
-    )
+    # The subcoalgebra and coideal properties leave every entry in one of four blocks.
+    n = nc + np_
+    C = Coalgebra(nc, T.block((0, 0, 0), (nc, nc, nc)), field)
+    P = Coalgebra(np_, T.block((nc, nc, nc), (n, n, n)), field)
+    coaction = BicomoduleCoaction(C, np_, T.block((nc, 0, nc), (n, nc, n)), T.block((nc, nc, 0), (n, n, nc)))
     pair = DorrohPairCoalgebra(C, P, coaction)
     pair.require_valid()
 
@@ -460,9 +434,7 @@ class ComoduleOverCoalgebra:
 
 def regular_bicomodule(c: Coalgebra) -> ComoduleOverCoalgebra:
     """C coacting on itself by its comultiplication."""
-    rho_l = SparseTensor3(c.delta.dims, dict(c.delta.entries), c.field)
-    rho_r = SparseTensor3(c.delta.dims, dict(c.delta.entries), c.field)
-    return ComoduleOverCoalgebra(c, c.dim, BI, rho_l=rho_l, rho_r=rho_r)
+    return ComoduleOverCoalgebra(c, c.dim, BI, rho_l=c.delta, rho_r=c.delta)
 
 
 def assemble_comodule(
@@ -510,17 +482,12 @@ def assemble_comodule(
         raise ValidationFailure(report, "comodule compatibility failed")
 
     built = build_dorroh_coalgebra(pair)
+    n = built.dim
     rho_l = rho_r = None
     if side in (LEFT, BI):
-        entries = dict(com_c.rho_l.entries)
-        for (m, x, m2), v in com_p.rho_l.entries.items():
-            entries[(m, nc + x, m2)] = v
-        rho_l = SparseTensor3((nm, built.dim, nm), entries, field)
+        rho_l = place((nm, n, nm), field, (com_c.rho_l, (0, 0, 0)), (com_p.rho_l, (0, nc, 0)))
     if side in (RIGHT, BI):
-        entries = dict(com_c.rho_r.entries)
-        for (m, m2, x), v in com_p.rho_r.entries.items():
-            entries[(m, m2, nc + x)] = v
-        rho_r = SparseTensor3((nm, nm, built.dim), entries, field)
+        rho_r = place((nm, nm, n), field, (com_c.rho_r, (0, 0, 0)), (com_p.rho_r, (0, 0, nc)))
     return ComoduleOverCoalgebra(built, nm, side, rho_l=rho_l, rho_r=rho_r)
 
 
@@ -574,34 +541,26 @@ def check_iterated_coalgebra_triple(
     if not report.ok:
         return report, None
 
+    # C1|xC2 coacts on C3 through C1 and C2 side by side ...
+    n12 = n1 + n2
     d12 = build_dorroh_coalgebra(pair12)
-    rho_l_entries = dict(co13.rho_l.entries)
-    for (x, b, y), v in co23.rho_l.entries.items():
-        rho_l_entries[(x, n1 + b, y)] = v
-    rho_r_entries = dict(co13.rho_r.entries)
-    for (x, y, b), v in co23.rho_r.entries.items():
-        rho_r_entries[(x, y, n1 + b)] = v
     co_12_3 = BicomoduleCoaction(
         d12,
         n3,
-        SparseTensor3((n3, n1 + n2, n3), rho_l_entries, field),
-        SparseTensor3((n3, n3, n1 + n2), rho_r_entries, field),
+        place((n3, n12, n3), field, (l13, (0, 0, 0)), (l23, (0, n1, 0))),
+        place((n3, n3, n12), field, (r13, (0, 0, 0)), (r23, (0, 0, n1))),
     )
     pair_left = DorrohPairCoalgebra(d12, c3, co_12_3)
     report.merge(pair_left.validate(), prefix="left-bracketing:")
 
+    # ... and C1 coacts on C2|xC3 through C2 and C3 side by side.
+    n23 = n2 + n3
     d23 = build_dorroh_coalgebra(DorrohPairCoalgebra(c2, c3, co23))
-    rho_l_entries = dict(co12.rho_l.entries)
-    for (x, a, y), v in co13.rho_l.entries.items():
-        rho_l_entries[(n2 + x, a, n2 + y)] = v
-    rho_r_entries = dict(co12.rho_r.entries)
-    for (x, y, a), v in co13.rho_r.entries.items():
-        rho_r_entries[(n2 + x, n2 + y, a)] = v
     co_1_23 = BicomoduleCoaction(
         c1,
-        n2 + n3,
-        SparseTensor3((n2 + n3, n1, n2 + n3), rho_l_entries, field),
-        SparseTensor3((n2 + n3, n2 + n3, n1), rho_r_entries, field),
+        n23,
+        place((n23, n1, n23), field, (l12, (0, 0, 0)), (l13, (n2, 0, n2))),
+        place((n23, n23, n1), field, (r12, (0, 0, 0)), (r13, (n2, n2, 0))),
     )
     pair_right = DorrohPairCoalgebra(c1, d23, co_1_23)
     report.merge(pair_right.validate(), prefix="right-bracketing:")

@@ -2,8 +2,11 @@
 
 Dual bases are always the Kronecker duals of the stored bases, so every
 duality isomorphism below has the identity matrix and verification
-isolates structure-constant correctness: the dual of a multiplication
-tensor is its (k,i,j) reindexing and vice versa.
+isolates structure-constant correctness.  Every dual is a leg rotation
+laid out by ``place``: an algebra-side tensor (multiplication (i,j,k),
+actions (a,y,x) and (y,a,x)) becomes its coalgebra-side dual by
+``TO_COALGEBRA`` = (2,0,1), giving (k,i,j), (x,a,y) and (x,y,a); a
+coalgebra-side tensor goes back by ``TO_ALGEBRA`` = (1,2,0).
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .coalgebra import (
 )
 from .errors import ValidationFailure
 from .linalg import Matrix
-from .tensors import SparseTensor3
+from .tensors import place
 
 PAIRING_CONVENTION = "Kronecker dual bases e_i* with e_i*(e_j) = delta_ij"
+TO_COALGEBRA = (2, 0, 1)
+TO_ALGEBRA = (1, 2, 0)
 
 
 @dataclass
@@ -47,53 +52,41 @@ def _dual_labels(labels):
     return [lab + "*" for lab in labels]
 
 
+def _rotate(T, order):
+    """T with leg t of the result read from leg order[t] of T."""
+    if T is None:
+        return None
+    return place(tuple(T.dims[o] for o in order), T.field, (T, (0, 0, 0), order))
+
+
 def dual_algebra_of_coalgebra(c: Coalgebra) -> Algebra:
     """The convolution algebra C* with (fg)(x) = sum f(x_1) g(x_2)."""
-    entries = {(i, j, k): v for (k, i, j), v in c.delta.entries.items()}
-    mul = SparseTensor3((c.dim, c.dim, c.dim), entries, c.field)
-    unit = c.find_counit()
-    return Algebra(c.dim, mul, c.field, labels=_dual_labels(c.labels), unit=unit)
+    mul = _rotate(c.delta, TO_ALGEBRA)
+    return Algebra(c.dim, mul, c.field, labels=_dual_labels(c.labels), unit=c.find_counit())
 
 
 def dual_coalgebra_of_algebra(a: Algebra) -> Coalgebra:
     """A* with comultiplication m*, the transpose of the multiplication."""
-    entries = {(k, i, j): v for (i, j, k), v in a.mul.entries.items()}
-    delta = SparseTensor3((a.dim, a.dim, a.dim), entries, a.field)
-    counit = a.find_identity()
-    return Coalgebra(a.dim, delta, a.field, labels=_dual_labels(a.labels), counit=counit)
+    delta = _rotate(a.mul, TO_COALGEBRA)
+    return Coalgebra(a.dim, delta, a.field, labels=_dual_labels(a.labels), counit=a.find_identity())
 
 
 def dual_actions(m: ModuleOverAlgebra) -> ComoduleOverCoalgebra:
     """Dualize a module into a comodule over the dual coalgebra, same side."""
-    coalg = dual_coalgebra_of_algebra(m.algebra)
-    field = m.algebra.field
-    na, nm = m.algebra.dim, m.dim
-    rho_l = rho_r = None
-    if m.left is not None:
-        # rho_l(v_x*)(e_a (x) v_y) = v_x*(a . v_y)
-        entries = {(x, a, y): v for (a, y, x), v in m.left.entries.items()}
-        rho_l = SparseTensor3((nm, na, nm), entries, field)
-    if m.right is not None:
-        # rho_r(v_x*)(v_y (x) e_a) = v_x*(v_y . a)
-        entries = {(x, y, a): v for (y, a, x), v in m.right.entries.items()}
-        rho_r = SparseTensor3((nm, nm, na), entries, field)
-    return ComoduleOverCoalgebra(coalg, nm, m.side, rho_l=rho_l, rho_r=rho_r)
+    # rho_l(v_x*)(e_a (x) v_y) = v_x*(a . v_y), rho_r(v_x*)(v_y (x) e_a) = v_x*(v_y . a)
+    return ComoduleOverCoalgebra(
+        dual_coalgebra_of_algebra(m.algebra), m.dim, m.side,
+        rho_l=_rotate(m.left, TO_COALGEBRA), rho_r=_rotate(m.right, TO_COALGEBRA),
+    )
 
 
 def dual_coactions(com: ComoduleOverCoalgebra) -> ModuleOverAlgebra:
     """Dualize a comodule into a module over the convolution algebra, same side."""
-    alg = dual_algebra_of_coalgebra(com.coalgebra)
-    field = com.coalgebra.field
-    nc, nm = com.coalgebra.dim, com.dim
-    left = right = None
-    if com.rho_l is not None:
-        # (e_c* . v_x*)(v_y) = sum e_c*(y_(-1)) v_x*(y_(0))
-        entries = {(c, x, y): v for (y, c, x), v in com.rho_l.entries.items()}
-        left = SparseTensor3((nc, nm, nm), entries, field)
-    if com.rho_r is not None:
-        entries = {(x, c, y): v for (y, x, c), v in com.rho_r.entries.items()}
-        right = SparseTensor3((nm, nc, nm), entries, field)
-    return ModuleOverAlgebra(alg, nm, com.side, left=left, right=right)
+    # (e_c* . v_x*)(v_y) = sum e_c*(y_(-1)) v_x*(y_(0)), and mirrored on the right.
+    return ModuleOverAlgebra(
+        dual_algebra_of_coalgebra(com.coalgebra), com.dim, com.side,
+        left=_rotate(com.rho_l, TO_ALGEBRA), right=_rotate(com.rho_r, TO_ALGEBRA),
+    )
 
 
 def dualize_algebra_pair(pair: DorrohPairAlgebra):
@@ -105,12 +98,8 @@ def dualize_algebra_pair(pair: DorrohPairAlgebra):
     c_dual = dual_coalgebra_of_algebra(pair.A)
     p_dual = dual_coalgebra_of_algebra(pair.I)
     # rho_l(f_x*)(e_a (x) f_y) = f_x*(a . f_y), and mirrored on the right.
-    rho_l = SparseTensor3(
-        (ni, na, ni), {(x, a, y): v for (a, y, x), v in pair.action.left.entries.items()}, field
-    )
-    rho_r = SparseTensor3(
-        (ni, ni, na), {(x, y, a): v for (y, a, x), v in pair.action.right.entries.items()}, field
-    )
+    rho_l = _rotate(pair.action.left, TO_COALGEBRA)
+    rho_r = _rotate(pair.action.right, TO_COALGEBRA)
     copair = DorrohPairCoalgebra(c_dual, p_dual, BicomoduleCoaction(c_dual, ni, rho_l, rho_r))
     copair.require_valid()
 
@@ -132,12 +121,8 @@ def dualize_coalgebra_pair(pair: DorrohPairCoalgebra):
     a_dual = dual_algebra_of_coalgebra(pair.C)
     i_dual = dual_algebra_of_coalgebra(pair.P)
     # (e_c* . f_x*)(f_p) = sum e_c*(p_(-1)) f_x*(p_(0)), and mirrored.
-    left = SparseTensor3(
-        (nc, np_, np_), {(c, x, p): v for (p, c, x), v in pair.coaction.rho_l.entries.items()}, field
-    )
-    right = SparseTensor3(
-        (np_, nc, np_), {(x, c, p): v for (p, x, c), v in pair.coaction.rho_r.entries.items()}, field
-    )
+    left = _rotate(pair.coaction.rho_l, TO_ALGEBRA)
+    right = _rotate(pair.coaction.rho_r, TO_ALGEBRA)
     apair = DorrohPairAlgebra(a_dual, i_dual, BimoduleAction(a_dual, np_, left, right))
     apair.require_valid()
 

@@ -400,7 +400,8 @@ def emit(obj) -> str:
 def parse(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal past the int-from-string digit limit
         raise InputError(f"not valid JSON: {e}") from None
     return decode(doc)
 

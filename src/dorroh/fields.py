@@ -46,6 +46,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _convert(number, s: str):
+    """number(s), with Python's limit on digits per int-from-string as an InputError."""
+    try:
+        return number(s)
+    except ValueError:
+        raise InputError(f"scalar of {len(s)} characters is past the integer conversion limit") from None
+
+
 class FieldSpec:
     """The base field k: exact rationals or F_p for a prime p."""
 
@@ -76,10 +84,6 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls(cls.PRIME, p)
 
-    # All fields share 0 and 1 as canonical representatives.
-    zero = 0
-    one = 1
-
     def canon(self, x):
         """Canonical form: reduced Fraction collapsed to int over Q, x mod p over F_p."""
         if self.p is not None:
@@ -100,9 +104,6 @@ class FieldSpec:
             return pow(x, self.p - 2, self.p)
         return self.canon(Fraction(1, 1) / x)
 
-    def div(self, x, y):
-        return self.canon(x * self.inv(y))
-
     def parse(self, s: str):
         """Parse a canonical scalar string; rejects non-canonical spellings."""
         if not isinstance(s, str):
@@ -110,13 +111,13 @@ class FieldSpec:
         if self.p is not None:
             if not _FP_PATTERN.match(s):
                 raise InputError(f"bad F_{self.p} scalar {s!r}")
-            v = int(s)
+            v = _convert(int, s)
             if v >= self.p:
                 raise InputError(f"scalar {s!r} out of range [0, {self.p})")
             return v
         if not _Q_PATTERN.match(s):
             raise InputError(f"bad rational scalar {s!r}")
-        v = self.canon(Fraction(s))
+        v = self.canon(_convert(Fraction, s))
         if self.fmt(v) != s:
             raise InputError(f"non-canonical rational {s!r}")
         return v

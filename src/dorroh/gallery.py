@@ -42,7 +42,7 @@ from .fields import FieldSpec
 from .findual import RecurrentSequence
 from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, transport
+from .tensors import SparseTensor3, place, transport
 
 _NAME_RE = re.compile(r"([A-Za-z_0-9]+)(?:\((-?\d+)\))?\Z")
 
@@ -158,7 +158,11 @@ def instance(name: str, field: FieldSpec):
     if props.get("param"):
         if arg is None:
             raise InputError(f"{base} needs a parameter, e.g. {base}(2)")
-        obj = builder(int(arg), field)
+        try:
+            n = int(arg)
+        except ValueError:
+            raise InputError(f"{base} parameter has {len(arg)} digits, past the conversion limit") from None
+        obj = builder(n, field)
     else:
         if arg is not None:
             raise InputError(f"{base} takes no parameter")
@@ -235,13 +239,11 @@ def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTe
     ab = build_dorroh_algebra(direct_product_pair(A, B))
     na, nb = A.dim, B.dim
     # (a,b) m = a m and m (a,b) = m b.
-    pl = {(a, m, m2): v for (a, m, m2), v in left.entries.items()}
-    pr = {(m, na + b, m2): v for (m, b, m2), v in right.entries.items()}
     action = BimoduleAction(
         ab,
         nm,
-        SparseTensor3((na + nb, nm, nm), pl, field),
-        SparseTensor3((nm, na + nb, nm), pr, field),
+        place((na + nb, nm, nm), field, (left, (0, 0, 0))),
+        place((nm, na + nb, nm), field, (right, (0, na, 0))),
     )
     I = Algebra(nm, SparseTensor3.zero((nm, nm, nm), field), field)
     pair = DorrohPairAlgebra(ab, I, action)
@@ -249,25 +251,19 @@ def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTe
 
     # Block algebra on basis [A-block, M-block, B-block].
     n = na + nm + nb
-    entries = {}
-    for (i, j, k), v in A.mul.entries.items():
-        entries[(i, j, k)] = v
-    for (i, j, k), v in B.mul.entries.items():
-        entries[(na + nm + i, na + nm + j, na + nm + k)] = v
-    for (a, m, m2), v in left.entries.items():
-        entries[(a, na + m, na + m2)] = v
-    for (m, b, m2), v in right.entries.items():
-        entries[(na + m, na + nm + b, na + m2)] = v
-    block = Algebra(n, SparseTensor3((n, n, n), entries, field), field)
+    nam = na + nm
+    mul = place(
+        (n, n, n), field,
+        (A.mul, (0, 0, 0)),
+        (left, (0, na, na)),
+        (right, (na, nam, na)),
+        (B.mul, (nam, nam, nam)),
+    )
+    block = Algebra(n, mul, field)
 
     # Permute the extension basis [A, B, M] into block order [A, M, B].
-    cols = []
-    for i in range(na):
-        cols.append([1 if t == i else 0 for t in range(n)])
-    for i in range(nb):
-        cols.append([1 if t == na + nm + i else 0 for t in range(n)])
-    for i in range(nm):
-        cols.append([1 if t == na + i else 0 for t in range(n)])
+    order = [*range(na), *range(nam, n), *range(na, nam)]
+    cols = [[1 if t == i else 0 for t in range(n)] for i in order]
     iso = AlgebraMorphism(build_dorroh_algebra(pair), block, Matrix.from_columns(cols, field))
     report = verify_algebra_morphism(iso, iso=True)
     if not report.ok:
@@ -305,10 +301,8 @@ def trunc_poly_pair(n: int, field: FieldSpec) -> DorrohPairAlgebra:
     """(k, span{x..x^n}) inside k[x]/(x^{n+1}); the graded splitting."""
     if n < 1:
         raise InputError("trunc_poly_pair needs n >= 1")
-    entries = {(i, j, i + j): 1 for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n}
-    shifted = {(i - 1, j - 1, k - 1): v for (i, j, k), v in entries.items()}
-    I = Algebra(n, SparseTensor3((n, n, n), shifted, field), field)
-    return scalar_action_pair(field, I)
+    mul = truncated_polynomials(n, field).mul.block((1, 1, 1), (n + 1, n + 1, n + 1))
+    return scalar_action_pair(field, Algebra(n, mul, field))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +366,11 @@ def triangular_copair(C: Coalgebra, D: Coalgebra, rho_l: SparseTensor3, rho_r: S
     cd = zero_coaction_pair(C, D)
     cd.require_valid()
     cxd = build_dorroh_coalgebra(cd)
-    nc = C.dim
-    pl = {(m, c, m2): v for (m, c, m2), v in rho_l.entries.items()}
-    pr = {(m, m2, nc + d): v for (m, m2, d), v in rho_r.entries.items()}
     coaction = BicomoduleCoaction(
         cxd,
         nm,
-        SparseTensor3((nm, cxd.dim, nm), pl, field),
-        SparseTensor3((nm, nm, cxd.dim), pr, field),
+        place((nm, cxd.dim, nm), field, (rho_l, (0, 0, 0))),
+        place((nm, nm, cxd.dim), field, (rho_r, (0, 0, C.dim))),
     )
     M = Coalgebra(nm, SparseTensor3.zero((nm, nm, nm), field), field)
     pair = DorrohPairCoalgebra(cxd, M, coaction)
@@ -575,9 +566,8 @@ def random_algebra_pair(rng, field: FieldSpec, max_total_dim: int = 8) -> Dorroh
         a = _random_small_algebra(rng, field, (max_total_dim - 1) // 2)
         b = algebra_k(field)
         # left-regular A, zero right B-action
-        left = SparseTensor3((a.dim, a.dim, a.dim), dict(a.mul.entries), field)
         right = SparseTensor3.zero((a.dim, 1, a.dim), field)
-        pair = triangular_pair(a, b, left, right)[0]
+        pair = triangular_pair(a, b, a.mul, right)[0]
     if rng.random() < 0.5:
         pair = conjugate_algebra_pair(
             pair,

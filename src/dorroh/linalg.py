@@ -68,9 +68,6 @@ class Matrix:
         canon = self.field.canon
         return [canon(sum(r[j] * vec[j] for j in range(self.cols))) for r in self.data]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [list(c) for c in zip(*self.data)] if self.data else [[] for _ in range(self.cols)], self.field)
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self.data[i][j] == (1 if i == j else 0)

@@ -8,7 +8,9 @@ Every axiom is an identity between two contractions of such tensors;
 ``first_witness`` decides one from the nonzero entries alone.  Every
 morphism, basis change and vector law carries a tensor's legs through
 matrices; ``transport`` does that from the nonzero entries alone and
-``first_difference`` names where two results differ.
+``first_difference`` names where two results differ.  Every extension,
+gluing and Kronecker dual lays tensors out as blocks of a larger one
+with ``place``; ``SparseTensor3.block`` reads a block back out.
 """
 
 from __future__ import annotations
@@ -56,8 +58,15 @@ class SparseTensor3:
     def sorted_items(self):
         return sorted(self.entries.items())
 
-    def map_values(self, fn) -> "SparseTensor3":
-        return SparseTensor3(self.dims, {k: fn(v) for k, v in self.entries.items()}, self.field)
+    def block(self, lo, hi) -> "SparseTensor3":
+        """The entries with lo <= key < hi in every leg, shifted to the origin."""
+        (a0, a1, a2), (b0, b1, b2) = lo, hi
+        entries = {
+            (i - a0, j - a1, k - a2): v
+            for (i, j, k), v in self.entries.items()
+            if a0 <= i < b0 and a1 <= j < b1 and a2 <= k < b2
+        }
+        return SparseTensor3._canonical((b0 - a0, b1 - a1, b2 - a2), entries, self.field)
 
     def __eq__(self, other):
         return (
@@ -69,6 +78,29 @@ class SparseTensor3:
 
     def __repr__(self):
         return f"SparseTensor3(dims={self.dims}, nnz={len(self.entries)})"
+
+
+def place(dims, field: FieldSpec, *parts) -> SparseTensor3:
+    """A tensor of shape ``dims`` holding each part as one block.
+
+    A part is ``(T, offsets)`` or ``(T, offsets, order)``: entry ``key`` of
+    T lands at leg t = ``offsets[t] + key[order[t]]``, so ``order`` permutes
+    T's legs (default ``(0, 1, 2)``) before the block is shifted into
+    place.  Parts must fit in ``dims`` and must not overlap.
+    """
+    dims = tuple(dims)
+    entries = {}
+    stored = 0
+    for T, offsets, *order in parts:
+        p, q, r = order[0] if order else (0, 1, 2)
+        o0, o1, o2 = offsets
+        if any(o + T.dims[t] > d for o, t, d in zip(offsets, (p, q, r), dims)):
+            raise ValueError(f"block {T.dims} at {offsets} does not fit in {dims}")
+        entries.update({(key[p] + o0, key[q] + o1, key[r] + o2): v for key, v in T.entries.items()})
+        stored += len(T.entries)
+    if len(entries) != stored:
+        raise ValueError("placed blocks overlap")
+    return SparseTensor3._canonical(dims, entries, field)
 
 
 def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):

@@ -254,3 +254,39 @@ def test_findual_default_depth(tmp_path):
     run_cli("gallery", "--emit", "fibonacci", "-o", str(seq))
     assert run_cli("findual", "--seq", str(seq), "--command", "coproduct") == 0
     assert run_cli("findual", "--seq", str(seq), "--command", "dorroh") == 0
+
+
+# Python refuses int-from-string conversions past 4300 digits.
+NINES = "9" * 5000
+
+
+def _write(tmp_path, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    return str(doc)
+
+
+def test_huge_scalar_literal_is_an_input_error(tmp_path, capsys):
+    for field in ('{"kind": "Q"}', '{"kind": "Fp", "p": 5}'):
+        text = (
+            f'{{"format": "dorroh/1", "field": {field}, "kind": "algebra", '
+            f'"payload": {{"dim": 1, "mul": [[0, 0, 0, "{NINES}"]]}}}}'
+        )
+        assert run_cli("check", _write(tmp_path, text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.payload.mul[0]: ") and "conversion limit" in err
+
+
+def test_huge_count_literal_is_an_input_error(tmp_path, capsys):
+    text = (
+        '{"format": "dorroh/1", "field": {"kind": "Q"}, "kind": "algebra", '
+        f'"payload": {{"dim": {NINES}, "mul": []}}}}'
+    )
+    assert run_cli("check", _write(tmp_path, text)) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+
+
+def test_huge_gallery_parameter_is_an_input_error(capsys):
+    for name in ("geometric", "trunc_poly"):
+        assert run_cli("gallery", "--emit", f"{name}({NINES})") == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} parameter has 5000 digits")

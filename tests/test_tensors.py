@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.tensors import SparseTensor3, first_difference, transport
+from dorroh.tensors import SparseTensor3, first_difference, place, transport
 
 
 def test_zero_entries_are_dropped():
@@ -77,15 +77,19 @@ def _scalars(field):
     return st.integers(-2, 2) if field.p is None else st.integers(0, field.p - 1)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from([QQ, GF(2), GF(3)]))
-def test_transport_matches_dense_contraction(data, field):
+def _tensors(data, field):
     dims = tuple(data.draw(st.integers(0, 3)) for _ in range(3))
     cells = st.tuples(*(st.integers(0, max(d - 1, 0)) for d in dims))
     entries = data.draw(st.dictionaries(cells, _scalars(field), max_size=8)) if all(dims) else {}
-    T = SparseTensor3(dims, entries, field)
+    return SparseTensor3(dims, entries, field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_transport_matches_dense_contraction(data, field):
+    T = _tensors(data, field)
     legs = []
-    for d in dims:
+    for d in T.dims:
         kind = data.draw(st.sampled_from(["keep", "matrix", "vector"]))
         rows = 1 if kind == "vector" else data.draw(st.integers(0, 3))
         M = [data.draw(st.lists(_scalars(field), min_size=d, max_size=d)) for _ in range(rows)]
@@ -102,3 +106,55 @@ def test_first_difference_is_the_least_differing_prefix(data, width):
     box = itertools.product(range(3), repeat=3)
     expected = next((key[:width] for key in box if lhs.get(key) != rhs.get(key)), None)
     assert first_difference(lhs, rhs, width) == expected
+
+
+def _dense_place(dims, field, parts):
+    """Reference: every cell of every part's box written to its placed cell."""
+    out = {}
+    for T, offsets, order in parts:
+        for key in itertools.product(*(range(d) for d in T.dims)):
+            v = T.get(*key)
+            if v:
+                out[tuple(offsets[t] + key[order[t]] for t in range(3))] = v
+    return SparseTensor3(dims, out, field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_place_matches_dense_reindex(data, field):
+    parts = []
+    corner = [0, 0, 0]
+    for _ in range(data.draw(st.integers(0, 3))):
+        T = _tensors(data, field)
+        order = data.draw(st.permutations((0, 1, 2)))
+        # parts sit along the diagonal, so their boxes never overlap
+        offsets = tuple(c + data.draw(st.integers(0, 1)) for c in corner)
+        corner = [o + T.dims[p] for o, p in zip(offsets, order)]
+        parts.append((T, offsets, tuple(order)))
+    dims = tuple(c + data.draw(st.integers(0, 1)) for c in corner)
+    placed = place(dims, field, *parts)
+    assert placed == _dense_place(dims, field, parts)
+    for T, offsets, order in parts:
+        shape = tuple(T.dims[p] for p in order)
+        hi = tuple(o + d for o, d in zip(offsets, shape))
+        assert placed.block(offsets, hi) == _dense_place(shape, field, [(T, (0, 0, 0), order)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(3)]))
+def test_rotations_are_inverse(data, field):
+    T = _tensors(data, field)
+    once = place((T.dims[2], T.dims[0], T.dims[1]), field, (T, (0, 0, 0), (2, 0, 1)))
+    assert place(T.dims, field, (once, (0, 0, 0), (1, 2, 0))) == T
+
+
+def test_place_rejects_overflow_and_overlap():
+    t = SparseTensor3((2, 1, 1), {(0, 0, 0): 1, (1, 0, 0): 2}, QQ)
+    assert place((2, 1, 1), QQ, (t, (0, 0, 0))) == t
+    with pytest.raises(ValueError):
+        place((2, 2, 2), QQ, (t, (1, 0, 0)))
+    with pytest.raises(ValueError):
+        place((3, 1, 1), QQ, (t, (0, 0, 0)), (t, (1, 0, 0)))
+    assert place((4, 1, 1), QQ, (t, (0, 0, 0)), (t, (2, 0, 0))).entries == {
+        (0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1, (3, 0, 0): 2,
+    }
