@@ -49,7 +49,14 @@ from .duality import (
 )
 from .errors import InputError, ValidationFailure
 from .fields import FieldSpec
-from .findual import RecurrentSequence, coproduct_decompose, dorroh_decompose, minimal_recurrence, vanishing_check
+from .findual import (
+    RecurrentSequence,
+    check_bound,
+    coproduct_decompose,
+    dorroh_decompose,
+    minimal_recurrence,
+    vanishing_check,
+)
 from .gallery import catalog_names, instance, standard_algebra_pairs, standard_coalgebra_pairs
 from .reports import Report
 
@@ -251,7 +258,7 @@ def cmd_findual(args) -> int:
         raise InputError("findual needs a sequence document")
     field = seq.field
     if args.command == "minrec":
-        bound = args.bound
+        bound = check_bound(args.bound)  # before reading a prefix of length 2 * bound + 2
         if seq.coeffs:
             prefix = seq.prefix(2 * bound + 2)
         else:

@@ -88,6 +88,8 @@ class FieldSpec:
         """Canonical form: reduced Fraction collapsed to int over Q, x mod p over F_p."""
         if self.p is not None:
             return int(x) % self.p
+        if type(x) is int:  # skips isinstance's ABC check on the commonest input
+            return x
         if isinstance(x, Fraction):
             return int(x) if x.denominator == 1 else x
         return x

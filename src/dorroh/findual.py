@@ -10,17 +10,32 @@ Coproducts come from factoring f(x^{i+j}) through a shift-space basis:
 with the basis in reduced echelon form (leftmost pivots), the dual
 elements are plain monomials x^{p_t} at the pivot degrees, so the right
 factors are the corresponding shifts of f.  Everything is verified to a
-requested depth against direct evaluation.
+requested depth, at most MAX_DEPTH, against direct evaluation.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field as dataclass_field
+from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, _rref, solve_linear
 from .reports import Report
+
+_log = logging.getLogger("dorroh.findual")
+
+# Caps on the verification depth and the recurrence-order bound, past
+# which the functions below raise InputError.  The coproduct check costs
+# about rank^2 * depth^2 products of values that grow with the depth;
+# minimal_recurrence solves up to bound + 1 Hankel systems on a prefix of
+# length 2 * bound + 2, about bound^4 operations when no order fits.  On
+# an order-8 sequence over Q whose values grow like 2^n, `dorroh findual
+# --command dorroh` (two coproducts) takes about 5 s at MAX_DEPTH; a
+# random prefix over Q with no recurrence within MAX_BOUND about 4 s.
+MAX_DEPTH = 320
+MAX_BOUND = 32
 
 
 class RecurrentSequence:
@@ -52,14 +67,12 @@ class RecurrentSequence:
                 raise InputError("this functional lives on x k[x]; s_0 is undefined")
             return self.s0
         vals = self._vals
-        canon = self.field.canon
-        r = len(self.coeffs)
-        while len(vals) < n:
-            if r == 0:
-                vals.append(0)
-            else:
-                m = len(vals) + 1
-                vals.append(canon(sum(self.coeffs[i - 1] * vals[m - 1 - i] for i in range(1, r + 1))))
+        if len(vals) < n:
+            canon = self.field.canon
+            r = len(self.coeffs)
+            rcoeffs = self.coeffs[::-1]  # c_r .. c_1 meet s_{m-r} .. s_{m-1}
+            while len(vals) < n:
+                vals.append(canon(sum(map(mul, rcoeffs, vals[len(vals) - r :]))))
         return vals[n - 1]
 
     def prefix(self, n: int) -> list:
@@ -86,6 +99,15 @@ def eval_sequence(f: RecurrentSequence, n: int):
     return f.value(n)
 
 
+def check_bound(bound: int) -> int:
+    """A recurrence-order bound in [0, MAX_BOUND], else InputError."""
+    if bound < 0:
+        raise InputError("bound must be nonnegative")
+    if bound > MAX_BOUND:
+        raise InputError(f"bound {bound} is past the cap MAX_BOUND = {MAX_BOUND}")
+    return bound
+
+
 def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequence | None:
     """Smallest-order recurrence (order <= bound) consistent with s_1..s_m.
 
@@ -93,8 +115,7 @@ def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequenc
     the (r+1)-column Hankel matrix of the prefix.  Returns None when no
     order within the bound fits.
     """
-    if bound < 0:
-        raise InputError("bound must be nonnegative")
+    check_bound(bound)
     m = len(prefix)
     if m < 2 * bound + 2:
         raise InputError(f"prefix of length {m} is too short for bound {bound} (need {2 * bound + 2})")
@@ -164,71 +185,82 @@ def default_depth(f: RecurrentSequence) -> int:
     return 2 * f.order + 16
 
 
+def _depth(f: RecurrentSequence, depth: int | None) -> int:
+    """The requested depth in [0, MAX_DEPTH], else InputError; None gives
+    the default depth, which grows with the order and is not capped."""
+    if depth is None:
+        return default_depth(f)
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    if depth > MAX_DEPTH:
+        raise InputError(f"depth {depth} is past the cap MAX_DEPTH = {MAX_DEPTH}")
+    return depth
+
+
+def _values(h: RecurrentSequence, depth: int) -> list:
+    """[h(x^n) for n = lo..depth], lo = 0 with s_0 and 1 without."""
+    return ([h.s0] if h.s0 is not None else []) + h.prefix(depth)
+
+
+def _pairing_failure(lefts, rights, values, lo, top, canon):
+    """Least (i, j), lexicographic, with i, j >= lo and i + j <= top at which
+    sum_u lefts[u](x^i) rights[u](x^j) differs from values(x^(i+j)); None
+    when there is none.  Every sequence is a value list over n = lo, lo+1, ...
+
+    Each row i is read once per sequence; its entries are sum(map(mul, ...))
+    over the column tuples of the rights."""
+    size = top - 2 * lo + 1
+    cols = list(zip(*rights)) or [()] * size
+    for a in range(size):
+        row = [v[a] for v in lefts]
+        got = [canon(sum(map(mul, row, c))) for c in cols[: size - a]]
+        want = values[a + lo : a + lo + len(got)]
+        if got != want:
+            b = next(b for b, (x, y) in enumerate(zip(got, want)) if x != y)
+            return (a + lo, b + lo)
+    return None
+
+
 def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> CoproductDecomposition:
     """m*(f) = sum_t f_t (x) g_t with the f_t a shift-space basis and the
     g_t the shifts of f by the pivot degrees; verified on all monomial
-    pairs x^i (x) x^j with i+j <= depth, along with coassociativity."""
-    if depth is None:
-        depth = default_depth(f)
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
+    pairs x^i (x) x^j with i+j <= depth, along with coassociativity.
+
+    Coassociativity expands each leg once more through the factor's own
+    decomposition h = sum_u h_u (x) h'_u and compares the two triple sums
+    on monomials x^a (x) x^b (x) x^c, a+b+c <= depth.  It is certified
+    without visiting the triples: if every factor h in {f_t} u {g_t}
+    satisfies sum_u h_u(x^a) h'_u(x^b) = h(x^(a+b)) for a+b <= depth - lo,
+    and the first identity holds, then both triple sums equal
+    f(x^(a+b+c)), since sum_t f_t(x^(a+b)) g_t(x^c) = f(x^(a+b+c)) =
+    sum_t f_t(x^a) g_t(x^(b+c)).  That costs O(rank^2 depth^2) where the
+    triples cost O(rank depth^3).  The certificate is checked as its own
+    identity: a factor whose decomposition fails it is reported with the
+    first (a, b), whatever the triple sums would show.
+    """
+    depth = _depth(f, depth)
     left, right, pivots, lo = _shift_space(f)
     dec = CoproductDecomposition(len(left), left, right, pivots)
+    canon = f.field.canon
+    width = depth - lo + 1
+    lv = [_values(ft, depth) for ft in left]
+    rv = [_values(gt, depth) for gt in right]
 
     report = Report()
-    canon = f.field.canon
-    lcache = [[ft.value(n) for n in range(lo, depth + 1)] for ft in left]
-    rcache = [[gt.value(n) for n in range(lo, depth + 1)] for gt in right]
-    ok, wit = True, None
-    for i in range(lo, depth + 1):
-        for j in range(lo, depth - i + 1):
-            got = canon(sum(lc[i - lo] * rc[j - lo] for lc, rc in zip(lcache, rcache)))
-            if got != f.value(i + j):
-                ok, wit = False, (i, j)
-                break
-        if not ok:
+    first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
+    report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
+
+    wit, detail = None, ""
+    factors = [("f", t, ft, v) for t, (ft, v) in enumerate(zip(left, lv))]
+    factors += [("g", t, gt, v) for t, (gt, v) in enumerate(zip(right, rv))]
+    for name, t, h, hv in factors:
+        hl, hr = ([_values(u, depth) for u in part] for part in _shift_space(h)[:2])
+        wit = _pairing_failure(hl, hr, hv, lo, depth - lo, canon)
+        if wit is not None:
+            detail = f"decomposition of {name}_{t}"
             break
-    report.add("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", ok, wit)
-
-    # Coassociativity at depth: expand each tensor leg once more and
-    # compare the two triple expansions on monomials.  The inner pairings
-    # are tabulated up front so the triple loop stays cheap; it reads only
-    # the triangle a + b < width of each table.
-    span = range(lo, depth + 1)
-    width = len(span)
-
-    def table(seq_pairs):
-        out = []
-        for fparts, gparts in seq_pairs:
-            tab = [[0] * width for _ in range(width)]
-            if fparts:
-                fv = [[u.value(n) for n in span] for u in fparts]
-                gv = [[v.value(n) for n in span] for v in gparts]
-                for a in range(width):
-                    row = tab[a]
-                    for b in range(width - a):
-                        row[b] = sum(fv[u][a] * gv[u][b] for u in range(len(fparts)))
-            out.append(tab)
-        return out
-
-    ldecs = table([_shift_space(ft)[:2] for ft in left])
-    rdecs = table([_shift_space(gt)[:2] for gt in right])
-    lv = [[ft.value(n) for n in span] for ft in left]
-    rv = [[gt.value(n) for n in span] for gt in right]
-    ok, wit = True, None
-    for a in range(lo, depth + 1):
-        if not ok:
-            break
-        for b in range(lo, depth - a + 1):
-            if not ok:
-                break
-            for c in range(lo, depth - a - b + 1):
-                lhs = sum(ldecs[t][a - lo][b - lo] * rv[t][c - lo] for t in range(dec.rank))
-                rhs = sum(lv[t][a - lo] * rdecs[t][b - lo][c - lo] for t in range(dec.rank))
-                if canon(lhs - rhs) != 0:
-                    ok, wit = False, (a, b, c)
-                    break
-    report.add("(Delta(x)1)Delta=(1(x)Delta)Delta", ok, wit)
+    report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
+    _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, width)
 
     if not report.ok:
         raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
@@ -246,18 +278,18 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
-    if depth is None:
-        depth = default_depth(f)
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
     field = f.field
     phi_i = RecurrentSequence(field, None, f.initial, f.coeffs)
+    # phi_I has f's order, so a default depth is the same for both
     dec = coproduct_decompose(phi_i, depth)
     coproduct_decompose(f, depth)
+    depth = _depth(f, depth)
 
     report = Report()
     report.add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
     canon = field.canon
+    lv = [_values(ft, depth) for ft in dec.left]  # lo = 1: x^n at index n - 1
+    rv = [_values(gt, depth) for gt in dec.right]
     ok, wit = True, None
     for i in range(depth + 1):
         for j in range(depth - i + 1):
@@ -269,7 +301,7 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
             if j == 0 and i >= 1:
                 assembled += phi_i.value(i)
             if i >= 1 and j >= 1:
-                assembled += sum(ft.value(i) * gt.value(j) for ft, gt in zip(dec.left, dec.right))
+                assembled += sum(fv[i - 1] * gv[j - 1] for fv, gv in zip(lv, rv))
             if canon(assembled) != f.value(i + j):
                 ok, wit = False, (i, j)
                 break
@@ -288,10 +320,7 @@ def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> 
     r = len(pcoeffs)
     if r < 1:
         raise InputError("polynomial degree mismatch: need degree >= 1")
-    if depth is None:
-        depth = default_depth(f)
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
+    depth = _depth(f, depth)
     field = f.field
     pcoeffs = [field.canon(v) for v in pcoeffs]
     canon = field.canon

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 from dorroh import exchange
 from dorroh.cli import main
 from dorroh.fields import QQ
+from dorroh.findual import MAX_BOUND, MAX_DEPTH
 from dorroh.gallery import instance
 
 
@@ -254,6 +256,37 @@ def test_findual_default_depth(tmp_path):
     run_cli("gallery", "--emit", "fibonacci", "-o", str(seq))
     assert run_cli("findual", "--seq", str(seq), "--command", "coproduct") == 0
     assert run_cli("findual", "--seq", str(seq), "--command", "dorroh") == 0
+
+
+def test_findual_default_output_is_unchanged(tmp_path, capsys):
+    seq = tmp_path / "fib.json"
+    run_cli("gallery", "--emit", "fibonacci", "-o", str(seq))
+    capsys.readouterr()
+    expected = {
+        "coproduct": "pass (1 checks)\n  [ok] coproduct decomposition\n",
+        "dorroh": "pass (2 checks)\n  [ok] phi_I coproduct verified\n  [ok] blockwise coproduct assembly matches m*(f)\n",
+        "vanish": "pass (1 checks)\n  [ok] f(x^n p(x))=0\n",
+    }
+    for command, text in expected.items():
+        assert run_cli("findual", "--seq", str(seq), "--command", command) == 0
+        assert capsys.readouterr() == (text, "")
+
+
+def test_findual_depth_and_bound_past_their_caps_exit_2(tmp_path, capsys):
+    seq = tmp_path / "fib.json"
+    run_cli("gallery", "--emit", "fibonacci", "-o", str(seq))
+    start = time.perf_counter()
+    for command in ("coproduct", "dorroh", "vanish"):
+        for depth in (MAX_DEPTH + 1, 100000):
+            assert run_cli("findual", "--seq", str(seq), "--command", command, "--depth", str(depth)) == 2
+            assert capsys.readouterr().err == f"error: depth {depth} is past the cap MAX_DEPTH = {MAX_DEPTH}\n"
+    for bound in (MAX_BOUND + 1, 10**9):
+        assert run_cli("findual", "--seq", str(seq), "--command", "minrec", "--bound", str(bound)) == 2
+        assert capsys.readouterr().err == f"error: bound {bound} is past the cap MAX_BOUND = {MAX_BOUND}\n"
+    assert time.perf_counter() - start < 1.0
+    # at the caps the commands run
+    assert run_cli("findual", "--seq", str(seq), "--command", "vanish", "--depth", str(MAX_DEPTH)) == 0
+    assert run_cli("findual", "--seq", str(seq), "--command", "minrec", "--bound", str(MAX_BOUND)) == 0
 
 
 # Python refuses int-from-string conversions past 4300 digits.

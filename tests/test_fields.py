@@ -119,3 +119,26 @@ def test_rational_arithmetic_stays_canonical(a, b, c, d):
 def test_f7_canon_is_ring_hom(a, b):
     f7 = GF(7)
     assert f7.canon(a * b + a) == (a * b + a) % 7
+
+
+def _old_canon(field, x):
+    """canon as it was before its int fast path."""
+    if field.p is not None:
+        return int(x) % field.p
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    return x
+
+
+@given(
+    st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.booleans(),
+        st.fractions(max_denominator=10**6),
+        st.builds(Fraction, st.integers(-(10**9), 10**9)),
+    ),
+    st.sampled_from([QQ, GF(2), GF(5), GF(10007)]),
+)
+def test_canon_matches_the_formula_before_its_int_fast_path(x, field):
+    got, want = field.canon(x), _old_canon(field, x)
+    assert got == want and type(got) is type(want)

@@ -1,10 +1,13 @@
+import logging
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dorroh.errors import InputError, PreconditionError
+from dorroh import findual
+from dorroh.errors import InputError, PreconditionError, ValidationFailure
 from dorroh.fields import GF, QQ
 from dorroh.findual import (
     RecurrentSequence,
@@ -262,3 +265,256 @@ def test_ideal_side_rank_equals_minimal_order():
         rec = minimal_recurrence(f.prefix(2 * len(coeffs) + 4), len(coeffs) + 1, QQ)
         dec = coproduct_decompose(f, 14)
         assert dec.rank == rec.order
+
+
+# ---------------------------------------------------------------------------
+# coassociativity: the factor certificate against the triple scan
+
+FIRST = "f(x^(i+j))=sum f_t(x^i)g_t(x^j)"
+CERTIFICATE = "h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}"
+
+
+def _first_pair_failure(lefts, rights, h, lo, top):
+    """Least (i, j), i + j <= top, where sum_u lefts[u](x^i) rights[u](x^j) != h(x^(i+j))."""
+    for i in range(lo, top + 1):
+        for j in range(lo, top - i + 1):
+            if h.field.canon(sum(u.value(i) * v.value(j) for u, v in zip(lefts, rights))) != h.value(i + j):
+                return (i, j)
+    return None
+
+
+def reference_coproduct_checks(f, depth):
+    """The checks coproduct_decompose reports, as [(name, ok, witness, detail)],
+    entry by entry through value(): the first identity, then each factor
+    f_0, f_1, ..., g_0, ... against its own decomposition on a + b <= depth - lo."""
+    left, right, _, lo = findual._shift_space(f)
+    first = _first_pair_failure(left, right, f, lo, depth)
+    wit, detail = None, ""
+    for name, t, h in [("f", t, h) for t, h in enumerate(left)] + [("g", t, h) for t, h in enumerate(right)]:
+        wit = _first_pair_failure(*findual._shift_space(h)[:2], h, lo, depth - lo)
+        if wit is not None:
+            detail = f"decomposition of {name}_{t}"
+            break
+    return [(FIRST, first is None, first, ""), (CERTIFICATE, wit is None, wit, detail)]
+
+
+def triple_scan_witness(f, depth):
+    """First (a, b, c), a + b + c <= depth, where the two expansions of m*(f)
+    through the factors' own decompositions differ; None when none does."""
+    left, right, _, lo = findual._shift_space(f)
+    canon = f.field.canon
+    inner = {id(h): findual._shift_space(h)[:2] for h in left + right}
+
+    def pairing(h, a, b):
+        return sum(u.value(a) * v.value(b) for u, v in zip(*inner[id(h)]))
+
+    for a in range(lo, depth + 1):
+        for b in range(lo, depth - a + 1):
+            for c in range(lo, depth - a - b + 1):
+                lhs = sum(pairing(ft, a, b) * gt.value(c) for ft, gt in zip(left, right))
+                rhs = sum(ft.value(a) * pairing(gt, b, c) for ft, gt in zip(left, right))
+                if canon(lhs - rhs) != 0:
+                    return (a, b, c)
+    return None
+
+
+def _outcome(f, depth):
+    """The report of coproduct_decompose as [(name, ok, witness, detail)]; None when it passes."""
+    try:
+        coproduct_decompose(f, depth)
+    except ValidationFailure as err:
+        assert str(err) == "coproduct decomposition is internally inconsistent"
+        return [(c.name, c.ok, c.witness, c.detail) for c in err.report.checks]
+    return None
+
+
+def _expected(f, depth):
+    """reference_coproduct_checks, or None when every check passes."""
+    checks = reference_coproduct_checks(f, depth)
+    return None if all(ok for _, ok, _, _ in checks) else checks
+
+
+def _random_sequence(rng, field, with_s0):
+    order = rng.randint(1, 4)
+    scalar = (lambda: rng.randint(-3, 3)) if field.p is None else (lambda: rng.randrange(field.p))
+    initial = [scalar() for _ in range(order + rng.choice((0, 0, 1)))]
+    return RecurrentSequence(field, scalar() if with_s0 else None, initial, [scalar() for _ in range(order)])
+
+
+def _bent(h, position, delta):
+    """h with s_position moved by delta (position 0 is s_0 when present)."""
+    s0, initial = h.s0, list(h.initial)
+    if s0 is not None and position == 0:
+        s0 += delta
+    elif initial:
+        initial[(position - 1) % len(initial)] += delta
+    else:
+        s0 = None if s0 is None else s0 + delta
+    return RecurrentSequence(h.field, s0, initial, h.coeffs)
+
+
+def _bent_from(h, degree, delta):
+    """h with s_degree moved by delta and s_n unchanged for n < degree."""
+    if degree == 0:
+        return _bent(h, 0, delta)
+    values = h.prefix(max(degree, len(h.initial)))
+    values[degree - 1] += delta
+    return RecurrentSequence(h.field, h.s0, values, h.coeffs)
+
+
+def _bend_decomposition_of(monkeypatch, target, side, index, bend):
+    """Make _shift_space(h), for every h equal to target, return its
+    decomposition with one factor bent; every other call is untouched."""
+    original = findual._shift_space
+
+    def bent(h):
+        basis, shifts, pivots, lo = original(h)
+        if h == target:
+            parts = [list(basis), list(shifts)]
+            if parts[side]:
+                k = index % len(parts[side])
+                parts[side][k] = bend(parts[side][k])
+            basis, shifts = parts
+        return basis, shifts, pivots, lo
+
+    monkeypatch.setattr(findual, "_shift_space", bent)
+
+
+def test_bent_decompositions_report_the_failing_factor(monkeypatch):
+    rng = random.Random(505)
+    kinds = {"first identity": 0, "certificate only": 0, "seen by the triples": 0}
+    for case in range(120):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        depth = rng.randint(0, 20)
+        left, right = findual._shift_space(f)[:2]
+        # the outer decomposition in about a third of the cases, a factor's otherwise
+        factors = left + right
+        target = f if rng.random() < 0.35 or not factors else rng.choice(factors)
+        with monkeypatch.context() as m:
+            position, delta = rng.randrange(4), rng.randint(1, 4)
+            _bend_decomposition_of(m, target, rng.randrange(2), rng.randrange(4), lambda h: _bent(h, position, delta))
+            expected = _expected(f, depth)
+            got = _outcome(f, depth)
+            assert got == expected, (case, f, depth)
+            # the certificate is sound: a coassociativity failure never passes
+            if triple_scan_witness(f, depth) is not None:
+                assert got is not None, (case, f, depth)
+                kinds["seen by the triples"] += 1
+        if expected is not None:
+            kinds["first identity" if not expected[0][1] else "certificate only"] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def test_factors_bent_at_the_last_degree_the_certificate_reads(monkeypatch):
+    # A factor's decomposition bent only from degree depth - 2 lo on first
+    # disagrees with the factor at a + b = depth - lo, the edge of the
+    # range the triple sums read.
+    rng = random.Random(507)
+    edge_witnesses = 0
+    for field in (QQ, GF(10007)):
+        for with_s0 in (True, False):
+            lo = 0 if with_s0 else 1
+            for depth in (5, 9):
+                f = _random_sequence(rng, field, with_s0)
+                left, right = findual._shift_space(f)[:2]
+                for target in left + right:
+                    for side in (0, 1):
+                        with monkeypatch.context() as m:
+                            _bend_decomposition_of(m, target, side, 0, lambda h: _bent_from(h, depth - 2 * lo, 1))
+                            expected = _expected(f, depth)
+                            assert _outcome(f, depth) == expected, (f, depth, target, side)
+                        if expected is not None and expected[1][2] is not None and sum(expected[1][2]) == depth - lo:
+                            edge_witnesses += 1
+    assert edge_witnesses >= 10, edge_witnesses
+
+
+def test_unbent_decompositions_pass_the_triple_scan():
+    rng = random.Random(506)
+    for case in range(30):
+        field = (QQ, GF(3), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        depth = rng.randint(0, 20)
+        assert triple_scan_witness(f, depth) is None
+        assert reference_coproduct_checks(f, depth)[1][1]
+        assert _outcome(f, depth) is None
+
+
+def _order8(field, rng, with_s0):
+    coeffs = [rng.randrange(field.p) for _ in range(7)] + [rng.randrange(1, field.p)]
+    s0 = rng.randrange(field.p) if with_s0 else None
+    return RecurrentSequence(field, s0, [rng.randrange(field.p) for _ in range(8)], coeffs)
+
+
+def test_order8_depth160_coproduct_is_fast():
+    # the triple scan took about 4.3 s (with s_0) and 3.4 s (without) here
+    rng = random.Random(8)
+    for with_s0 in (True, False):
+        f = _order8(GF(10007), rng, with_s0)
+        start = time.perf_counter()
+        dec = coproduct_decompose(f, 160)
+        assert time.perf_counter() - start < 2.0
+        assert dec.rank == 8 + with_s0
+
+
+def test_coproduct_logs_one_event_per_call(caplog, monkeypatch):
+    rng = random.Random(9)
+    caplog.set_level(logging.DEBUG, logger="dorroh.findual")
+    # benchmark-like sequences: roots +-1, +-2 over Q, uniform residues over F_p
+    genuine = [
+        (RecurrentSequence(QQ, 2, [1, -3, 0, 2], [0, 5, 0, -4]), 28),
+        (_order8(GF(10007), rng, True), 32),
+        (_order8(GF(10007), rng, False), 32),
+        (RecurrentSequence(QQ, None, [1, 2, -1], [2, 1, -2]), 22),
+    ]
+    for f, depth in genuine:
+        caplog.clear()
+        dec = coproduct_decompose(f, depth)
+        (record,) = caplog.records
+        assert record.name == "dorroh.findual" and record.levelno == logging.DEBUG
+        lo = 0 if f.s0 is not None else 1
+        assert record.args == (dec.rank, depth, depth - lo + 1)
+    f = genuine[0][0]
+    left = findual._shift_space(f)[0]
+    _bend_decomposition_of(monkeypatch, left[1], 0, 0, lambda h: _bent(h, 2, 1))
+    caplog.clear()
+    with pytest.raises(ValidationFailure) as err:
+        coproduct_decompose(f, 28)
+    assert err.value.report.checks[1].detail == "decomposition of f_1"
+    (record,) = caplog.records
+    assert record.args == (len(left), 28, 29)
+
+
+# ---------------------------------------------------------------------------
+# caps
+
+
+def test_depth_and_bound_caps():
+    fib = fibonacci(QQ)
+    for call in (
+        lambda d: coproduct_decompose(fib, d),
+        lambda d: dorroh_decompose(fib, d),
+        lambda d: vanishing_check(fib, [1, 1], d),
+    ):
+        with pytest.raises(InputError, match="MAX_DEPTH"):
+            call(findual.MAX_DEPTH + 1)
+        with pytest.raises(InputError, match="nonnegative"):
+            call(-1)
+    assert vanishing_check(fib, [1, 1], findual.MAX_DEPTH).ok
+    with pytest.raises(InputError, match="MAX_BOUND"):
+        minimal_recurrence([0] * (2 * findual.MAX_BOUND + 4), findual.MAX_BOUND + 1, QQ)
+    assert minimal_recurrence([0] * (2 * findual.MAX_BOUND + 2), findual.MAX_BOUND, QQ).order == 0
+    # the default depth 2r + 16 is not capped
+    long = RecurrentSequence(GF(5), None, [1] * 200, [0] * 199 + [1])
+    assert vanishing_check(long, long.coeffs).ok
+
+
+def test_value_steps_match_the_recurrence_formula():
+    rng = random.Random(10)
+    for field in (QQ, GF(7)):
+        for f in [RecurrentSequence(field, 1, [], [])] + [_random_sequence(rng, field, True) for _ in range(6)]:
+            vals = list(f.initial)
+            while len(vals) < 40:
+                m = len(vals) + 1
+                vals.append(field.canon(sum(f.coeffs[i - 1] * vals[m - 1 - i] for i in range(1, f.order + 1))))
+            assert f.prefix(40) == vals
