@@ -14,11 +14,21 @@ Algebras here need not be unital and modules need not respect units.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, first_difference, first_witness, place, transport
+from .tensors import (
+    TO_COALGEBRA,
+    SparseTensor3,
+    first_difference,
+    first_witness,
+    place,
+    rotate_spec,
+    transport,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -141,39 +151,118 @@ def _two_sided_unit(mul: SparseTensor3):
     return u
 
 
-def _acts_as_identity(left, right, u, n) -> bool:
+def _acts_as_identity(left, right, u, n, order=(0, 1, 2)) -> bool:
     """u.e_x = e_x = e_x.u on the n basis vectors e_x, where u acts through
-    ``left`` (a,x,y) and ``right`` (x,a,y)."""
-    on_left = transport(left, ([u], None, None)).entries
-    on_right = transport(right, (None, [u], None)).entries
-    return on_left == {(0, x, x): 1 for x in range(n)} and on_right == {(x, 0, x): 1 for x in range(n)}
+    ``left`` (a,x,y) and ``right`` (x,a,y), or through their rotations by
+    ``order``: the counit law of a coaction is the unit law of its dual."""
+    return _unit_on(left, order.index(0), u, n) and _unit_on(right, order.index(1), u, n)
+
+
+def _unit_on(T, leg, u, n) -> bool:
+    """Contracting ``leg`` of T with u leaves the identity: 1 at each (x, x), 0 at ``leg``."""
+    legs = [[u] if t == leg else None for t in range(3)]
+    identity = dict.fromkeys(zip(*[[0] * n if t == leg else range(n) for t in range(3)]), 1)
+    return transport(T, legs).entries == identity
+
+
+class Laws(NamedTuple):
+    """Every axiom of one kind, as the algebra side and the coalgebra side check it."""
+
+    algebra: tuple
+    coalgebra: tuple
+
+
+def _laws(co_order, *rows) -> Laws:
+    """Compile rows (algebra name, coalgebra name, box, out, lhs, rhs) once.
+
+    A row is an identity in algebra convention whose sides are terms (spec,
+    role, role) over named tensors, as ``first_witness`` takes them.  Its
+    coalgebra form is the identity on the Kronecker duals, the tensors
+    rotated by ``TO_COALGEBRA``: the same contraction, with each slot
+    triple rotated and box and out swapped.  It reports in row order
+    ``co_order``.
+    """
+    algebra = tuple((a, box, out, lhs, rhs) for a, _, box, out, lhs, rhs in rows)
+    coalgebra = []
+    for i in co_order:
+        _, name, box, out, lhs, rhs = rows[i]
+        dual = [(rotate_spec(spec, TO_COALGEBRA), t, u) for spec, t, u in (lhs, rhs)]
+        coalgebra.append((name, out, box, *dual))
+    return Laws(algebra, tuple(coalgebra))
+
+
+def check_laws(report: Report, field, laws, tensors: dict, names=None) -> Report:
+    """Add to ``report`` the first witness of each law whose roles are all
+    bound to a tensor in ``tensors``; ``names`` renames the laws in order."""
+    for i, (name, box, out, (ls, l1, l2), (rs, r1, r2)) in enumerate(laws):
+        a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
+        if a is not None and b is not None and c is not None and d is not None:
+            witness = first_witness(field, box, out, (ls, a, b), (rs, c, d))
+            report.add_witness(names[i] if names else name, witness)
+    return report
+
+
+# Roles: ``mul`` of the algebra acting by ``left`` (a,x,y) and ``right``
+# (x,a,y); on the coalgebra side Delta, rho_l and rho_r.
+ASSOCIATIVITY = _laws(
+    (0,),
+    ("associativity", "coassociativity", "ijk", "m", ("ijl,lkm", "mul", "mul"), ("jkl,ilm", "mul", "mul")),
+)
+ACTION_LAWS = _laws(
+    (0, 1, 2),
+    ("(ab)x=a(bx)", "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",
+     "abx", "y", ("abl,lxy", "mul", "left"), ("bxz,azy", "left", "left")),
+    ("x(ab)=(xa)b", "(rho_r(x)1)rho_r=(1(x)Delta)rho_r",
+     "xab", "y", ("abl,xly", "mul", "right"), ("xaz,zby", "right", "right")),
+    ("(ax)b=a(xb)", "(rho_l(x)1)rho_r=(1(x)rho_r)rho_l",
+     "axb", "y", ("axz,zby", "left", "right"), ("xbz,azy", "right", "left")),
+)
+# ``mi`` is the multiplication of I (Delta_P).  Coalgebra forms, with
+# p_1 (x) p_2 = Delta_P(p) and p_(-1) (x) p_(0), p_(0) (x) p_(1) the coactions:
+#   eq3: sum p_1 (x) p_2(0) (x) p_2(1) = sum p_(0)1 (x) p_(0)2 (x) p_(1)
+#   eq4: sum p_1(-1) (x) p_1(0) (x) p_2 = sum p_(-1) (x) p_(0)1 (x) p_(0)2
+#   eq5: sum p_1(0) (x) p_1(1) (x) p_2 = sum p_1 (x) p_2(-1) (x) p_2(0)
+PAIR_LAWS = _laws(
+    (2, 0, 1),
+    ("a(xy)=(ax)y", "eq4", "axy", "w", ("xyz,azw", "mi", "left"), ("axz,zyw", "left", "mi")),
+    ("(xa)y=x(ay)", "eq5", "xay", "w", ("xaz,zyw", "right", "mi"), ("ayz,xzw", "left", "mi")),
+    ("(xy)a=x(ya)", "eq3", "xya", "w", ("xyz,zaw", "mi", "right"), ("yaz,xzw", "right", "mi")),
+)
+# An A-module (``la``, ``ra``) and an I-module (``li``, ``ri``) on one
+# carrier, glued along the pair's actions ``pl``, ``pr``.
+GLUING_LAWS = _laws(
+    (1, 0, 3, 2, 4, 5),
+    ("a(xm)=(ax)m", "(1(x)rho_l^P)rho_l^C=(rho_l(x)1)rho_l^P",
+     "axm", "n", ("xmz,azn", "li", "la"), ("axy,ymn", "pl", "li")),
+    ("x(am)=(xa)m", "(1(x)rho_l^C)rho_l^P=(rho_r(x)1)rho_l^P",
+     "xam", "n", ("amz,xzn", "la", "li"), ("xay,ymn", "pr", "li")),
+    ("(mx)a=m(xa)", "(rho_r^P(x)1)rho_r^C=(1(x)rho_r)rho_r^P",
+     "mxa", "n", ("mxz,zan", "ri", "ra"), ("xay,myn", "pr", "ri")),
+    ("(ma)x=m(ax)", "(rho_r^C(x)1)rho_r^P=(1(x)rho_l)rho_r^P",
+     "max", "n", ("maz,zxn", "ra", "ri"), ("axy,myn", "pl", "ri")),
+    ("(am)x=a(mx)", "(rho_l^C(x)1)rho_r^P=(1(x)rho_r^P)rho_l^C",
+     "amx", "n", ("amz,zxn", "la", "ri"), ("mxz,azn", "ri", "la")),
+    ("(xm)a=x(ma)", "(rho_l^P(x)1)rho_r^C=(1(x)rho_r^C)rho_l^P",
+     "xma", "n", ("xmz,zan", "li", "ra"), ("maz,xzn", "ra", "li")),
+)
+# The actions ``l12``/``r12`` of A1 on A2, ``l13``/``r13`` of A1 on A3 and
+# ``l23``/``r23`` of A2 on A3 of an iterated triple.
+TRIPLE_LAWS = _laws(
+    (0, 1, 3, 2, 5, 4),
+    ("(a1.a3)a2=a1(a3.a2)", "C1-C2-bicomodule",
+     "axb", "y", ("axz,zby", "l13", "r23"), ("xbz,azy", "r23", "l13")),
+    ("(a2.a3)a1=a2(a3.a1)", "C2-C1-bicomodule",
+     "bxa", "y", ("bxz,zay", "l23", "r13"), ("xaz,bzy", "r13", "l23")),
+    ("a1(a2a3)=(a1a2)a3", "eq12", "abx", "y", ("bxz,azy", "l23", "l13"), ("abw,wxy", "l12", "l23")),
+    ("a2(a1a3)=(a2a1)a3", "eq11", "bax", "y", ("axz,bzy", "l13", "l23"), ("baw,wxy", "r12", "l23")),
+    ("(a3a2)a1=a3(a2a1)", "eq14", "xba", "y", ("xbz,zay", "r23", "r13"), ("baw,xwy", "r12", "r23")),
+    ("(a3a1)a2=a3(a1a2)", "eq13", "xab", "y", ("xaz,zby", "r13", "r23"), ("abw,xwy", "l12", "r23")),
+)
 
 
 def check_associativity(a: Algebra) -> Report:
     """(e_i e_j) e_k = e_i (e_j e_k); first witness in lex order."""
-    m = a.mul
-    return Report().add_witness(
-        "associativity", first_witness(a.field, "ijk", "m", ("ijl,lkm", m, m), ("jkl,ilm", m, m))
-    )
-
-
-def _action_laws(field, mul, left, right, names) -> Report:
-    """The left, right and two-sided action laws, named by ``names``, for
-    whichever of the actions left (a,x,y) and right (x,a,y) are present."""
-    report = Report()
-    if left is not None:
-        report.add_witness(
-            names[0], first_witness(field, "abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left))
-        )
-    if right is not None:
-        report.add_witness(
-            names[1], first_witness(field, "xab", "y", ("abl,xly", mul, right), ("xaz,zby", right, right))
-        )
-    if left is not None and right is not None:
-        report.add_witness(
-            names[2], first_witness(field, "axb", "y", ("axz,zby", left, right), ("xbz,azy", right, left))
-        )
-    return report
+    return check_laws(Report(), a.field, ASSOCIATIVITY.algebra, {"mul": a.mul})
 
 
 class BimoduleAction:
@@ -216,10 +305,8 @@ class BimoduleAction:
 
     def validate(self) -> Report:
         """Bimodule axioms over all basis triples."""
-        return _action_laws(
-            self.acting.field, self.acting.mul, self.left, self.right,
-            ("(ab)x=a(bx)", "x(ab)=(xa)b", "(ax)b=a(xb)"),
-        )
+        tensors = {"mul": self.acting.mul, "left": self.left, "right": self.right}
+        return check_laws(Report(), self.acting.field, ACTION_LAWS.algebra, tensors)
 
 
 class DorrohPairAlgebra:
@@ -264,16 +351,8 @@ class DorrohPairAlgebra:
 def check_dorroh_pair_algebra(pair: DorrohPairAlgebra) -> Report:
     """Bimodule axioms plus the three compatibility identities between
     the actions and the multiplication of I."""
-    report = pair.action.validate()
-    field = pair.field
-    mi, left, right = pair.I.mul, pair.action.left, pair.action.right
-    for name, box, lhs, rhs in (
-        ("a(xy)=(ax)y", "axy", ("xyz,azw", mi, left), ("axz,zyw", left, mi)),
-        ("(xa)y=x(ay)", "xay", ("xaz,zyw", right, mi), ("ayz,xzw", left, mi)),
-        ("(xy)a=x(ya)", "xya", ("xyz,zaw", mi, right), ("yaz,xzw", right, mi)),
-    ):
-        report.add_witness(name, first_witness(field, box, "w", lhs, rhs))
-    return report
+    tensors = {"mi": pair.I.mul, "left": pair.action.left, "right": pair.action.right}
+    return check_laws(pair.action.validate(), pair.field, PAIR_LAWS.algebra, tensors)
 
 
 def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
@@ -302,8 +381,10 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
     return Algebra(n, mul, field, labels=labels, unit=unit)
 
 
-class AlgebraMorphism:
-    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, verified="unchecked"):
+class Morphism:
+    """A linear map between two algebras, or two coalgebras, by its matrix."""
+
+    def __init__(self, source, target, matrix: Matrix, verified="unchecked"):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise InputError("morphism matrix must be target_dim x source_dim")
         if matrix.field != source.field or source.field != target.field:
@@ -316,14 +397,18 @@ class AlgebraMorphism:
     def apply(self, vec):
         return self.matrix.apply(vec)
 
-    def inverse(self) -> "AlgebraMorphism":
+    def inverse(self):
         inv = invert(self.matrix)
         if inv is None:
             raise PreconditionError("morphism matrix is singular")
-        return AlgebraMorphism(self.target, self.source, inv, verified=self.verified)
+        return type(self)(self.target, self.source, inv, verified=self.verified)
 
     def __repr__(self):
-        return f"AlgebraMorphism({self.source!r} -> {self.target!r}, {self.verified})"
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r}, {self.verified})"
+
+
+class AlgebraMorphism(Morphism):
+    """A linear map between algebras; ``verify_algebra_morphism`` checks it."""
 
 
 def identity_morphism(a: Algebra) -> AlgebraMorphism:
@@ -511,10 +596,9 @@ class ModuleOverAlgebra:
         self.right = right
 
     def validate(self) -> Report:
-        return _action_laws(
-            self.algebra.field, self.algebra.mul, self.left, self.right,
-            ("(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)"),
-        )
+        tensors = {"mul": self.algebra.mul, "left": self.left, "right": self.right}
+        names = ("(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)")
+        return check_laws(Report(), self.algebra.field, ACTION_LAWS.algebra, tensors, names)
 
 
 def regular_bimodule(a: Algebra) -> ModuleOverAlgebra:
@@ -542,26 +626,12 @@ def assemble_module(
     report = Report()
     report.merge(m_a.validate(), prefix="A-module:")
     report.merge(m_i.validate(), prefix="I-module:")
-    la, li, ra, ri = m_a.left, m_i.left, m_a.right, m_i.right
-    pl, pr = pair.action.left, pair.action.right
-    laws = []
-    if side in (LEFT, BI):
-        laws += [
-            ("a(xm)=(ax)m", "axm", ("xmz,azn", li, la), ("axy,ymn", pl, li)),
-            ("x(am)=(xa)m", "xam", ("amz,xzn", la, li), ("xay,ymn", pr, li)),
-        ]
-    if side in (RIGHT, BI):
-        laws += [
-            ("(mx)a=m(xa)", "mxa", ("mxz,zan", ri, ra), ("xay,myn", pr, ri)),
-            ("(ma)x=m(ax)", "max", ("maz,zxn", ra, ri), ("axy,myn", pl, ri)),
-        ]
-    if side == BI:
-        laws += [
-            ("(am)x=a(mx)", "amx", ("amz,zxn", la, ri), ("mxz,azn", ri, la)),
-            ("(xm)a=x(ma)", "xma", ("xmz,zan", li, ra), ("maz,xzn", ra, li)),
-        ]
-    for name, box, lhs, rhs in laws:
-        report.add_witness(name, first_witness(field, box, "n", lhs, rhs))
+    # a one-sided module leaves its other side's roles unbound, which skips their laws
+    tensors = {
+        "la": m_a.left, "li": m_i.left, "ra": m_a.right, "ri": m_i.right,
+        "pl": pair.action.left, "pr": pair.action.right,
+    }
+    check_laws(report, field, GLUING_LAWS.algebra, tensors)
 
     if not report.ok:
         raise ValidationFailure(report, "module compatibility failed")
@@ -598,15 +668,8 @@ def check_iterated_algebra_triple(
     l12, r12 = act12.left, act12.right
     l13, r13 = act13.left, act13.right
     l23, r23 = act23.left, act23.right
-    for name, box, lhs, rhs in (
-        ("(a1.a3)a2=a1(a3.a2)", "axb", ("axz,zby", l13, r23), ("xbz,azy", r23, l13)),
-        ("(a2.a3)a1=a2(a3.a1)", "bxa", ("bxz,zay", l23, r13), ("xaz,bzy", r13, l23)),
-        ("a1(a2a3)=(a1a2)a3", "abx", ("bxz,azy", l23, l13), ("abw,wxy", l12, l23)),
-        ("a2(a1a3)=(a2a1)a3", "bax", ("axz,bzy", l13, l23), ("baw,wxy", r12, l23)),
-        ("(a3a2)a1=a3(a2a1)", "xba", ("xbz,zay", r23, r13), ("baw,xwy", r12, r23)),
-        ("(a3a1)a2=a3(a1a2)", "xab", ("xaz,zby", r13, r23), ("abw,xwy", l12, r23)),
-    ):
-        report.add_witness(name, first_witness(field, box, "y", lhs, rhs))
+    tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
+    check_laws(report, field, TRIPLE_LAWS.algebra, tensors)
 
     if not report.ok:
         return report, None

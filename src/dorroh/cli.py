@@ -60,6 +60,18 @@ from .findual import (
 from .gallery import catalog_names, instance, standard_algebra_pairs, standard_coalgebra_pairs
 from .reports import Report
 
+# The command for each kind of document, where the two sides differ only in it.
+_BUILDS = {DorrohPairAlgebra: build_dorroh_algebra, DorrohPairCoalgebra: build_dorroh_coalgebra}
+_SPLITS = {Algebra: split_algebra_extension, Coalgebra: split_coalgebra_extension}
+_DUALS = {
+    Algebra: dual_coalgebra_of_algebra,
+    Coalgebra: dual_algebra_of_coalgebra,
+    ModuleOverAlgebra: dual_actions,
+    ComoduleOverCoalgebra: dual_coactions,
+}
+_PAIR_DUALS = {DorrohPairAlgebra: dualize_algebra_pair, DorrohPairCoalgebra: dualize_coalgebra_pair}
+_GALLERY_PAIRS = {"pair-algebra": standard_algebra_pairs, "pair-coalgebra": standard_coalgebra_pairs}
+
 
 def _print_report(report: Report, args, stream=None):
     stream = stream or sys.stdout
@@ -115,9 +127,7 @@ def _check_object(obj) -> Report:
         return check_associativity(obj)
     if isinstance(obj, Coalgebra):
         return check_coassociativity(obj)
-    if isinstance(obj, (DorrohPairAlgebra, DorrohPairCoalgebra)):
-        return obj.validate()
-    if isinstance(obj, (ModuleOverAlgebra, ComoduleOverCoalgebra)):
+    if isinstance(obj, (DorrohPairAlgebra, DorrohPairCoalgebra, ModuleOverAlgebra, ComoduleOverCoalgebra)):
         return obj.validate()
     if isinstance(obj, AlgebraMorphism):
         return verify_algebra_morphism(obj, iso=obj.verified == "iso")
@@ -137,29 +147,22 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     pair = exchange.load(args.file)
-    if isinstance(pair, DorrohPairAlgebra):
-        built = build_dorroh_algebra(pair)
-    elif isinstance(pair, DorrohPairCoalgebra):
-        built = build_dorroh_coalgebra(pair)
-    else:
+    build = _BUILDS.get(type(pair))
+    if build is None:
         raise InputError("build needs a pair-algebra or pair-coalgebra document")
-    on_stdout = _write_doc(built, args)
+    on_stdout = _write_doc(build(pair), args)
     _print_report(pair.validate(), args, _report_stream(on_stdout))
     return 0
 
 
 def cmd_split(args) -> int:
     obj = exchange.load(args.file)
-    if isinstance(obj, Algebra):
-        a_basis = _parse_basis(args.a_basis, obj.field, obj.dim)
-        i_basis = _parse_basis(args.i_basis, obj.field, obj.dim)
-        pair, iso = split_algebra_extension(obj, a_basis, i_basis)
-    elif isinstance(obj, Coalgebra):
-        a_basis = _parse_basis(args.a_basis, obj.field, obj.dim)
-        i_basis = _parse_basis(args.i_basis, obj.field, obj.dim)
-        pair, iso = split_coalgebra_extension(obj, a_basis, i_basis)
-    else:
+    split = _SPLITS.get(type(obj))
+    if split is None:
         raise InputError("split needs an algebra or coalgebra document")
+    a_basis = _parse_basis(args.a_basis, obj.field, obj.dim)
+    i_basis = _parse_basis(args.i_basis, obj.field, obj.dim)
+    pair, iso = split(obj, a_basis, i_basis)
     on_stdout = _write_doc(pair, args)
     if args.iso_out:
         with open(args.iso_out, "w", encoding="utf-8") as fh:
@@ -172,23 +175,11 @@ def cmd_split(args) -> int:
 def cmd_dualize(args) -> int:
     obj = exchange.load(args.file)
     report = Report()
-    if isinstance(obj, Algebra):
-        out = dual_coalgebra_of_algebra(obj)
-        report.add("dualized", True)
-    elif isinstance(obj, Coalgebra):
-        out = dual_algebra_of_coalgebra(obj)
-        report.add("dualized", True)
-    elif isinstance(obj, DorrohPairAlgebra):
-        out, witness = dualize_algebra_pair(obj)
+    if type(obj) in _PAIR_DUALS:
+        out, witness = _PAIR_DUALS[type(obj)](obj)
         report.add("duality witness verified", True, detail=witness.convention)
-    elif isinstance(obj, DorrohPairCoalgebra):
-        out, witness = dualize_coalgebra_pair(obj)
-        report.add("duality witness verified", True, detail=witness.convention)
-    elif isinstance(obj, ModuleOverAlgebra):
-        out = dual_actions(obj)
-        report.add("dualized", True)
-    elif isinstance(obj, ComoduleOverCoalgebra):
-        out = dual_coactions(obj)
+    elif type(obj) in _DUALS:
+        out = _DUALS[type(obj)](obj)
         report.add("dualized", True)
     else:
         raise InputError("dualize needs an algebra, coalgebra, pair, module or comodule document")
@@ -197,53 +188,47 @@ def cmd_dualize(args) -> int:
     return 0
 
 
-def _canonical_algebra_triple(pair: DorrohPairAlgebra):
-    regular = BimoduleAction(pair.I, pair.I.dim, pair.I.mul, pair.I.mul)
-    return check_iterated_algebra_triple(pair.A, pair.I, pair.I, pair.action, pair.action, regular)
+def _canonical_triple(pair):
+    """The iterated triple (A, I, I) of a pair, with I acting on itself."""
+    if isinstance(pair, DorrohPairAlgebra):
+        regular = BimoduleAction(pair.I, pair.I.dim, pair.I.mul, pair.I.mul)
+        return check_iterated_algebra_triple(pair.A, pair.I, pair.I, pair.action, pair.action, regular)
+    if isinstance(pair, DorrohPairCoalgebra):
+        regular = BicomoduleCoaction(pair.P, pair.P.dim, pair.P.delta, pair.P.delta)
+        return check_iterated_coalgebra_triple(pair.C, pair.P, pair.P, pair.coaction, pair.coaction, regular)
+    raise InputError("associator needs a pair document")
 
 
-def _canonical_coalgebra_triple(pair: DorrohPairCoalgebra):
-    regular = BicomoduleCoaction(pair.P, pair.P.dim, pair.P.delta, pair.P.delta)
-    return check_iterated_coalgebra_triple(pair.C, pair.P, pair.P, pair.coaction, pair.coaction, regular)
+def _named_iso(which, obj):
+    """The isomorphism ``which`` of a document, built and verified."""
+    if which == "prop1.1":
+        if not isinstance(obj, DorrohPairAlgebra):
+            raise InputError("prop1.1 needs a pair-algebra document")
+        return unital_ideal_iso(obj)
+    if which == "counital-split":
+        if not isinstance(obj, DorrohPairCoalgebra):
+            raise InputError("counital-split needs a pair-coalgebra document")
+        return counital_split_iso(obj)
+    if which != "duality":  # unreachable: argparse enforces choices
+        raise InputError(f"unknown isomorphism {which!r}")
+    if isinstance(obj, Algebra):
+        return double_dual_iso(obj)
+    if isinstance(obj, Coalgebra):
+        return double_dual_iso_coalgebra(obj)
+    if isinstance(obj, DorrohPairAlgebra):
+        return dualize_algebra_pair(obj)[1].forward
+    if isinstance(obj, DorrohPairCoalgebra):
+        return dualize_coalgebra_pair(obj)[1].forward
+    raise InputError("duality needs an algebra, coalgebra or pair document")
 
 
 def cmd_iso(args) -> int:
     obj = exchange.load(args.file)
-    morphism = None
-    if args.which == "prop1.1":
-        if not isinstance(obj, DorrohPairAlgebra):
-            raise InputError("prop1.1 needs a pair-algebra document")
-        morphism = unital_ideal_iso(obj)
-        report = verify_algebra_morphism(morphism, iso=True)
-    elif args.which == "counital-split":
-        if not isinstance(obj, DorrohPairCoalgebra):
-            raise InputError("counital-split needs a pair-coalgebra document")
-        morphism = counital_split_iso(obj)
-        report = verify_coalgebra_morphism(morphism, iso=True)
-    elif args.which == "duality":
-        if isinstance(obj, Algebra):
-            morphism = double_dual_iso(obj)
-            report = verify_algebra_morphism(morphism, iso=True)
-        elif isinstance(obj, Coalgebra):
-            morphism = double_dual_iso_coalgebra(obj)
-            report = verify_coalgebra_morphism(morphism, iso=True)
-        elif isinstance(obj, DorrohPairAlgebra):
-            morphism = dualize_algebra_pair(obj)[1].forward
-            report = verify_coalgebra_morphism(morphism, iso=True)
-        elif isinstance(obj, DorrohPairCoalgebra):
-            morphism = dualize_coalgebra_pair(obj)[1].forward
-            report = verify_algebra_morphism(morphism, iso=True)
-        else:
-            raise InputError("duality needs an algebra, coalgebra or pair document")
-    elif args.which == "associator":
-        if isinstance(obj, DorrohPairAlgebra):
-            report, morphism = _canonical_algebra_triple(obj)
-        elif isinstance(obj, DorrohPairCoalgebra):
-            report, morphism = _canonical_coalgebra_triple(obj)
-        else:
-            raise InputError("associator needs a pair document")
-    else:  # unreachable: argparse enforces choices
-        raise InputError(f"unknown isomorphism {args.which!r}")
+    if args.which == "associator":
+        report, morphism = _canonical_triple(obj)
+    else:
+        morphism = _named_iso(args.which, obj)
+        report = _check_object(morphism)  # verified "iso", so checked as an isomorphism
 
     on_stdout = False
     if morphism is not None and report.ok:
@@ -303,23 +288,16 @@ def cmd_gallery(args) -> int:
     if args.list:
         for name in catalog_names():
             print(name)
-        for name, _ in standard_algebra_pairs(field):
-            print(f"pair-algebra:{name}")
-        for name, _ in standard_coalgebra_pairs(field):
-            print(f"pair-coalgebra:{name}")
+        for kind, pairs in _GALLERY_PAIRS.items():
+            for name, _ in pairs(field):
+                print(f"{kind}:{name}")
         return 0
     if not args.emit:
         raise InputError("gallery needs --list or --emit NAME")
     name = args.emit
-    if name.startswith("pair-algebra:"):
-        table = dict(standard_algebra_pairs(field))
-        key = name.split(":", 1)[1]
-        if key not in table:
-            raise InputError(f"unknown gallery pair {name!r}")
-        obj = table[key]
-    elif name.startswith("pair-coalgebra:"):
-        table = dict(standard_coalgebra_pairs(field))
-        key = name.split(":", 1)[1]
+    kind, colon, key = name.partition(":")
+    if colon and kind in _GALLERY_PAIRS:
+        table = dict(_GALLERY_PAIRS[kind](field))
         if key not in table:
             raise InputError(f"unknown gallery pair {name!r}")
         obj = table[key]

@@ -17,12 +17,27 @@ P(x)P term available).
 
 from __future__ import annotations
 
-from .algebra import BI, LEFT, RIGHT, SIDES, _record_verified, _two_sided_unit
+from .algebra import (
+    ACTION_LAWS,
+    ASSOCIATIVITY,
+    BI,
+    GLUING_LAWS,
+    LEFT,
+    PAIR_LAWS,
+    RIGHT,
+    SIDES,
+    TRIPLE_LAWS,
+    Morphism,
+    _acts_as_identity,
+    _record_verified,
+    _two_sided_unit,
+    check_laws,
+)
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
 from .linalg import Matrix, invert
 from .reports import Report
-from .tensors import SparseTensor3, first_difference, first_witness, place, transport
+from .tensors import TO_ALGEBRA, TO_COALGEBRA, SparseTensor3, first_difference, place, rotate, transport
 
 
 class Coalgebra:
@@ -40,7 +55,7 @@ class Coalgebra:
         self._counit = "unset"
         if counit is not None:
             counit = [field.canon(c) for c in counit]
-            if len(counit) != dim or not _is_counit(delta, delta, counit, dim):
+            if len(counit) != dim or not _acts_as_identity(delta, delta, counit, dim, TO_COALGEBRA):
                 raise InputError("cached counit fails the counit law")
             self._counit = counit
 
@@ -66,8 +81,7 @@ class Coalgebra:
         The counit of C is the unit of the convolution algebra C*.
         """
         if self._counit == "unset":
-            d = self.delta
-            self._counit = _two_sided_unit(place(d.dims, self.field, (d, (0, 0, 0), (1, 2, 0))))
+            self._counit = _two_sided_unit(rotate(self.delta, TO_ALGEBRA))
         return self._counit
 
     @property
@@ -86,42 +100,9 @@ class Coalgebra:
         return f"Coalgebra(dim={self.dim}, field={self.field!r})"
 
 
-def _is_counit(rho_l, rho_r, eps, n) -> bool:
-    """(eps (x) 1) rho_l = id = (1 (x) eps) rho_r on the n basis vectors,
-    for ``rho_l`` (x,c,y) and ``rho_r`` (x,y,c)."""
-    on_left = transport(rho_l, (None, [eps], None)).entries
-    on_right = transport(rho_r, (None, None, [eps])).entries
-    return on_left == {(x, 0, x): 1 for x in range(n)} and on_right == {(x, x, 0): 1 for x in range(n)}
-
-
 def check_coassociativity(c: Coalgebra) -> Report:
     """(Delta (x) 1) Delta = (1 (x) Delta) Delta on every basis element."""
-    d = c.delta
-    return Report().add_witness(
-        "coassociativity", first_witness(c.field, "k", "pqr", ("kir,ipq", d, d), ("kpj,jqr", d, d))
-    )
-
-
-def _coaction_laws(field, delta, rho_l, rho_r) -> Report:
-    """The left, right and two-sided coaction laws for whichever of the
-    coactions rho_l (x,c,y) and rho_r (x,y,c) are present."""
-    report = Report()
-    if rho_l is not None:
-        report.add_witness(
-            "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",
-            first_witness(field, "x", "pqy", ("xcy,cpq", rho_l, delta), ("xpz,zqy", rho_l, rho_l)),
-        )
-    if rho_r is not None:
-        report.add_witness(
-            "(rho_r(x)1)rho_r=(1(x)Delta)rho_r",
-            first_witness(field, "x", "ypq", ("xzq,zyp", rho_r, rho_r), ("xyc,cpq", rho_r, delta)),
-        )
-    if rho_l is not None and rho_r is not None:
-        report.add_witness(
-            "(rho_l(x)1)rho_r=(1(x)rho_r)rho_l",
-            first_witness(field, "x", "pyq", ("xzq,zpy", rho_r, rho_l), ("xpz,zyq", rho_l, rho_r)),
-        )
-    return report
+    return check_laws(Report(), c.field, ASSOCIATIVITY.coalgebra, {"mul": c.delta})
 
 
 class BicomoduleCoaction:
@@ -142,7 +123,8 @@ class BicomoduleCoaction:
 
     def validate(self) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
-        return _coaction_laws(self.coacting.field, self.coacting.delta, self.rho_l, self.rho_r)
+        tensors = {"mul": self.coacting.delta, "left": self.rho_l, "right": self.rho_r}
+        return check_laws(Report(), self.coacting.field, ACTION_LAWS.coalgebra, tensors)
 
 
 class DorrohPairCoalgebra:
@@ -187,18 +169,8 @@ class DorrohPairCoalgebra:
 def check_dorroh_pair_coalgebra(pair: DorrohPairCoalgebra) -> Report:
     """Bicomodule axioms plus the three compatibility equations between
     the coactions and the comultiplication of P."""
-    report = pair.coaction.validate()
-    dp, rl, rr = pair.P.delta, pair.coaction.rho_l, pair.coaction.rho_r
-    for name, out, lhs, rhs in (
-        # sum p_1 (x) p_2(0) (x) p_2(1) = sum p_(0)1 (x) p_(0)2 (x) p_(1)
-        ("eq3", "ijc", ("xiz,zjc", dp, rr), ("xzc,zij", rr, dp)),
-        # sum p_1(-1) (x) p_1(0) (x) p_2 = sum p_(-1) (x) p_(0)1 (x) p_(0)2
-        ("eq4", "cij", ("xzj,zci", dp, rl), ("xcz,zij", rl, dp)),
-        # sum p_1(0) (x) p_1(1) (x) p_2 = sum p_1 (x) p_2(-1) (x) p_2(0)
-        ("eq5", "icj", ("xzj,zic", dp, rr), ("xiz,zcj", dp, rl)),
-    ):
-        report.add_witness(name, first_witness(pair.field, "x", out, lhs, rhs))
-    return report
+    tensors = {"mi": pair.P.delta, "left": pair.coaction.rho_l, "right": pair.coaction.rho_r}
+    return check_laws(pair.coaction.validate(), pair.field, PAIR_LAWS.coalgebra, tensors)
 
 
 def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
@@ -229,31 +201,11 @@ def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
 
 def _bicomodule_is_counital(pair: DorrohPairCoalgebra, eps_c) -> bool:
     """sum eps_C(p_(-1)) p_(0) = p = sum p_(0) eps_C(p_(1)) for all basis p."""
-    return _is_counit(pair.coaction.rho_l, pair.coaction.rho_r, eps_c, pair.P.dim)
+    return _acts_as_identity(pair.coaction.rho_l, pair.coaction.rho_r, eps_c, pair.P.dim, TO_COALGEBRA)
 
 
-class CoalgebraMorphism:
-    def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix, verified="unchecked"):
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise InputError("morphism matrix must be target_dim x source_dim")
-        if matrix.field != source.field or source.field != target.field:
-            raise InputError("morphism field mismatch")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self.verified = verified
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def inverse(self) -> "CoalgebraMorphism":
-        inv = invert(self.matrix)
-        if inv is None:
-            raise PreconditionError("morphism matrix is singular")
-        return CoalgebraMorphism(self.target, self.source, inv, verified=self.verified)
-
-    def __repr__(self):
-        return f"CoalgebraMorphism({self.source!r} -> {self.target!r}, {self.verified})"
+class CoalgebraMorphism(Morphism):
+    """A linear map between coalgebras; ``verify_coalgebra_morphism`` checks it."""
 
 
 def identity_comorphism(c: Coalgebra) -> CoalgebraMorphism:
@@ -289,7 +241,8 @@ def zero_coaction_pair(C: Coalgebra, P: Coalgebra) -> DorrohPairCoalgebra:
 def counit_balance_check(pair: DorrohPairCoalgebra, eps_p) -> Report:
     """sum p_(-1) eps_P(p_(0)) = sum eps_P(p_(0)) p_(1) for every basis p."""
     eps_p = [pair.field.canon(v) for v in eps_p]
-    if len(eps_p) != pair.P.dim or not _is_counit(pair.P.delta, pair.P.delta, eps_p, pair.P.dim):
+    dp = pair.P.delta
+    if len(eps_p) != pair.P.dim or not _acts_as_identity(dp, dp, eps_p, pair.P.dim, TO_COALGEBRA):
         raise PreconditionError("eps_P is not a counit of P")
     # both sides at (x, c, 0)
     lhs = transport(pair.coaction.rho_l, (None, None, [eps_p])).entries
@@ -429,7 +382,8 @@ class ComoduleOverCoalgebra:
         self.rho_r = rho_r
 
     def validate(self) -> Report:
-        return _coaction_laws(self.coalgebra.field, self.coalgebra.delta, self.rho_l, self.rho_r)
+        tensors = {"mul": self.coalgebra.delta, "left": self.rho_l, "right": self.rho_r}
+        return check_laws(Report(), self.coalgebra.field, ACTION_LAWS.coalgebra, tensors)
 
 
 def regular_bicomodule(c: Coalgebra) -> ComoduleOverCoalgebra:
@@ -457,26 +411,12 @@ def assemble_comodule(
     report = Report()
     report.merge(com_c.validate(), prefix="C-comodule:")
     report.merge(com_p.validate(), prefix="P-comodule:")
-    lc, lp, rc, rp = com_c.rho_l, com_p.rho_l, com_c.rho_r, com_p.rho_r
-    pl, pr = pair.coaction.rho_l, pair.coaction.rho_r
-    laws = []
-    if side in (LEFT, BI):
-        laws += [
-            ("(1(x)rho_l^C)rho_l^P=(rho_r(x)1)rho_l^P", "xcn", ("mxk,kcn", lp, lc), ("mzn,zxc", lp, pr)),
-            ("(1(x)rho_l^P)rho_l^C=(rho_l(x)1)rho_l^P", "cxn", ("mck,kxn", lc, lp), ("mzn,zcx", lp, pl)),
-        ]
-    if side in (RIGHT, BI):
-        laws += [
-            ("(rho_r^C(x)1)rho_r^P=(1(x)rho_l)rho_r^P", "ncx", ("mkx,knc", rp, rc), ("mnz,zcx", rp, pl)),
-            ("(rho_r^P(x)1)rho_r^C=(1(x)rho_r)rho_r^P", "nxc", ("mkc,knx", rc, rp), ("mnz,zxc", rp, pr)),
-        ]
-    if side == BI:
-        laws += [
-            ("(rho_l^C(x)1)rho_r^P=(1(x)rho_r^P)rho_l^C", "cnx", ("mkx,kcn", rp, lc), ("mck,knx", lc, rp)),
-            ("(rho_l^P(x)1)rho_r^C=(1(x)rho_r^C)rho_l^P", "xnc", ("mkc,kxn", rc, lp), ("mxk,knc", lp, rc)),
-        ]
-    for name, out, lhs, rhs in laws:
-        report.add_witness(name, first_witness(field, "m", out, lhs, rhs))
+    # a one-sided comodule leaves its other side's roles unbound, which skips their laws
+    tensors = {
+        "la": com_c.rho_l, "li": com_p.rho_l, "ra": com_c.rho_r, "ri": com_p.rho_r,
+        "pl": pair.coaction.rho_l, "pr": pair.coaction.rho_r,
+    }
+    check_laws(report, field, GLUING_LAWS.coalgebra, tensors)
 
     if not report.ok:
         raise ValidationFailure(report, "comodule compatibility failed")
@@ -528,15 +468,8 @@ def check_iterated_coalgebra_triple(
     l12, r12 = co12.rho_l, co12.rho_r
     l13, r13 = co13.rho_l, co13.rho_r
     l23, r23 = co23.rho_l, co23.rho_r
-    for name, out, lhs, rhs in (
-        ("C1-C2-bicomodule", "ayb", ("dzb,zay", r23, l13), ("daz,zyb", l13, r23)),
-        ("C2-C1-bicomodule", "bya", ("dza,zby", r13, l23), ("dbz,zya", l23, r13)),
-        ("eq11", "bay", ("dbz,zay", l23, l13), ("dzy,zba", l23, r12)),
-        ("eq12", "aby", ("daz,zby", l13, l23), ("dzy,zab", l23, l12)),
-        ("eq13", "yab", ("dzb,zya", r23, r13), ("dyz,zab", r23, l12)),
-        ("eq14", "yba", ("dza,zyb", r13, r23), ("dyz,zba", r23, r12)),
-    ):
-        report.add_witness(name, first_witness(field, "d", out, lhs, rhs))
+    tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
+    check_laws(report, field, TRIPLE_LAWS.coalgebra, tensors)
 
     if not report.ok:
         return report, None

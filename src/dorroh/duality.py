@@ -2,11 +2,12 @@
 
 Dual bases are always the Kronecker duals of the stored bases, so every
 duality isomorphism below has the identity matrix and verification
-isolates structure-constant correctness.  Every dual is a leg rotation
-laid out by ``place``: an algebra-side tensor (multiplication (i,j,k),
+isolates structure-constant correctness.  Every dual is the leg rotation
+``tensors.rotate``: an algebra-side tensor (multiplication (i,j,k),
 actions (a,y,x) and (y,a,x)) becomes its coalgebra-side dual by
 ``TO_COALGEBRA`` = (2,0,1), giving (k,i,j), (x,a,y) and (x,y,a); a
-coalgebra-side tensor goes back by ``TO_ALGEBRA`` = (1,2,0).
+coalgebra-side tensor goes back by ``TO_ALGEBRA`` = (1,2,0).  The same
+rotation turns every algebra law into its coalgebra law (``algebra._laws``).
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from .coalgebra import (
 )
 from .errors import ValidationFailure
 from .linalg import Matrix
-from .tensors import place
+from .tensors import TO_ALGEBRA, TO_COALGEBRA, rotate
 
 PAIRING_CONVENTION = "Kronecker dual bases e_i* with e_i*(e_j) = delta_ij"
-TO_COALGEBRA = (2, 0, 1)
-TO_ALGEBRA = (1, 2, 0)
 
 
 @dataclass
@@ -52,22 +51,15 @@ def _dual_labels(labels):
     return [lab + "*" for lab in labels]
 
 
-def _rotate(T, order):
-    """T with leg t of the result read from leg order[t] of T."""
-    if T is None:
-        return None
-    return place(tuple(T.dims[o] for o in order), T.field, (T, (0, 0, 0), order))
-
-
 def dual_algebra_of_coalgebra(c: Coalgebra) -> Algebra:
     """The convolution algebra C* with (fg)(x) = sum f(x_1) g(x_2)."""
-    mul = _rotate(c.delta, TO_ALGEBRA)
+    mul = rotate(c.delta, TO_ALGEBRA)
     return Algebra(c.dim, mul, c.field, labels=_dual_labels(c.labels), unit=c.find_counit())
 
 
 def dual_coalgebra_of_algebra(a: Algebra) -> Coalgebra:
     """A* with comultiplication m*, the transpose of the multiplication."""
-    delta = _rotate(a.mul, TO_COALGEBRA)
+    delta = rotate(a.mul, TO_COALGEBRA)
     return Coalgebra(a.dim, delta, a.field, labels=_dual_labels(a.labels), counit=a.find_identity())
 
 
@@ -76,7 +68,7 @@ def dual_actions(m: ModuleOverAlgebra) -> ComoduleOverCoalgebra:
     # rho_l(v_x*)(e_a (x) v_y) = v_x*(a . v_y), rho_r(v_x*)(v_y (x) e_a) = v_x*(v_y . a)
     return ComoduleOverCoalgebra(
         dual_coalgebra_of_algebra(m.algebra), m.dim, m.side,
-        rho_l=_rotate(m.left, TO_COALGEBRA), rho_r=_rotate(m.right, TO_COALGEBRA),
+        rho_l=rotate(m.left, TO_COALGEBRA), rho_r=rotate(m.right, TO_COALGEBRA),
     )
 
 
@@ -85,7 +77,7 @@ def dual_coactions(com: ComoduleOverCoalgebra) -> ModuleOverAlgebra:
     # (e_c* . v_x*)(v_y) = sum e_c*(y_(-1)) v_x*(y_(0)), and mirrored on the right.
     return ModuleOverAlgebra(
         dual_algebra_of_coalgebra(com.coalgebra), com.dim, com.side,
-        left=_rotate(com.rho_l, TO_ALGEBRA), right=_rotate(com.rho_r, TO_ALGEBRA),
+        left=rotate(com.rho_l, TO_ALGEBRA), right=rotate(com.rho_r, TO_ALGEBRA),
     )
 
 
@@ -98,8 +90,8 @@ def dualize_algebra_pair(pair: DorrohPairAlgebra):
     c_dual = dual_coalgebra_of_algebra(pair.A)
     p_dual = dual_coalgebra_of_algebra(pair.I)
     # rho_l(f_x*)(e_a (x) f_y) = f_x*(a . f_y), and mirrored on the right.
-    rho_l = _rotate(pair.action.left, TO_COALGEBRA)
-    rho_r = _rotate(pair.action.right, TO_COALGEBRA)
+    rho_l = rotate(pair.action.left, TO_COALGEBRA)
+    rho_r = rotate(pair.action.right, TO_COALGEBRA)
     copair = DorrohPairCoalgebra(c_dual, p_dual, BicomoduleCoaction(c_dual, ni, rho_l, rho_r))
     copair.require_valid()
 
@@ -121,8 +113,8 @@ def dualize_coalgebra_pair(pair: DorrohPairCoalgebra):
     a_dual = dual_algebra_of_coalgebra(pair.C)
     i_dual = dual_algebra_of_coalgebra(pair.P)
     # (e_c* . f_x*)(f_p) = sum e_c*(p_(-1)) f_x*(p_(0)), and mirrored.
-    left = _rotate(pair.coaction.rho_l, TO_ALGEBRA)
-    right = _rotate(pair.coaction.rho_r, TO_ALGEBRA)
+    left = rotate(pair.coaction.rho_l, TO_ALGEBRA)
+    right = rotate(pair.coaction.rho_r, TO_ALGEBRA)
     apair = DorrohPairAlgebra(a_dual, i_dual, BimoduleAction(a_dual, np_, left, right))
     apair.require_valid()
 

@@ -11,6 +11,9 @@ non-canonical scalars with a location diagnostic.
 from __future__ import annotations
 
 import json
+from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .algebra import SIDES, Algebra, AlgebraMorphism, BimoduleAction, DorrohPairAlgebra, ModuleOverAlgebra
 from .coalgebra import (
@@ -125,169 +128,116 @@ def _parse_labels(obj, dim, path):
 # payloads
 
 
-def _algebra_payload(a: Algebra):
-    payload = {"dim": a.dim}
-    if a.labels is not None:
-        payload["labels"] = list(a.labels)
-    payload["mul"] = _emit_tensor(a.field, a.mul)
-    unit = a.find_identity()
+# How each side's structures, pairs, modules and morphisms map to payloads.
+# A payload key is also the attribute holding its value and the constructor
+# keyword taking it.  In an action shape "a" is the acting dim, "c" the carrier's.
+_SIDES = {
+    "algebra": SimpleNamespace(
+        name="algebra", structure=Algebra, tensor="mul", unit="unit", find_unit="find_identity",
+        morphism=AlgebraMorphism, pair=DorrohPairAlgebra, parts=(("a", "A"), ("i", "I")),
+        action="action", action_type=BimoduleAction, actions=(("left", "acc"), ("right", "cac")),
+        module_kind="module", module=ModuleOverAlgebra,
+    ),
+    "coalgebra": SimpleNamespace(
+        name="coalgebra", structure=Coalgebra, tensor="delta", unit="counit", find_unit="find_counit",
+        morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra, parts=(("c", "C"), ("p", "P")),
+        action="coaction", action_type=BicomoduleCoaction, actions=(("rho_l", "cac"), ("rho_r", "cca")),
+        module_kind="comodule", module=ComoduleOverCoalgebra,
+    ),
+}
+
+
+def _structure_payload(side, s):
+    payload = {"dim": s.dim}
+    if s.labels is not None:
+        payload["labels"] = list(s.labels)
+    payload[side.tensor] = _emit_tensor(s.field, getattr(s, side.tensor))
+    unit = getattr(s, side.find_unit)()
     if unit is not None:
-        payload["unit"] = _emit_vector(a.field, unit)
+        payload[side.unit] = _emit_vector(s.field, unit)
     return payload
 
 
-def _parse_algebra(field, payload, path):
-    _expect_dict(payload, path, ("dim", "mul"), ("labels", "unit"))
+def _parse_structure(side, field, payload, path):
+    _expect_dict(payload, path, ("dim", side.tensor), ("labels", side.unit))
     dim = _expect_count(payload, path, "dim")
     labels = _parse_labels(payload["labels"], dim, f"{path}.labels") if "labels" in payload else None
-    mul = _parse_tensor(field, payload["mul"], (dim, dim, dim), f"{path}.mul")
-    unit = _parse_vector(field, payload["unit"], dim, f"{path}.unit") if "unit" in payload else None
+    tensor = _parse_tensor(field, payload[side.tensor], (dim, dim, dim), f"{path}.{side.tensor}")
+    unit = None
+    if side.unit in payload:
+        unit = _parse_vector(field, payload[side.unit], dim, f"{path}.{side.unit}")
     try:
-        return Algebra(dim, mul, field, labels=labels, unit=unit)
+        return side.structure(dim, tensor, field, labels=labels, **{side.unit: unit})
     except InputError as e:
         _fail(path, str(e))
 
 
-def _coalgebra_payload(c: Coalgebra):
-    payload = {"dim": c.dim}
-    if c.labels is not None:
-        payload["labels"] = list(c.labels)
-    payload["delta"] = _emit_tensor(c.field, c.delta)
-    counit = c.find_counit()
-    if counit is not None:
-        payload["counit"] = _emit_vector(c.field, counit)
-    return payload
+def _action_payload(side, field, owner):
+    """The action tensors ``owner`` holds, by key."""
+    tensors = ((key, getattr(owner, key)) for key, _ in side.actions)
+    return {key: _emit_tensor(field, t) for key, t in tensors if t is not None}
 
 
-def _parse_coalgebra(field, payload, path):
-    _expect_dict(payload, path, ("dim", "delta"), ("labels", "counit"))
+def _parse_actions(side, field, payload, acting, carrier, path):
+    """The action tensors in ``payload``, by key, for the dims ``acting`` and ``carrier``."""
+    tensors = {}
+    for key, shape in side.actions:
+        if key in payload:
+            dims = tuple(acting if c == "a" else carrier for c in shape)
+            tensors[key] = _parse_tensor(field, payload[key], dims, f"{path}.{key}")
+    return tensors
+
+
+def _pair_payload(side, pair):
+    payload = {key: _structure_payload(side, getattr(pair, attr)) for key, attr in side.parts}
+    return payload | _action_payload(side, pair.field, getattr(pair, side.action))
+
+
+def _parse_pair(side, field, payload, path):
+    _expect_dict(payload, path, tuple(key for key, _ in side.parts + side.actions))
+    acting, carrier = (_parse_structure(side, field, payload[key], f"{path}.{key}") for key, _ in side.parts)
+    left, right = _parse_actions(side, field, payload, acting.dim, carrier.dim, path).values()
+    return side.pair(acting, carrier, side.action_type(acting, carrier.dim, left, right))
+
+
+def _module_payload(side, m):
+    acting = getattr(m, side.name)
+    payload = {side.name: _structure_payload(side, acting), "dim": m.dim, "side": m.side}
+    return payload | _action_payload(side, acting.field, m)
+
+
+def _parse_module(side, field, payload, path):
+    _expect_dict(payload, path, (side.name, "dim", "side"), tuple(key for key, _ in side.actions))
+    acting = _parse_structure(side, field, payload[side.name], f"{path}.{side.name}")
     dim = _expect_count(payload, path, "dim")
-    labels = _parse_labels(payload["labels"], dim, f"{path}.labels") if "labels" in payload else None
-    delta = _parse_tensor(field, payload["delta"], (dim, dim, dim), f"{path}.delta")
-    counit = _parse_vector(field, payload["counit"], dim, f"{path}.counit") if "counit" in payload else None
-    try:
-        return Coalgebra(dim, delta, field, labels=labels, counit=counit)
-    except InputError as e:
-        _fail(path, str(e))
-
-
-def _pair_algebra_payload(pair: DorrohPairAlgebra):
-    return {
-        "a": _algebra_payload(pair.A),
-        "i": _algebra_payload(pair.I),
-        "left": _emit_tensor(pair.field, pair.action.left),
-        "right": _emit_tensor(pair.field, pair.action.right),
-    }
-
-
-def _parse_pair_algebra(field, payload, path):
-    _expect_dict(payload, path, ("a", "i", "left", "right"))
-    A = _parse_algebra(field, payload["a"], f"{path}.a")
-    I = _parse_algebra(field, payload["i"], f"{path}.i")
-    left = _parse_tensor(field, payload["left"], (A.dim, I.dim, I.dim), f"{path}.left")
-    right = _parse_tensor(field, payload["right"], (I.dim, A.dim, I.dim), f"{path}.right")
-    return DorrohPairAlgebra(A, I, BimoduleAction(A, I.dim, left, right))
-
-
-def _pair_coalgebra_payload(pair: DorrohPairCoalgebra):
-    return {
-        "c": _coalgebra_payload(pair.C),
-        "p": _coalgebra_payload(pair.P),
-        "rho_l": _emit_tensor(pair.field, pair.coaction.rho_l),
-        "rho_r": _emit_tensor(pair.field, pair.coaction.rho_r),
-    }
-
-
-def _parse_pair_coalgebra(field, payload, path):
-    _expect_dict(payload, path, ("c", "p", "rho_l", "rho_r"))
-    C = _parse_coalgebra(field, payload["c"], f"{path}.c")
-    P = _parse_coalgebra(field, payload["p"], f"{path}.p")
-    rho_l = _parse_tensor(field, payload["rho_l"], (P.dim, C.dim, P.dim), f"{path}.rho_l")
-    rho_r = _parse_tensor(field, payload["rho_r"], (P.dim, P.dim, C.dim), f"{path}.rho_r")
-    return DorrohPairCoalgebra(C, P, BicomoduleCoaction(C, P.dim, rho_l, rho_r))
-
-
-def _module_payload(m: ModuleOverAlgebra):
-    payload = {"algebra": _algebra_payload(m.algebra), "dim": m.dim, "side": m.side}
-    if m.left is not None:
-        payload["left"] = _emit_tensor(m.algebra.field, m.left)
-    if m.right is not None:
-        payload["right"] = _emit_tensor(m.algebra.field, m.right)
-    return payload
-
-
-def _parse_module(field, payload, path):
-    _expect_dict(payload, path, ("algebra", "dim", "side"), ("left", "right"))
-    a = _parse_algebra(field, payload["algebra"], f"{path}.algebra")
-    dim = _expect_count(payload, path, "dim")
-    side = payload["side"]
-    if side not in SIDES:
+    if payload["side"] not in SIDES:
         _fail(f"{path}.side", f"expected one of {SIDES}")
-    left = right = None
-    if "left" in payload:
-        left = _parse_tensor(field, payload["left"], (a.dim, dim, dim), f"{path}.left")
-    if "right" in payload:
-        right = _parse_tensor(field, payload["right"], (dim, a.dim, dim), f"{path}.right")
+    tensors = _parse_actions(side, field, payload, acting.dim, dim, path)
     try:
-        return ModuleOverAlgebra(a, dim, side, left=left, right=right)
+        return side.module(acting, dim, payload["side"], **tensors)
     except InputError as e:
         _fail(path, str(e))
 
 
-def _comodule_payload(m: ComoduleOverCoalgebra):
-    payload = {"coalgebra": _coalgebra_payload(m.coalgebra), "dim": m.dim, "side": m.side}
-    if m.rho_l is not None:
-        payload["rho_l"] = _emit_tensor(m.coalgebra.field, m.rho_l)
-    if m.rho_r is not None:
-        payload["rho_r"] = _emit_tensor(m.coalgebra.field, m.rho_r)
-    return payload
-
-
-def _parse_comodule(field, payload, path):
-    _expect_dict(payload, path, ("coalgebra", "dim", "side"), ("rho_l", "rho_r"))
-    c = _parse_coalgebra(field, payload["coalgebra"], f"{path}.coalgebra")
-    dim = _expect_count(payload, path, "dim")
-    side = payload["side"]
-    if side not in SIDES:
-        _fail(f"{path}.side", f"expected one of {SIDES}")
-    rho_l = rho_r = None
-    if "rho_l" in payload:
-        rho_l = _parse_tensor(field, payload["rho_l"], (dim, c.dim, dim), f"{path}.rho_l")
-    if "rho_r" in payload:
-        rho_r = _parse_tensor(field, payload["rho_r"], (dim, dim, c.dim), f"{path}.rho_r")
-    try:
-        return ComoduleOverCoalgebra(c, dim, side, rho_l=rho_l, rho_r=rho_r)
-    except InputError as e:
-        _fail(path, str(e))
-
-
-def _morphism_payload(m):
-    structure = "algebra" if isinstance(m, AlgebraMorphism) else "coalgebra"
-    source = _algebra_payload(m.source) if structure == "algebra" else _coalgebra_payload(m.source)
-    target = _algebra_payload(m.target) if structure == "algebra" else _coalgebra_payload(m.target)
-    field = m.source.field
+def _morphism_payload(side, m):
     return {
-        "structure": structure,
-        "source": source,
-        "target": target,
-        "matrix": [_emit_vector(field, row) for row in m.matrix.data],
+        "structure": side.name,
+        "source": _structure_payload(side, m.source),
+        "target": _structure_payload(side, m.target),
+        "matrix": [_emit_vector(m.source.field, row) for row in m.matrix.data],
         "verified": m.verified,
     }
 
 
 def _parse_morphism(field, payload, path):
     _expect_dict(payload, path, ("structure", "source", "target", "matrix", "verified"))
-    structure = payload["structure"]
-    if structure not in ("algebra", "coalgebra"):
+    if payload["structure"] not in _SIDES:
         _fail(f"{path}.structure", "expected 'algebra' or 'coalgebra'")
     if payload["verified"] not in VERIFIED:
         _fail(f"{path}.verified", f"expected one of {VERIFIED}")
-    if structure == "algebra":
-        source = _parse_algebra(field, payload["source"], f"{path}.source")
-        target = _parse_algebra(field, payload["target"], f"{path}.target")
-    else:
-        source = _parse_coalgebra(field, payload["source"], f"{path}.source")
-        target = _parse_coalgebra(field, payload["target"], f"{path}.target")
+    side = _SIDES[payload["structure"]]
+    source = _parse_structure(side, field, payload["source"], f"{path}.source")
+    target = _parse_structure(side, field, payload["target"], f"{path}.target")
     rows = payload["matrix"]
     if not isinstance(rows, list) or len(rows) != target.dim:
         _fail(f"{path}.matrix", f"expected {target.dim} rows")
@@ -295,8 +245,7 @@ def _parse_morphism(field, payload, path):
         _parse_vector(field, row, source.dim, f"{path}.matrix[{i}]") for i, row in enumerate(rows)
     ]
     matrix = Matrix(target.dim, source.dim, data, field)
-    cls = AlgebraMorphism if structure == "algebra" else CoalgebraMorphism
-    return cls(source, target, matrix, verified=payload["verified"])
+    return side.morphism(source, target, matrix, verified=payload["verified"])
 
 
 def _sequence_payload(s: RecurrentSequence):
@@ -328,28 +277,18 @@ def _parse_sequence(field, payload, path):
 # ---------------------------------------------------------------------------
 # documents
 
-_ENCODERS = (
-    (DorrohPairAlgebra, "pair-algebra", _pair_algebra_payload, lambda o: o.field),
-    (DorrohPairCoalgebra, "pair-coalgebra", _pair_coalgebra_payload, lambda o: o.field),
-    (ModuleOverAlgebra, "module", _module_payload, lambda o: o.algebra.field),
-    (ComoduleOverCoalgebra, "comodule", _comodule_payload, lambda o: o.coalgebra.field),
-    (AlgebraMorphism, "morphism", _morphism_payload, lambda o: o.source.field),
-    (CoalgebraMorphism, "morphism", _morphism_payload, lambda o: o.source.field),
-    (Algebra, "algebra", _algebra_payload, lambda o: o.field),
-    (Coalgebra, "coalgebra", _coalgebra_payload, lambda o: o.field),
-    (RecurrentSequence, "sequence", _sequence_payload, lambda o: o.field),
-)
-
-_PARSERS = {
-    "algebra": _parse_algebra,
-    "coalgebra": _parse_coalgebra,
-    "pair-algebra": _parse_pair_algebra,
-    "pair-coalgebra": _parse_pair_coalgebra,
-    "module": _parse_module,
-    "comodule": _parse_comodule,
-    "morphism": _parse_morphism,
-    "sequence": _parse_sequence,
-}
+_ENCODERS = [(RecurrentSequence, "sequence", _sequence_payload, lambda o: o.field)]
+_PARSERS = {"morphism": _parse_morphism, "sequence": _parse_sequence}
+for _side in _SIDES.values():
+    _ENCODERS += [
+        (_side.structure, _side.name, partial(_structure_payload, _side), lambda o: o.field),
+        (_side.pair, f"pair-{_side.name}", partial(_pair_payload, _side), lambda o: o.field),
+        (_side.module, _side.module_kind, partial(_module_payload, _side), attrgetter(f"{_side.name}.field")),
+        (_side.morphism, "morphism", partial(_morphism_payload, _side), lambda o: o.source.field),
+    ]
+    _PARSERS[_side.name] = partial(_parse_structure, _side)
+    _PARSERS[f"pair-{_side.name}"] = partial(_parse_pair, _side)
+    _PARSERS[_side.module_kind] = partial(_parse_module, _side)
 
 
 def encode(obj) -> dict:

@@ -11,6 +11,11 @@ matrices; ``transport`` does that from the nonzero entries alone and
 ``first_difference`` names where two results differ.  Every extension,
 gluing and Kronecker dual lays tensors out as blocks of a larger one
 with ``place``; ``SparseTensor3.block`` reads a block back out.
+
+The Kronecker dual of an algebra-side tensor is the leg rotation
+``TO_COALGEBRA``, undone by ``TO_ALGEBRA``.  ``rotate`` turns a tensor and
+``rotate_spec`` the slots of a ``first_witness`` spec, so an identity
+written once for algebras also holds or fails on the dual coalgebras.
 """
 
 from __future__ import annotations
@@ -101,6 +106,23 @@ def place(dims, field: FieldSpec, *parts) -> SparseTensor3:
     if len(entries) != stored:
         raise ValueError("placed blocks overlap")
     return SparseTensor3._canonical(dims, entries, field)
+
+
+TO_COALGEBRA = (2, 0, 1)
+TO_ALGEBRA = (1, 2, 0)
+
+
+def rotate(T: SparseTensor3 | None, order) -> SparseTensor3 | None:
+    """T with leg t of the result read from leg order[t] of T.  None, the
+    absent action of a one-sided module, stays None."""
+    if T is None:
+        return None
+    return place(tuple(T.dims[o] for o in order), T.field, (T, (0, 0, 0), order))
+
+
+def rotate_spec(spec: str, order) -> str:
+    """The ``first_witness`` spec naming the same slots on tensors rotated by ``order``."""
+    return ",".join("".join(letters[o] for o in order) for letters in spec.split(","))
 
 
 def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):

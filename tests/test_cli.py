@@ -7,7 +7,7 @@ from dorroh import exchange
 from dorroh.cli import main
 from dorroh.fields import QQ
 from dorroh.findual import MAX_BOUND, MAX_DEPTH
-from dorroh.gallery import instance
+from dorroh.gallery import MAX_PARAM, instance
 
 
 def run_cli(*argv):
@@ -323,3 +323,64 @@ def test_huge_gallery_parameter_is_an_input_error(capsys):
     for name in ("geometric", "trunc_poly"):
         assert run_cli("gallery", "--emit", f"{name}({NINES})") == 2
         assert capsys.readouterr().err.startswith(f"error: {name} parameter has 5000 digits")
+
+
+def test_gallery_emit_unknown_pair_on_either_side(capsys):
+    for side in ("pair-algebra", "pair-coalgebra"):
+        assert run_cli("gallery", "--emit", f"{side}:nope") == 2
+        assert capsys.readouterr().err == f"error: unknown gallery pair '{side}:nope'\n"
+
+
+def test_split_rejects_a_pair_before_reading_the_bases(tmp_path, capsys):
+    doc = tmp_path / "pair.json"
+    run_cli("gallery", "--emit", "pair-algebra:M2_regular", "-o", str(doc))
+    capsys.readouterr()
+    assert run_cli("split", str(doc), "--a-basis", "not a basis", "--i-basis", "") == 2
+    assert capsys.readouterr().err == "error: split needs an algebra or coalgebra document\n"
+
+
+def test_split_coalgebra_round_trip(tmp_path, capsys):
+    pair_doc, built_doc = tmp_path / "pair.json", tmp_path / "built.json"
+    pair_out, iso_out = tmp_path / "split.json", tmp_path / "iso.json"
+    run_cli("gallery", "--emit", "pair-coalgebra:regular_Mc2", "-o", str(pair_doc))
+    run_cli("build", str(pair_doc), "-o", str(built_doc))
+    capsys.readouterr()
+    a_basis = ";".join(",".join("1" if j == i else "0" for j in range(8)) for i in range(4))
+    i_basis = ";".join(",".join("1" if j == i else "0" for j in range(8)) for i in range(4, 8))
+    code = run_cli(
+        "split", str(built_doc), "--a-basis", a_basis, "--i-basis", i_basis,
+        "-o", str(pair_out), "--iso-out", str(iso_out),
+    )
+    assert code == 0
+    assert "[ok] split verified" in capsys.readouterr().out
+    assert exchange.load(str(pair_out)) == exchange.load(str(pair_doc))
+    assert exchange.load(str(iso_out)).verified == "iso"
+
+
+def test_gallery_parameter_past_the_cap_exits_2_quickly():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dorroh.cli", "gallery", "--emit", "trunc_poly(1000000)"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: trunc_poly parameter 1000000 is past the cap MAX_PARAM = {MAX_PARAM}\n"
+
+
+def test_gallery_parameter_at_the_cap_still_builds(capsys):
+    for name in ("trunc_poly", "grouplikes", "divided_power"):
+        assert run_cli("gallery", "--emit", f"{name}({MAX_PARAM})") == 0
+        assert run_cli("gallery", "--emit", f"{name}({MAX_PARAM + 1})") == 2
+    assert capsys.readouterr().err.count("is past the cap") == 3
+
+
+def test_build_and_dualize_name_the_kinds_they_take(tmp_path, capsys):
+    doc = tmp_path / "fib.json"
+    run_cli("gallery", "--emit", "fibonacci", "-o", str(doc))
+    assert run_cli("build", str(doc)) == 2
+    assert run_cli("dualize", str(doc)) == 2
+    assert capsys.readouterr().err == (
+        "error: build needs a pair-algebra or pair-coalgebra document\n"
+        "error: dualize needs an algebra, coalgebra, pair, module or comodule document\n"
+    )

@@ -221,3 +221,16 @@ def test_random_coalgebra_pairs_are_valid(field):
         assert pair.C.dim + pair.P.dim <= 8
         built = build_dorroh_coalgebra(pair)
         assert check_coassociativity(built).ok
+
+
+def test_instance_self_check_names_the_wrong_unitality(monkeypatch):
+    from dorroh import gallery
+    from dorroh.errors import ValidationFailure
+
+    for name, unital in (("k", "unital"), ("Mc2", "counital")):
+        builder, props = gallery._CATALOG[name]
+        monkeypatch.setitem(gallery._CATALOG, name, (builder, {**props, unital: False}))
+        with pytest.raises(ValidationFailure) as err:
+            gallery.instance(name, QQ)
+        assert str(err.value) == f"gallery instance {name} has wrong {unital}ity"
+        assert [c.name for c in err.value.report.checks] == [f"expected {unital}ity"]
