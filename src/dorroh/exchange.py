@@ -307,7 +307,10 @@ def decode(doc: dict):
     _expect_dict(doc, "$", ("format", "field", "kind", "payload"))
     if doc["format"] != FORMAT:
         _fail("$.format", f"expected {FORMAT!r}")
-    field = FieldSpec.from_json(doc["field"])
+    try:
+        field = FieldSpec.from_json(doc["field"])
+    except InputError as e:
+        _fail("$.field", str(e))
     kind = doc["kind"]
     if kind not in _PARSERS:
         _fail("$.kind", f"expected one of {KINDS}")

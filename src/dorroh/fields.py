@@ -141,8 +141,10 @@ class FieldSpec:
                 raise InputError("rational field takes no extra keys")
             return cls.rationals()
         if obj["kind"] == "Fp":
-            if set(obj) != {"kind", "p"} or not isinstance(obj.get("p"), int):
+            if not isinstance(obj.get("p"), int):
                 raise InputError("prime field needs an integer 'p'")
+            if set(obj) != {"kind", "p"}:
+                raise InputError("prime field takes no extra keys")
             return cls.prime(obj["p"])
         raise InputError(f"unknown field kind {obj['kind']!r}")
 

@@ -384,3 +384,18 @@ def test_build_and_dualize_name_the_kinds_they_take(tmp_path, capsys):
         "error: build needs a pair-algebra or pair-coalgebra document\n"
         "error: dualize needs an algebra, coalgebra, pair, module or comodule document\n"
     )
+
+
+def test_field_errors_carry_their_location(tmp_path, capsys):
+    payload = '"kind": "algebra", "payload": {"dim": 1, "mul": [[0, 0, 0, "1"]]}'
+    for field, message in (
+        ('{"kind": "Fp", "p": 5, "extra": 1}', "prime field takes no extra keys"),
+        ('{"kind": "Fp"}', "prime field needs an integer 'p'"),
+        ('{"kind": "Q", "p": 5}', "rational field takes no extra keys"),
+        ('{"p": 5}', "field must be an object with a 'kind'"),
+        ('{"kind": "Fp", "p": 6}', "modulus must be prime, got 6"),
+    ):
+        text = f'{{"format": "dorroh/1", "field": {field}, {payload}}}'
+        assert run_cli("check", _write(tmp_path, text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.field: ") and message in err, err

@@ -18,6 +18,8 @@ from dorroh.findual import (
     vanishing_check,
 )
 from dorroh.gallery import fibonacci, geometric
+from dorroh.linalg import _rref
+from dorroh.reports import Report
 
 
 def rightmost_pivot_rank(rows):
@@ -518,3 +520,185 @@ def test_value_steps_match_the_recurrence_formula():
                 m = len(vals) + 1
                 vals.append(field.canon(sum(f.coeffs[i - 1] * vals[m - 1 - i] for i in range(1, f.order + 1))))
             assert f.prefix(40) == vals
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the value-table rewrite against the per-entry code
+# it replaced (shift space, Dorroh assembly and vanishing loop, verbatim)
+
+
+def reference_shift_space(f):
+    """_shift_space as written before the value table, one value() per entry."""
+    lo = 0 if f.s0 is not None else 1
+    L = len(f.initial)
+    hi = max(L, lo)
+    cols = list(range(lo, hi + 1))
+    rows = [[f.value(n + j) for n in cols] for j in range(lo, L + 1)]
+    pivots = _rref(rows, len(cols), f.field)
+
+    basis = []
+    shifts = []
+    for t, pc in enumerate(pivots):
+        row = rows[t]
+        if lo == 0:
+            fi = RecurrentSequence(f.field, row[0], row[1 : L + 1], f.coeffs)
+        else:
+            fi = RecurrentSequence(f.field, None, row[:L] if L else [], f.coeffs)
+        basis.append(fi)
+        degree = cols[pc]
+        if lo == 0:
+            gi = RecurrentSequence(
+                f.field, f.value(degree), [f.value(n + degree) for n in range(1, L + 1)], f.coeffs
+            )
+        else:
+            gi = RecurrentSequence(
+                f.field, None, [f.value(n + degree) for n in range(1, L + 1)] if L else [], f.coeffs
+            )
+        shifts.append(gi)
+    return basis, shifts, [cols[pc] for pc in pivots], lo
+
+
+def reference_dorroh_report(f, dec, depth):
+    """The blockwise assembly loop of dorroh_decompose as written before the
+    pairing kernel, run on the decomposition dec of phi_I."""
+    field = f.field
+    phi_i = RecurrentSequence(field, None, f.initial, f.coeffs)
+    report = Report()
+    report.add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
+    canon = field.canon
+    lv = [findual._values(ft, depth) for ft in dec.left]  # lo = 1: x^n at index n - 1
+    rv = [findual._values(gt, depth) for gt in dec.right]
+    ok, wit = True, None
+    for i in range(depth + 1):
+        for j in range(depth - i + 1):
+            assembled = 0
+            if i == 0 and j == 0:
+                assembled += f.s0
+            if i == 0 and j >= 1:
+                assembled += phi_i.value(j)
+            if j == 0 and i >= 1:
+                assembled += phi_i.value(i)
+            if i >= 1 and j >= 1:
+                assembled += sum(fv[i - 1] * gv[j - 1] for fv, gv in zip(lv, rv))
+            if canon(assembled) != f.value(i + j):
+                ok, wit = False, (i, j)
+                break
+        if not ok:
+            break
+    report.add("blockwise coproduct assembly matches m*(f)", ok, wit)
+    return report
+
+
+def reference_vanishing_report(f, pcoeffs, depth):
+    """vanishing_check's loop as written before the value table."""
+    r = len(pcoeffs)
+    field = f.field
+    pcoeffs = [field.canon(v) for v in pcoeffs]
+    canon = field.canon
+    lo = 0 if f.s0 is not None else 1
+    report = Report()
+    ok, wit = True, None
+    for n in range(lo, depth + 1):
+        val = f.value(n + r) - sum(pcoeffs[i - 1] * f.value(n + r - i) for i in range(1, r + 1))
+        if canon(val) != 0:
+            ok, wit = False, (n,)
+            break
+    report.add("f(x^n p(x))=0", ok, wit)
+    return report
+
+
+def _checks(report):
+    return [(c.name, c.ok, c.witness, c.detail) for c in report.checks]
+
+
+def _oracle_scalar(rng, field):
+    if field.p is not None:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+
+def _oracle_sequence(rng, field, with_s0, empty):
+    """Order 0..5 with 0..2 extra initial values; L = 0 when empty."""
+    order = 0 if empty else rng.randint(0, 5)
+    extra = 0 if empty else rng.randint(0, 2)
+    initial = [_oracle_scalar(rng, field) for _ in range(order + extra)]
+    s0 = _oracle_scalar(rng, field) if with_s0 else None
+    return RecurrentSequence(field, s0, initial, [_oracle_scalar(rng, field) for _ in range(order)])
+
+
+def _oracle_cases(seed, count=100):
+    rng = random.Random(seed)
+    for case in range(count):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        f = _oracle_sequence(rng, field, with_s0=case % 2 == 0, empty=case % 10 in (0, 1))
+        yield rng, f, rng.choice((None, rng.randint(0, 24)))
+
+
+def test_shift_space_matches_the_per_entry_reference():
+    ranks = set()
+    for _, f, _ in _oracle_cases(701):
+        basis, shifts, pivots, lo = findual._shift_space(f)
+        assert (basis, shifts, pivots, lo) == reference_shift_space(f), f
+        ranks.add(len(basis))
+    assert ranks >= set(range(7)), ranks
+
+
+def test_dorroh_assembly_matches_the_loop_on_bent_decompositions(monkeypatch):
+    # Once phi_I's coproduct has passed, the assembly can fail only through
+    # the factors it is handed, so bend one of them.
+    kinds = {"pass": 0, "fail": 0}
+    for rng, f, depth in _oracle_cases(702):
+        if f.s0 is None:
+            f = RecurrentSequence(f.field, _oracle_scalar(rng, f.field), f.initial, f.coeffs)
+        phi_i = RecurrentSequence(f.field, None, f.initial, f.coeffs)
+        side, index, position, delta = rng.randrange(2), rng.randrange(4), rng.randrange(6), rng.randint(0, 4)
+        original = findual.coproduct_decompose
+        handed = []
+
+        def bent(h, depth=None):
+            dec = original(h, depth)
+            if h == phi_i:
+                parts = [list(dec.left), list(dec.right)]
+                if parts[side]:
+                    k = index % len(parts[side])
+                    parts[side][k] = _bent(parts[side][k], position, delta)
+                dec = findual.CoproductDecomposition(dec.rank, *parts, dec.pivots)
+                handed.append(dec)
+            return dec
+
+        with monkeypatch.context() as m:
+            m.setattr(findual, "coproduct_decompose", bent)
+            got = _checks(dorroh_decompose(f, depth))
+        (dec,) = handed
+        expected = _checks(reference_dorroh_report(f, dec, findual._depth(f, depth)))
+        assert got == expected, (f, depth, side, index, position, delta)
+        kinds["pass" if got[-1][1] else "fail"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_vanishing_matches_the_per_entry_reference():
+    kinds = {"pass": 0, "fail": 0}
+    for rng, f, depth in _oracle_cases(703):
+        polys = [[_oracle_scalar(rng, f.field) for _ in range(rng.randint(1, 4))]]
+        if f.order:
+            polys += [list(f.coeffs), list(f.coeffs) + [0]]
+        for p in polys:
+            got = _checks(vanishing_check(f, p, depth))
+            assert got == _checks(reference_vanishing_report(f, p, findual._depth(f, depth))), (f, p, depth)
+            kinds["pass" if got[0][1] else "fail"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_dorroh_decompose_runs_one_coproduct(monkeypatch):
+    calls = []
+    original = findual.coproduct_decompose
+
+    def counted(h, depth=None):
+        calls.append(h)
+        return original(h, depth)
+
+    monkeypatch.setattr(findual, "coproduct_decompose", counted)
+    for f in (fibonacci(QQ), geometric(2, GF(5)), RecurrentSequence(QQ, 3, [], [])):
+        calls.clear()
+        assert dorroh_decompose(f, 12).ok
+        assert calls == [RecurrentSequence(f.field, None, f.initial, f.coeffs)]
