@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dorroh import exchange
 from dorroh.algebra import (
     Algebra,
     AlgebraMorphism,
@@ -352,6 +353,36 @@ def test_verify_swap_on_dual_numbers_fails():
     report = verify_algebra_morphism(F)
     assert not report.ok
     assert report.checks[0].witness == (0, 0)  # 1*1 = 1 but eps*eps = 0
+
+
+def test_failed_verification_lowers_a_stale_iso_stamp():
+    # A document may stamp any matrix "iso"; a failed check must not leave
+    # that stamp for universal_map_algebra to trust.
+    pair = scalar_action_pair(QQ, nilpotent_line(QQ))
+    A = pair.A
+    dn = dual_numbers(QQ)
+    swap = exchange.parse(exchange.emit(AlgebraMorphism(dn, dn, Matrix(2, 2, [[0, 1], [1, 0]], QQ), "iso")))
+    assert swap.verified == "iso"
+    report = verify_algebra_morphism(swap, iso=True)
+    assert report.headline() == "fail: multiplicative at (0, 0)"
+    assert swap.verified == "unchecked"
+
+    phi = identity_morphism(A)
+    verify_algebra_morphism(phi)
+    f = AlgebraMorphism(pair.I, A, Matrix(1, 1, [[1]], QQ), verified="iso")
+    assert not verify_algebra_morphism(f, iso=True).ok  # x -> 1 is not multiplicative
+    assert f.verified == "unchecked"
+    with pytest.raises(PreconditionError):
+        universal_map_algebra(pair, A, phi, f)
+
+
+def test_singular_map_checked_as_iso_is_stamped_hom():
+    dn = dual_numbers(QQ)
+    zero = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ), verified="iso")
+    report = verify_algebra_morphism(zero, iso=True)
+    assert report.headline() == "fail: invertible"
+    assert zero.verified == "hom"
+    assert verify_algebra_morphism(zero).ok and zero.verified == "hom"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import subprocess
 import sys
 import time
 
-from dorroh import exchange
+from dorroh import algebra, cli, coalgebra, duality, exchange
+from dorroh.algebra import AlgebraMorphism, verify_algebra_morphism
 from dorroh.cli import main
+from dorroh.coalgebra import verify_coalgebra_morphism
 from dorroh.fields import QQ
 from dorroh.findual import MAX_BOUND, MAX_DEPTH
 from dorroh.gallery import MAX_PARAM, instance
@@ -159,6 +161,54 @@ def test_iso_associator_both_sides(tmp_path):
     assert run_cli("iso", "--which", "associator", str(a)) == 0
     run_cli("gallery", "--emit", "pair-coalgebra:grouplike", "-o", str(c))
     assert run_cli("iso", "--which", "associator", str(c)) == 0
+
+
+# (isomorphism, gallery document) for each named isomorphism and document kind
+ISO_DOCUMENTS = (
+    ("prop1.1", "pair-algebra:M2_regular"),
+    ("prop1.1", "pair-algebra:direct_product_dn_tp2"),
+    ("counital-split", "pair-coalgebra:grouplike"),
+    ("counital-split", "pair-coalgebra:counital_hull_dp2"),
+    ("duality", "M2"),
+    ("duality", "Mc2"),
+    ("duality", "pair-algebra:kZ2_regular"),
+    ("duality", "pair-coalgebra:regular_dp2"),
+)
+
+
+def test_iso_prints_the_verification_its_constructor_made(tmp_path, capsys):
+    # The report a second verify_*_morphism(..., iso=True) of the returned
+    # isomorphism would give, byte for byte, in both formats.
+    for which, name in ISO_DOCUMENTS:
+        src = tmp_path / "doc.json"
+        assert run_cli("gallery", "--emit", name, "-o", str(src)) == 0
+        morphism = cli._named_iso(which, exchange.load(str(src)))
+        verify = verify_algebra_morphism if isinstance(morphism, AlgebraMorphism) else verify_coalgebra_morphism
+        report = verify(morphism, iso=True)
+        for fmt, text in (("text", report.render_text()), ("json", json.dumps(report.to_json(), indent=2))):
+            assert run_cli("iso", "--which", which, "--report", fmt, str(src)) == 0
+            out = capsys.readouterr()
+            assert (out.out, out.err) == (exchange.emit(morphism), text + "\n"), (which, name, fmt)
+
+
+def test_iso_verifies_each_named_isomorphism_once(tmp_path, monkeypatch):
+    calls = []
+    for module, name in (
+        (algebra, "verify_algebra_morphism"), (coalgebra, "verify_coalgebra_morphism"),
+        (duality, "verify_algebra_morphism"), (duality, "verify_coalgebra_morphism"),
+        (cli, "verify_algebra_morphism"), (cli, "verify_coalgebra_morphism"),
+    ):
+        def counted(F, iso=False, verify=getattr(module, name)):
+            calls.append(F)
+            return verify(F, iso)
+
+        monkeypatch.setattr(module, name, counted)
+    for which, name in ISO_DOCUMENTS:
+        src = tmp_path / "doc.json"
+        run_cli("gallery", "--emit", name, "-o", str(src))
+        del calls[:]
+        assert run_cli("iso", "--which", which, str(src), "-o", str(tmp_path / "iso.json")) == 0
+        assert len(calls) == 1, (which, name)
 
 
 def test_findual_pipeline(tmp_path, capsys):

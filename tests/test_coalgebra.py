@@ -1,5 +1,6 @@
 import pytest
 
+from dorroh import exchange
 from dorroh.coalgebra import (
     BicomoduleCoaction,
     Coalgebra,
@@ -303,6 +304,34 @@ def test_verify_grouplike_smear_fails():
     report = verify_coalgebra_morphism(F)
     assert not report.ok
     assert report.checks[0].witness == (0,)
+
+
+def test_failed_verification_lowers_a_stale_iso_stamp():
+    g2 = grouplikes(2, QQ)
+    smear = exchange.parse(exchange.emit(CoalgebraMorphism(g2, g2, Matrix(2, 2, [[1, 0], [1, 1]], QQ), "iso")))
+    assert smear.verified == "iso"
+    report = verify_coalgebra_morphism(smear, iso=True)
+    assert report.headline() == "fail: comultiplicative at (0,)"
+    assert smear.verified == "unchecked"
+
+    pair = zero_coaction_pair(grouplikes(1, QQ), grouplikes(1, QQ))
+    D = grouplikes(1, QQ)
+    phi = identity_comorphism(D)
+    verify_coalgebra_morphism(phi)
+    f = CoalgebraMorphism(D, pair.P, Matrix(1, 1, [[2]], QQ), verified="iso")
+    assert not verify_coalgebra_morphism(f, iso=True).ok  # 2g is not group-like
+    assert f.verified == "unchecked"
+    with pytest.raises(PreconditionError):
+        universal_map_coalgebra(pair, D, phi, f)
+
+
+def test_singular_map_checked_as_iso_is_stamped_hom():
+    g2 = grouplikes(2, QQ)
+    zero = CoalgebraMorphism(g2, g2, Matrix.zeros(2, 2, QQ), verified="iso")
+    report = verify_coalgebra_morphism(zero, iso=True)
+    assert report.headline() == "fail: invertible"
+    assert zero.verified == "hom"
+    assert verify_coalgebra_morphism(zero).ok and zero.verified == "hom"
 
 
 # ---------------------------------------------------------------------------
