@@ -74,48 +74,55 @@ def _emit_scalar(field, v):
     return field.fmt(v)
 
 
-def _parse_scalar(field, s, path):
-    try:
-        return field.parse(s)
-    except InputError as e:
-        _fail(path, str(e))
-
-
 def _emit_tensor(field, tensor):
     return [[i, j, k, _emit_scalar(field, v)] for (i, j, k), v in tensor.sorted_items()]
-
-
-def _parse_tensor(field, obj, dims, path):
-    if not isinstance(obj, list):
-        _fail(path, "expected a list of entries")
-    entries = {}
-    for idx, row in enumerate(obj):
-        here = f"{path}[{idx}]"
-        if not isinstance(row, list) or len(row) != 4:
-            _fail(here, "expected [i, j, k, scalar]")
-        i, j, k, s = row
-        for t, name in ((i, "i"), (j, "j"), (k, "k")):
-            if not isinstance(t, int) or isinstance(t, bool):
-                _fail(here, f"index {name} must be an integer")
-        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-            _fail(here, f"index ({i},{j},{k}) out of range for dims {dims}")
-        if (i, j, k) in entries:
-            _fail(here, f"duplicate entry at ({i},{j},{k})")
-        v = _parse_scalar(field, s, here)
-        if v == 0:
-            _fail(here, "explicit zero entries are not allowed")
-        entries[(i, j, k)] = v
-    return SparseTensor3(dims, entries, field)
 
 
 def _emit_vector(field, vec):
     return [_emit_scalar(field, v) for v in vec]
 
 
-def _parse_vector(field, obj, length, path):
-    if not isinstance(obj, list) or len(obj) != length:
-        _fail(path, f"expected a list of {length} scalars")
-    return [_parse_scalar(field, s, f"{path}[{i}]") for i, s in enumerate(obj)]
+class _Reader:
+    """Reads the scalars, vectors and tensors of one document over its field."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def scalar(self, s, path):
+        try:
+            return self.field.parse(s)
+        except InputError as e:
+            _fail(path, str(e))
+
+    def scalars(self, items, path):
+        return [self.scalar(s, f"{path}[{i}]") for i, s in enumerate(items)]
+
+    def vector(self, obj, length, path):
+        if not isinstance(obj, list) or len(obj) != length:
+            _fail(path, f"expected a list of {length} scalars")
+        return self.scalars(obj, path)
+
+    def tensor(self, obj, dims, path):
+        if not isinstance(obj, list):
+            _fail(path, "expected a list of entries")
+        entries = {}
+        for idx, row in enumerate(obj):
+            here = f"{path}[{idx}]"
+            if not isinstance(row, list) or len(row) != 4:
+                _fail(here, "expected [i, j, k, scalar]")
+            i, j, k, s = row
+            for t, name in ((i, "i"), (j, "j"), (k, "k")):
+                if not isinstance(t, int) or isinstance(t, bool):
+                    _fail(here, f"index {name} must be an integer")
+            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+                _fail(here, f"index ({i},{j},{k}) out of range for dims {dims}")
+            if (i, j, k) in entries:
+                _fail(here, f"duplicate entry at ({i},{j},{k})")
+            v = self.scalar(s, here)
+            if v == 0:
+                _fail(here, "explicit zero entries are not allowed")
+            entries[(i, j, k)] = v
+        return SparseTensor3(dims, entries, self.field)
 
 
 def _parse_labels(obj, dim, path):
@@ -158,16 +165,16 @@ def _structure_payload(side, s):
     return payload
 
 
-def _parse_structure(side, field, payload, path):
+def _parse_structure(side, reader, payload, path):
     _expect_dict(payload, path, ("dim", side.tensor), ("labels", side.unit))
     dim = _expect_count(payload, path, "dim")
     labels = _parse_labels(payload["labels"], dim, f"{path}.labels") if "labels" in payload else None
-    tensor = _parse_tensor(field, payload[side.tensor], (dim, dim, dim), f"{path}.{side.tensor}")
+    tensor = reader.tensor(payload[side.tensor], (dim, dim, dim), f"{path}.{side.tensor}")
     unit = None
     if side.unit in payload:
-        unit = _parse_vector(field, payload[side.unit], dim, f"{path}.{side.unit}")
+        unit = reader.vector(payload[side.unit], dim, f"{path}.{side.unit}")
     try:
-        return side.structure(dim, tensor, field, labels=labels, **{side.unit: unit})
+        return side.structure(dim, tensor, reader.field, labels=labels, **{side.unit: unit})
     except InputError as e:
         _fail(path, str(e))
 
@@ -178,13 +185,13 @@ def _action_payload(side, field, owner):
     return {key: _emit_tensor(field, t) for key, t in tensors if t is not None}
 
 
-def _parse_actions(side, field, payload, acting, carrier, path):
+def _parse_actions(side, reader, payload, acting, carrier, path):
     """The action tensors in ``payload``, by key, for the dims ``acting`` and ``carrier``."""
     tensors = {}
     for key, shape in side.actions:
         if key in payload:
             dims = tuple(acting if c == "a" else carrier for c in shape)
-            tensors[key] = _parse_tensor(field, payload[key], dims, f"{path}.{key}")
+            tensors[key] = reader.tensor(payload[key], dims, f"{path}.{key}")
     return tensors
 
 
@@ -193,10 +200,10 @@ def _pair_payload(side, pair):
     return payload | _action_payload(side, pair.field, getattr(pair, side.action))
 
 
-def _parse_pair(side, field, payload, path):
+def _parse_pair(side, reader, payload, path):
     _expect_dict(payload, path, tuple(key for key, _ in side.parts + side.actions))
-    acting, carrier = (_parse_structure(side, field, payload[key], f"{path}.{key}") for key, _ in side.parts)
-    left, right = _parse_actions(side, field, payload, acting.dim, carrier.dim, path).values()
+    acting, carrier = (_parse_structure(side, reader, payload[key], f"{path}.{key}") for key, _ in side.parts)
+    left, right = _parse_actions(side, reader, payload, acting.dim, carrier.dim, path).values()
     return side.pair(acting, carrier, side.action_type(acting, carrier.dim, left, right))
 
 
@@ -206,13 +213,13 @@ def _module_payload(side, m):
     return payload | _action_payload(side, acting.field, m)
 
 
-def _parse_module(side, field, payload, path):
+def _parse_module(side, reader, payload, path):
     _expect_dict(payload, path, (side.name, "dim", "side"), tuple(key for key, _ in side.actions))
-    acting = _parse_structure(side, field, payload[side.name], f"{path}.{side.name}")
+    acting = _parse_structure(side, reader, payload[side.name], f"{path}.{side.name}")
     dim = _expect_count(payload, path, "dim")
     if payload["side"] not in SIDES:
         _fail(f"{path}.side", f"expected one of {SIDES}")
-    tensors = _parse_actions(side, field, payload, acting.dim, dim, path)
+    tensors = _parse_actions(side, reader, payload, acting.dim, dim, path)
     try:
         return side.module(acting, dim, payload["side"], **tensors)
     except InputError as e:
@@ -229,22 +236,20 @@ def _morphism_payload(side, m):
     }
 
 
-def _parse_morphism(field, payload, path):
+def _parse_morphism(reader, payload, path):
     _expect_dict(payload, path, ("structure", "source", "target", "matrix", "verified"))
-    if payload["structure"] not in _SIDES:
+    if not isinstance(payload["structure"], str) or payload["structure"] not in _SIDES:
         _fail(f"{path}.structure", "expected 'algebra' or 'coalgebra'")
     if payload["verified"] not in VERIFIED:
         _fail(f"{path}.verified", f"expected one of {VERIFIED}")
     side = _SIDES[payload["structure"]]
-    source = _parse_structure(side, field, payload["source"], f"{path}.source")
-    target = _parse_structure(side, field, payload["target"], f"{path}.target")
+    source = _parse_structure(side, reader, payload["source"], f"{path}.source")
+    target = _parse_structure(side, reader, payload["target"], f"{path}.target")
     rows = payload["matrix"]
     if not isinstance(rows, list) or len(rows) != target.dim:
         _fail(f"{path}.matrix", f"expected {target.dim} rows")
-    data = [
-        _parse_vector(field, row, source.dim, f"{path}.matrix[{i}]") for i, row in enumerate(rows)
-    ]
-    matrix = Matrix(target.dim, source.dim, data, field)
+    data = [reader.vector(row, source.dim, f"{path}.matrix[{i}]") for i, row in enumerate(rows)]
+    matrix = Matrix(target.dim, source.dim, data, reader.field)
     return side.morphism(source, target, matrix, verified=payload["verified"])
 
 
@@ -257,19 +262,17 @@ def _sequence_payload(s: RecurrentSequence):
     return payload
 
 
-def _parse_sequence(field, payload, path):
+def _parse_sequence(reader, payload, path):
     _expect_dict(payload, path, ("initial", "recurrence"), ("s0",))
-    s0 = _parse_scalar(field, payload["s0"], f"{path}.s0") if "s0" in payload else None
-    initial = payload["initial"]
-    if not isinstance(initial, list):
-        _fail(f"{path}.initial", "expected a list of scalars")
-    initial = [_parse_scalar(field, s, f"{path}.initial[{i}]") for i, s in enumerate(initial)]
-    rec = payload["recurrence"]
-    if not isinstance(rec, list):
-        _fail(f"{path}.recurrence", "expected a list of scalars")
-    rec = [_parse_scalar(field, s, f"{path}.recurrence[{i}]") for i, s in enumerate(rec)]
+    s0 = reader.scalar(payload["s0"], f"{path}.s0") if "s0" in payload else None
+    lists = []
+    for key in ("initial", "recurrence"):
+        items = payload[key]
+        if not isinstance(items, list):
+            _fail(f"{path}.{key}", "expected a list of scalars")
+        lists.append(reader.scalars(items, f"{path}.{key}"))
     try:
-        return RecurrentSequence(field, s0, initial, rec)
+        return RecurrentSequence(reader.field, s0, *lists)
     except InputError as e:
         _fail(path, str(e))
 
@@ -312,9 +315,9 @@ def decode(doc: dict):
     except InputError as e:
         _fail("$.field", str(e))
     kind = doc["kind"]
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         _fail("$.kind", f"expected one of {KINDS}")
-    return _PARSERS[kind](field, doc["payload"], "$.payload")
+    return _PARSERS[kind](_Reader(field), doc["payload"], "$.payload")
 
 
 def _render(value, indent=0):
