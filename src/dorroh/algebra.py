@@ -448,20 +448,24 @@ def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:
 
 def _record_verified(F, iso: bool, report: Report) -> Report:
     """Add the invertibility check when ``iso`` is asked for and stamp F
-    with what the report proves: "unchecked" when its structure check
-    failed, "iso" or "hom" by invertibility when ``iso`` is asked for, and
-    at least "hom" otherwise."""
+    with what is proved: "unchecked" when the structure check failed,
+    otherwise "iso" or "hom" by invertibility.  Without ``iso`` only an
+    "iso" stamp is put to the invertibility test, outside the report."""
     invertible = False
     if iso:
-        invertible = F.matrix.rows == F.matrix.cols and invert(F.matrix) is not None
+        invertible = _invertible(F.matrix)
         report.add("invertible", invertible)
     if not report.checks[0].ok:
         F.verified = "unchecked"
-    elif iso:
+    else:
+        if not iso and F.verified == "iso":
+            invertible = _invertible(F.matrix)
         F.verified = "iso" if invertible else "hom"
-    elif F.verified == "unchecked":
-        F.verified = "hom"
     return report
+
+
+def _invertible(M: Matrix) -> bool:
+    return M.rows == M.cols and invert(M) is not None
 
 
 def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:

@@ -7,6 +7,7 @@ carries a witness), 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -369,10 +370,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call, not at import,
+    and kept for the process: parsing leaves no state in it."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

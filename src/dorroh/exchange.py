@@ -83,19 +83,31 @@ def _emit_vector(field, vec):
 
 
 class _Reader:
-    """Reads the scalars, vectors and tensors of one document over its field."""
+    """Reads the scalars, vectors and tensors of one document over its field.
+
+    ``memo`` maps each scalar string already read to its value, so every
+    distinct string is parsed once per document.  A location ``path[idx]``
+    is formatted only for an entry that fails.
+    """
+
+    __slots__ = ("field", "memo")
 
     def __init__(self, field):
         self.field = field
+        self.memo = {}
 
-    def scalar(self, s, path):
-        try:
-            return self.field.parse(s)
-        except InputError as e:
-            _fail(path, str(e))
+    def scalar(self, s, path, idx=None):
+        v = self.memo.get(s) if type(s) is str else None
+        if v is None:
+            try:
+                v = self.field.parse(s)
+            except InputError as e:
+                _fail(path if idx is None else f"{path}[{idx}]", str(e))
+            self.memo[s] = v
+        return v
 
     def scalars(self, items, path):
-        return [self.scalar(s, f"{path}[{i}]") for i, s in enumerate(items)]
+        return [self.scalar(s, path, idx) for idx, s in enumerate(items)]
 
     def vector(self, obj, length, path):
         if not isinstance(obj, list) or len(obj) != length:
@@ -105,24 +117,39 @@ class _Reader:
     def tensor(self, obj, dims, path):
         if not isinstance(obj, list):
             _fail(path, "expected a list of entries")
+        d0, d1, d2 = dims
+        memo = self.memo
         entries = {}
         for idx, row in enumerate(obj):
-            here = f"{path}[{idx}]"
-            if not isinstance(row, list) or len(row) != 4:
-                _fail(here, "expected [i, j, k, scalar]")
-            i, j, k, s = row
-            for t, name in ((i, "i"), (j, "j"), (k, "k")):
-                if not isinstance(t, int) or isinstance(t, bool):
-                    _fail(here, f"index {name} must be an integer")
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                _fail(here, f"index ({i},{j},{k}) out of range for dims {dims}")
-            if (i, j, k) in entries:
-                _fail(here, f"duplicate entry at ({i},{j},{k})")
-            v = self.scalar(s, here)
-            if v == 0:
-                _fail(here, "explicit zero entries are not allowed")
-            entries[(i, j, k)] = v
-        return SparseTensor3(dims, entries, self.field)
+            # an entry of known-good shape whose scalar string was read before
+            if type(row) is list and len(row) == 4:
+                i, j, k, s = row
+                if type(i) is int and type(j) is int and type(k) is int and 0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2:
+                    key = (i, j, k)
+                    v = memo.get(s) if type(s) is str else None
+                    if v and key not in entries:
+                        entries[key] = v
+                        continue
+            key, v = self._entry(row, dims, entries, path, idx)
+            entries[key] = v
+        return SparseTensor3._canonical(dims, entries, self.field)
+
+    def _entry(self, row, dims, entries, path, idx):
+        """The key and value of tensor entry ``row``, every check in order."""
+        if not isinstance(row, list) or len(row) != 4:
+            _fail(f"{path}[{idx}]", "expected [i, j, k, scalar]")
+        i, j, k, s = row
+        for t, name in ((i, "i"), (j, "j"), (k, "k")):
+            if not isinstance(t, int) or isinstance(t, bool):
+                _fail(f"{path}[{idx}]", f"index {name} must be an integer")
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+            _fail(f"{path}[{idx}]", f"index ({i},{j},{k}) out of range for dims {dims}")
+        if (i, j, k) in entries:
+            _fail(f"{path}[{idx}]", f"duplicate entry at ({i},{j},{k})")
+        v = self.scalar(s, path, idx)
+        if v == 0:
+            _fail(f"{path}[{idx}]", "explicit zero entries are not allowed")
+        return (i, j, k), v
 
 
 def _parse_labels(obj, dim, path):
@@ -320,7 +347,17 @@ def decode(doc: dict):
     return _PARSERS[kind](_Reader(field), doc["payload"], "$.payload")
 
 
+def _render_rows(rows, pad):
+    """The lines of tensor entries ``[i, j, k, scalar]`` or of matrix rows,
+    as ``json.dumps`` writes them: canonical scalar strings need no escapes."""
+    if rows[0] and type(rows[0][0]) is int:
+        return [f'{pad}[{i}, {j}, {k}, "{s}"]' for i, j, k, s in rows]
+    return [pad + "[" + ", ".join([f'"{s}"' for s in row]) + "]" for row in rows]
+
+
 def _render(value, indent=0):
+    """The text of an ``encode`` result.  A list of lists in it holds
+    tensor entries or matrix rows."""
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -332,8 +369,7 @@ def _render(value, indent=0):
     if isinstance(value, list):
         if all(not isinstance(x, (dict, list)) for x in value):
             return json.dumps(value, ensure_ascii=False)
-        inner = ",\n".join(f"{pad}  {_render(x, indent + 1)}" for x in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        return "[\n" + ",\n".join(_render_rows(value, pad + "  ")) + "\n" + pad + "]"
     return json.dumps(value, ensure_ascii=False)
 
 

@@ -385,6 +385,26 @@ def test_singular_map_checked_as_iso_is_stamped_hom():
     assert verify_algebra_morphism(zero).ok and zero.verified == "hom"
 
 
+def test_passing_hom_check_lowers_an_iso_stamp_on_a_singular_map():
+    # A document may stamp the zero map "iso"; verifying it as a
+    # homomorphism must not leave that stamp, nor change the report.
+    dn = dual_numbers(QQ)
+    zero = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ), verified="iso")
+    unstamped = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ))
+    report = verify_algebra_morphism(zero)
+    assert report.render_text() == verify_algebra_morphism(unstamped).render_text() == "pass (1 checks)\n  [ok] multiplicative"
+    assert zero.verified == "hom"
+
+
+def test_passing_hom_check_keeps_an_iso_stamp_on_an_invertible_map():
+    m2 = matrix_algebra_2(QQ)
+    iso = AlgebraMorphism(m2, m2, Matrix.identity(4, QQ), verified="iso")
+    assert verify_algebra_morphism(iso).render_text() == "pass (1 checks)\n  [ok] multiplicative"
+    assert iso.verified == "iso"
+    hom = AlgebraMorphism(m2, m2, Matrix.identity(4, QQ), verified="hom")
+    assert verify_algebra_morphism(hom).ok and hom.verified == "hom"  # no stamp is raised unasked
+
+
 # ---------------------------------------------------------------------------
 # modules
 

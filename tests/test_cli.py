@@ -449,3 +449,50 @@ def test_field_errors_carry_their_location(tmp_path, capsys):
         assert run_cli("check", _write(tmp_path, text)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: $.field: ") and message in err, err
+
+
+def test_consecutive_calls_build_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def counting():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert [run_cli("gallery", "--list"), run_cli("frobnicate"), run_cli("gallery", "--list")] == [0, 2, 0]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dorroh.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+def test_consecutive_calls_answer_as_fresh_processes(tmp_path, capsys):
+    doc, seq = tmp_path / "m2.json", tmp_path / "fib.json"
+    assert run_cli("gallery", "--emit", "M2", "-o", str(doc)) == 0
+    assert run_cli("gallery", "--emit", "fibonacci", "-o", str(seq)) == 0
+    findual = ["findual", "--seq", str(seq), "--command", "coproduct", "--report", "json"]
+    sequences = [
+        (["check", str(doc), "--report", "json"], ["check", str(doc)]),
+        (["check", "--frobnicate", str(doc)], ["check", str(doc)]),
+        ([*findual, "--depth", "6"], findual),
+    ]
+    capsys.readouterr()
+    codes = []
+    for calls in sequences:
+        for argv in calls:
+            codes.append(run_cli(*argv))
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "dorroh.cli", *argv], capture_output=True, text=True)
+            assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 0, 2, 0, 0, 0]

@@ -647,3 +647,12 @@ def test_extension_coproduct_matches_component_formula():
                 put(nc + i, nc + j, p[x] * v)
             expected = {k: cv for k, v in expected.items() if (cv := field.canon(v)) != 0}
             assert got == expected
+
+
+def test_passing_hom_check_keeps_iso_only_on_an_invertible_comorphism():
+    dp = divided_power(1, QQ)
+    zero = CoalgebraMorphism(dp, dp, Matrix.zeros(2, 2, QQ), verified="iso")
+    assert verify_coalgebra_morphism(zero).render_text() == "pass (1 checks)\n  [ok] comultiplicative"
+    assert zero.verified == "hom"
+    iso = CoalgebraMorphism(dp, dp, Matrix.identity(2, QQ), verified="iso")
+    assert verify_coalgebra_morphism(iso).ok and iso.verified == "iso"

@@ -6,6 +6,8 @@ parses every entry on its own, builds its location string up front and
 lets ``SparseTensor3`` canonicalise the entries again.  ``_parse_scalar``,
 ``_parse_tensor`` and ``_parse_vector`` are kept verbatim; ``Reference``
 fits them to the per-document reader that ``exchange.decode`` creates.
+``_render``, also verbatim, writes every leaf list with ``json.dumps``;
+``exchange.emit`` must give the same text.
 
 For arbitrary JSON values, and for mutations of canonical documents of
 every kind over Q and GF(5), ``exchange.parse`` must return the same
@@ -23,11 +25,12 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dorroh import cli, exchange
-from dorroh.algebra import AlgebraMorphism, identity_morphism, regular_bimodule, verify_algebra_morphism
+from dorroh.algebra import Algebra, AlgebraMorphism, identity_morphism, regular_bimodule, verify_algebra_morphism
 from dorroh.coalgebra import identity_comorphism, regular_bicomodule, verify_coalgebra_morphism
 from dorroh.errors import InputError
 from dorroh.exchange import _fail
@@ -85,6 +88,23 @@ def _parse_vector(field, obj, length, path):
     if not isinstance(obj, list) or len(obj) != length:
         _fail(path, f"expected a list of {length} scalars")
     return [_parse_scalar(field, s, f"{path}[{i}]") for i, s in enumerate(obj)]
+
+
+def _render(value, indent=0):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(k)}: {_render(v, indent + 1)}" for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, list):
+        if all(not isinstance(x, (dict, list)) for x in value):
+            return json.dumps(value, ensure_ascii=False)
+        inner = ",\n".join(f"{pad}  {_render(x, indent + 1)}" for x in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    return json.dumps(value, ensure_ascii=False)
 
 
 class Reference:
@@ -224,6 +244,7 @@ json_values = st.recursive(
     max_leaves=12,
 )
 scalar_values = st.one_of(
+    st.sampled_from(["0", "1"]),
     BAD_SCALARS,
     st.sampled_from(["0", "1", "2", "3", "4", "1/2", "-2/3", HUGE]),
     st.sampled_from([0, 1, True, None, 1.5, [], ["1"], {}]),
@@ -316,15 +337,25 @@ def test_the_reference_replaces_the_reader():
     assert read == ["$.payload.mul"]
 
 
-def test_repeated_scalars_are_checked_everywhere():
-    # a document whose every entry repeats one string still rejects the
-    # first bad one, and a valid string seen before a bad one does not mask it
-    doc = exchange.encode(trunc_poly_pair(3, QQ))
-    rows = doc["payload"]["i"]["mul"]
-    rows.append([0, 0, 0, "2/4"])
+# Edits of the last tensor read from the regular pair of the dual numbers,
+# each with a scalar string read before it (the units hold "1" and "0"),
+# and the failure the per-entry checks give.
+SEEN_EDITS = {
+    "zero": (lambda rows: rows.__setitem__(0, [*rows[0][:3], "0"]), "[0]: explicit zero entries are not allowed"),
+    "duplicate": (lambda rows: rows.append(rows[0]), "[3]: duplicate entry at (0,0,0)"),
+    "bool index": (lambda rows: rows.append([True, 1, 1, "1"]), "[3]: index i must be an integer"),
+    "out of range": (lambda rows: rows.append([0, 2, 1, "1"]), "[3]: index (0,2,1) out of range for dims (2, 2, 2)"),
+    "bad after good": (lambda rows: rows.append([1, 1, 1, "2/4"]), "[3]: non-canonical rational '2/4'"),
+}
+
+
+@pytest.mark.parametrize("edit", SEEN_EDITS)
+def test_a_scalar_read_before_does_not_mask_a_failure(edit):
+    change, message = SEEN_EDITS[edit]
+    doc = exchange.encode(regular_pair(dual_numbers(QQ)))
+    change(doc["payload"]["i"]["mul"])
     text = json.dumps(doc)
-    assert _outcome(text) == _reference_outcome(text)
-    assert _outcome(text).startswith("InputError: $.payload.i.mul[")
+    assert _outcome(text) == _reference_outcome(text) == f"InputError: $.payload.i.mul{message}"
 
 
 _DOCDIR = tempfile.TemporaryDirectory(prefix="dorroh-fuzz-")
@@ -338,3 +369,21 @@ def test_check_exits_only_0_1_or_2(text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["check", str(path)])
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+def test_emit_matches_the_json_dumps_renderer(text):
+    try:
+        obj = exchange.parse(text)
+    except InputError:
+        return
+    assert exchange.emit(obj) == _render(exchange.encode(obj)) + "\n"
+
+
+def test_emit_matches_the_json_dumps_renderer_on_escaped_labels():
+    dn = dual_numbers(QQ)
+    labelled = Algebra(dn.dim, dn.mul, QQ, labels=['"1"', "\u03b5\\\n"])
+    docs = [labelled, *(exchange.decode(doc) for docs in CANONICAL.values() for doc in docs)]
+    for obj in docs:
+        assert exchange.emit(obj) == _render(exchange.encode(obj)) + "\n"
