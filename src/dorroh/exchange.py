@@ -381,8 +381,9 @@ def emit(obj) -> str:
 def parse(text: str):
     try:
         doc = json.loads(text)
-    except ValueError as e:
-        # a JSONDecodeError, or an integer literal past the int-from-string digit limit
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer literal past the int-from-string
+        # digit limit, or arrays or objects nested past the recursion limit
         raise InputError(f"not valid JSON: {e}") from None
     return decode(doc)
 

@@ -369,6 +369,12 @@ def test_huge_count_literal_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
+def test_nesting_past_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    for text in ("[" * 100000 + "]" * 100000, '{"format": ' + '{"a": ' * 100000 + "1" + "}" * 100001):
+        assert run_cli("check", _write(tmp_path, text)) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+
+
 def test_huge_gallery_parameter_is_an_input_error(capsys):
     for name in ("geometric", "trunc_poly"):
         assert run_cli("gallery", "--emit", f"{name}({NINES})") == 2
