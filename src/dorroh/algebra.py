@@ -10,6 +10,10 @@ Conventions:
     them back.
 
 Algebras here need not be unital and modules need not respect units.
+
+The extension, zero-action pair, gluing and iterated triple are written
+once, for both sides: a ``Convention`` names a side's classes and
+attributes, and its ``order`` lays each block out in that side's legs.
 """
 
 from __future__ import annotations
@@ -163,6 +167,41 @@ def _unit_on(T, leg, u, n) -> bool:
     legs = [[u] if t == leg else None for t in range(3)]
     identity = dict.fromkeys(zip(*[[0] * n if t == leg else range(n) for t in range(3)]), 1)
     return transport(T, legs).entries == identity
+
+
+class Convention(NamedTuple):
+    """How one side names its structures, pairs and modules.  ``name`` is
+    also a (co)module's attribute for the structure it is over, ``co``
+    prefixes the side's words, and ``order`` takes legs in algebra
+    convention to this side's: ``TO_COALGEBRA`` for coalgebras."""
+
+    name: str
+    co: str
+    order: tuple
+    structure: type
+    tensor: str
+    unit: str
+    find_unit: str
+    morphism: type
+    pair: type
+    parts: tuple
+    action: str
+    action_type: type
+    actions: tuple
+    module: type
+
+    def lay(self, legs) -> tuple:
+        """Block offsets or dims in algebra convention, laid out in this side's legs."""
+        return tuple(legs[o] for o in self.order)
+
+    def parts_of(self, pair) -> tuple:
+        """The acting structure, the carrier and the action tensors of ``pair``."""
+        (_, acting), (_, carrier) = self.parts
+        return (getattr(pair, acting), getattr(pair, carrier), *self.tensors(getattr(pair, self.action)))
+
+    def tensors(self, owner) -> tuple:
+        """The left and right tensors of an action or a (co)module."""
+        return tuple(getattr(owner, key) for key in self.actions)
 
 
 class Laws(NamedTuple):
@@ -373,27 +412,31 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
     alone, stands for the unit law on the whole extension, so the unit is
     stored as found rather than checked again by ``Algebra``.
     """
+    return _build(ALGEBRA, pair)
+
+
+def _build(conv: Convention, pair):
     pair.require_valid()
-    na = pair.A.dim
-    n = na + pair.I.dim
+    acting, carrier, left, right = conv.parts_of(pair)
+    na = acting.dim
+    n = na + carrier.dim
     field = pair.field
-    mul = place(
+    tensor = place(
         (n, n, n), field,
-        (pair.A.mul, (0, 0, 0)),
-        (pair.action.left, (0, na, na)),
-        (pair.action.right, (na, 0, na)),
-        (pair.I.mul, (na, na, na)),
+        (getattr(acting, conv.tensor), (0, 0, 0)),
+        (left, conv.lay((0, na, na))),
+        (right, conv.lay((na, 0, na))),
+        (getattr(carrier, conv.tensor), (na, na, na)),
     )
 
     labels = None
-    if pair.A.labels is not None and pair.I.labels is not None:
-        labels = list(pair.A.labels) + list(pair.I.labels)
+    if acting.labels is not None and carrier.labels is not None:
+        labels = list(acting.labels) + list(carrier.labels)
 
-    built = Algebra(n, mul, field, labels=labels)
-    ua = pair.A.find_identity()
-    # unital pair: the A-unit must act as identity on I from both sides.
-    if ua is not None and _acts_as_identity(pair.action.left, pair.action.right, ua, pair.I.dim):
-        built._unit = ua + [0] * pair.I.dim
+    built = conv.structure(n, tensor, field, labels=labels)
+    unit = getattr(acting, conv.find_unit)()
+    if unit is not None and _acts_as_identity(left, right, unit, carrier.dim, conv.order):
+        setattr(built, "_" + conv.unit, unit + [0] * carrier.dim)
     return built
 
 
@@ -488,7 +531,7 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
     source = build_dorroh_algebra(pair)
     target = build_dorroh_algebra(direct_product_pair(pair.A, pair.I))
     n = na + ni
-    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    data = Matrix.identity(n, field).data
     for (a, _, y), v in shift.items():
         data[na + y][a] = v
     eta = AlgebraMorphism(source, target, Matrix(n, n, data, field))
@@ -504,15 +547,19 @@ def direct_product_pair(A: Algebra, B: Algebra) -> DorrohPairAlgebra:
     Every term of every pair law contains an action, so zero actions
     satisfy them all and the pair carries the all-pass report.
     """
+    return _zero_action_pair(ALGEBRA, A, B)
+
+
+def _zero_action_pair(conv: Convention, A, B):
     field = A.field
-    action = BimoduleAction(
+    action = conv.action_type(
         A,
         B.dim,
-        SparseTensor3.zero((A.dim, B.dim, B.dim), field),
-        SparseTensor3.zero((B.dim, A.dim, B.dim), field),
+        SparseTensor3.zero(conv.lay((A.dim, B.dim, B.dim)), field),
+        SparseTensor3.zero(conv.lay((B.dim, A.dim, B.dim)), field),
     )
-    pair = DorrohPairAlgebra(A, B, action)
-    pair._report = _passed(ACTION_LAWS.algebra, PAIR_LAWS.algebra)
+    pair = conv.pair(A, B, action)
+    pair._report = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
     return pair
 
 
@@ -630,6 +677,13 @@ class ModuleOverAlgebra:
         return check_laws(Report(), self.algebra.field, ACTION_LAWS.algebra, tensors, names)
 
 
+ALGEBRA = Convention(
+    name="algebra", co="", order=(0, 1, 2), structure=Algebra, tensor="mul", unit="unit",
+    find_unit="find_identity", morphism=AlgebraMorphism, pair=DorrohPairAlgebra, parts=(("a", "A"), ("i", "I")),
+    action="action", action_type=BimoduleAction, actions=("left", "right"), module=ModuleOverAlgebra,
+)
+
+
 def regular_bimodule(a: Algebra) -> ModuleOverAlgebra:
     """A acting on itself by multiplication."""
     return ModuleOverAlgebra(a, a.dim, BI, left=a.mul, right=a.mul)
@@ -640,39 +694,44 @@ def assemble_module(
 ) -> ModuleOverAlgebra:
     """Glue an A-module and an I-module on one carrier into an A|xI-module
     with (a,x)m = am + xm, after checking the compatibility identities."""
+    return _assemble(ALGEBRA, build_dorroh_algebra, pair, m_a, m_i, side)
+
+
+def _assemble(conv: Convention, build, pair, m_a, m_i, side: str):
+    co = conv.co
+    (_, a), (_, i) = conv.parts
     if side not in SIDES:
         raise InputError(f"side must be one of {SIDES}")
     if m_a.side != side or m_i.side != side:
-        raise InputError("component modules must share the requested side")
+        raise InputError(f"component {co}modules must share the requested side")
     if m_a.dim != m_i.dim:
-        raise InputError("component modules must share a carrier dimension")
-    if m_a.algebra != pair.A or m_i.algebra != pair.I:
-        raise InputError("modules must be over the pair's A and I")
+        raise InputError(f"component {co}modules must share a carrier dimension")
+    acting, carrier, pl, pr = conv.parts_of(pair)
+    if getattr(m_a, conv.name) != acting or getattr(m_i, conv.name) != carrier:
+        raise InputError(f"{co}modules must be over the pair's {a} and {i}")
     pair.require_valid()
     field = pair.field
-    na, nm = pair.A.dim, m_a.dim
+    na, nm = acting.dim, m_a.dim
 
     report = Report()
-    report.merge(m_a.validate(), prefix="A-module:")
-    report.merge(m_i.validate(), prefix="I-module:")
+    report.merge(m_a.validate(), prefix=f"{a}-{co}module:")
+    report.merge(m_i.validate(), prefix=f"{i}-{co}module:")
     # a one-sided module leaves its other side's roles unbound, which skips their laws
-    tensors = {
-        "la": m_a.left, "li": m_i.left, "ra": m_a.right, "ri": m_i.right,
-        "pl": pair.action.left, "pr": pair.action.right,
-    }
-    check_laws(report, field, GLUING_LAWS.algebra, tensors)
+    (la, ra), (li, ri) = conv.tensors(m_a), conv.tensors(m_i)
+    tensors = {"la": la, "li": li, "ra": ra, "ri": ri, "pl": pl, "pr": pr}
+    check_laws(report, field, getattr(GLUING_LAWS, conv.name), tensors)
 
     if not report.ok:
-        raise ValidationFailure(report, "module compatibility failed")
+        raise ValidationFailure(report, f"{co}module compatibility failed")
 
-    built = build_dorroh_algebra(pair)
+    built = build(pair)
     n = built.dim
     left = right = None
     if side in (LEFT, BI):
-        left = place((n, nm, nm), field, (m_a.left, (0, 0, 0)), (m_i.left, (na, 0, 0)))
+        left = place(conv.lay((n, nm, nm)), field, (la, (0, 0, 0)), (li, conv.lay((na, 0, 0))))
     if side in (RIGHT, BI):
-        right = place((nm, n, nm), field, (m_a.right, (0, 0, 0)), (m_i.right, (0, na, 0)))
-    return ModuleOverAlgebra(built, nm, side, left=left, right=right)
+        right = place(conv.lay((nm, n, nm)), field, (ra, (0, 0, 0)), (ri, conv.lay((0, na, 0))))
+    return conv.module(built, nm, side, **dict(zip(conv.actions, (left, right))))
 
 
 def check_iterated_algebra_triple(
@@ -694,55 +753,55 @@ def check_iterated_algebra_triple(
     carry the all-pass report.  The associator is still verified by
     structure-constant equality.
     """
-    pair12 = DorrohPairAlgebra(a1, a2, act12)
+    return _iterated_triple(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, a1, a2, a3, act12, act13, act23)
+
+
+def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, act23):
+    pair12 = conv.pair(a1, a2, act12)
     pair12.require_valid()
-    pair13 = pair12 if a3 is a2 and act13 is act12 else DorrohPairAlgebra(a1, a3, act13)
-    pair23 = DorrohPairAlgebra(a2, a3, act23)
+    pair13 = pair12 if a3 is a2 and act13 is act12 else conv.pair(a1, a3, act13)
+    pair23 = conv.pair(a2, a3, act23)
     field = a1.field
     n1, n2, n3 = a1.dim, a2.dim, a3.dim
+    lay = conv.lay
+    a = conv.parts[0][1]
 
     report = Report()
-    report.merge(pair13.validate(), prefix="A1A3:")
-    report.merge(pair23.validate(), prefix="A2A3:")
+    report.merge(pair13.validate(), prefix=f"{a}1{a}3:")
+    report.merge(pair23.validate(), prefix=f"{a}2{a}3:")
 
-    l12, r12 = act12.left, act12.right
-    l13, r13 = act13.left, act13.right
-    l23, r23 = act23.left, act23.right
+    (l12, r12), (l13, r13), (l23, r23) = (conv.tensors(act) for act in (act12, act13, act23))
     tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
-    check_laws(report, field, TRIPLE_LAWS.algebra, tensors)
+    check_laws(report, field, getattr(TRIPLE_LAWS, conv.name), tensors)
 
     if not report.ok:
         return report, None
 
     # A1|xA2 acts on A3 through A1 and A2 side by side ...
     n12 = n1 + n2
-    b12 = build_dorroh_algebra(pair12)
-    act_12_3 = BimoduleAction(
+    b12 = build(pair12)
+    act_12_3 = conv.action_type(
         b12,
         n3,
-        place((n12, n3, n3), field, (l13, (0, 0, 0)), (l23, (n1, 0, 0))),
-        place((n3, n12, n3), field, (r13, (0, 0, 0)), (r23, (0, n1, 0))),
+        place(lay((n12, n3, n3)), field, (l13, (0, 0, 0)), (l23, lay((n1, 0, 0)))),
+        place(lay((n3, n12, n3)), field, (r13, (0, 0, 0)), (r23, lay((0, n1, 0)))),
     )
-    pair_left = DorrohPairAlgebra(b12, a3, act_12_3)
+    pair_left = conv.pair(b12, a3, act_12_3)
 
     # ... and A1 acts on A2|xA3 through A2 and A3 side by side.
     n23 = n2 + n3
-    b23 = build_dorroh_algebra(pair23)
-    act_1_23 = BimoduleAction(
+    b23 = build(pair23)
+    act_1_23 = conv.action_type(
         a1,
         n23,
-        place((n1, n23, n23), field, (l12, (0, 0, 0)), (l13, (0, n2, n2))),
-        place((n23, n1, n23), field, (r12, (0, 0, 0)), (r13, (n2, 0, n2))),
+        place(lay((n1, n23, n23)), field, (l12, (0, 0, 0)), (l13, lay((0, n2, n2)))),
+        place(lay((n23, n1, n23)), field, (r12, (0, 0, 0)), (r13, lay((n2, 0, n2)))),
     )
-    pair_right = DorrohPairAlgebra(a1, b23, act_1_23)
+    pair_right = conv.pair(a1, b23, act_1_23)
     for prefix, pair in (("left-bracketing:", pair_left), ("right-bracketing:", pair_right)):
-        pair._report = _passed(ACTION_LAWS.algebra, PAIR_LAWS.algebra)
+        pair._report = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
         report.merge(pair._report, prefix=prefix)
 
-    associator = AlgebraMorphism(
-        build_dorroh_algebra(pair_left),
-        build_dorroh_algebra(pair_right),
-        Matrix.identity(n1 + n2 + n3, field),
-    )
-    report.merge(verify_algebra_morphism(associator, iso=True), prefix="associator:")
+    associator = conv.morphism(build(pair_left), build(pair_right), Matrix.identity(n1 + n2 + n3, field))
+    report.merge(verify(associator, iso=True), prefix=f"{conv.co}associator:")
     return report, associator

@@ -7,8 +7,9 @@ Conventions:
     contains a f_y (x) e_c.
   * Extensions order the basis C-block first, then P-block; the
     comultiplication of the extension restricted to the P-block carries
-    the rho_l, rho_r and Delta_P terms.  ``place`` lays the four blocks of
-    C|xP out in that order and ``block`` reads them back.
+    the rho_l, rho_r and Delta_P terms.  The extension, gluing and
+    iterated triple are those of ``algebra.py`` with every block rotated
+    by ``TO_COALGEBRA``, the Kronecker dual; no block is laid out here.
 
 Coalgebras need not be counital; a coideal is a subspace P with
 Delta(P) inside D(x)P + P(x)D (the non-counital sense, which keeps the
@@ -21,17 +22,19 @@ from .algebra import (
     ACTION_LAWS,
     ASSOCIATIVITY,
     BI,
-    GLUING_LAWS,
     LEFT,
     PAIR_LAWS,
     RIGHT,
     SIDES,
-    TRIPLE_LAWS,
+    Convention,
     Morphism,
     _acts_as_identity,
-    _passed,
+    _assemble,
+    _build,
+    _iterated_triple,
     _record_verified,
     _two_sided_unit,
+    _zero_action_pair,
     check_laws,
 )
 from .errors import InputError, PreconditionError, ValidationFailure
@@ -183,27 +186,7 @@ def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
     stands for the counit law on the whole extension, so the counit is
     stored as found rather than checked again by ``Coalgebra``.
     """
-    pair.require_valid()
-    nc = pair.C.dim
-    n = nc + pair.P.dim
-    field = pair.field
-    delta = place(
-        (n, n, n), field,
-        (pair.C.delta, (0, 0, 0)),
-        (pair.coaction.rho_l, (nc, 0, nc)),
-        (pair.coaction.rho_r, (nc, nc, 0)),
-        (pair.P.delta, (nc, nc, nc)),
-    )
-
-    labels = None
-    if pair.C.labels is not None and pair.P.labels is not None:
-        labels = list(pair.C.labels) + list(pair.P.labels)
-
-    built = Coalgebra(n, delta, field, labels=labels)
-    eps_c = pair.C.find_counit()
-    if eps_c is not None and _bicomodule_is_counital(pair, eps_c):
-        built._counit = eps_c + [0] * pair.P.dim
-    return built
+    return _build(COALGEBRA, pair)
 
 
 def _bicomodule_is_counital(pair: DorrohPairCoalgebra, eps_c) -> bool:
@@ -239,16 +222,7 @@ def zero_coaction_pair(C: Coalgebra, P: Coalgebra) -> DorrohPairCoalgebra:
     Every term of every pair law contains a coaction, so zero coactions
     satisfy them all and the pair carries the all-pass report.
     """
-    field = C.field
-    coaction = BicomoduleCoaction(
-        C,
-        P.dim,
-        SparseTensor3.zero((P.dim, C.dim, P.dim), field),
-        SparseTensor3.zero((P.dim, P.dim, C.dim), field),
-    )
-    pair = DorrohPairCoalgebra(C, P, coaction)
-    pair._report = _passed(ACTION_LAWS.coalgebra, PAIR_LAWS.coalgebra)
-    return pair
+    return _zero_action_pair(COALGEBRA, C, P)
 
 
 def counit_balance_check(pair: DorrohPairCoalgebra, eps_p) -> Report:
@@ -276,7 +250,7 @@ def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
     source = build_dorroh_coalgebra(pair)
     target = build_dorroh_coalgebra(zero_coaction_pair(pair.C, pair.P))
     n = nc + np_
-    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    data = Matrix.identity(n, field).data
     # sum p_(-1) eps_P(p_(0)) at (x, c, 0)
     for (x, c, _), v in transport(pair.coaction.rho_l, (None, None, [eps_p])).entries.items():
         data[c][nc + x] = -v
@@ -399,6 +373,13 @@ class ComoduleOverCoalgebra:
         return check_laws(Report(), self.coalgebra.field, ACTION_LAWS.coalgebra, tensors)
 
 
+COALGEBRA = Convention(
+    name="coalgebra", co="co", order=TO_COALGEBRA, structure=Coalgebra, tensor="delta", unit="counit",
+    find_unit="find_counit", morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra, parts=(("c", "C"), ("p", "P")),
+    action="coaction", action_type=BicomoduleCoaction, actions=("rho_l", "rho_r"), module=ComoduleOverCoalgebra,
+)
+
+
 def regular_bicomodule(c: Coalgebra) -> ComoduleOverCoalgebra:
     """C coacting on itself by its comultiplication."""
     return ComoduleOverCoalgebra(c, c.dim, BI, rho_l=c.delta, rho_r=c.delta)
@@ -409,39 +390,7 @@ def assemble_comodule(
 ) -> ComoduleOverCoalgebra:
     """Glue a C-comodule and a P-comodule on one carrier into a C|xP-comodule,
     after checking the mixed coassociativity identities."""
-    if side not in SIDES:
-        raise InputError(f"side must be one of {SIDES}")
-    if com_c.side != side or com_p.side != side:
-        raise InputError("component comodules must share the requested side")
-    if com_c.dim != com_p.dim:
-        raise InputError("component comodules must share a carrier dimension")
-    if com_c.coalgebra != pair.C or com_p.coalgebra != pair.P:
-        raise InputError("comodules must be over the pair's C and P")
-    pair.require_valid()
-    field = pair.field
-    nm, nc = com_c.dim, pair.C.dim
-
-    report = Report()
-    report.merge(com_c.validate(), prefix="C-comodule:")
-    report.merge(com_p.validate(), prefix="P-comodule:")
-    # a one-sided comodule leaves its other side's roles unbound, which skips their laws
-    tensors = {
-        "la": com_c.rho_l, "li": com_p.rho_l, "ra": com_c.rho_r, "ri": com_p.rho_r,
-        "pl": pair.coaction.rho_l, "pr": pair.coaction.rho_r,
-    }
-    check_laws(report, field, GLUING_LAWS.coalgebra, tensors)
-
-    if not report.ok:
-        raise ValidationFailure(report, "comodule compatibility failed")
-
-    built = build_dorroh_coalgebra(pair)
-    n = built.dim
-    rho_l = rho_r = None
-    if side in (LEFT, BI):
-        rho_l = place((nm, n, nm), field, (com_c.rho_l, (0, 0, 0)), (com_p.rho_l, (0, nc, 0)))
-    if side in (RIGHT, BI):
-        rho_r = place((nm, nm, n), field, (com_c.rho_r, (0, 0, 0)), (com_p.rho_r, (0, 0, nc)))
-    return ComoduleOverCoalgebra(built, nm, side, rho_l=rho_l, rho_r=rho_r)
+    return _assemble(COALGEBRA, build_dorroh_coalgebra, pair, com_c, com_p, side)
 
 
 def pushforward_pair(pair: DorrohPairCoalgebra, f: CoalgebraMorphism) -> DorrohPairCoalgebra:
@@ -475,55 +424,4 @@ def check_iterated_coalgebra_triple(
     pass, which prove every bracketing identity, so they carry the
     all-pass report; the coassociator is still verified.
     """
-    pair12 = DorrohPairCoalgebra(c1, c2, co12)
-    pair12.require_valid()
-    pair13 = pair12 if c3 is c2 and co13 is co12 else DorrohPairCoalgebra(c1, c3, co13)
-    pair23 = DorrohPairCoalgebra(c2, c3, co23)
-    field = c1.field
-    n1, n2, n3 = c1.dim, c2.dim, c3.dim
-
-    report = Report()
-    report.merge(pair13.validate(), prefix="C1C3:")
-    report.merge(pair23.validate(), prefix="C2C3:")
-
-    l12, r12 = co12.rho_l, co12.rho_r
-    l13, r13 = co13.rho_l, co13.rho_r
-    l23, r23 = co23.rho_l, co23.rho_r
-    tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
-    check_laws(report, field, TRIPLE_LAWS.coalgebra, tensors)
-
-    if not report.ok:
-        return report, None
-
-    # C1|xC2 coacts on C3 through C1 and C2 side by side ...
-    n12 = n1 + n2
-    d12 = build_dorroh_coalgebra(pair12)
-    co_12_3 = BicomoduleCoaction(
-        d12,
-        n3,
-        place((n3, n12, n3), field, (l13, (0, 0, 0)), (l23, (0, n1, 0))),
-        place((n3, n3, n12), field, (r13, (0, 0, 0)), (r23, (0, 0, n1))),
-    )
-    pair_left = DorrohPairCoalgebra(d12, c3, co_12_3)
-
-    # ... and C1 coacts on C2|xC3 through C2 and C3 side by side.
-    n23 = n2 + n3
-    d23 = build_dorroh_coalgebra(pair23)
-    co_1_23 = BicomoduleCoaction(
-        c1,
-        n23,
-        place((n23, n1, n23), field, (l12, (0, 0, 0)), (l13, (n2, 0, n2))),
-        place((n23, n23, n1), field, (r12, (0, 0, 0)), (r13, (n2, n2, 0))),
-    )
-    pair_right = DorrohPairCoalgebra(c1, d23, co_1_23)
-    for prefix, pair in (("left-bracketing:", pair_left), ("right-bracketing:", pair_right)):
-        pair._report = _passed(ACTION_LAWS.coalgebra, PAIR_LAWS.coalgebra)
-        report.merge(pair._report, prefix=prefix)
-
-    coassociator = CoalgebraMorphism(
-        build_dorroh_coalgebra(pair_left),
-        build_dorroh_coalgebra(pair_right),
-        Matrix.identity(n1 + n2 + n3, field),
-    )
-    report.merge(verify_coalgebra_morphism(coassociator, iso=True), prefix="coassociator:")
-    return report, coassociator
+    return _iterated_triple(COALGEBRA, build_dorroh_coalgebra, verify_coalgebra_morphism, c1, c2, c3, co12, co13, co23)

@@ -13,16 +13,9 @@ from __future__ import annotations
 import json
 from functools import partial
 from operator import attrgetter
-from types import SimpleNamespace
 
-from .algebra import SIDES, Algebra, AlgebraMorphism, BimoduleAction, DorrohPairAlgebra, ModuleOverAlgebra
-from .coalgebra import (
-    BicomoduleCoaction,
-    Coalgebra,
-    CoalgebraMorphism,
-    ComoduleOverCoalgebra,
-    DorrohPairCoalgebra,
-)
+from .algebra import ALGEBRA, SIDES
+from .coalgebra import COALGEBRA
 from .errors import InputError
 from .fields import FieldSpec
 from .findual import RecurrentSequence
@@ -70,16 +63,14 @@ def _expect_count(obj, path, name):
 # scalars and tensors
 
 
-def _emit_scalar(field, v):
-    return field.fmt(v)
+# Every stored scalar (tensor entry, (co)unit, matrix entry, sequence
+# value) is canonical already, so its string is its canonical spelling.
+def _emit_tensor(tensor):
+    return [[i, j, k, str(v)] for (i, j, k), v in tensor.sorted_items()]
 
 
-def _emit_tensor(field, tensor):
-    return [[i, j, k, _emit_scalar(field, v)] for (i, j, k), v in tensor.sorted_items()]
-
-
-def _emit_vector(field, vec):
-    return [_emit_scalar(field, v) for v in vec]
+def _emit_vector(vec):
+    return [str(v) for v in vec]
 
 
 class _Reader:
@@ -164,31 +155,18 @@ def _parse_labels(obj, dim, path):
 
 # How each side's structures, pairs, modules and morphisms map to payloads.
 # A payload key is also the attribute holding its value and the constructor
-# keyword taking it.  In an action shape "a" is the acting dim, "c" the carrier's.
-_SIDES = {
-    "algebra": SimpleNamespace(
-        name="algebra", structure=Algebra, tensor="mul", unit="unit", find_unit="find_identity",
-        morphism=AlgebraMorphism, pair=DorrohPairAlgebra, parts=(("a", "A"), ("i", "I")),
-        action="action", action_type=BimoduleAction, actions=(("left", "acc"), ("right", "cac")),
-        module_kind="module", module=ModuleOverAlgebra,
-    ),
-    "coalgebra": SimpleNamespace(
-        name="coalgebra", structure=Coalgebra, tensor="delta", unit="counit", find_unit="find_counit",
-        morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra, parts=(("c", "C"), ("p", "P")),
-        action="coaction", action_type=BicomoduleCoaction, actions=(("rho_l", "cac"), ("rho_r", "cca")),
-        module_kind="comodule", module=ComoduleOverCoalgebra,
-    ),
-}
+# keyword taking it.
+_SIDES = {conv.name: conv for conv in (ALGEBRA, COALGEBRA)}
 
 
 def _structure_payload(side, s):
     payload = {"dim": s.dim}
     if s.labels is not None:
         payload["labels"] = list(s.labels)
-    payload[side.tensor] = _emit_tensor(s.field, getattr(s, side.tensor))
+    payload[side.tensor] = _emit_tensor(getattr(s, side.tensor))
     unit = getattr(s, side.find_unit)()
     if unit is not None:
-        payload[side.unit] = _emit_vector(s.field, unit)
+        payload[side.unit] = _emit_vector(unit)
     return payload
 
 
@@ -206,29 +184,27 @@ def _parse_structure(side, reader, payload, path):
         _fail(path, str(e))
 
 
-def _action_payload(side, field, owner):
+def _action_payload(side, owner):
     """The action tensors ``owner`` holds, by key."""
-    tensors = ((key, getattr(owner, key)) for key, _ in side.actions)
-    return {key: _emit_tensor(field, t) for key, t in tensors if t is not None}
+    return {key: _emit_tensor(t) for key, t in zip(side.actions, side.tensors(owner)) if t is not None}
 
 
 def _parse_actions(side, reader, payload, acting, carrier, path):
     """The action tensors in ``payload``, by key, for the dims ``acting`` and ``carrier``."""
     tensors = {}
-    for key, shape in side.actions:
+    for key, dims in zip(side.actions, ((acting, carrier, carrier), (carrier, acting, carrier))):
         if key in payload:
-            dims = tuple(acting if c == "a" else carrier for c in shape)
-            tensors[key] = reader.tensor(payload[key], dims, f"{path}.{key}")
+            tensors[key] = reader.tensor(payload[key], side.lay(dims), f"{path}.{key}")
     return tensors
 
 
 def _pair_payload(side, pair):
     payload = {key: _structure_payload(side, getattr(pair, attr)) for key, attr in side.parts}
-    return payload | _action_payload(side, pair.field, getattr(pair, side.action))
+    return payload | _action_payload(side, getattr(pair, side.action))
 
 
 def _parse_pair(side, reader, payload, path):
-    _expect_dict(payload, path, tuple(key for key, _ in side.parts + side.actions))
+    _expect_dict(payload, path, tuple(key for key, _ in side.parts) + side.actions)
     acting, carrier = (_parse_structure(side, reader, payload[key], f"{path}.{key}") for key, _ in side.parts)
     left, right = _parse_actions(side, reader, payload, acting.dim, carrier.dim, path).values()
     return side.pair(acting, carrier, side.action_type(acting, carrier.dim, left, right))
@@ -237,11 +213,11 @@ def _parse_pair(side, reader, payload, path):
 def _module_payload(side, m):
     acting = getattr(m, side.name)
     payload = {side.name: _structure_payload(side, acting), "dim": m.dim, "side": m.side}
-    return payload | _action_payload(side, acting.field, m)
+    return payload | _action_payload(side, m)
 
 
 def _parse_module(side, reader, payload, path):
-    _expect_dict(payload, path, (side.name, "dim", "side"), tuple(key for key, _ in side.actions))
+    _expect_dict(payload, path, (side.name, "dim", "side"), side.actions)
     acting = _parse_structure(side, reader, payload[side.name], f"{path}.{side.name}")
     dim = _expect_count(payload, path, "dim")
     if payload["side"] not in SIDES:
@@ -258,7 +234,7 @@ def _morphism_payload(side, m):
         "structure": side.name,
         "source": _structure_payload(side, m.source),
         "target": _structure_payload(side, m.target),
-        "matrix": [_emit_vector(m.source.field, row) for row in m.matrix.data],
+        "matrix": [_emit_vector(row) for row in m.matrix.data],
         "verified": m.verified,
     }
 
@@ -283,9 +259,9 @@ def _parse_morphism(reader, payload, path):
 def _sequence_payload(s: RecurrentSequence):
     payload = {}
     if s.s0 is not None:
-        payload["s0"] = _emit_scalar(s.field, s.s0)
-    payload["initial"] = _emit_vector(s.field, s.initial)
-    payload["recurrence"] = _emit_vector(s.field, s.coeffs)
+        payload["s0"] = str(s.s0)
+    payload["initial"] = _emit_vector(s.initial)
+    payload["recurrence"] = _emit_vector(s.coeffs)
     return payload
 
 
@@ -313,12 +289,12 @@ for _side in _SIDES.values():
     _ENCODERS += [
         (_side.structure, _side.name, partial(_structure_payload, _side), lambda o: o.field),
         (_side.pair, f"pair-{_side.name}", partial(_pair_payload, _side), lambda o: o.field),
-        (_side.module, _side.module_kind, partial(_module_payload, _side), attrgetter(f"{_side.name}.field")),
+        (_side.module, f"{_side.co}module", partial(_module_payload, _side), attrgetter(f"{_side.name}.field")),
         (_side.morphism, "morphism", partial(_morphism_payload, _side), lambda o: o.source.field),
     ]
     _PARSERS[_side.name] = partial(_parse_structure, _side)
     _PARSERS[f"pair-{_side.name}"] = partial(_parse_pair, _side)
-    _PARSERS[_side.module_kind] = partial(_parse_module, _side)
+    _PARSERS[f"{_side.co}module"] = partial(_parse_module, _side)
 
 
 def encode(obj) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 
 from .algebra import (
+    ALGEBRA,
     Algebra,
     AlgebraMorphism,
     BimoduleAction,
@@ -27,6 +28,7 @@ from .algebra import (
     verify_algebra_morphism,
 )
 from .coalgebra import (
+    COALGEBRA,
     BicomoduleCoaction,
     Coalgebra,
     ComoduleOverCoalgebra,
@@ -197,35 +199,32 @@ def instance(name: str, field: FieldSpec):
 # algebra pair constructors
 
 
+def _valid_pair(conv, A, I, left, right):
+    """The validated pair (A, I) of the side ``conv`` acting by ``left`` and ``right``."""
+    pair = conv.pair(A, I, conv.action_type(A, I.dim, left, right))
+    pair.require_valid()
+    return pair
+
+
 def trivial_extension_pair(A: Algebra, M: ModuleOverAlgebra) -> DorrohPairAlgebra:
     """(A, M) with M M = 0; the extension is the trivial extension of A by M."""
     if M.side != "bi" or M.algebra != A:
         raise InputError("trivial extension needs an A-bimodule")
     field = A.field
     I = Algebra(M.dim, SparseTensor3.zero((M.dim, M.dim, M.dim), field), field)
-    action = BimoduleAction(A, M.dim, M.left, M.right)
-    pair = DorrohPairAlgebra(A, I, action)
-    pair.require_valid()
-    return pair
+    return _valid_pair(ALGEBRA, A, I, M.left, M.right)
 
 
 def regular_pair(A: Algebra) -> DorrohPairAlgebra:
     """(A, A) with the multiplication actions."""
-    mod = regular_bimodule(A)
-    action = BimoduleAction(A, A.dim, mod.left, mod.right)
-    pair = DorrohPairAlgebra(A, A, action)
-    pair.require_valid()
-    return pair
+    return _valid_pair(ALGEBRA, A, A, A.mul, A.mul)
 
 
 def scalar_action_pair(field: FieldSpec, I: Algebra) -> DorrohPairAlgebra:
     """(k, I) with k acting by scalar multiplication; valid for any I."""
-    k = algebra_k(field)
     left = SparseTensor3((1, I.dim, I.dim), {(0, x, x): 1 for x in range(I.dim)}, field)
     right = SparseTensor3((I.dim, 1, I.dim), {(x, 0, x): 1 for x in range(I.dim)}, field)
-    pair = DorrohPairAlgebra(k, I, BimoduleAction(k, I.dim, left, right))
-    pair.require_valid()
-    return pair
+    return _valid_pair(ALGEBRA, algebra_k(field), I, left, right)
 
 
 def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTensor3):
@@ -287,9 +286,7 @@ def make_algebra_pair(kind: str, *components):
     if kind == "trivial_extension":
         return trivial_extension_pair(*components)
     if kind == "direct_product":
-        pair = direct_product_pair(*components)
-        pair.require_valid()
-        return pair
+        return direct_product_pair(*components)
     if kind == "triangular":
         return triangular_pair(*components)
     if kind == "one_point":
@@ -317,43 +314,28 @@ def trivial_coextension_pair(C: Coalgebra, M: ComoduleOverCoalgebra) -> DorrohPa
         raise InputError("trivial coextension needs a C-bicomodule")
     field = C.field
     P = Coalgebra(M.dim, SparseTensor3.zero((M.dim, M.dim, M.dim), field), field)
-    coaction = BicomoduleCoaction(C, M.dim, M.rho_l, M.rho_r)
-    pair = DorrohPairCoalgebra(C, P, coaction)
-    pair.require_valid()
-    return pair
+    return _valid_pair(COALGEBRA, C, P, M.rho_l, M.rho_r)
 
 
 def regular_copair(C: Coalgebra) -> DorrohPairCoalgebra:
     """(C, C) with the regular coactions rho_l = rho_r = Delta."""
-    com = regular_bicomodule(C)
-    coaction = BicomoduleCoaction(C, C.dim, com.rho_l, com.rho_r)
-    pair = DorrohPairCoalgebra(C, C, coaction)
-    pair.require_valid()
-    return pair
+    return _valid_pair(COALGEBRA, C, C, C.delta, C.delta)
 
 
 def counital_hull(P: Coalgebra) -> DorrohPairCoalgebra:
     """(k, P) with the trivial coactions p -> 1 (x) p and p -> p (x) 1;
     the extension is counital with counit (1, 0, ..., 0)."""
     field = P.field
-    k = grouplikes(1, field)
     rho_l = SparseTensor3((P.dim, 1, P.dim), {(x, 0, x): 1 for x in range(P.dim)}, field)
     rho_r = SparseTensor3((P.dim, P.dim, 1), {(x, x, 0): 1 for x in range(P.dim)}, field)
-    pair = DorrohPairCoalgebra(k, P, BicomoduleCoaction(k, P.dim, rho_l, rho_r))
-    pair.require_valid()
-    return pair
+    return _valid_pair(COALGEBRA, grouplikes(1, field), P, rho_l, rho_r)
 
 
 def grouplike_pair(field: FieldSpec) -> DorrohPairCoalgebra:
     """C = k{g}, P = k{p} with Delta(p) = p (x) p, rho_l(p) = g (x) p,
     rho_r(p) = p (x) g."""
-    C = grouplikes(1, field)
-    P = grouplikes(1, field)
-    rho_l = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
-    rho_r = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
-    pair = DorrohPairCoalgebra(C, P, BicomoduleCoaction(C, 1, rho_l, rho_r))
-    pair.require_valid()
-    return pair
+    g = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
+    return _valid_pair(COALGEBRA, grouplikes(1, field), grouplikes(1, field), g, g)
 
 
 def triangular_copair(C: Coalgebra, D: Coalgebra, rho_l: SparseTensor3, rho_r: SparseTensor3):
@@ -365,9 +347,7 @@ def triangular_copair(C: Coalgebra, D: Coalgebra, rho_l: SparseTensor3, rho_r: S
     nm = rho_l.dims[0]
     if rho_l.dims != (nm, C.dim, nm) or rho_r.dims != (nm, nm, D.dim):
         raise InputError("bicomodule tensors mis-shaped for triangular copair")
-    cd = zero_coaction_pair(C, D)
-    cd.require_valid()
-    cxd = build_dorroh_coalgebra(cd)
+    cxd = build_dorroh_coalgebra(zero_coaction_pair(C, D))
     coaction = BicomoduleCoaction(
         cxd,
         nm,
@@ -384,9 +364,7 @@ def make_coalgebra_pair(kind: str, *components):
     if kind == "trivial_coextension":
         return trivial_coextension_pair(*components)
     if kind == "direct_product":
-        pair = zero_coaction_pair(*components)
-        pair.require_valid()
-        return pair
+        return zero_coaction_pair(*components)
     if kind == "triangular":
         return triangular_copair(*components)
     if kind == "counital_hull":

@@ -9,16 +9,21 @@ the tracer patches it through ``Class.__dict__``.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
 
-def _spans():
+def _bench_trace():
     spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.SPANS
+    return mod
+
+
+def _spans():
+    return _bench_trace().SPANS
 
 
 def test_every_traced_span_resolves():
@@ -33,3 +38,71 @@ def test_every_traced_span_resolves():
                 assert part in obj.__dict__, (module, attribute)
             obj = getattr(obj, part)
         assert callable(obj), (module, attribute)
+
+
+def _resolve(module, attribute):
+    obj = importlib.import_module(f"dorroh.{module}")
+    for part in attribute.split("."):
+        obj = obj.__dict__[part] if isinstance(obj, type) else getattr(obj, part)
+    return obj
+
+
+def test_every_traced_span_is_its_own_callable():
+    """The tracer swaps a callable wherever a module holds it, so two
+    entries naming one object would wrap it twice and lose a span name."""
+    callables = [_resolve(module, attribute) for module, attribute, _, _ in _spans()]
+    assert len({id(c) for c in callables}) == len(callables)
+
+
+# Span names recorded by one build, one gluing and one triple per side of
+# the pair (k, dual numbers) over Q.  The constructions share one body for
+# both sides; a nested build or verification reached other than through its
+# side's module global would drop out of these counts or change sides.
+CONSTRUCTION_SPANS = {
+    "task": 1,
+    "algebra.associator": 1,
+    "algebra.build": 6,
+    "algebra.find_identity": 6,
+    "algebra.validate": 4,
+    "algebra.verify_morphism": 1,
+    "coalgebra.associator": 1,
+    "coalgebra.build": 6,
+    "coalgebra.find_counit": 6,
+    "coalgebra.validate": 4,
+    "coalgebra.verify_morphism": 1,
+}
+
+
+def test_constructions_record_the_same_spans():
+    from dorroh import algebra, coalgebra, duality
+    from dorroh.fields import QQ
+    from dorroh.gallery import dual_numbers, scalar_action_pair
+
+    pair = scalar_action_pair(QQ, dual_numbers(QQ))
+    reg = algebra.regular_bimodule(algebra.build_dorroh_algebra(pair))
+    na, n = pair.A.dim, reg.dim
+    m_a = algebra.ModuleOverAlgebra(
+        pair.A, n, "bi", left=reg.left.block((0, 0, 0), (na, n, n)), right=reg.right.block((0, 0, 0), (n, na, n))
+    )
+    m_i = algebra.ModuleOverAlgebra(
+        pair.I, n, "bi", left=reg.left.block((na, 0, 0), (n, n, n)), right=reg.right.block((0, na, 0), (n, n, n))
+    )
+    copair = duality.dualize_algebra_pair(pair)[0]
+    c_a, c_i = duality.dual_actions(m_a), duality.dual_actions(m_i)
+    regular = algebra.BimoduleAction(pair.I, pair.I.dim, pair.I.mul, pair.I.mul)
+    coregular = coalgebra.BicomoduleCoaction(copair.P, copair.P.dim, copair.P.delta, copair.P.delta)
+
+    bench_trace = _bench_trace()
+    for module, *_ in bench_trace.SPANS:  # the tracer patches every module it names
+        importlib.import_module(f"dorroh.{module}")
+    tracer = bench_trace.Tracer()
+    with tracer.patched(), tracer.task(0):
+        algebra.build_dorroh_algebra(pair)
+        algebra.assemble_module(pair, m_a, m_i, "bi")
+        algebra.check_iterated_algebra_triple(pair.A, pair.I, pair.I, pair.action, pair.action, regular)
+        coalgebra.build_dorroh_coalgebra(copair)
+        coalgebra.assemble_comodule(copair, c_a, c_i, "bi")
+        coalgebra.check_iterated_coalgebra_triple(
+            copair.C, copair.P, copair.P, copair.coaction, copair.coaction, coregular
+        )
+    assert Counter(name for name, *_ in tracer.spans) == CONSTRUCTION_SPANS

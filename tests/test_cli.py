@@ -10,6 +10,7 @@ from dorroh.coalgebra import verify_coalgebra_morphism
 from dorroh.fields import QQ
 from dorroh.findual import MAX_BOUND, MAX_DEPTH
 from dorroh.gallery import MAX_PARAM, instance
+from dorroh.linalg import MAX_DENSE_DIM
 
 
 def run_cli(*argv):
@@ -385,6 +386,44 @@ def test_gallery_emit_unknown_pair_on_either_side(capsys):
     for side in ("pair-algebra", "pair-coalgebra"):
         assert run_cli("gallery", "--emit", f"{side}:nope") == 2
         assert capsys.readouterr().err == f"error: unknown gallery pair '{side}:nope'\n"
+
+
+def _empty_pair(ni):
+    return (
+        '{"format":"dorroh/1","field":{"kind":"Q"},"kind":"pair-algebra","payload":'
+        f'{{"a":{{"dim":1,"mul":[]}},"i":{{"dim":{ni},"mul":[]}},"left":[],"right":[]}}}}'
+    )
+
+
+def _empty_algebra(n):
+    return f'{{"format":"dorroh/1","field":{{"kind":"Q"}},"kind":"algebra","payload":{{"dim":{n},"mul":[]}}}}'
+
+
+def test_dense_identities_past_the_cap_exit_2_quickly(tmp_path, capsys):
+    """A short document declaring a large dim must not build a dense
+    identity of that size: the associator of (A, I, I), the duality
+    witnesses and the pair dual all start from ``Matrix.identity``."""
+    ni = 1000
+    cases = [
+        (("iso", "--which", "associator"), _empty_pair(ni), 1 + 2 * ni),
+        (("iso", "--which", "duality"), _empty_algebra(ni), ni),
+        (("iso", "--which", "duality"), _empty_pair(ni), 1 + ni),
+        (("dualize",), _empty_pair(ni), 1 + ni),
+    ]
+    for argv, text, n in cases:
+        assert len(text) < 170
+        doc = _write(tmp_path, text)
+        start = time.perf_counter()
+        assert run_cli(*argv, doc) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}\n"
+
+
+def test_dense_identities_at_the_cap_still_build(tmp_path, capsys):
+    ni = (MAX_DENSE_DIM - 1) // 2
+    assert run_cli("iso", "--which", "associator", _write(tmp_path, _empty_pair(ni)), "-o", str(tmp_path / "a.json")) == 0
+    assert run_cli("iso", "--which", "duality", _write(tmp_path, _empty_algebra(MAX_DENSE_DIM))) == 0
+    assert run_cli("iso", "--which", "duality", _write(tmp_path, _empty_algebra(MAX_DENSE_DIM + 1))) == 2
 
 
 def test_split_rejects_a_pair_before_reading_the_bases(tmp_path, capsys):

@@ -9,6 +9,10 @@ it dualises to must pass or fail together.  This runs both sides on
 seeded random pairs and on single-entry perturbations of every tensor,
 building the coalgebra objects directly (``dualize_algebra_pair``
 rejects invalid pairs), and compares the status of every check by name.
+
+The constructions commute with the dual too: where the algebra side
+builds an extension, a glued module or an associator, the coalgebra side
+builds the rotated tensors, and the found counit is the found unit.
 """
 
 import random
@@ -33,6 +37,7 @@ from dorroh.coalgebra import (
     ComoduleOverCoalgebra,
     DorrohPairCoalgebra,
     assemble_comodule,
+    build_dorroh_coalgebra,
     check_coassociativity,
     check_dorroh_pair_coalgebra,
     check_iterated_coalgebra_triple,
@@ -96,15 +101,20 @@ def _rot(t):
     return place(tuple(t.dims[o] for o in TO_COALGEBRA), t.field, (t, (0, 0, 0), TO_COALGEBRA))
 
 
-def _outcome(fn, *args):
-    """(raised, {check name: ok}) of a report-returning or raising call."""
+def _run(fn, *args):
+    """The output (None when it raised) and the outcome (raised, {check
+    name: ok}) of a report-returning or raising call."""
     try:
         out = fn(*args)
     except ValidationFailure as err:
-        return True, {c.name: c.ok for c in err.report.checks}
+        return None, (True, {c.name: c.ok for c in err.report.checks})
     report = out[0] if isinstance(out, tuple) else out
     checks = getattr(report, "checks", ())  # assemble_* returns the glued (co)module
-    return False, {c.name: c.ok for c in checks}
+    return out, (False, {c.name: c.ok for c in checks})
+
+
+def _outcome(fn, *args):
+    return _run(fn, *args)[1]
 
 
 def _assert_dual(alg, co):
@@ -145,7 +155,12 @@ def _check_pair_level(pair, draw):
         _assert_dual(_outcome(check_associativity, a), _outcome(check_coassociativity, _coalgebra(a)))
     apair = DorrohPairAlgebra(A, I, BimoduleAction(A, I.dim, t["left"], t["right"]))
     copair = _copair(A, I, t["left"], t["right"])
-    _assert_dual(_outcome(check_dorroh_pair_algebra, apair), _outcome(check_dorroh_pair_coalgebra, copair))
+    alg = _outcome(check_dorroh_pair_algebra, apair)
+    _assert_dual(alg, _outcome(check_dorroh_pair_coalgebra, copair))
+    if all(alg[1].values()):
+        built, cobuilt = build_dorroh_algebra(apair), build_dorroh_coalgebra(copair)
+        assert cobuilt.delta == _rot(built.mul)
+        assert cobuilt.find_counit() == built.find_identity()
 
 
 def _split(t, slot, n):
@@ -177,10 +192,12 @@ def _check_gluing(pair, draw):
     c_i = ComoduleOverCoalgebra(copair.P, n, side, rho_l=_rot(m_i.left), rho_r=_rot(m_i.right))
     for m, c in ((m_a, c_a), (m_i, c_i)):
         _assert_dual(_outcome(m.validate), _outcome(c.validate))
-    _assert_dual(
-        _outcome(assemble_module, pair, m_a, m_i, side),
-        _outcome(assemble_comodule, copair, c_a, c_i, side),
-    )
+    glued, alg = _run(assemble_module, pair, m_a, m_i, side)
+    coglued, co = _run(assemble_comodule, copair, c_a, c_i, side)
+    _assert_dual(alg, co)
+    if glued is not None:
+        assert coglued.coalgebra.delta == _rot(glued.algebra.mul)
+        assert (coglued.rho_l, coglued.rho_r) == (_rot(glued.left), _rot(glued.right))
 
 
 def _check_triple(pair, draw):
@@ -198,10 +215,13 @@ def _check_triple(pair, draw):
         BicomoduleCoaction(co, I.dim, _rot(left), _rot(right))
         for co, (_, left, right) in zip((C, C, P), acts)
     ]
-    _assert_dual(
-        _outcome(check_iterated_algebra_triple, A, I, I, *a_acts),
-        _outcome(check_iterated_coalgebra_triple, C, P, P, *c_acts),
-    )
+    out, alg = _run(check_iterated_algebra_triple, A, I, I, *a_acts)
+    coout, co = _run(check_iterated_coalgebra_triple, C, P, P, *c_acts)
+    _assert_dual(alg, co)
+    if out is not None and out[1] is not None:
+        associator, coassociator = out[1], coout[1]
+        assert coassociator.source.delta == _rot(associator.source.mul)
+        assert coassociator.target.delta == _rot(associator.target.mul)
 
 
 @settings(max_examples=150, deadline=None)

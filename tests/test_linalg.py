@@ -112,3 +112,23 @@ def test_inverse_is_two_sided(data, n, over_q):
         assert B.mul(A).is_identity()
     else:
         assert rank(A) < n
+
+
+def test_dense_identity_past_the_cap_is_an_input_error():
+    from dorroh.algebra import Algebra, unital_ideal_iso
+    from dorroh.coalgebra import counital_split_iso
+    from dorroh.gallery import counital_hull, grouplikes, scalar_action_pair
+    from dorroh.linalg import MAX_DENSE_DIM
+    from dorroh.tensors import SparseTensor3
+
+    assert Matrix.identity(MAX_DENSE_DIM, GF(5)).is_identity()
+    message = f"dense dimension {MAX_DENSE_DIM + 1} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}"
+    with pytest.raises(InputError, match=message):
+        Matrix.identity(MAX_DENSE_DIM + 1, QQ)
+    # both isos start from the identity of the extension's size, 1 + n
+    n = MAX_DENSE_DIM
+    kn = Algebra(n, SparseTensor3((n, n, n), {(i, i, i): 1 for i in range(n)}, QQ), QQ)
+    with pytest.raises(InputError, match=message):
+        unital_ideal_iso(scalar_action_pair(QQ, kn))
+    with pytest.raises(InputError, match=message):
+        counital_split_iso(counital_hull(grouplikes(n, QQ)))
