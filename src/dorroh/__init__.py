@@ -56,11 +56,10 @@ from .findual import (
     RecurrentSequence,
     coproduct_decompose,
     dorroh_decompose,
-    eval_sequence,
     minimal_recurrence,
     vanishing_check,
 )
-from .linalg import Matrix, invert, kernel_basis, solve_linear
+from .linalg import Matrix, invert, solve_linear
 from .reports import CheckResult, Report
 from .tensors import SparseTensor3
 

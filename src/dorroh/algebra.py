@@ -330,28 +330,6 @@ class BimoduleAction:
         self.left = left
         self.right = right
 
-    def act_left(self, a_vec, x_vec):
-        acc = [0] * self.carrier_dim
-        for (a, x, y), c in self.left.entries.items():
-            va = a_vec[a]
-            if va:
-                vx = x_vec[x]
-                if vx:
-                    acc[y] += va * vx * c
-        canon = self.acting.field.canon
-        return [canon(v) for v in acc]
-
-    def act_right(self, x_vec, a_vec):
-        acc = [0] * self.carrier_dim
-        for (x, a, y), c in self.right.entries.items():
-            vx = x_vec[x]
-            if vx:
-                va = a_vec[a]
-                if va:
-                    acc[y] += vx * va * c
-        canon = self.acting.field.canon
-        return [canon(v) for v in acc]
-
     def validate(self) -> Report:
         """Bimodule axioms over all basis triples."""
         tensors = {"mul": self.acting.mul, "left": self.left, "right": self.right}
@@ -468,10 +446,6 @@ class Morphism:
 
 class AlgebraMorphism(Morphism):
     """A linear map between algebras; ``verify_algebra_morphism`` checks it."""
-
-
-def identity_morphism(a: Algebra) -> AlgebraMorphism:
-    return AlgebraMorphism(a, a, Matrix.identity(a.dim, a.field))
 
 
 def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:

@@ -189,17 +189,8 @@ def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
     return _build(COALGEBRA, pair)
 
 
-def _bicomodule_is_counital(pair: DorrohPairCoalgebra, eps_c) -> bool:
-    """sum eps_C(p_(-1)) p_(0) = p = sum p_(0) eps_C(p_(1)) for all basis p."""
-    return _acts_as_identity(pair.coaction.rho_l, pair.coaction.rho_r, eps_c, pair.P.dim, TO_COALGEBRA)
-
-
 class CoalgebraMorphism(Morphism):
     """A linear map between coalgebras; ``verify_coalgebra_morphism`` checks it."""
-
-
-def identity_comorphism(c: Coalgebra) -> CoalgebraMorphism:
-    return CoalgebraMorphism(c, c, Matrix.identity(c.dim, c.field))
 
 
 def verify_coalgebra_morphism(F: CoalgebraMorphism, iso: bool = False) -> Report:

@@ -367,8 +367,3 @@ def parse(text: str):
 def load(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def dump(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(obj))

@@ -98,10 +98,6 @@ class RecurrentSequence:
         return f"RecurrentSequence({head}initial={self.initial}, coeffs={self.coeffs})"
 
 
-def eval_sequence(f: RecurrentSequence, n: int):
-    return f.value(n)
-
-
 def check_bound(bound: int) -> int:
     """A recurrence-order bound in [0, MAX_BOUND], else InputError."""
     if bound < 0:

@@ -471,44 +471,50 @@ def random_invertible(rng, n: int, field: FieldSpec) -> Matrix:
 
 def conjugate_algebra(a: Algebra, S: Matrix) -> Algebra:
     """Structure constants in the new basis e'_j = sum_i S[i][j] e_i."""
-    Sinv = invert(S)
-    if Sinv is None:
-        raise InputError("basis change must be invertible")
-    St = S.columns()
-    return Algebra(a.dim, transport(a.mul, (St, St, Sinv.data)), a.field)
-
-
-def conjugate_algebra_pair(pair: DorrohPairAlgebra, SA: Matrix, SI: Matrix) -> DorrohPairAlgebra:
-    A2 = conjugate_algebra(pair.A, SA)
-    I2 = conjugate_algebra(pair.I, SI)
-    SAt, SIt, SIinv = SA.columns(), SI.columns(), invert(SI).data
-    action = BimoduleAction(
-        A2,
-        pair.I.dim,
-        transport(pair.action.left, (SAt, SIt, SIinv)),
-        transport(pair.action.right, (SIt, SAt, SIinv)),
-    )
-    return DorrohPairAlgebra(A2, I2, action)
+    return _conjugate(ALGEBRA, a, S)[0]
 
 
 def conjugate_coalgebra(c: Coalgebra, S: Matrix) -> Coalgebra:
+    """Structure constants in the new basis e'_j = sum_i S[i][j] e_i."""
+    return _conjugate(COALGEBRA, c, S)[0]
+
+
+def _conjugate(conv, s, S):
+    """The ``conv``-side structure s in the new basis e'_j = sum_i S[i][j] e_i,
+    and the rows (input, output) that carry its legs there.
+
+    An algebra takes S on its input legs (the rows of S^T) and S^-1 on its
+    output leg.  The Kronecker dual basis changes by S^-T, so a coalgebra
+    takes the same two matrices the other way round, laid out by ``lay``.
+    """
+    if S.field != s.field or (S.rows, S.cols) != (s.dim, s.dim):
+        raise InputError(f"basis change must be a {s.dim}x{s.dim} matrix over {s.field!r}")
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    return Coalgebra(c.dim, transport(c.delta, (S.columns(), Sinv.data, Sinv.data)), c.field)
+    ins, out = (S.columns(), Sinv.data) if conv is ALGEBRA else (Sinv.data, S.columns())
+    return conv.structure(s.dim, transport(getattr(s, conv.tensor), conv.lay((ins, ins, out))), s.field), (ins, out)
+
+
+def conjugate_algebra_pair(pair: DorrohPairAlgebra, SA: Matrix, SI: Matrix) -> DorrohPairAlgebra:
+    return _conjugate_pair(ALGEBRA, pair, SA, SI)
 
 
 def conjugate_coalgebra_pair(pair: DorrohPairCoalgebra, SC: Matrix, SP: Matrix) -> DorrohPairCoalgebra:
-    C2 = conjugate_coalgebra(pair.C, SC)
-    P2 = conjugate_coalgebra(pair.P, SP)
-    SPt, SCinv, SPinv = SP.columns(), invert(SC).data, invert(SP).data
-    coaction = BicomoduleCoaction(
-        C2,
-        pair.P.dim,
-        transport(pair.coaction.rho_l, (SPt, SCinv, SPinv)),
-        transport(pair.coaction.rho_r, (SPt, SPinv, SCinv)),
+    return _conjugate_pair(COALGEBRA, pair, SC, SP)
+
+
+def _conjugate_pair(conv, pair, SA, SI):
+    acting, carrier, left, right = conv.parts_of(pair)
+    A2, (a_in, _) = _conjugate(conv, acting, SA)
+    I2, (i_in, i_out) = _conjugate(conv, carrier, SI)
+    action = conv.action_type(
+        A2,
+        carrier.dim,
+        transport(left, conv.lay((a_in, i_in, i_out))),
+        transport(right, conv.lay((i_in, a_in, i_out))),
     )
-    return DorrohPairCoalgebra(C2, P2, coaction)
+    return conv.pair(A2, I2, action)
 
 
 def _random_small_algebra(rng, field: FieldSpec, max_dim: int) -> Algebra:

@@ -1,7 +1,7 @@
 """Dense exact matrices with deterministic Gaussian elimination.
 
 Elimination always picks the leftmost pivot column and the first row with
-a nonzero entry, so solve/kernel/inverse outputs are reproducible across
+a nonzero entry, so solve/inverse outputs are reproducible across
 runs and platforms.
 """
 
@@ -76,13 +76,6 @@ class Matrix:
         canon = self.field.canon
         return [canon(sum(r[j] * vec[j] for j in range(self.cols))) for r in self.data]
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -144,27 +137,6 @@ def solve_linear(A: Matrix, b) -> list | None:
     return x
 
 
-def kernel_basis(A: Matrix) -> list:
-    """Echelon-normalized basis of the null space, ordered by free column."""
-    field = A.field
-    rows = [list(r) for r in A.data]
-    pivots = _rref(rows, A.cols, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * A.cols
-        v[fc] = 1
-        for r, c in enumerate(pivots):
-            v[c] = field.canon(-rows[r][fc])
-        lead = next(x for x in v if x != 0)
-        if lead != 1:
-            s = field.inv(lead)
-            v = [field.canon(x * s) for x in v]
-        basis.append(v)
-    return basis
-
-
 def invert(A: Matrix) -> Matrix | None:
     """The two-sided inverse, or None when A is singular."""
     if A.rows != A.cols:
@@ -176,8 +148,3 @@ def invert(A: Matrix) -> Matrix | None:
     if len(pivots) < n:
         return None
     return Matrix(n, n, [row[n:] for row in aug], field)
-
-
-def rank(A: Matrix) -> int:
-    rows = [list(r) for r in A.data]
-    return len(_rref(rows, A.cols, A.field))

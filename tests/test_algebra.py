@@ -15,7 +15,6 @@ from dorroh.algebra import (
     check_dorroh_pair_algebra,
     check_iterated_algebra_triple,
     direct_product_pair,
-    identity_morphism,
     regular_bimodule,
     split_algebra_extension,
     unital_ideal_iso,
@@ -36,6 +35,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3
+from support import act_left, act_right, identity_morphism, is_identity
 
 
 def brute_force_associative(a):
@@ -112,8 +112,8 @@ def test_pair_violating_left_compatibility_fails():
     wit = next(c.witness for c in report.checks if c.name == "a(xy)=(ax)y" and not c.ok)
     a, x, y = wit
     act = pair.action
-    lhs = act.act_left(pair.A.basis(a), I.product(I.basis(x), I.basis(y)))
-    rhs = I.product(act.act_left(pair.A.basis(a), I.basis(x)), I.basis(y))
+    lhs = act_left(act, pair.A.basis(a), I.product(I.basis(x), I.basis(y)))
+    rhs = I.product(act_left(act, pair.A.basis(a), I.basis(x)), I.basis(y))
     assert lhs != rhs
 
 
@@ -262,13 +262,13 @@ def test_unital_ideal_identity_is_central_for_action():
     one_i = pair.I.find_identity()
     for a in range(pair.A.dim):
         ea = pair.A.basis(a)
-        assert pair.action.act_left(ea, one_i) == pair.action.act_right(one_i, ea)
+        assert act_left(pair.action, ea, one_i) == act_right(pair.action, one_i, ea)
 
 
 def test_unital_ideal_iso_round_trip_is_identity():
     pair = regular_pair(group_algebra_z2(QQ))
     eta = unital_ideal_iso(pair)
-    assert eta.matrix.mul(eta.inverse().matrix).is_identity()
+    assert is_identity(eta.matrix.mul(eta.inverse().matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_universal_map_recovers_identity():
     verify_algebra_morphism(tau_a)
     verify_algebra_morphism(tau_i)
     eta = universal_map_algebra(pair, built, tau_a, tau_i)
-    assert eta.matrix.is_identity()
+    assert is_identity(eta.matrix)
 
 
 def test_universal_map_projection():
@@ -493,7 +493,7 @@ def test_iterated_all_k_passes():
     report, assoc = check_iterated_algebra_triple(k, k, k, act, act, act)
     assert report.ok
     assert assoc.verified == "iso"
-    assert assoc.matrix.is_identity()
+    assert is_identity(assoc.matrix)
 
 
 def test_iterated_zero_actions_passes():
@@ -665,8 +665,8 @@ def test_extension_product_matches_component_formula():
             y = [rng.randint(-3, 3) for _ in range(ni)]
             lhs = built.product(a + x, b + y)
             ab = pair.A.product(a, b)
-            ay = pair.action.act_left(a, y)
-            xb = pair.action.act_right(x, b)
+            ay = act_left(pair.action, a, y)
+            xb = act_right(pair.action, x, b)
             xy = pair.I.product(x, y)
             rhs = ab + [field.canon(p + q + r) for p, q, r in zip(ay, xb, xy)]
             assert lhs == rhs

@@ -106,3 +106,68 @@ def test_constructions_record_the_same_spans():
             copair.C, copair.P, copair.P, copair.coaction, copair.coaction, coregular
         )
     assert Counter(name for name, *_ in tracer.spans) == CONSTRUCTION_SPANS
+
+
+# Span names recorded by each duality entry point on the pair (k, dual
+# numbers) over Q and on its dual copair.  Each entry point runs one body
+# for both directions; its builds and verifications must still be reached
+# through the wrapper's module globals, on the right side, as often as the
+# per-side functions it replaced reached them.
+DUALITY_SPANS = {
+    "dualize_algebra_pair": {
+        "task": 1,
+        "duality.dualize": 1,
+        "algebra.build": 1,
+        "algebra.find_identity": 4,
+        "coalgebra.build": 1,
+        "coalgebra.find_counit": 1,
+        "coalgebra.verify_morphism": 1,
+    },
+    "dualize_coalgebra_pair": {
+        "task": 1,
+        "duality.dualize": 1,
+        "algebra.build": 1,
+        "algebra.find_identity": 1,
+        "algebra.verify_morphism": 1,
+        "coalgebra.build": 1,
+        "coalgebra.find_counit": 4,
+    },
+    "double_dual_iso": {
+        "task": 1,
+        "algebra.find_identity": 1,
+        "algebra.verify_morphism": 1,
+        "coalgebra.find_counit": 1,
+    },
+    "double_dual_iso_coalgebra": {
+        "task": 1,
+        "algebra.find_identity": 1,
+        "coalgebra.find_counit": 1,
+        "coalgebra.verify_morphism": 1,
+    },
+}
+
+
+def test_duality_records_the_same_spans():
+    from dorroh import duality
+    from dorroh.fields import QQ
+    from dorroh.gallery import dual_numbers, scalar_action_pair
+
+    pair = scalar_action_pair(QQ, dual_numbers(QQ))
+    copair = duality.dualize_algebra_pair(pair)[0]
+    inputs = {
+        "dualize_algebra_pair": pair,
+        "dualize_coalgebra_pair": copair,
+        "double_dual_iso": pair.I,
+        "double_dual_iso_coalgebra": copair.P,
+    }
+
+    bench_trace = _bench_trace()
+    for module, *_ in bench_trace.SPANS:
+        importlib.import_module(f"dorroh.{module}")
+    counts = {}
+    for name, arg in inputs.items():
+        tracer = bench_trace.Tracer()
+        with tracer.patched(), tracer.task(0):
+            getattr(duality, name)(arg)
+        counts[name] = Counter(span for span, *_ in tracer.spans)
+    assert counts == DUALITY_SPANS

@@ -285,7 +285,7 @@ def test_check_cost_follows_entries_not_declared_dim(tmp_path):
 
 
 def test_check_dispatches_all_document_kinds(tmp_path):
-    from dorroh.algebra import identity_morphism
+    from support import identity_morphism
     from dorroh.duality import dual_actions
     from dorroh.gallery import matrix_algebra_2, regular_bimodule
     from dorroh.fields import QQ

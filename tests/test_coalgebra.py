@@ -14,7 +14,6 @@ from dorroh.coalgebra import (
     check_iterated_coalgebra_triple,
     counit_balance_check,
     counital_split_iso,
-    identity_comorphism,
     pushforward_pair,
     regular_bicomodule,
     split_coalgebra_extension,
@@ -35,6 +34,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3
+from support import identity_comorphism, is_identity
 
 
 def expand_counit_laws(c, eps):
@@ -232,7 +232,7 @@ def test_counital_split_iso_grouplike():
 def test_counital_split_iso_zero_coaction_is_identity():
     pair = zero_coaction_pair(grouplikes(1, QQ), divided_power(1, QQ))
     zeta = counital_split_iso(pair)
-    assert zeta.matrix.is_identity()
+    assert is_identity(zeta.matrix)
 
 
 def test_counital_split_needs_counit():
@@ -253,7 +253,7 @@ def test_universal_map_from_projections_is_identity():
     verify_coalgebra_morphism(pi_c)
     verify_coalgebra_morphism(pi_p)
     eta = universal_map_coalgebra(pair, d, pi_c, pi_p)
-    assert eta.matrix.is_identity()
+    assert is_identity(eta.matrix)
 
 
 def test_universal_map_with_zero_p_component():
@@ -440,7 +440,7 @@ def test_iterated_grouplike_triple_passes():
     report, assoc = check_iterated_coalgebra_triple(c, c, c, co, co, co)
     assert report.ok
     assert assoc.verified == "iso"
-    assert assoc.matrix.is_identity()
+    assert is_identity(assoc.matrix)
 
 
 def test_iterated_zero_coactions_passes():
@@ -562,7 +562,7 @@ def test_universal_map_on_larger_carrier():
     assert verify_coalgebra_morphism(pi_c).ok
     assert verify_coalgebra_morphism(pi_p).ok
     eta = universal_map_coalgebra(pair, d, pi_c, pi_p)
-    assert eta.matrix.is_identity()
+    assert is_identity(eta.matrix)
 
 
 def test_split_round_trip_over_prime_fields():
@@ -584,7 +584,8 @@ def test_split_round_trip_over_prime_fields():
 
 def test_projection_and_counit_across_standard_pairs():
     from dorroh.gallery import standard_coalgebra_pairs
-    from dorroh.coalgebra import _bicomodule_is_counital
+    from dorroh.algebra import _acts_as_identity
+    from dorroh.tensors import TO_COALGEBRA
 
     for name, pair in standard_coalgebra_pairs(QQ):
         d = build_dorroh_coalgebra(pair)
@@ -593,7 +594,8 @@ def test_projection_and_counit_across_standard_pairs():
         pi_c = CoalgebraMorphism(d, pair.C, Matrix(nc, d.dim, rows, QQ))
         assert verify_coalgebra_morphism(pi_c).ok, name
         eps_c = pair.C.find_counit()
-        if eps_c is not None and _bicomodule_is_counital(pair, eps_c):
+        co = pair.coaction
+        if eps_c is not None and _acts_as_identity(co.rho_l, co.rho_r, eps_c, pair.P.dim, TO_COALGEBRA):
             assert d.find_counit() == eps_c + [0] * pair.P.dim, name
 
 

@@ -31,6 +31,7 @@ from dorroh.gallery import (
 )
 from dorroh.algebra import ModuleOverAlgebra
 from dorroh.tensors import SparseTensor3
+from support import is_identity
 
 
 def convolution_product_oracle(c, i, j):
@@ -204,7 +205,7 @@ def test_dual_pair_tensors_match_dual_of_extension():
 def test_double_dual_m2():
     iso = double_dual_iso(matrix_algebra_2(QQ))
     assert iso.verified == "iso"
-    assert iso.matrix.is_identity()
+    assert is_identity(iso.matrix)
     assert iso.target.mul == matrix_algebra_2(QQ).mul
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dorroh import exchange
-from dorroh.algebra import AlgebraMorphism, identity_morphism
+from dorroh.algebra import AlgebraMorphism
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
 from dorroh.findual import RecurrentSequence
@@ -15,6 +15,7 @@ from dorroh.gallery import (
     standard_algebra_pairs,
     standard_coalgebra_pairs,
 )
+from support import identity_morphism
 
 ALL_NAMES = [
     "k",

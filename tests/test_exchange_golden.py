@@ -19,11 +19,12 @@ import json
 from pathlib import Path
 
 from dorroh import exchange
-from dorroh.algebra import identity_morphism, regular_bimodule, verify_algebra_morphism
-from dorroh.coalgebra import identity_comorphism, regular_bicomodule, verify_coalgebra_morphism
+from dorroh.algebra import regular_bimodule, verify_algebra_morphism
+from dorroh.coalgebra import regular_bicomodule, verify_coalgebra_morphism
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
 from dorroh.gallery import divided_power, dual_numbers, fibonacci, regular_copair, regular_pair
+from support import identity_comorphism, identity_morphism
 
 GOLDEN = Path(__file__).parent / "data" / "exchange_golden.json"
 TENSOR_KEYS = ("mul", "delta", "left", "right", "rho_l", "rho_r")

@@ -13,7 +13,6 @@ from dorroh.findual import (
     RecurrentSequence,
     coproduct_decompose,
     dorroh_decompose,
-    eval_sequence,
     minimal_recurrence,
     vanishing_check,
 )
@@ -57,21 +56,21 @@ def order_fits_prefix(prefix, r):
 
 def test_eval_fibonacci():
     fib = fibonacci(QQ)
-    assert eval_sequence(fib, 6) == 8
+    assert fib.value(6) == 8
     assert fib.prefix(10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
 
 def test_eval_geometric():
     geo = geometric(2, QQ)
-    assert eval_sequence(geo, 10) == 1024
-    assert eval_sequence(geo, 0) == 1
+    assert geo.value(10) == 1024
+    assert geo.value(0) == 1
 
 
 def test_eval_zero_sequence():
     zero = RecurrentSequence(QQ, None, [], [])
-    assert all(eval_sequence(zero, n) == 0 for n in range(1, 8))
+    assert all(zero.value(n) == 0 for n in range(1, 8))
     with pytest.raises(InputError):
-        eval_sequence(zero, 0)
+        zero.value(0)
 
 
 def test_minimal_recurrence_geometric():

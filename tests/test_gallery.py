@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -234,3 +235,44 @@ def test_instance_self_check_names_the_wrong_unitality(monkeypatch):
             gallery.instance(name, QQ)
         assert str(err.value) == f"gallery instance {name} has wrong {unital}ity"
         assert [c.name for c in err.value.report.checks] == [f"expected {unital}ity"]
+
+
+def test_basis_change_over_another_field_is_an_input_error():
+    from dorroh.gallery import conjugate_algebra, conjugate_coalgebra, divided_power, dual_numbers
+    from dorroh.linalg import Matrix
+
+    twice = Matrix(2, 2, [[2, 0], [0, 2]], GF(5))
+    with pytest.raises(InputError, match=r"basis change must be a 2x2 matrix over QQ"):
+        conjugate_algebra(dual_numbers(QQ), twice)
+    with pytest.raises(InputError, match=r"basis change must be a 2x2 matrix over QQ"):
+        conjugate_coalgebra(divided_power(1, QQ), twice)
+    # over Q, e'_j = 2 e_j scales every product by 2 and every coproduct by 1/2
+    on_q = Matrix(2, 2, twice.data, QQ)
+    assert conjugate_algebra(dual_numbers(QQ), on_q).mul.entries == {(0, 0, 0): 2, (0, 1, 1): 2, (1, 0, 1): 2}
+    half = Fraction(1, 2)
+    assert conjugate_coalgebra(divided_power(1, QQ), on_q).delta.entries == {
+        (0, 0, 0): half, (1, 0, 1): half, (1, 1, 0): half
+    }
+
+
+def test_basis_change_of_the_wrong_size_is_an_input_error():
+    from dorroh.gallery import (
+        conjugate_algebra,
+        conjugate_algebra_pair,
+        conjugate_coalgebra,
+        conjugate_coalgebra_pair,
+        grouplike_pair,
+        regular_pair,
+    )
+    from dorroh.linalg import Matrix
+
+    three = Matrix.identity(3, QQ)
+    with pytest.raises(InputError, match=r"basis change must be a 4x4 matrix over QQ"):
+        conjugate_algebra(matrix_algebra_2(QQ), three)
+    with pytest.raises(InputError, match=r"basis change must be a 4x4 matrix over QQ"):
+        conjugate_coalgebra(matrix_coalgebra_2(QQ), three)
+    one = Matrix.identity(1, QQ)
+    with pytest.raises(InputError, match=r"basis change must be a 4x4 matrix over QQ"):
+        conjugate_algebra_pair(regular_pair(matrix_algebra_2(QQ)), one, one)
+    with pytest.raises(InputError, match=r"basis change must be a 1x1 matrix over GF\(5\)"):
+        conjugate_coalgebra_pair(grouplike_pair(GF(5)), one, one)

@@ -42,7 +42,7 @@ from dorroh.coalgebra import (
     check_dorroh_pair_coalgebra,
     check_iterated_coalgebra_triple,
 )
-from dorroh.duality import TO_COALGEBRA
+from dorroh.tensors import TO_COALGEBRA
 from dorroh.errors import ValidationFailure
 from dorroh.fields import GF, QQ
 from dorroh.gallery import random_algebra_pair

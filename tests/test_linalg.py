@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from support import is_identity
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.linalg import Matrix, invert, kernel_basis, rank, solve_linear
+from dorroh.linalg import Matrix, invert, solve_linear
 
 
 def test_solve_identity():
@@ -26,20 +29,6 @@ def test_solve_dimension_mismatch():
         solve_linear(Matrix.identity(2, QQ), [1, 2, 3])
 
 
-def test_kernel_forced_up_to_scale():
-    A = Matrix(1, 2, [[1, 1]], QQ)
-    assert kernel_basis(A) == [[1, -1]]
-
-
-def test_kernel_trivial():
-    assert kernel_basis(Matrix.identity(3, QQ)) == []
-
-
-def test_kernel_of_zero_matrix():
-    A = Matrix.zeros(2, 2, QQ)
-    assert kernel_basis(A) == [[1, 0], [0, 1]]
-
-
 def test_invert_identity():
     A = Matrix.identity(3, QQ)
     assert invert(A) == A
@@ -57,6 +46,18 @@ def test_invert_singular():
 def test_invert_requires_square():
     with pytest.raises(InputError):
         invert(Matrix.zeros(2, 3, QQ))
+
+
+def _determinant(A):
+    """Leibniz expansion, independent of the elimination under test."""
+    total = 0
+    for perm in itertools.permutations(range(A.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= A.data[i][j]
+        total += term
+    return A.field.canon(total)
 
 
 def _random_matrix(draw, field, rows, cols):
@@ -80,23 +81,6 @@ def test_solve_is_exact(data, rows, cols, over_q):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.booleans())
-def test_kernel_vectors_are_exact_and_independent(data, rows, cols, over_q):
-    field = QQ if over_q else GF(7)
-    A = _random_matrix(data.draw, field, rows, cols)
-    basis = kernel_basis(A)
-    zero = [0] * rows
-    for v in basis:
-        assert A.apply(v) == zero
-        lead = next(x for x in v if x != 0)
-        assert lead == 1
-    if basis:
-        B = Matrix.from_columns(basis, field)
-        assert rank(B) == len(basis)
-    assert len(basis) == cols - rank(A)
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 4), st.booleans())
 def test_inverse_is_two_sided(data, n, over_q):
     field = QQ if over_q else GF(7)
@@ -108,10 +92,10 @@ def test_inverse_is_two_sided(data, n, over_q):
     assert [stacked.column(j)[n:] for j in range(n)] == cols
     B = invert(A)
     if B is not None:
-        assert A.mul(B).is_identity()
-        assert B.mul(A).is_identity()
+        assert is_identity(A.mul(B))
+        assert is_identity(B.mul(A))
     else:
-        assert rank(A) < n
+        assert _determinant(A) == 0
 
 
 def test_dense_identity_past_the_cap_is_an_input_error():
@@ -121,7 +105,7 @@ def test_dense_identity_past_the_cap_is_an_input_error():
     from dorroh.linalg import MAX_DENSE_DIM
     from dorroh.tensors import SparseTensor3
 
-    assert Matrix.identity(MAX_DENSE_DIM, GF(5)).is_identity()
+    assert is_identity(Matrix.identity(MAX_DENSE_DIM, GF(5)))
     message = f"dense dimension {MAX_DENSE_DIM + 1} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}"
     with pytest.raises(InputError, match=message):
         Matrix.identity(MAX_DENSE_DIM + 1, QQ)

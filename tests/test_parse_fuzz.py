@@ -30,8 +30,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dorroh import cli, exchange
-from dorroh.algebra import Algebra, AlgebraMorphism, identity_morphism, regular_bimodule, verify_algebra_morphism
-from dorroh.coalgebra import identity_comorphism, regular_bicomodule, verify_coalgebra_morphism
+from dorroh.algebra import Algebra, AlgebraMorphism, regular_bimodule, verify_algebra_morphism
+from dorroh.coalgebra import regular_bicomodule, verify_coalgebra_morphism
 from dorroh.errors import InputError
 from dorroh.exchange import _fail
 from dorroh.fields import GF, QQ, FieldSpec
@@ -49,6 +49,7 @@ from dorroh.gallery import (
     trunc_poly_pair,
 )
 from dorroh.tensors import SparseTensor3
+from support import identity_comorphism, identity_morphism
 
 # ---------------------------------------------------------------------------
 # reference: the per-entry parser, verbatim

@@ -29,6 +29,7 @@ from pathlib import Path
 from dorroh.algebra import (
     Algebra,
     AlgebraMorphism,
+    _acts_as_identity,
     build_dorroh_algebra,
     split_algebra_extension,
     unital_ideal_iso,
@@ -40,7 +41,6 @@ from dorroh.coalgebra import (
     Coalgebra,
     CoalgebraMorphism,
     DorrohPairCoalgebra,
-    _bicomodule_is_counital,
     build_dorroh_coalgebra,
     counit_balance_check,
     counital_split_iso,
@@ -65,7 +65,7 @@ from dorroh.gallery import (
     standard_coalgebra_pairs,
 )
 from dorroh.linalg import Matrix, invert
-from dorroh.tensors import SparseTensor3
+from dorroh.tensors import TO_COALGEBRA, SparseTensor3
 
 GOLDEN = Path(__file__).parent / "data" / "transport_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
@@ -353,7 +353,8 @@ def _coalgebra_records(tag, pair, rng):
     eps_c = C.find_counit()
     for name, v in (("counit", eps_c), ("random", _random_vector(rng, field, nc))):
         if v is not None:
-            out[f"bicomodule-counital|{tag}|{name}"] = _bicomodule_is_counital(pair, v)
+            co = pair.coaction
+            out[f"bicomodule-counital|{tag}|{name}"] = _acts_as_identity(co.rho_l, co.rho_r, v, pair.P.dim, TO_COALGEBRA)
     eps_p = pair.P.find_counit()
     if eps_p is not None:
         co = pair.coaction
