@@ -59,7 +59,7 @@ from .findual import (
     minimal_recurrence,
     vanishing_check,
 )
-from .linalg import Matrix, invert, solve_linear
+from .linalg import Matrix, invert
 from .reports import CheckResult, Report
 from .tensors import SparseTensor3
 

@@ -1,19 +1,25 @@
 """The finite dual of k[x] and of its ideal x k[x], via recurrent sequences.
 
 A functional f on k[x] with f(x^n) = s_n has finite-dimensional shift
-space exactly when (s_n) satisfies a linear recurrence; the shifts
-sigma^j f, sigma(f)(x^n) = f(x^{n+1}), then span it.  Functionals on the
-non-unital ideal x k[x] are the same data without the value s_0 and with
-shifts starting at j = 1.
+space exactly when (s_n) satisfies a linear recurrence (k[x]^o is the
+space of linearly recursive sequences); the shifts sigma^j f,
+sigma(f)(x^n) = f(x^{n+1}), then span it.  Functionals on the non-unital
+ideal x k[x] are the same data without the value s_0 and with shifts
+starting at j = 1.  The minimal recurrence of a prefix comes from
+Berlekamp-Massey.
 
 Coproducts come from factoring f(x^{i+j}) through a shift-space basis:
 with the basis in reduced echelon form (leftmost pivots), the dual
 elements are plain monomials x^{p_t} at the pivot degrees, so the right
-factors are the corresponding shifts of f.  The Dorroh split of the
-finite dual, k[x]^o = k e |x (x k[x])^o with e evaluation at x^0, is the
-same pairing check, over the factors e, phi_I and those of phi_I.
-Everything is verified to a requested depth, at most MAX_DEPTH, against
-direct evaluation.
+factors are the corresponding shifts of f.  The shift space V is
+shift-invariant, so every factor h lies in V and factors through the
+same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)); coassociativity is
+certified from three identities of the basis and the factors' values,
+with one elimination per sequence (see coproduct_decompose).  The Dorroh
+split of the finite dual, k[x]^o = k e |x (x k[x])^o with e evaluation
+at x^0, is the same pairing check, over the factors e, phi_I and those
+of phi_I.  Everything is verified to a requested depth, at most
+MAX_DEPTH, against direct evaluation.
 """
 
 from __future__ import annotations
@@ -24,31 +30,44 @@ from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, _rref, solve_linear
+from .linalg import _rref
 from .reports import Report
 
 _log = logging.getLogger("dorroh.findual")
 
-# Caps on the verification depth and the recurrence-order bound, past
-# which the functions below raise InputError.  The coproduct check costs
-# about rank^2 * depth^2 products of values that grow with the depth;
-# minimal_recurrence solves up to bound + 1 Hankel systems on a prefix of
-# length 2 * bound + 2, about bound^4 operations when no order fits.  On
-# an order-8 sequence over Q whose values grow like 2^n, `dorroh findual
-# --command dorroh` (two coproducts) takes about 5 s at MAX_DEPTH; a
-# random prefix over Q with no recurrence within MAX_BOUND about 4 s.
+# Caps on the verification depth, the recurrence-order bound and the size
+# of a sequence (its order and its number of initial values), past which
+# the functions below raise InputError.  A coproduct of a sequence with L
+# initial values and a rank-r shift space costs one elimination of an
+# (L+1)^2 matrix, the value tables and the certificate (about
+# 3 r^2 (depth + L) products) and the first identity (r depth^2 / 2
+# products), on values that grow with the depth over Q; the Dorroh split
+# adds one pairing like the first identity.  minimal_recurrence is
+# Berlekamp-Massey, O(m * bound) operations on a prefix of length m; a
+# random prefix over Q with no recurrence within MAX_BOUND takes 0.02 s.
+# In-process on a 2-vCPU machine, `dorroh findual --command dorroh` takes
+# about 0.25 s at MAX_DEPTH on an order-8 sequence over Q whose values
+# grow like 2^n, and on a random order-MAX_ORDER sequence over Q with
+# coefficients in -3..3 about 5 s at its default depth 2 MAX_ORDER + 16
+# and 6 s at MAX_DEPTH (0.7 s and 1.5 s over GF(10007)).
 MAX_DEPTH = 320
 MAX_BOUND = 32
+MAX_ORDER = 80
 
 
 class RecurrentSequence:
     """s_n = sum_i coeffs[i-1] s_{n-i} for n > len(initial); s_0 optional.
 
     ``initial`` holds s_1 .. s_L with L >= len(coeffs); extra initial
-    values simply delay where the recurrence takes over.
+    values simply delay where the recurrence takes over.  Both lists are
+    capped at MAX_ORDER entries.
     """
 
     def __init__(self, field: FieldSpec, s0, initial, coeffs):
+        if len(coeffs) > MAX_ORDER:
+            raise InputError(f"recurrence order {len(coeffs)} is past the cap MAX_ORDER = {MAX_ORDER}")
+        if len(initial) > MAX_ORDER:
+            raise InputError(f"{len(initial)} initial values are past the cap MAX_ORDER = {MAX_ORDER}")
         if len(initial) < len(coeffs):
             raise InputError("initial values must cover the recurrence order")
         self.field = field
@@ -110,29 +129,46 @@ def check_bound(bound: int) -> int:
 def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequence | None:
     """Smallest-order recurrence (order <= bound) consistent with s_1..s_m.
 
-    Equivalent to finding, for growing r, a monic vector in the kernel of
-    the (r+1)-column Hankel matrix of the prefix.  Returns None when no
-    order within the bound fits.
+    Berlekamp-Massey: after s_1..s_n it holds a shortest recurrence
+    1 + C_1 x + ... + C_L x^L (s_k + sum_i C_i s_{k-i} = 0 for L < k <= n)
+    and corrects it by the recurrence in hand at its last length change
+    whenever s_{n+1} breaks it.  L never falls, so the search stops once
+    L passes the bound and returns None.  O(m * bound) field operations.
+    The result equals the monic kernel vector of the (L+1)-column Hankel
+    matrix of the prefix: m >= 2 bound + 2 > 2L, and a shortest recurrence
+    of a prefix at least twice its length is unique (Massey 1969).
     """
     check_bound(bound)
     m = len(prefix)
     if m < 2 * bound + 2:
         raise InputError(f"prefix of length {m} is too short for bound {bound} (need {2 * bound + 2})")
-    prefix = [field.canon(v) for v in prefix]
-    for r in range(bound + 1):
-        if r == 0:
-            if all(v == 0 for v in prefix):
-                return RecurrentSequence(field, None, [], [])
+    canon = field.canon
+    prefix = [canon(v) for v in prefix]
+    rev = prefix[::-1]  # s_n, s_(n-1), ... from rev[m - n]
+    conn, last = [1], [1]  # the connection polynomial, and the one before its last length change
+    order, gap, last_d = 0, 1, 1  # last_d: the discrepancy at that change
+    for n in range(m):
+        d = canon(prefix[n] + sum(map(mul, conn[1:], rev[m - n : m - n + len(conn) - 1])))
+        if d == 0:
+            gap += 1
             continue
-        rows = []
-        rhs = []
-        for n in range(r + 1, m + 1):
-            rows.append([prefix[n - 1 - i] for i in range(1, r + 1)])
-            rhs.append(prefix[n - 1])
-        sol = solve_linear(Matrix(len(rows), r, rows, field), rhs)
-        if sol is not None:
-            return RecurrentSequence(field, None, prefix[:r], sol)
-    return None
+        scale = canon(d * field.inv(last_d))
+        grown = conn + [0] * (gap + len(last) - len(conn))
+        for i, c in enumerate(last, gap):
+            grown[i] = canon(grown[i] - scale * c)
+        if 2 * order <= n:
+            order, last, last_d, gap = n + 1 - order, conn, d, 1
+            if order > bound:
+                break
+        else:
+            gap += 1
+        conn = grown
+    fits = order <= bound
+    _log.debug("minimal_recurrence length=%d bound=%d order=%s", m, bound, order if fits else None)
+    if not fits:
+        return None
+    coeffs = [canon(-c) for c in conn[1 : order + 1]]
+    return RecurrentSequence(field, None, prefix[:order], coeffs + [0] * (order - len(coeffs)))
 
 
 @dataclass
@@ -144,27 +180,36 @@ class CoproductDecomposition:
 
 
 def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
-    """The sequence with f's recurrence and the values vals over n = lo, lo+1, ..."""
-    return RecurrentSequence(f.field, vals[0] if lo == 0 else None, vals[1 - lo :], f.coeffs)
+    """The sequence with f's recurrence and the values vals over n = lo, lo+1, ...
+
+    Its values up to x^L, L = len(f.initial), define it; the rest of vals
+    are its next values already and become its memo."""
+    L = len(f.initial)
+    h = RecurrentSequence(f.field, vals[0] if lo == 0 else None, vals[1 - lo : L + 1 - lo], f.coeffs)
+    h._vals = vals[1 - lo :]
+    return h
 
 
-def _shift_space(f: RecurrentSequence):
-    """Echelon basis of span{sigma^j f} and the pivot degrees.
+def _shift_space(f: RecurrentSequence, reach: int = 0):
+    """Echelon basis of span{sigma^j f}, the shifts of f by the pivot
+    degrees, the pivots and lo.
 
     Rows are the shifts sigma^j f for j = lo..L sampled on columns
     n = lo..max(L, lo); elements of the span are determined by those
     values, so the sampled rank is the true rank.  Every row and shift is
-    a window of one value table: sigma^d f over n = lo..max(L, lo) is
-    vals[d : d + width].
+    a window of one value table: sigma^d f over n = lo, lo+1, ... is
+    vals[d:], and each shift keeps its window, which reaches at least
+    degree max(L, lo, reach), as its values.
     """
     lo = 0 if f.s0 is not None else 1
     L = len(f.initial)
-    width = max(L, lo) - lo + 1
-    vals = _values(f, 2 * max(L, lo))
+    hi = max(L, lo)
+    width = hi - lo + 1
+    vals = _values(f, hi + max(hi, reach))
     rows = [vals[j : j + width] for j in range(lo, L + 1)]
     pivots = [lo + pc for pc in _rref(rows, width, f.field)]
     basis = [_sequence(f, row, lo) for row in rows[: len(pivots)]]
-    shifts = [_sequence(f, vals[d : d + width], lo) for d in pivots]
+    shifts = [_sequence(f, vals[d:], lo) for d in pivots]
     return basis, shifts, pivots, lo
 
 
@@ -175,7 +220,7 @@ def default_depth(f: RecurrentSequence) -> int:
 
 def _depth(f: RecurrentSequence, depth: int | None) -> int:
     """The requested depth in [0, MAX_DEPTH], else InputError; None gives
-    the default depth, which grows with the order and is not capped."""
+    the default depth, at most 2 MAX_ORDER + 16 <= MAX_DEPTH."""
     if depth is None:
         return default_depth(f)
     if depth < 0:
@@ -190,6 +235,13 @@ def _values(h: RecurrentSequence, depth: int) -> list:
     return ([h.s0] if h.s0 is not None else []) + h.prefix(depth)
 
 
+def _first_difference(got, want):
+    """The first index at which two equal-length lists differ; None when equal."""
+    if got == want:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+
+
 def _pairing_failure(lefts, rights, values, lo, top, canon):
     """Least (i, j), lexicographic, with i, j >= lo and i + j <= top at which
     sum_u lefts[u](x^i) rights[u](x^j) differs from values(x^(i+j)); None
@@ -202,51 +254,95 @@ def _pairing_failure(lefts, rights, values, lo, top, canon):
     for a in range(size):
         row = [v[a] for v in lefts]
         got = [canon(sum(map(mul, row, c))) for c in cols[: size - a]]
-        want = values[a + lo : a + lo + len(got)]
-        if got != want:
-            b = next(b for b, (x, y) in enumerate(zip(got, want)) if x != y)
+        b = _first_difference(got, values[a + lo : a + lo + len(got)])
+        if b is not None:
             return (a + lo, b + lo)
     return None
 
 
-def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> CoproductDecomposition:
-    """m*(f) = sum_t f_t (x) g_t with the f_t a shift-space basis and the
-    g_t the shifts of f by the pivot degrees; verified on all monomial
-    pairs x^i (x) x^j with i+j <= depth, along with coassociativity.
+def _certificate_failure(lv, rv, pivots, lo, canon):
+    """The first factor, f_0, f_1, ... then g_0, ..., that fails identity
+    (1), (2) or (3) of coproduct_decompose, with the least failing (a, b)
+    of its factorization: (p_u, 0) for (1), (n, 1) for (2) and (n, 0) for
+    (3); (None, "") when every factor passes.  lv and rv are the value
+    lists of the f_t and g_t over n = lo..N, N the last degree read."""
+    cols = list(zip(*lv))  # cols[k][u] = f_u(x^(lo+k))
+    at = [p - lo for p in pivots]
 
-    Coassociativity expands each leg once more through the factor's own
-    decomposition h = sum_u h_u (x) h'_u and compares the two triple sums
-    on monomials x^a (x) x^b (x) x^c, a+b+c <= depth.  It is certified
-    without visiting the triples: if every factor h in {f_t} u {g_t}
-    satisfies sum_u h_u(x^a) h'_u(x^b) = h(x^(a+b)) for a+b <= depth - lo,
-    and the first identity holds, then both triple sums equal
+    def expansion(hv, b):
+        """Least (n, b) at which h(x^(n+b)) differs from sum_u h(x^(p_u+b)) f_u(x^n)."""
+        coords = [hv[k + b] for k in at]
+        k = _first_difference([canon(sum(map(mul, coords, c))) for c in cols[: len(cols) - b]], hv[b:])
+        return None if k is None else (k + lo, b)
+
+    for t, hv in enumerate(lv):
+        wits = [(p, 0) for u, (p, k) in enumerate(zip(pivots, at)) if hv[k] != (1 if u == t else 0)]
+        wits += [w for w in [expansion(hv, 1)] if w]
+        if wits:
+            return min(wits), f"decomposition of f_{t}"
+    for t, hv in enumerate(rv):
+        wit = expansion(hv, 0)
+        if wit:
+            return wit, f"decomposition of g_{t}"
+    return None, ""
+
+
+def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> CoproductDecomposition:
+    """m*(f) = sum_t f_t (x) g_t with the f_t the echelon basis of the shift
+    space V and g_t = sigma^(p_t) f the shifts of f by the pivot degrees
+    p_t; verified on all monomial pairs x^i (x) x^j with i+j <= depth,
+    along with coassociativity.
+
+    Coassociativity expands each leg once more.  A factor h in {f_t, g_t}
+    lies in V, whose echelon coordinates are the values at the pivots, so
+    h factors as h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)): the lefts are
+    the f_u and the rights are windows of h's own value table (g_t's is a
+    window of f's, g_t(x^n) = f(x^(n+p_t))).  If every factor satisfies
+    this for a, b >= lo, a+b <= depth - lo, and the first identity holds,
+    then both triple sums on x^a (x) x^b (x) x^c, a+b+c <= depth, equal
     f(x^(a+b+c)), since sum_t f_t(x^(a+b)) g_t(x^c) = f(x^(a+b+c)) =
-    sum_t f_t(x^a) g_t(x^(b+c)).  That costs O(rank^2 depth^2) where the
-    triples cost O(rank depth^3).  The certificate is checked as its own
-    identity: a factor whose decomposition fails it is reported with the
-    first (a, b), whatever the triple sums would show.
+    sum_t f_t(x^a) g_t(x^(b+c)).
+
+    The factorizations are certified without visiting the pairs (a, b).
+    With s = depth - 2 lo, P the largest pivot and N = P + max(s, 1), the
+    last degree read, it checks on n = lo..N:
+      (1) f_t(x^(p_u)) = delta_tu;
+      (2) f_t(x^(n+1)) = sum_u f_t(x^(p_u+1)) f_u(x^n), for n < N;
+      (3) g_t(x^n) = sum_u g_t(x^(p_u)) f_u(x^n).
+    Let Q_h(b) say h(x^(n+b)) = sum_u h(x^(p_u+b)) f_u(x^n) for
+    n = lo..N-b.  (1) gives Q_h(0) for h = f_t, and (3) is Q_h(0) for
+    h = g_t.  For b < s, Q_h(b) gives Q_h(b+1): for n <= N-b-1,
+      h(x^(n+b+1)) = sum_u h(x^(p_u+b)) f_u(x^(n+1))           [Q_h(b) at n+1]
+                   = sum_v (sum_u h(x^(p_u+b)) f_u(x^(p_v+1))) f_v(x^n)   [(2)]
+                   = sum_v h(x^(p_v+b+1)) f_v(x^n)          [Q_h(b) at p_v+1],
+    the last step reading Q_h(b) at p_v + 1 <= P + 1 <= N - b.  So Q_h(b)
+    holds for b = 0..s on n = lo..N-b, and N - b >= depth - lo - b is the
+    whole range of the factorization.  At the truncation edge, b = s,
+    the factorization reads h up to x^(P+s) = x^N, exactly where (1)-(3)
+    stop; for s < 1 there is no step, and N = P + 1 only keeps (2) in
+    range.  That is O(rank^2 (depth + P)) where a pairing per factor costs
+    O(rank^2 depth^2).  A factor that fails is reported as the
+    decomposition of f_t or g_t, with the least failing (a, b) of its
+    factorization among the instances (1)-(3) read: (p_u, 0), (n, 1) or
+    (n, 0); the first identity is checked on its own, against direct
+    evaluation.
     """
     depth = _depth(f, depth)
-    left, right, pivots, lo = _shift_space(f)
+    lo = 0 if f.s0 is not None else 1
+    steps = max(depth - 2 * lo, 1)
+    # the shifts carry their values up to the last degree the certificate can read
+    left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + steps)
     dec = CoproductDecomposition(len(left), left, right, pivots)
     canon = f.field.canon
     width = depth - lo + 1
-    lv = [_values(ft, depth) for ft in left]
-    rv = [_values(gt, depth) for gt in right]
+    last = (pivots[-1] if pivots else 0) + steps
+    lv = [_values(ft, last) for ft in left]
+    rv = [_values(gt, last) for gt in right]
 
     report = Report()
     first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
     report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
-
-    wit, detail = None, ""
-    factors = [("f", t, ft, v) for t, (ft, v) in enumerate(zip(left, lv))]
-    factors += [("g", t, gt, v) for t, (gt, v) in enumerate(zip(right, rv))]
-    for name, t, h, hv in factors:
-        hl, hr = ([_values(u, depth) for u in part] for part in _shift_space(h)[:2])
-        wit = _pairing_failure(hl, hr, hv, lo, depth - lo, canon)
-        if wit is not None:
-            detail = f"decomposition of {name}_{t}"
-            break
+    wit, detail = _certificate_failure(lv, rv, pivots, lo, canon)
     report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
     _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, width)
 

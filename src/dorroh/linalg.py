@@ -1,7 +1,7 @@
 """Dense exact matrices with deterministic Gaussian elimination.
 
 Elimination always picks the leftmost pivot column and the first row with
-a nonzero entry, so solve/inverse outputs are reproducible across
+a nonzero entry, so eliminations and inverses are reproducible across
 runs and platforms.
 """
 
@@ -117,24 +117,6 @@ def _rref(rows, width, field):
         pivots.append(c)
         r += 1
     return pivots
-
-
-def solve_linear(A: Matrix, b) -> list | None:
-    """One solution of A x = b (free variables set to 0), or None if inconsistent."""
-    if len(b) != A.rows:
-        raise InputError("right-hand side length must equal row count")
-    field = A.field
-    canon = field.canon
-    aug = [row + [canon(bi)] for row, bi in zip(A.data, b)]
-    pivots = _rref(aug, A.cols, field)
-    rank = len(pivots)
-    for i in range(rank, A.rows):
-        if aug[i][A.cols] != 0:
-            return None
-    x = [0] * A.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][A.cols]
-    return x
 
 
 def invert(A: Matrix) -> Matrix | None:

@@ -3,11 +3,13 @@
 The library carries every action through sparse tensors; ``act_left`` and
 ``act_right`` apply one to coordinate vectors entry by entry, as an
 independent reference for the tests that check a law on single elements.
+``solve_linear`` solves a dense system by the library's elimination.
 """
 
 from dorroh.algebra import AlgebraMorphism
 from dorroh.coalgebra import CoalgebraMorphism
-from dorroh.linalg import Matrix
+from dorroh.errors import InputError
+from dorroh.linalg import Matrix, _rref
 
 
 def act_left(action, a_vec, x_vec):
@@ -48,3 +50,21 @@ def is_identity(M: Matrix) -> bool:
     return M.rows == M.cols and all(
         M.data[i][j] == (1 if i == j else 0) for i in range(M.rows) for j in range(M.cols)
     )
+
+
+def solve_linear(A: Matrix, b) -> list | None:
+    """One solution of A x = b (free variables set to 0), or None if inconsistent."""
+    if len(b) != A.rows:
+        raise InputError("right-hand side length must equal row count")
+    field = A.field
+    canon = field.canon
+    aug = [row + [canon(bi)] for row, bi in zip(A.data, b)]
+    pivots = _rref(aug, A.cols, field)
+    rank = len(pivots)
+    for i in range(rank, A.rows):
+        if aug[i][A.cols] != 0:
+            return None
+    x = [0] * A.cols
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][A.cols]
+    return x

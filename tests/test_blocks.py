@@ -81,8 +81,9 @@ from dorroh.gallery import (
     trunc_poly_pair,
     truncated_polynomials,
 )
-from dorroh.linalg import Matrix, invert, solve_linear
+from dorroh.linalg import Matrix, invert
 from dorroh.tensors import SparseTensor3
+from support import solve_linear
 
 GOLDEN = Path(__file__).parent / "data" / "blocks_golden.json"
 FIELDS = (QQ, GF(3), GF(5))

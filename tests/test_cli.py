@@ -8,7 +8,7 @@ from dorroh.algebra import AlgebraMorphism, verify_algebra_morphism
 from dorroh.cli import main
 from dorroh.coalgebra import verify_coalgebra_morphism
 from dorroh.fields import QQ
-from dorroh.findual import MAX_BOUND, MAX_DEPTH
+from dorroh.findual import MAX_BOUND, MAX_DEPTH, MAX_ORDER
 from dorroh.gallery import MAX_PARAM, instance
 from dorroh.linalg import MAX_DENSE_DIM
 
@@ -338,6 +338,32 @@ def test_findual_depth_and_bound_past_their_caps_exit_2(tmp_path, capsys):
     # at the caps the commands run
     assert run_cli("findual", "--seq", str(seq), "--command", "vanish", "--depth", str(MAX_DEPTH)) == 0
     assert run_cli("findual", "--seq", str(seq), "--command", "minrec", "--bound", str(MAX_BOUND)) == 0
+
+
+def _sequence_doc(initial, recurrence):
+    payload = {"s0": "1", "initial": ["1"] * initial, "recurrence": ["1"] * recurrence}
+    return json.dumps({"format": "dorroh/1", "field": {"kind": "Fp", "p": 10007}, "kind": "sequence", "payload": payload})
+
+
+def test_findual_sequence_past_the_order_cap_exits_2(tmp_path, capsys):
+    cases = [
+        (MAX_ORDER + 1, 1, f"{MAX_ORDER + 1} initial values are past the cap MAX_ORDER = {MAX_ORDER}"),
+        (MAX_ORDER + 1, MAX_ORDER + 1, f"recurrence order {MAX_ORDER + 1} is past the cap MAX_ORDER = {MAX_ORDER}"),
+        (1000, 1000, f"recurrence order 1000 is past the cap MAX_ORDER = {MAX_ORDER}"),
+    ]
+    start = time.perf_counter()
+    for initial, recurrence, message in cases:
+        seq = tmp_path / "long.json"
+        seq.write_text(_sequence_doc(initial, recurrence))
+        for command in ("minrec", "coproduct", "dorroh", "vanish"):
+            assert run_cli("findual", "--seq", str(seq), "--command", command) == 2
+            assert capsys.readouterr().err == f"error: $.payload: {message}\n"
+    assert time.perf_counter() - start < 1.0
+    # at the cap the commands run
+    seq = tmp_path / "longest.json"
+    seq.write_text(_sequence_doc(MAX_ORDER, MAX_ORDER))
+    for command in ("coproduct", "dorroh"):
+        assert run_cli("findual", "--seq", str(seq), "--command", command, "--depth", "8") == 0
 
 
 # Python refuses int-from-string conversions past 4300 digits.

@@ -6,7 +6,7 @@ from dorroh import exchange
 from dorroh.algebra import AlgebraMorphism
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.findual import RecurrentSequence
+from dorroh.findual import MAX_ORDER, RecurrentSequence
 from dorroh.gallery import (
     grouplike_pair,
     instance,
@@ -163,3 +163,20 @@ def test_pair_document_shape():
     doc = exchange.encode(grouplike_pair(QQ))
     assert doc["kind"] == "pair-coalgebra"
     assert list(doc["payload"].keys()) == ["c", "p", "rho_l", "rho_r"]
+
+
+def test_sequence_past_the_order_cap_is_reported_at_its_payload():
+    doc = exchange.encode(RecurrentSequence(GF(5), 0, [1, 1], [1, 1]))
+    cap = MAX_ORDER
+    for key, message in (
+        ("initial", f"{cap + 1} initial values are past the cap MAX_ORDER = {cap}"),
+        ("recurrence", f"recurrence order {cap + 1} is past the cap MAX_ORDER = {cap}"),
+    ):
+        long = json.loads(json.dumps(doc))
+        long["payload"][key] = ["1"] * (cap + 1)
+        with pytest.raises(InputError) as err:
+            exchange.decode(long)
+        assert str(err.value) == f"$.payload: {message}"
+    at_cap = json.loads(json.dumps(doc))
+    at_cap["payload"]["initial"] = at_cap["payload"]["recurrence"] = ["1"] * cap
+    assert exchange.decode(at_cap).order == cap

@@ -5,7 +5,8 @@ coalgebra morphisms both count), over Q and GF(5), and derives variants
 from it: every key dropped, an unknown key added to every object, every
 declared dim off by one, and on every tensor or vector an index out of
 range, a duplicate entry, an explicit zero and a non-canonical scalar,
-plus a wrong unit or counit and a bad module side.
+plus a wrong unit or counit, a bad module side and a sequence list one
+past MAX_ORDER.
 ``tests/data/exchange_golden.json`` holds, per variant, the exact
 ``InputError`` text or, when the variant still parses, the re-emitted
 document; the test rebuilds the corpus and requires byte-equal output.
@@ -23,6 +24,7 @@ from dorroh.algebra import regular_bimodule, verify_algebra_morphism
 from dorroh.coalgebra import regular_bicomodule, verify_coalgebra_morphism
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
+from dorroh.findual import MAX_ORDER
 from dorroh.gallery import divided_power, dual_numbers, fibonacci, regular_copair, regular_pair
 from support import identity_comorphism, identity_morphism
 
@@ -105,6 +107,8 @@ def _variants(doc, field):
             yield f"scalar{where}", _edited(doc, path, _set([[*first[:3], bad], *rest]))
         if key in VECTOR_KEYS or (path[-2:-1] == ("matrix",) and key == 0):
             yield f"scalar{where}", _edited(doc, path, _set([bad, *node[1:]]))
+            if key in ("initial", "recurrence"):
+                yield f"long{where}", _edited(doc, path, _set(node[:1] * (MAX_ORDER + 1)))
             if key in ("unit", "counit"):
                 yield f"wrong{where}", _edited(doc, path, _set(["1" if node[0] == "0" else "0", *node[1:]]))
 

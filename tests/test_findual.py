@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dorroh import findual
+from dorroh import findual, linalg
 from dorroh.errors import InputError, PreconditionError, ValidationFailure
 from dorroh.fields import GF, QQ
 from dorroh.findual import (
@@ -17,8 +17,9 @@ from dorroh.findual import (
     vanishing_check,
 )
 from dorroh.gallery import fibonacci, geometric
-from dorroh.linalg import _rref
+from dorroh.linalg import Matrix, _rref
 from dorroh.reports import Report
+from support import solve_linear
 
 
 def rightmost_pivot_rank(rows):
@@ -284,30 +285,46 @@ def _first_pair_failure(lefts, rights, h, lo, top):
     return None
 
 
+def last_certified_degree(pivots, lo, depth):
+    """N = max pivot + max(depth - 2 lo, 1), the last degree the certificate reads."""
+    return (pivots[-1] if pivots else 0) + max(depth - 2 * lo, 1)
+
+
 def reference_coproduct_checks(f, depth):
     """The checks coproduct_decompose reports, as [(name, ok, witness, detail)],
-    entry by entry through value(): the first identity, then each factor
-    f_0, f_1, ..., g_0, ... against its own decomposition on a + b <= depth - lo."""
-    left, right, _, lo = findual._shift_space(f)
+    entry by entry through value(): the first identity, then for each factor
+    f_0, f_1, ..., g_0, ... the least failing instance (n, b) of
+    h(x^(n+b)) = sum_u h(x^(p_u+b)) f_u(x^n) that the certificate reads on
+    n = lo..N: b = 1 and n < N for the f_t, with f_t(x^(p_u)) = delta_tu
+    read as (p_u, 0), and b = 0 for the g_t."""
+    left, right, pivots, lo = findual._shift_space(f)
     first = _first_pair_failure(left, right, f, lo, depth)
-    wit, detail = None, ""
-    for name, t, h in [("f", t, h) for t, h in enumerate(left)] + [("g", t, h) for t, h in enumerate(right)]:
-        wit = _first_pair_failure(*findual._shift_space(h)[:2], h, lo, depth - lo)
-        if wit is not None:
-            detail = f"decomposition of {name}_{t}"
-            break
+    last = last_certified_degree(pivots, lo, depth)
+    canon = f.field.canon
+
+    def expands(h, b, n):
+        return canon(sum(h.value(p + b) * u.value(n) for p, u in zip(pivots, left))) == h.value(n + b)
+
+    failing = []
+    for t, h in enumerate(left):
+        wits = [(p, 0) for u, p in enumerate(pivots) if h.value(p) != (1 if u == t else 0)]
+        wits += [(n, 1) for n in range(lo, last) if not expands(h, 1, n)]
+        failing.append((f"decomposition of f_{t}", wits))
+    for t, h in enumerate(right):
+        failing.append((f"decomposition of g_{t}", [(n, 0) for n in range(lo, last + 1) if not expands(h, 0, n)]))
+    wit, detail = next(((min(wits), name) for name, wits in failing if wits), (None, ""))
     return [(FIRST, first is None, first, ""), (CERTIFICATE, wit is None, wit, detail)]
 
 
 def triple_scan_witness(f, depth):
     """First (a, b, c), a + b + c <= depth, where the two expansions of m*(f)
-    through the factors' own decompositions differ; None when none does."""
-    left, right, _, lo = findual._shift_space(f)
+    through the factors' decompositions h = sum_u f_u (x) sigma^(p_u) h
+    differ; None when none does."""
+    left, right, pivots, lo = findual._shift_space(f)
     canon = f.field.canon
-    inner = {id(h): findual._shift_space(h)[:2] for h in left + right}
 
     def pairing(h, a, b):
-        return sum(u.value(a) * v.value(b) for u, v in zip(*inner[id(h)]))
+        return sum(u.value(a) * h.value(p + b) for u, p in zip(left, pivots))
 
     for a in range(lo, depth + 1):
         for b in range(lo, depth - a + 1):
@@ -363,38 +380,66 @@ def _bent_from(h, degree, delta):
     return RecurrentSequence(h.field, h.s0, values, h.coeffs)
 
 
-def _bend_decomposition_of(monkeypatch, target, side, index, bend):
-    """Make _shift_space(h), for every h equal to target, return its
-    decomposition with one factor bent; every other call is untouched."""
+def _shifted(f, d):
+    """sigma^d f, the window of f's values from x^d on, as its own sequence."""
+    return RecurrentSequence(f.field, f.value(d) if f.s0 is not None else None, f.prefix(d + len(f.initial))[d:], f.coeffs)
+
+
+def _bend_decomposition_of(monkeypatch, target, edit):
+    """Make _shift_space(target) return its basis, shifts and pivots after
+    edit(basis, shifts, pivots) has changed those lists in place; every
+    other call is untouched."""
     original = findual._shift_space
 
-    def bent(h):
-        basis, shifts, pivots, lo = original(h)
+    def bent(h, reach=0):
+        basis, shifts, pivots, lo = original(h, reach)
         if h == target:
-            parts = [list(basis), list(shifts)]
-            if parts[side]:
-                k = index % len(parts[side])
-                parts[side][k] = bend(parts[side][k])
-            basis, shifts = parts
+            basis, shifts, pivots = list(basis), list(shifts), list(pivots)
+            edit(basis, shifts, pivots)
         return basis, shifts, pivots, lo
 
     monkeypatch.setattr(findual, "_shift_space", bent)
 
 
+def _random_bend(rng, f, depth):
+    """One edit of f's decomposition: a basis element or a shift bent at a
+    random position, or only past the degrees the first identity reads; a
+    shift taken one degree too far (a right window off by one); or a pivot
+    moved with its shift (a wrong pivot window)."""
+    kind, position, delta, index = rng.randrange(6), rng.randrange(6), rng.randint(1, 4), rng.randrange(4)
+    move, share = rng.choice((-1, 1, 2)), rng.random()
+    lo = 0 if f.s0 is not None else 1
+
+    def edit(basis, shifts, pivots):
+        if not pivots:
+            return
+        k = index % len(pivots)
+        part = (basis, shifts)[kind % 2]
+        if kind < 2:
+            part[k] = _bent(part[k], position, delta)
+        elif kind < 4:
+            # from a degree in depth - lo + 1 .. N, past the first identity
+            last = last_certified_degree(pivots, lo, depth)
+            first = min(depth - lo + 1, last)
+            part[k] = _bent_from(part[k], first + int(share * (last - first + 1)), delta)
+        elif kind == 4:
+            shifts[k] = _shifted(f, pivots[k] + 1)
+        else:
+            pivots[k] = max(pivots[k] + move, lo)
+            shifts[k] = _shifted(f, pivots[k])
+
+    return edit
+
+
 def test_bent_decompositions_report_the_failing_factor(monkeypatch):
     rng = random.Random(505)
     kinds = {"first identity": 0, "certificate only": 0, "seen by the triples": 0}
-    for case in range(120):
+    for case in range(180):
         field = (QQ, GF(5), GF(10007))[case % 3]
         f = _random_sequence(rng, field, with_s0=case % 2 == 0)
         depth = rng.randint(0, 20)
-        left, right = findual._shift_space(f)[:2]
-        # the outer decomposition in about a third of the cases, a factor's otherwise
-        factors = left + right
-        target = f if rng.random() < 0.35 or not factors else rng.choice(factors)
         with monkeypatch.context() as m:
-            position, delta = rng.randrange(4), rng.randint(1, 4)
-            _bend_decomposition_of(m, target, rng.randrange(2), rng.randrange(4), lambda h: _bent(h, position, delta))
+            _bend_decomposition_of(m, f, _random_bend(rng, f, depth))
             expected = _expected(f, depth)
             got = _outcome(f, depth)
             assert got == expected, (case, f, depth)
@@ -408,26 +453,36 @@ def test_bent_decompositions_report_the_failing_factor(monkeypatch):
 
 
 def test_factors_bent_at_the_last_degree_the_certificate_reads(monkeypatch):
-    # A factor's decomposition bent only from degree depth - 2 lo on first
-    # disagrees with the factor at a + b = depth - lo, the edge of the
-    # range the triple sums read.
+    # A factor bent only from degree N = max pivot + max(depth - 2 lo, 1)
+    # on is out of V at the last degree the certificate reads: in (2) at
+    # n = N - 1 for an f_t and in (3) at n = N for a g_t, where the
+    # factorization at the truncation edge b = depth - 2 lo reads it.
     rng = random.Random(507)
-    edge_witnesses = 0
+    edge_witnesses = {"f": 0, "g": 0}
     for field in (QQ, GF(10007)):
         for with_s0 in (True, False):
             lo = 0 if with_s0 else 1
-            for depth in (5, 9):
+            for depth in (0, 2, 5, 9):
                 f = _random_sequence(rng, field, with_s0)
-                left, right = findual._shift_space(f)[:2]
-                for target in left + right:
-                    for side in (0, 1):
+                left, right, pivots, _ = findual._shift_space(f)
+                last = last_certified_degree(pivots, lo, depth)
+                for side in (0, 1):
+                    for k in range(len(pivots)):
+
+                        def edit(basis, shifts, pivots, side=side, k=k):
+                            part = (basis, shifts)[side]
+                            part[k] = _bent_from(part[k], last, 1)
+
                         with monkeypatch.context() as m:
-                            _bend_decomposition_of(m, target, side, 0, lambda h: _bent_from(h, depth - 2 * lo, 1))
+                            _bend_decomposition_of(m, f, edit)
                             expected = _expected(f, depth)
-                            assert _outcome(f, depth) == expected, (f, depth, target, side)
-                        if expected is not None and expected[1][2] is not None and sum(expected[1][2]) == depth - lo:
-                            edge_witnesses += 1
-    assert edge_witnesses >= 10, edge_witnesses
+                            got = _outcome(f, depth)
+                            assert got == expected, (f, depth, side, k)
+                            if triple_scan_witness(f, depth) is not None:
+                                assert got is not None, (f, depth, side, k)
+                        if got is not None and got[1][2] == ((last - 1, 1), (last, 0))[side]:
+                            edge_witnesses["fg"[side]] += 1
+    assert min(edge_witnesses.values()) >= 10, edge_witnesses
 
 
 def test_unbent_decompositions_pass_the_triple_scan():
@@ -477,7 +532,11 @@ def test_coproduct_logs_one_event_per_call(caplog, monkeypatch):
         assert record.args == (dec.rank, depth, depth - lo + 1)
     f = genuine[0][0]
     left = findual._shift_space(f)[0]
-    _bend_decomposition_of(monkeypatch, left[1], 0, 0, lambda h: _bent(h, 2, 1))
+
+    def edit(basis, shifts, pivots):
+        basis[1] = _bent(basis[1], 2, 1)
+
+    _bend_decomposition_of(monkeypatch, f, edit)
     caplog.clear()
     with pytest.raises(ValidationFailure) as err:
         coproduct_decompose(f, 28)
@@ -505,9 +564,21 @@ def test_depth_and_bound_caps():
     with pytest.raises(InputError, match="MAX_BOUND"):
         minimal_recurrence([0] * (2 * findual.MAX_BOUND + 4), findual.MAX_BOUND + 1, QQ)
     assert minimal_recurrence([0] * (2 * findual.MAX_BOUND + 2), findual.MAX_BOUND, QQ).order == 0
-    # the default depth 2r + 16 is not capped
-    long = RecurrentSequence(GF(5), None, [1] * 200, [0] * 199 + [1])
+    # the default depth 2r + 16 of the longest sequence stays within MAX_DEPTH
+    long = RecurrentSequence(GF(5), None, [1] * findual.MAX_ORDER, [0] * (findual.MAX_ORDER - 1) + [1])
+    assert findual.default_depth(long) <= findual.MAX_DEPTH
     assert vanishing_check(long, long.coeffs).ok
+
+
+def test_sequence_order_and_initial_values_are_capped():
+    cap = findual.MAX_ORDER
+    assert RecurrentSequence(QQ, None, [1] * cap, [0] * (cap - 1) + [1]).order == cap
+    with pytest.raises(InputError, match=f"recurrence order {cap + 1} is past the cap MAX_ORDER = {cap}"):
+        RecurrentSequence(QQ, None, [1] * (cap + 1), [0] * (cap + 1))
+    with pytest.raises(InputError, match=f"^{cap + 1} initial values are past the cap MAX_ORDER = {cap}"):
+        RecurrentSequence(GF(5), 1, [1] * (cap + 1), [1])
+    with pytest.raises(InputError, match="recurrence order 1000 is past the cap"):
+        RecurrentSequence(QQ, None, [], [1] * 1000)
 
 
 def test_value_steps_match_the_recurrence_formula():
@@ -701,3 +772,153 @@ def test_dorroh_decompose_runs_one_coproduct(monkeypatch):
         calls.clear()
         assert dorroh_decompose(f, 12).ok
         assert calls == [RecurrentSequence(f.field, None, f.initial, f.coeffs)]
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the basis certificate and Berlekamp-Massey against
+# the code they replaced, kept verbatim (the coproduct also hands back its
+# report, and logs nothing)
+
+
+def reference_coproduct_decompose(f, depth=None):
+    """coproduct_decompose as written before the basis certificate: every
+    factor decomposed again through its own _shift_space and paired on
+    a + b <= depth - lo."""
+    _shift_space, _values, _pairing_failure = findual._shift_space, findual._values, findual._pairing_failure
+    depth = findual._depth(f, depth)
+    left, right, pivots, lo = _shift_space(f)
+    dec = findual.CoproductDecomposition(len(left), left, right, pivots)
+    canon = f.field.canon
+    lv = [_values(ft, depth) for ft in left]
+    rv = [_values(gt, depth) for gt in right]
+
+    report = Report()
+    first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
+    report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
+
+    wit, detail = None, ""
+    factors = [("f", t, ft, v) for t, (ft, v) in enumerate(zip(left, lv))]
+    factors += [("g", t, gt, v) for t, (gt, v) in enumerate(zip(right, rv))]
+    for name, t, h, hv in factors:
+        hl, hr = ([_values(u, depth) for u in part] for part in _shift_space(h)[:2])
+        wit = _pairing_failure(hl, hr, hv, lo, depth - lo, canon)
+        if wit is not None:
+            detail = f"decomposition of {name}_{t}"
+            break
+    report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
+
+    if not report.ok:
+        raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
+    return dec, report
+
+
+def reference_minimal_recurrence(prefix, bound, field):
+    """minimal_recurrence as written before Berlekamp-Massey: for growing r,
+    a monic vector in the kernel of the (r+1)-column Hankel matrix."""
+    findual.check_bound(bound)
+    m = len(prefix)
+    if m < 2 * bound + 2:
+        raise InputError(f"prefix of length {m} is too short for bound {bound} (need {2 * bound + 2})")
+    prefix = [field.canon(v) for v in prefix]
+    for r in range(bound + 1):
+        if r == 0:
+            if all(v == 0 for v in prefix):
+                return RecurrentSequence(field, None, [], [])
+            continue
+        rows = []
+        rhs = []
+        for n in range(r + 1, m + 1):
+            rows.append([prefix[n - 1 - i] for i in range(1, r + 1)])
+            rhs.append(prefix[n - 1])
+        sol = solve_linear(Matrix(len(rows), r, rows, field), rhs)
+        if sol is not None:
+            return RecurrentSequence(field, None, prefix[:r], sol)
+    return None
+
+
+def _differential_cases(seed, count):
+    """Q with fractions, GF(5) and GF(10007), with and without s_0, orders
+    0..8 with 0..2 extra initial values, depths 0..40 or the default."""
+    rng = random.Random(seed)
+    for case in range(count):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        order, extra = rng.randint(0, 8), rng.randint(0, 2)
+        initial = [_oracle_scalar(rng, field) for _ in range(order + extra)]
+        s0 = _oracle_scalar(rng, field) if case % 2 == 0 else None
+        f = RecurrentSequence(field, s0, initial, [_oracle_scalar(rng, field) for _ in range(order)])
+        yield rng, f, rng.choice((None, rng.randint(0, 40)))
+
+
+class _KeptReports(Report):
+    """A Report that keeps every instance made, to read a passing report."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+
+def test_coproduct_matches_the_per_factor_reference(monkeypatch):
+    monkeypatch.setattr(findual, "Report", _KeptReports)
+    ranks, depths = set(), set()
+    for _, f, depth in _differential_cases(801, 300):
+        _KeptReports.made.clear()
+        dec = coproduct_decompose(f, depth)
+        (report,) = _KeptReports.made
+        ref, ref_report = reference_coproduct_decompose(f, depth)
+        assert (dec.rank, dec.left, dec.right, dec.pivots) == (ref.rank, ref.left, ref.right, ref.pivots), (f, depth)
+        assert _checks(report)[0] == _checks(ref_report)[0], (f, depth)
+        assert report.ok and ref_report.ok
+        ranks.add(dec.rank)
+        depths.add(depth)
+    assert ranks >= set(range(10)) and len(depths) >= 30, (ranks, depths)
+
+
+def test_minimal_recurrence_matches_the_hankel_reference():
+    found = {"recurrence": 0, "none": 0}
+    for rng, f, _ in _differential_cases(802, 300):
+        # the sequence's prefixes at every bound, and random values at one
+        prefixes = [(f.prefix(2 * bound + 2 + rng.randint(0, 3)), bound) for bound in range(9)]
+        bound = rng.randint(0, 8)
+        prefixes.append(([_oracle_scalar(rng, f.field) for _ in range(2 * bound + 2 + rng.randint(0, 3))], bound))
+        for prefix, bound in prefixes:
+            got = minimal_recurrence(prefix, bound, f.field)
+            assert got == reference_minimal_recurrence(prefix, bound, f.field), (prefix, bound)
+            found["none" if got is None else "recurrence"] += 1
+    assert min(found.values()) >= 1000, found
+
+
+def test_one_elimination_per_coproduct_and_none_per_minimal_recurrence(monkeypatch):
+    # solve_linear, the Hankel solver, went through _rref as well
+    calls = []
+    original = linalg._rref
+
+    def counted(rows, width, field):
+        calls.append(width)
+        return original(rows, width, field)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    monkeypatch.setattr(findual, "_rref", counted)
+    for _, f, depth in _differential_cases(803, 30):
+        calls.clear()
+        coproduct_decompose(f, depth)
+        assert len(calls) == 1, f
+        calls.clear()
+        minimal_recurrence(f.prefix(18), 8, f.field)
+        assert calls == [], f
+
+
+def test_minimal_recurrence_logs_one_event_per_call(caplog):
+    caplog.set_level(logging.DEBUG, logger="dorroh.findual")
+    cases = [
+        ([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], 4, 2),
+        ([0] * 6, 2, 0),
+        ([math.factorial(n) for n in range(1, 11)], 4, None),
+    ]
+    for prefix, bound, order in cases:
+        caplog.clear()
+        minimal_recurrence(prefix, bound, QQ)
+        (record,) = caplog.records
+        assert record.name == "dorroh.findual" and record.levelno == logging.DEBUG
+        assert record.args == (len(prefix), bound, order)

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from support import is_identity
+from support import is_identity, solve_linear
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.linalg import Matrix, invert, solve_linear
+from dorroh.linalg import Matrix, invert
 
 
 def test_solve_identity():
