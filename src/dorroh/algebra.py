@@ -18,11 +18,14 @@ attributes, and its ``order`` lays each block out in that side's legs.
 
 from __future__ import annotations
 
+import logging
+from contextlib import contextmanager
+from functools import cache
 from typing import NamedTuple
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert, is_identity
 from .reports import Report
 from .tensors import (
     TO_COALGEBRA,
@@ -38,6 +41,8 @@ LEFT = "left"
 RIGHT = "right"
 BI = "bi"
 SIDES = (LEFT, RIGHT, BI)
+
+_log = logging.getLogger("dorroh.algebra")
 
 
 class Algebra:
@@ -58,11 +63,6 @@ class Algebra:
             if len(unit) != dim or not _acts_as_identity(mul, mul, unit, dim):
                 raise InputError("cached unit fails the identity law")
             self._unit = unit
-
-    def basis(self, i):
-        v = [0] * self.dim
-        v[i] = 1
-        return v
 
     def product(self, x, y):
         """Coordinates of x.y."""
@@ -230,15 +230,69 @@ def _laws(co_order, *rows) -> Laws:
     return Laws(algebra, tuple(coalgebra))
 
 
-def check_laws(report: Report, field, laws, tensors: dict, names=None) -> Report:
+def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None) -> Report:
     """Add to ``report`` the first witness of each law whose roles are all
-    bound to a tensor in ``tensors``; ``names`` renames the laws in order."""
+    bound to a tensor in ``tensors``; ``names`` renames the laws in order.
+
+    ``memo`` maps the canonical form of each law decided so far (see
+    ``_law_key``) to [witness, uses]; a law whose form is there takes its
+    witness without a contraction.  A check that runs several tables
+    passes one memo through them all (``_scope``).
+    """
+    if memo is None:
+        memo = {}
     for i, (name, box, out, (ls, l1, l2), (rs, r1, r2)) in enumerate(laws):
         a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
         if a is not None and b is not None and c is not None and d is not None:
-            witness = first_witness(field, box, out, (ls, a, b), (rs, c, d))
-            report.add_witness(names[i] if names else name, witness)
+            lhs, rhs = (ls, a, b), (rs, c, d)
+            key = _law_key(box, out, lhs, rhs)
+            seen = memo.get(key)
+            if seen is None:
+                seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0]
+            seen[1] += 1
+            report.add_witness(names[i] if names else name, seen[0])
     return report
+
+
+@contextmanager
+def _scope(memo):
+    """The law memo of one check_dorroh_pair_* call or iterated triple: the
+    caller's, or a fresh one whose counts are logged when the check returns."""
+    if memo is not None:
+        yield memo
+        return
+    memo = {}
+    yield memo
+    laws = sum(uses for _, uses in memo.values())
+    _log.debug("check_laws laws=%d decided=%d copied=%d", laws, len(memo), laws - len(memo))
+
+
+def _law_key(box, out, lhs, rhs) -> tuple:
+    """The form of the identity lhs = rhs on ``box`` that fixes its first
+    witness: letters renamed in box-first order (box, then out, then the
+    summed letter of each side), each side's two factors and the two sides
+    unordered, and tensors by identity.  Two laws with one key contract the
+    same products into the same (box, out) keys, up to sign, so they fail
+    at the same least box tuple; a law whose box letters are permuted gets
+    another key."""
+    (t, i), (u, j) = _shape(box, out, lhs[0])
+    (v, k), (w, m) = _shape(box, out, rhs[0])
+    left, right = (t, id(lhs[i]), u, id(lhs[j])), (v, id(rhs[k]), w, id(rhs[m]))
+    return (len(box), left, right) if left <= right else (len(box), right, left)
+
+
+@cache
+def _shape(box, out, spec) -> tuple:
+    """The letters of each factor of ``spec`` renamed box first (box, out,
+    then the summed letter), with its slot in the term (1 or 2), in the
+    order of the renamed letters.  The two factors never rename alike, so
+    the order needs no tensor; cached, as the law tables are fixed."""
+    rename = {c: n for n, c in enumerate(box + out)}
+    factors = [
+        (tuple(rename.setdefault(c, len(rename)) for c in letters), slot)
+        for slot, letters in enumerate(spec.split(","), 1)
+    ]
+    return tuple(sorted(factors))
 
 
 def _passed(*laws) -> Report:
@@ -329,11 +383,12 @@ class BimoduleAction:
         self.carrier_dim = carrier_dim
         self.left = left
         self.right = right
+        self._validated = None  # see _keep
 
-    def validate(self) -> Report:
+    def validate(self, memo=None) -> Report:
         """Bimodule axioms over all basis triples."""
         tensors = {"mul": self.acting.mul, "left": self.left, "right": self.right}
-        return check_laws(Report(), self.acting.field, ACTION_LAWS.algebra, tensors)
+        return check_laws(Report(), self.acting.field, ACTION_LAWS.algebra, tensors, memo=memo)
 
 
 class DorrohPairAlgebra:
@@ -355,9 +410,10 @@ class DorrohPairAlgebra:
     def field(self):
         return self.A.field
 
-    def validate(self) -> Report:
+    def validate(self, memo=None) -> Report:
         if self._report is None:
-            self._report = check_dorroh_pair_algebra(self)
+            report = _stamped(ALGEBRA, self)
+            _keep(ALGEBRA, self, check_dorroh_pair_algebra(self, memo) if report is None else report)
         return self._report
 
     def require_valid(self):
@@ -375,11 +431,33 @@ class DorrohPairAlgebra:
         )
 
 
-def check_dorroh_pair_algebra(pair: DorrohPairAlgebra) -> Report:
+def check_dorroh_pair_algebra(pair: DorrohPairAlgebra, memo=None) -> Report:
     """Bimodule axioms plus the three compatibility identities between
-    the actions and the multiplication of I."""
-    tensors = {"mi": pair.I.mul, "left": pair.action.left, "right": pair.action.right}
-    return check_laws(pair.action.validate(), pair.field, PAIR_LAWS.algebra, tensors)
+    the actions and the multiplication of I, deciding each distinct law
+    once (``check_laws``) in ``memo`` or in a memo of this call's own."""
+    with _scope(memo) as memo:
+        tensors = {"mi": pair.I.mul, "left": pair.action.left, "right": pair.action.right}
+        return check_laws(pair.action.validate(memo), pair.field, PAIR_LAWS.algebra, tensors, memo=memo)
+
+
+def _keep(conv: Convention, pair, report: Report) -> Report:
+    """Set pair's report and stamp it on the pair's action object, with the
+    A and I objects it holds for, where ``_stamped`` finds it."""
+    (_, acting), (_, carrier) = conv.parts
+    pair._report = report
+    getattr(pair, conv.action)._validated = (getattr(pair, acting), getattr(pair, carrier), report)
+    return report
+
+
+def _stamped(conv: Convention, pair) -> Report | None:
+    """The report stamped on pair's action by a pair of the same A and I
+    objects, or None.  The pair (A1, A2) of an iterated triple built from a
+    validated pair's parts takes it instead of checking the pair again."""
+    (_, acting), (_, carrier) = conv.parts
+    stamp = getattr(pair, conv.action)._validated
+    if stamp is not None and stamp[0] is getattr(pair, acting) and stamp[1] is getattr(pair, carrier):
+        return stamp[2]
+    return None
 
 
 def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
@@ -453,12 +531,15 @@ def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:
 
     Both sides are tensors (i, j, k): F carries the last leg of the source
     multiplication, F^T the first two legs of the target's.  The witness
-    is the least (i, j) at which they differ.
+    is the least (i, j) at which they differ.  An identity matrix carries
+    nothing, so its sides are the two multiplications as they stand.
     """
     M = F.matrix
-    lhs = transport(F.source.mul, (None, None, M.data))
-    Mt = M.columns()  # the rows of M^T
-    rhs = transport(F.target.mul, (Mt, Mt, None))
+    lhs, rhs = F.source.mul, F.target.mul
+    if not is_identity(M):
+        lhs = transport(lhs, (None, None, M.data))
+        Mt = M.columns()  # the rows of M^T
+        rhs = transport(rhs, (Mt, Mt, None))
     report = Report().add_witness("multiplicative", first_difference(lhs.entries, rhs.entries, 2))
     return _record_verified(F, iso, report)
 
@@ -482,7 +563,7 @@ def _record_verified(F, iso: bool, report: Report) -> Report:
 
 
 def _invertible(M: Matrix) -> bool:
-    return M.rows == M.cols and invert(M) is not None
+    return M.rows == M.cols and (is_identity(M) or invert(M) is not None)
 
 
 def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
@@ -533,7 +614,7 @@ def _zero_action_pair(conv: Convention, A, B):
         SparseTensor3.zero(conv.lay((B.dim, A.dim, B.dim)), field),
     )
     pair = conv.pair(A, B, action)
-    pair._report = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
+    _keep(conv, pair, _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name)))
     return pair
 
 
@@ -551,13 +632,14 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
     S = Matrix.from_columns(list(a_basis) + list(i_basis), field)
     if S.rows != B.dim:
         raise InputError("basis vectors must live in B")
-    Sinv = invert(S)
-    if Sinv is None:
-        raise InputError("bases do not span a direct sum: dependent vectors")
-
     # B in the split basis: (u, v, w) -> c means s_u s_v contains c s_w.
-    St = S.columns()
-    T = transport(B.mul, (St, St, Sinv.data))
+    T = B.mul
+    if not is_identity(S):
+        Sinv = invert(S)
+        if Sinv is None:
+            raise InputError("bases do not span a direct sum: dependent vectors")
+        St = S.columns()
+        T = transport(B.mul, (St, St, Sinv.data))
     split = T.entries
 
     closure = Report().add_witness(
@@ -720,12 +802,15 @@ def check_iterated_algebra_triple(
     associator isomorphism (A1|xA2)|xA3 -> A1|x(A2|xA3).
 
     The pairs (A1, A2), (A1, A3) and (A2, A3) are validated and the six
-    mixed laws checked; (A1, A3) repeats (A1, A2) when A3 is A2 with the
-    same action.  The two bracketings are reached only when all of these
-    pass, and block by block each bracketing identity is one of them (the
-    associativity of iterated Dorroh extensions), so both bracketed pairs
-    carry the all-pass report.  The associator is still verified by
-    structure-constant equality.
+    mixed laws checked.  A pair of the same A, I and action objects as a
+    pair already validated takes its report (``_keep``): (A1, A2) of a
+    validated pair, and (A1, A3) when A3 is A2 with the same action.  The
+    laws of (A1, A3), (A2, A3) and the mixed laws share one memo, so each
+    distinct identity among them is decided once.  The two bracketings are
+    reached only when all of these pass, and block by block each
+    bracketing identity is one of them (the associativity of iterated
+    Dorroh extensions), so both bracketed pairs carry the all-pass report.
+    The associator is still verified by structure-constant equality.
     """
     return _iterated_triple(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, a1, a2, a3, act12, act13, act23)
 
@@ -733,20 +818,23 @@ def check_iterated_algebra_triple(
 def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, act23):
     pair12 = conv.pair(a1, a2, act12)
     pair12.require_valid()
-    pair13 = pair12 if a3 is a2 and act13 is act12 else conv.pair(a1, a3, act13)
     pair23 = conv.pair(a2, a3, act23)
     field = a1.field
     n1, n2, n3 = a1.dim, a2.dim, a3.dim
     lay = conv.lay
     a = conv.parts[0][1]
 
-    report = Report()
-    report.merge(pair13.validate(), prefix=f"{a}1{a}3:")
-    report.merge(pair23.validate(), prefix=f"{a}2{a}3:")
+    # One law memo for (A1, A3), (A2, A3) and the mixed laws: with A3 = A2
+    # acting on itself, (A2, A3) is six renamings of A2's associativity and
+    # the six mixed laws are three identities, each written twice.
+    with _scope(None) as memo:
+        report = Report()
+        report.merge(conv.pair(a1, a3, act13).validate(memo), prefix=f"{a}1{a}3:")
+        report.merge(pair23.validate(memo), prefix=f"{a}2{a}3:")
 
-    (l12, r12), (l13, r13), (l23, r23) = (conv.tensors(act) for act in (act12, act13, act23))
-    tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
-    check_laws(report, field, getattr(TRIPLE_LAWS, conv.name), tensors)
+        (l12, r12), (l13, r13), (l23, r23) = (conv.tensors(act) for act in (act12, act13, act23))
+        tensors = {"l12": l12, "r12": r12, "l13": l13, "r13": r13, "l23": l23, "r23": r23}
+        check_laws(report, field, getattr(TRIPLE_LAWS, conv.name), tensors, memo=memo)
 
     if not report.ok:
         return report, None
@@ -773,8 +861,8 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     )
     pair_right = conv.pair(a1, b23, act_1_23)
     for prefix, pair in (("left-bracketing:", pair_left), ("right-bracketing:", pair_right)):
-        pair._report = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
-        report.merge(pair._report, prefix=prefix)
+        passed = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
+        report.merge(_keep(conv, pair, passed), prefix=prefix)
 
     associator = conv.morphism(build(pair_left), build(pair_right), Matrix.identity(n1 + n2 + n3, field))
     report.merge(verify(associator, iso=True), prefix=f"{conv.co}associator:")

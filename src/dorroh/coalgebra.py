@@ -32,14 +32,17 @@ from .algebra import (
     _assemble,
     _build,
     _iterated_triple,
+    _keep,
     _record_verified,
+    _scope,
+    _stamped,
     _two_sided_unit,
     _zero_action_pair,
     check_laws,
 )
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert, is_identity
 from .reports import Report
 from .tensors import TO_ALGEBRA, TO_COALGEBRA, SparseTensor3, first_difference, place, rotate, transport
 
@@ -62,11 +65,6 @@ class Coalgebra:
             if len(counit) != dim or not _acts_as_identity(delta, delta, counit, dim, TO_COALGEBRA):
                 raise InputError("cached counit fails the counit law")
             self._counit = counit
-
-    def basis(self, i):
-        v = [0] * self.dim
-        v[i] = 1
-        return v
 
     def coproduct(self, x):
         """Delta of a coordinate vector, as a dict (i,j) -> coefficient."""
@@ -124,11 +122,12 @@ class BicomoduleCoaction:
         self.carrier_dim = carrier_dim
         self.rho_l = rho_l
         self.rho_r = rho_r
+        self._validated = None  # see algebra._keep
 
-    def validate(self) -> Report:
+    def validate(self, memo=None) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
         tensors = {"mul": self.coacting.delta, "left": self.rho_l, "right": self.rho_r}
-        return check_laws(Report(), self.coacting.field, ACTION_LAWS.coalgebra, tensors)
+        return check_laws(Report(), self.coacting.field, ACTION_LAWS.coalgebra, tensors, memo=memo)
 
 
 class DorrohPairCoalgebra:
@@ -150,9 +149,10 @@ class DorrohPairCoalgebra:
     def field(self):
         return self.C.field
 
-    def validate(self) -> Report:
+    def validate(self, memo=None) -> Report:
         if self._report is None:
-            self._report = check_dorroh_pair_coalgebra(self)
+            report = _stamped(COALGEBRA, self)
+            _keep(COALGEBRA, self, check_dorroh_pair_coalgebra(self, memo) if report is None else report)
         return self._report
 
     def require_valid(self):
@@ -170,11 +170,13 @@ class DorrohPairCoalgebra:
         )
 
 
-def check_dorroh_pair_coalgebra(pair: DorrohPairCoalgebra) -> Report:
+def check_dorroh_pair_coalgebra(pair: DorrohPairCoalgebra, memo=None) -> Report:
     """Bicomodule axioms plus the three compatibility equations between
-    the coactions and the comultiplication of P."""
-    tensors = {"mi": pair.P.delta, "left": pair.coaction.rho_l, "right": pair.coaction.rho_r}
-    return check_laws(pair.coaction.validate(), pair.field, PAIR_LAWS.coalgebra, tensors)
+    the coactions and the comultiplication of P, as ``check_dorroh_pair_algebra``
+    deciding each distinct law once in ``memo`` or in a memo of its own."""
+    with _scope(memo) as memo:
+        tensors = {"mi": pair.P.delta, "left": pair.coaction.rho_l, "right": pair.coaction.rho_r}
+        return check_laws(pair.coaction.validate(memo), pair.field, PAIR_LAWS.coalgebra, tensors, memo=memo)
 
 
 def build_dorroh_coalgebra(pair: DorrohPairCoalgebra) -> Coalgebra:
@@ -198,11 +200,14 @@ def verify_coalgebra_morphism(F: CoalgebraMorphism, iso: bool = False) -> Report
 
     Both sides are tensors (k, a, b): F^T carries the first leg of the
     target comultiplication, F the last two legs of the source's.  The
-    witness is the least (k,) at which they differ.
+    witness is the least (k,) at which they differ.  An identity matrix
+    carries nothing, so its sides are the two comultiplications.
     """
     M = F.matrix
-    lhs = transport(F.target.delta, (M.columns(), None, None))
-    rhs = transport(F.source.delta, (None, M.data, M.data))
+    lhs, rhs = F.target.delta, F.source.delta
+    if not is_identity(M):
+        lhs = transport(lhs, (M.columns(), None, None))
+        rhs = transport(rhs, (None, M.data, M.data))
     report = Report().add_witness("comultiplicative", first_difference(lhs.entries, rhs.entries, 1))
     return _record_verified(F, iso, report)
 
@@ -266,12 +271,13 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
     S = Matrix.from_columns(list(c_basis) + list(p_basis), field)
     if S.rows != D.dim:
         raise InputError("basis vectors must live in D")
-    Sinv = invert(S)
-    if Sinv is None:
-        raise InputError("bases do not span a direct sum: dependent vectors")
-
     # Delta in the split basis: (k, a, b) -> v means Delta(s_k) contains v s_a (x) s_b.
-    T = transport(D.delta, (S.columns(), Sinv.data, Sinv.data))
+    T = D.delta
+    if not is_identity(S):
+        Sinv = invert(S)
+        if Sinv is None:
+            raise InputError("bases do not span a direct sum: dependent vectors")
+        T = transport(D.delta, (S.columns(), Sinv.data, Sinv.data))
     split = T.entries
 
     sub = Report().add_witness(

@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraMorphism,
     DorrohPairAlgebra,
     ModuleOverAlgebra,
+    _keep,
     _passed,
     build_dorroh_algebra,
     verify_algebra_morphism,
@@ -106,7 +107,7 @@ def _dualize_pair(src, dst, pair, build, build_dual, verify):
     a_dual, i_dual = _dual(src, dst, acting), _dual(src, dst, carrier)
     action = dst.action_type(a_dual, carrier.dim, rotate(left, turn), rotate(right, turn))
     dual = dst.pair(a_dual, i_dual, action)
-    dual._report = _passed(getattr(ACTION_LAWS, dst.name), getattr(PAIR_LAWS, dst.name))
+    _keep(dst, dual, _passed(getattr(ACTION_LAWS, dst.name), getattr(PAIR_LAWS, dst.name)))
 
     identity = Matrix.identity(acting.dim + carrier.dim, pair.field)
     forward = dst.morphism(_dual(src, dst, build(pair)), build_dual(dual), identity)

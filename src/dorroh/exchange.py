@@ -18,7 +18,7 @@ from .algebra import ALGEBRA, SIDES
 from .coalgebra import COALGEBRA
 from .errors import InputError
 from .fields import FieldSpec
-from .findual import RecurrentSequence
+from .findual import RecurrentSequence, check_size
 from .linalg import Matrix
 from .tensors import SparseTensor3
 
@@ -275,7 +275,7 @@ def _parse_sequence(reader, payload, path):
             _fail(f"{path}.{key}", "expected a list of scalars")
         lists.append(reader.scalars(items, f"{path}.{key}"))
     try:
-        return RecurrentSequence(reader.field, s0, *lists)
+        return check_size(RecurrentSequence(reader.field, s0, *lists))
     except InputError as e:
         _fail(path, str(e))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dataclass_field
+from math import lcm
 from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
@@ -53,6 +54,27 @@ _log = logging.getLogger("dorroh.findual")
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
+
+# Over Q the order caps do not bound the work, because the cost follows
+# the size of the scalars: the elimination works on the initial values and
+# every later value grows with the degree.  Two caps on a sequence document
+# over Q (``check_size``), in bits of numerator plus bits of denominator
+# beyond 1: MAX_SCALAR_BITS on the total of s_0, the initial values and
+# the coefficients, and MAX_HEIGHT on h0 + READ_DEGREE g, a bound on the
+# values read at MAX_DEPTH: h0 is the largest of s_0 and the initial
+# values, and with d the least common denominator of the coefficients and
+# S = d sum |c_i|, a step past the initial values multiplies by at most
+# S / d, so it adds at most g = bits(S) + bits(d) - 1.  In-process on a
+# 2-vCPU machine, `dorroh findual --command dorroh --depth MAX_DEPTH` takes
+# about 8 s on the slowest integer documents under both caps (order 80,
+# every coefficient 3, 4-bit initial values), as on order 80 with values in
+# -3..3; refused, an order-1 document with a 62-bit coefficient took 6 s,
+# an order-80 one with 45-bit initial values 29 s, and the 1000-digit
+# order-10 one 8.8 s at its default depth.  Over F_p every value is below
+# p < 2^64, and the order caps bound the work.
+READ_DEGREE = MAX_DEPTH + 2 * MAX_ORDER
+MAX_SCALAR_BITS = 512
+MAX_HEIGHT = 4096
 
 
 class RecurrentSequence:
@@ -115,6 +137,34 @@ class RecurrentSequence:
     def __repr__(self):
         head = f"s0={self.s0}, " if self.s0 is not None else ""
         return f"RecurrentSequence({head}initial={self.initial}, coeffs={self.coeffs})"
+
+
+def _height(q) -> int:
+    """Bits of the numerator plus bits of the denominator beyond 1 of an
+    int or Fraction."""
+    return q.numerator.bit_length() + q.denominator.bit_length() - 1
+
+
+def height_bound(f: RecurrentSequence) -> int:
+    """h0 + READ_DEGREE g, the bound on the height of f's values read at
+    MAX_DEPTH over Q (see MAX_HEIGHT)."""
+    d = lcm(*(c.denominator for c in f.coeffs))
+    step = int(d * sum(map(abs, f.coeffs)))
+    h0 = max(map(_height, f.initial + ([f.s0] if f.s0 is not None else [])), default=0)
+    return h0 + READ_DEGREE * (step.bit_length() + d.bit_length() - 1)
+
+
+def check_size(f: RecurrentSequence) -> RecurrentSequence:
+    """f, or InputError when f is over Q and past MAX_SCALAR_BITS or MAX_HEIGHT."""
+    if f.field.p is None:
+        scalars = f.initial + f.coeffs + ([f.s0] if f.s0 is not None else [])
+        bits = sum(map(_height, scalars))
+        if bits > MAX_SCALAR_BITS:
+            raise InputError(f"scalars of {bits} bits in all are past the cap MAX_SCALAR_BITS = {MAX_SCALAR_BITS}")
+        bound = height_bound(f)
+        if bound > MAX_HEIGHT:
+            raise InputError(f"values of up to {bound} bits at depth MAX_DEPTH are past the cap MAX_HEIGHT = {MAX_HEIGHT}")
+    return f
 
 
 def check_bound(bound: int) -> int:

@@ -89,6 +89,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
+def is_identity(M: Matrix) -> bool:
+    """M is the square identity; entries are canonical, so 0 is falsy."""
+    return M.rows == M.cols and all(
+        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(M.data)
+    )
+
+
 def _rref(rows, width, field):
     """In-place reduced row echelon over the first `width` columns; returns pivot columns."""
     canon = field.canon

@@ -2,7 +2,8 @@
 
 The library carries every action through sparse tensors; ``act_left`` and
 ``act_right`` apply one to coordinate vectors entry by entry, as an
-independent reference for the tests that check a law on single elements.
+independent reference for the tests that check a law on single elements,
+and ``basis`` gives the coordinates of one basis vector.
 ``solve_linear`` solves a dense system by the library's elimination.
 """
 
@@ -38,18 +39,19 @@ def act_right(action, x_vec, a_vec):
     return [canon(v) for v in acc]
 
 
+def basis(s, i) -> list:
+    """Coordinates of the i-th basis vector of an algebra or coalgebra."""
+    v = [0] * s.dim
+    v[i] = 1
+    return v
+
+
 def identity_morphism(a) -> AlgebraMorphism:
     return AlgebraMorphism(a, a, Matrix.identity(a.dim, a.field))
 
 
 def identity_comorphism(c) -> CoalgebraMorphism:
     return CoalgebraMorphism(c, c, Matrix.identity(c.dim, c.field))
-
-
-def is_identity(M: Matrix) -> bool:
-    return M.rows == M.cols and all(
-        M.data[i][j] == (1 if i == j else 0) for i in range(M.rows) for j in range(M.cols)
-    )
 
 
 def solve_linear(A: Matrix, b) -> list | None:

@@ -366,6 +366,27 @@ def test_findual_sequence_past_the_order_cap_exits_2(tmp_path, capsys):
         assert run_cli("findual", "--seq", str(seq), "--command", command, "--depth", "8") == 0
 
 
+def test_findual_sequence_past_the_size_caps_exits_2(tmp_path, capsys):
+    def doc(s0, initial, recurrence):
+        payload = {"s0": s0, "initial": initial, "recurrence": recurrence}
+        return json.dumps({"format": "dorroh/1", "field": {"kind": "Q"}, "kind": "sequence", "payload": payload})
+
+    big = "1" + "0" * 998 + "7"  # order 10 with 1000-digit values took 8.8 s at the default depth
+    total = sum(len(bin(int(v))) - 2 for v in [big] * 21)
+    cases = [
+        (doc(big, [big] * 10, [big] * 10), f"scalars of {total} bits in all are past the cap MAX_SCALAR_BITS = 512"),
+        (doc("1", ["1"], [str(2**62 - 1)]), f"values of up to {1 + 480 * 62} bits at depth MAX_DEPTH are past the cap MAX_HEIGHT = 4096"),
+    ]
+    start = time.perf_counter()
+    for text, message in cases:
+        seq = tmp_path / "big.json"
+        seq.write_text(text)
+        for command in ("minrec", "coproduct", "dorroh", "vanish"):
+            assert run_cli("findual", "--seq", str(seq), "--command", command) == 2
+            assert capsys.readouterr().err == f"error: $.payload: {message}\n"
+    assert time.perf_counter() - start < 1.0
+
+
 # Python refuses int-from-string conversions past 4300 digits.
 NINES = "9" * 5000
 

@@ -17,17 +17,23 @@ themselves, each by a theorem:
     eps_C is counital on both coactions.
 
 The reference below keeps the full computation: it lays both bracketings
-out with ``place`` and runs ``check_dorroh_pair_*`` on them.  The inputs
-are the triples of the golden block corpus (regular, zero and scalar
-actions) and (A, I, I) triples of seeded random pairs, unperturbed or with
-one of the six action tensors bent in one entry, on both sides over Q,
-GF(3) and GF(5).
+out with ``place`` and checks every pair law by law, each with its own
+``first_witness`` call, so it also stands for the law memo of
+``check_laws`` (one decision per distinct identity in a check) and for the
+pair reports that ``_keep`` stamps on an action.  The inputs are the
+triples of the golden block corpus (regular, zero and scalar actions) and
+(A, I, I) triples of seeded random pairs, with I the pair's own or a
+random non-(co)associative structure of its dimension, acting on itself,
+unperturbed or with one of the six action tensors bent in one entry, on
+both sides over Q, GF(3) and GF(5).
 """
 
 import random
 
 from dorroh import algebra, coalgebra
 from dorroh.algebra import (
+    ACTION_LAWS,
+    PAIR_LAWS,
     TRIPLE_LAWS,
     Algebra,
     AlgebraMorphism,
@@ -37,7 +43,6 @@ from dorroh.algebra import (
     build_dorroh_algebra,
     check_dorroh_pair_algebra,
     check_iterated_algebra_triple,
-    check_laws,
     direct_product_pair,
     regular_bimodule,
     verify_algebra_morphism,
@@ -74,7 +79,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix
 from dorroh.reports import Report
-from dorroh.tensors import TO_ALGEBRA, SparseTensor3, place, rotate
+from dorroh.tensors import TO_ALGEBRA, SparseTensor3, first_witness, place, rotate
 
 FIELDS = (QQ, GF(3), GF(5))
 SEED = 20070250
@@ -156,13 +161,36 @@ def coalgebra_extension(pair):
     ), pair.field)
 
 
+def reference_laws(report, field, laws, tensors):
+    """``check_laws`` with no memo: each law whose roles are all bound is
+    decided by its own ``first_witness`` call."""
+    for name, box, out, (ls, l1, l2), (rs, r1, r2) in laws:
+        if all(tensors.get(role) is not None for role in (l1, l2, r1, r2)):
+            lhs, rhs = (ls, tensors[l1], tensors[l2]), (rs, tensors[r1], tensors[r2])
+            report.add_witness(name, first_witness(field, box, out, lhs, rhs))
+    return report
+
+
+def reference_check(side, pair):
+    """``check_dorroh_pair_*`` decided law by law, with no memo and no stamp."""
+    conv = side["conv"]
+    acting, carrier, left, right = conv.parts_of(pair)
+    tensors = {"mul": getattr(acting, conv.tensor), "mi": getattr(carrier, conv.tensor), "left": left, "right": right}
+    report = Report()
+    for laws in (ACTION_LAWS, PAIR_LAWS):
+        reference_laws(report, pair.field, getattr(laws, conv.name), tensors)
+    return report
+
+
 ALGEBRA = dict(
+    conv=algebra.ALGEBRA, structure=Algebra, make=BimoduleAction,
     pair=DorrohPairAlgebra, check=check_dorroh_pair_algebra, laws=TRIPLE_LAWS.algebra,
     triple=check_iterated_algebra_triple, bracketings=reference_algebra_bracketings,
     extension=algebra_extension, morphism=AlgebraMorphism, verify=verify_algebra_morphism,
     prefixes=("A1A3:", "A2A3:", "associator:"),
 )
 COALGEBRA = dict(
+    conv=coalgebra.COALGEBRA, structure=Coalgebra, make=BicomoduleCoaction,
     pair=DorrohPairCoalgebra, check=check_dorroh_pair_coalgebra, laws=TRIPLE_LAWS.coalgebra,
     triple=check_iterated_coalgebra_triple, bracketings=reference_coalgebra_bracketings,
     extension=coalgebra_extension, morphism=CoalgebraMorphism, verify=verify_coalgebra_morphism,
@@ -179,11 +207,11 @@ def reference_parts(side, algs, acts):
     (a1, a2, a3), (act12, act13, act23) = algs, acts
     field = a1.field
     report = Report()
-    report.merge(side["check"](side["pair"](a1, a3, act13)), prefix=side["prefixes"][0])
-    report.merge(side["check"](side["pair"](a2, a3, act23)), prefix=side["prefixes"][1])
+    report.merge(reference_check(side, side["pair"](a1, a3, act13)), prefix=side["prefixes"][0])
+    report.merge(reference_check(side, side["pair"](a2, a3, act23)), prefix=side["prefixes"][1])
     tensors = dict(zip(("l12", "r12", "l13", "r13", "l23", "r23"), (*_legs(act12), *_legs(act13), *_legs(act23))))
-    check_laws(report, field, side["laws"], tensors)
-    return side["check"](side["pair"](a1, a2, act12)), report
+    reference_laws(report, field, side["laws"], tensors)
+    return reference_check(side, side["pair"](a1, a2, act12)), report
 
 
 def reference_triple(side, algs, acts):
@@ -191,7 +219,7 @@ def reference_triple(side, algs, acts):
     the full report with the associator verified on the reference layout."""
     pair12, parts = reference_parts(side, algs, acts)
     left, right = side["bracketings"](*algs, *acts)
-    checked = side["check"](left), side["check"](right)
+    checked = reference_check(side, left), reference_check(side, right)
     if not (pair12.ok and parts.ok):
         return pair12, parts, checked, None, None
     report = Report().merge(parts)
@@ -302,6 +330,38 @@ def random_triples(field, rng):
     return out
 
 
+def _tangled(side, dim, field, rng):
+    """A structure of dimension ``dim`` with 2 dim random entries, almost
+    never (co)associative once dim > 1."""
+    entries = {}
+    for _ in range(2 * dim):
+        entries[tuple(rng.randrange(dim) for _ in range(3))] = rng.choice((1, 2))
+    return side["structure"](dim, SparseTensor3((dim, dim, dim), entries, field), field)
+
+
+def tangled_triples(field, rng):
+    """(A, J, J) of random pairs with J a random structure in place of I:
+    J acting on itself is a pair exactly when J is (co)associative, and each
+    of its laws is the associativity of J renamed.  Each unperturbed or
+    with one action tensor bent."""
+    out = []
+    for i in range(RANDOM_TRIPLES):
+        side = (ALGEBRA, COALGEBRA)[i % 2]
+        pair = (random_algebra_pair, random_coalgebra_pair)[i % 2](rng, field)
+        a, b = side["conv"].parts_of(pair)[:2]
+        act = getattr(pair, side["conv"].action)
+        j = _tangled(side, b.dim, field, rng)
+        acts = [act, act, side["make"](j, j.dim, *(getattr(j, side["conv"].tensor),) * 2)]
+        bend = rng.randrange(9)  # 6..8: unperturbed
+        if bend < 6:
+            which, leg = divmod(bend, 2)
+            legs = list(_legs(acts[which]))
+            legs[leg] = _bent(legs[leg], rng)
+            acts[which] = side["make"]((a, a, j)[which], acts[which].carrier_dim, *legs)
+        out.append((side, (a, j, j), tuple(acts)))
+    return out
+
+
 def _run(side, algs, acts):
     """(report, associator) of the library's triple, or (None, None) when
     it raised because (A1, A2) is not a pair."""
@@ -312,11 +372,12 @@ def _run(side, algs, acts):
 
 
 def _all_triples():
-    rng = random.Random(SEED)
+    rng, tangled_rng = random.Random(SEED), random.Random(SEED + 3)
     out = []
     for field in FIELDS:
         out += corpus_triples(field)
         out += random_triples(field, rng)
+        out += tangled_triples(field, tangled_rng)
     return out
 
 
@@ -344,6 +405,25 @@ def test_bracketings_pass_exactly_when_their_parts_pass():
         else:
             assert _checks(report) == _checks(parts) and associator is None
     assert both_pass >= 40 and both_fail >= 100, (both_pass, both_fail)
+
+
+def test_pair_checks_match_the_law_by_law_reference():
+    """The three pairs of every triple, each checked on a fresh action (no
+    stamp), and the report a triple raises when (A1, A2) is not a pair,
+    name, order, flag and witness every law as the reference does."""
+    raised = tangled = 0
+    for side, (a1, a2, a3), (act12, act13, act23) in _all_triples():
+        for x, y, act in ((a1, a2, act12), (a1, a3, act13), (a2, a3, act23)):
+            pair = side["pair"](x, y, side["make"](x, y.dim, *_legs(act)))
+            report = side["check"](pair)
+            assert _checks(report) == _checks(reference_check(side, pair)), (x, y)
+            tangled += not report.ok and x is y
+        try:
+            side["triple"](a1, a2, a3, act12, act13, act23)
+        except ValidationFailure as err:
+            raised += 1
+            assert _checks(err.report) == _checks(reference_check(side, side["pair"](a1, a2, act12)))
+    assert raised >= 20 and tangled >= 20, (raised, tangled)
 
 
 def _fresh_algebra_pair(pair):
@@ -400,9 +480,9 @@ def _counting(monkeypatch, module, name):
     calls = []
     check = getattr(module, name)
 
-    def counted(pair):
+    def counted(pair, *memo):
         calls.append(pair)
-        return check(pair)
+        return check(pair, *memo)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -415,9 +495,15 @@ def test_one_triple_validates_two_pairs_and_a_dual_none(monkeypatch):
     coalgebra_calls = _counting(monkeypatch, coalgebra, "check_dorroh_pair_coalgebra")
     for _, pair in algebra_pairs:
         regular = _bimodule(pair.I)
+        fresh = _fresh_algebra_pair(pair)
         del algebra_calls[:], coalgebra_calls[:]
-        report, _ = check_iterated_algebra_triple(pair.A, pair.I, pair.I, pair.action, pair.action, regular)
+        report, _ = check_iterated_algebra_triple(fresh.A, fresh.I, fresh.I, fresh.action, fresh.action, regular)
         assert report.ok and len(algebra_calls) == 2 and not coalgebra_calls
+        # the gallery's pair is validated: (A1, A2) takes the report stamped on its action
+        del algebra_calls[:]
+        regular = _bimodule(pair.I)
+        report, _ = check_iterated_algebra_triple(pair.A, pair.I, pair.I, pair.action, pair.action, regular)
+        assert report.ok and len(algebra_calls) == 1 and algebra_calls[0].A is pair.I
         pair.validate()
         del algebra_calls[:]
         dualize_algebra_pair(pair)
@@ -425,9 +511,14 @@ def test_one_triple_validates_two_pairs_and_a_dual_none(monkeypatch):
         assert not algebra_calls and not coalgebra_calls
     for _, pair in coalgebra_pairs:
         regular = _bicomodule(pair.P)
+        fresh = _fresh_coalgebra_pair(pair)
         del algebra_calls[:], coalgebra_calls[:]
-        report, _ = check_iterated_coalgebra_triple(pair.C, pair.P, pair.P, pair.coaction, pair.coaction, regular)
+        report, _ = check_iterated_coalgebra_triple(fresh.C, fresh.P, fresh.P, fresh.coaction, fresh.coaction, regular)
         assert report.ok and len(coalgebra_calls) == 2 and not algebra_calls
+        del coalgebra_calls[:]
+        regular = _bicomodule(pair.P)
+        report, _ = check_iterated_coalgebra_triple(pair.C, pair.P, pair.P, pair.coaction, pair.coaction, regular)
+        assert report.ok and len(coalgebra_calls) == 1 and coalgebra_calls[0].C is pair.P
         pair.validate()
         del coalgebra_calls[:]
         dualize_coalgebra_pair(pair)

@@ -30,8 +30,9 @@ from dorroh.gallery import (
     zero_coaction_pair,
 )
 from dorroh.algebra import ModuleOverAlgebra
+from dorroh.linalg import is_identity
 from dorroh.tensors import SparseTensor3
-from support import is_identity
+from support import basis
 
 
 def convolution_product_oracle(c, i, j):
@@ -50,7 +51,7 @@ def test_dual_of_matrix_coalgebra_is_matrix_algebra():
     # independent convolution oracle on every basis pair
     for i in range(4):
         for j in range(4):
-            assert dual.product(dual.basis(i), dual.basis(j)) == convolution_product_oracle(mc2, i, j)
+            assert dual.product(basis(dual, i), basis(dual, j)) == convolution_product_oracle(mc2, i, j)
     assert dual.find_identity() == mc2.find_counit()
 
 
@@ -64,7 +65,7 @@ def test_dual_of_divided_power_is_dual_numbers():
     dual = dual_algebra_of_coalgebra(divided_power(1, QQ))
     assert dual.mul == dual_numbers(QQ).mul
     # c1* squares to zero
-    assert dual.product(dual.basis(1), dual.basis(1)) == [0, 0]
+    assert dual.product(basis(dual, 1), basis(dual, 1)) == [0, 0]
 
 
 def test_dual_of_matrix_algebra_is_matrix_coalgebra():

@@ -581,6 +581,39 @@ def test_sequence_order_and_initial_values_are_capped():
         RecurrentSequence(QQ, None, [], [1] * 1000)
 
 
+def test_sequence_scalar_size_is_capped_over_q():
+    bits, height, read = findual.MAX_SCALAR_BITS, findual.MAX_HEIGHT, findual.READ_DEGREE
+    # order 10 with 1000-digit values took 8.8 s at its default depth
+    big = 10**999 + 7
+    with pytest.raises(InputError, match=f"past the cap MAX_SCALAR_BITS = {bits}$"):
+        findual.check_size(RecurrentSequence(QQ, big, [big] * 10, [big] * 10))
+    # 64 bits in all, but the values grow 62 bits a step: 6 s at MAX_DEPTH
+    steep = RecurrentSequence(QQ, 1, [1], [2**62 - 1])
+    assert findual.height_bound(steep) == 1 + read * 62
+    with pytest.raises(InputError, match=f"past the cap MAX_HEIGHT = {height}$"):
+        findual.check_size(steep)
+    # the common denominator counts: d = 6 and S = 6 (1/2 + 1/3) = 5
+    assert findual.height_bound(RecurrentSequence(QQ, None, [Fraction(-7, 4), 1], [Fraction(1, 2), Fraction(-1, 3)])) == (
+        5 + read * (3 + 3 - 1)
+    )
+    # at each cap the sequence passes, one bit past it fails
+    wide = RecurrentSequence(QQ, None, [2 ** (bits - 1) - 1], [1])
+    assert findual.check_size(wide) is wide
+    with pytest.raises(InputError, match=f"^scalars of {bits + 1} bits in all are past the cap"):
+        findual.check_size(RecurrentSequence(QQ, None, [2 ** (bits - 1)], [1]))
+    g = (height - 1) // read  # the steepest growth with h0 = 1
+    edge = RecurrentSequence(QQ, 1, [1], [2**g - 1])
+    assert findual.height_bound(edge) == 1 + read * g and findual.check_size(edge) is edge
+    with pytest.raises(InputError, match=f"^values of up to {1 + read * (g + 1)} bits at depth MAX_DEPTH"):
+        findual.check_size(RecurrentSequence(QQ, 1, [1], [2**g]))
+    # the slowest kind of document under both caps: order 80, coefficients 3
+    slow = RecurrentSequence(QQ, 5, [-15] * 80, [3] * 80)
+    assert findual.check_size(slow) is slow
+    # over F_p every value is below p: no cap
+    residues = RecurrentSequence(GF(10007), 10006, [10006] * 80, [10006] * 80)
+    assert findual.check_size(residues) is residues
+
+
 def test_value_steps_match_the_recurrence_formula():
     rng = random.Random(10)
     for field in (QQ, GF(7)):

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from support import is_identity, solve_linear
+from support import solve_linear
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
-from dorroh.linalg import Matrix, invert
+from dorroh.linalg import Matrix, invert, is_identity
 
 
 def test_solve_identity():
