@@ -17,9 +17,12 @@ same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)); coassociativity is
 certified from three identities of the basis and the factors' values,
 with one elimination per sequence (see coproduct_decompose).  The Dorroh
 split of the finite dual, k[x]^o = k e |x (x k[x])^o with e evaluation
-at x^0, is the same pairing check, over the factors e, phi_I and those
-of phi_I.  Everything is verified to a requested depth, at most
-MAX_DEPTH, against direct evaluation.
+at x^0, is the pairing of the factors e, phi_I and those of phi_I against
+f.  Everything is verified to a requested depth, at most MAX_DEPTH.  A
+pass is decided by one certificate on the basis, the shifts and f's
+values, in O(rank^2 (depth + order)) operations, and by the edge of the
+Dorroh pairing; the pairings against direct evaluation run only when a
+certificate fails, to name the least failing pair.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from math import lcm
-from operator import mul
+from operator import is_, mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
@@ -40,17 +43,20 @@ _log = logging.getLogger("dorroh.findual")
 # of a sequence (its order and its number of initial values), past which
 # the functions below raise InputError.  A coproduct of a sequence with L
 # initial values and a rank-r shift space costs one elimination of an
-# (L+1)^2 matrix, the value tables and the certificate (about
-# 3 r^2 (depth + L) products) and the first identity (r depth^2 / 2
-# products), on values that grow with the depth over Q; the Dorroh split
-# adds one pairing like the first identity.  minimal_recurrence is
+# (L+1)^2 matrix, the value tables of the basis to degree M <= depth + 2L
+# + 1 and a certificate of about r^2 M products (over Q in integers), on
+# values that grow with the depth over Q; only a failing certificate adds
+# the scans that name its witness, among them the first identity
+# (r depth^2 / 2 products).  The Dorroh split adds the coproduct of phi_I
+# and a comparison of depth + 1 values.  minimal_recurrence is
 # Berlekamp-Massey, O(m * bound) operations on a prefix of length m; a
 # random prefix over Q with no recurrence within MAX_BOUND takes 0.02 s.
 # In-process on a 2-vCPU machine, `dorroh findual --command dorroh` takes
-# about 0.25 s at MAX_DEPTH on an order-8 sequence over Q whose values
+# about 0.02 s at MAX_DEPTH on an order-8 sequence over Q whose values
 # grow like 2^n, and on a random order-MAX_ORDER sequence over Q with
-# coefficients in -3..3 about 5 s at its default depth 2 MAX_ORDER + 16
-# and 6 s at MAX_DEPTH (0.7 s and 1.5 s over GF(10007)).
+# coefficients in -3..3 about 4.5 s both at its default depth
+# 2 MAX_ORDER + 16 and at MAX_DEPTH, nearly all of it the elimination
+# (0.4 s and 0.65 s over GF(10007)).
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
@@ -112,11 +118,16 @@ class RecurrentSequence:
             return self.s0
         vals = self._vals
         if len(vals) < n:
-            canon = self.field.canon
+            p = self.field.p
             r = len(self.coeffs)
             rcoeffs = self.coeffs[::-1]  # c_r .. c_1 meet s_{m-r} .. s_{m-1}
-            while len(vals) < n:
-                vals.append(canon(sum(map(mul, rcoeffs, vals[len(vals) - r :]))))
+            if p is not None:  # canonical residues: the sum is an int, reduced mod p
+                while len(vals) < n:
+                    vals.append(sum(map(mul, rcoeffs, vals[len(vals) - r :])) % p)
+            else:
+                canon = self.field.canon
+                while len(vals) < n:
+                    vals.append(canon(sum(map(mul, rcoeffs, vals[len(vals) - r :]))))
         return vals[n - 1]
 
     def prefix(self, n: int) -> list:
@@ -227,6 +238,28 @@ class CoproductDecomposition:
     left: list
     right: list
     pivots: list = dataclass_field(default_factory=list)
+    _verified: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)  # see _keep
+
+
+def _keep(dec: CoproductDecomposition, h: RecurrentSequence, depth: int) -> CoproductDecomposition:
+    """Stamp dec as the decomposition of h whose first identity holds to
+    depth, with the factor objects it was verified on."""
+    dec._verified = (h, depth, dec.left + dec.right)
+    return dec
+
+
+def _stamped(dec: CoproductDecomposition, h: RecurrentSequence, depth: int) -> bool:
+    """True when dec carries the stamp of h at depth and still holds the
+    factor objects that were verified."""
+    stamp = dec._verified
+    factors = dec.left + dec.right
+    return (
+        stamp is not None
+        and stamp[0] is h
+        and stamp[1] == depth
+        and len(stamp[2]) == len(factors)
+        and all(map(is_, stamp[2], factors))
+    )
 
 
 def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
@@ -283,6 +316,74 @@ def _depth(f: RecurrentSequence, depth: int | None) -> int:
 def _values(h: RecurrentSequence, depth: int) -> list:
     """[h(x^n) for n = lo..depth], lo = 0 with s_0 and 1 without."""
     return ([h.s0] if h.s0 is not None else []) + h.prefix(depth)
+
+
+def _integer_table(h: RecurrentSequence, top: int):
+    """(T, D): ints with h(x^n) = T[n - lo] / D for n = lo..top, over Q.
+
+    The values h already holds, up to x^K, are scaled by D0, their least
+    common denominator.  Past them the recurrence runs in integers: with
+    c_i = b_i / d over the least common denominator d of the coefficients,
+    T_n = D0 d^(n-K) h(x^n) = sum_i b_i d^min(i-1, n-K-1) T_(n-i).  Every
+    entry is then brought to D = D0 d^(top-K), so no Fraction is made."""
+    lo = 0 if h.s0 is not None else 1
+    K = min(len(h._vals), top)
+    held = _values(h, K)
+    D0 = lcm(*(v.denominator for v in held))
+    T = [v.numerator * (D0 // v.denominator) for v in held]
+    d = lcm(*(c.denominator for c in h.coeffs))
+    bs = [c.numerator * (d // c.denominator) for c in h.coeffs]  # b_1 .. b_r
+    r, weights = len(bs), []
+    for j in range(1, top - K + 1):  # x^(K+j)
+        if j <= r:  # the weights settle at b_i d^(i-1) once j reaches r
+            weights = [b * d ** min(i, j - 1) for i, b in enumerate(bs)][::-1]
+        T.append(sum(map(mul, weights, T[len(T) - r :])))
+    e = top - K
+    if e and d != 1:
+        held_count = K - lo + 1
+        T = [t * d**e for t in T[:held_count]] + [t * d ** (e - j) for j, t in enumerate(T[held_count:], 1)]
+    return T, D0 * d**e
+
+
+def _tables(hs, top: int, field: FieldSpec):
+    """The value tables of hs over n = lo..top as ints over one common
+    denominator D, and D; over F_p the canonical values and D = 1."""
+    if field.p is not None:
+        return [_values(h, top) for h in hs], 1
+    scaled = [_integer_table(h, top) for h in hs]
+    D = lcm(*(d for _, d in scaled))
+    return [T if d == D else [t * (D // d) for t in T] for T, d in scaled], D
+
+
+def _expands(coords, cols, want, scale, p) -> bool:
+    """sum_u coords[u] cols[k][u] = scale want[k] for every k: in integers
+    over Q, and mod p over F_p, where scale is 1."""
+    if p is None:
+        return [sum(map(mul, coords, c)) for c in cols] == [scale * w for w in want]
+    return [sum(map(mul, coords, c)) % p for c in cols] == want
+
+
+def _certified(f: RecurrentSequence, dec: CoproductDecomposition, lo: int, depth: int) -> bool:
+    """The pass decision of coproduct_decompose: with P the largest pivot
+    (lo when there is none), N = P + max(depth - 2 lo, 1) and M = N + P - lo,
+    (1) on every pivot, (2) on n = lo..M-1, the expansion of h = sigma^lo f
+    on n = lo..M and the windows g_t(x^n) = f(x^(n+p_t)) on n = lo..N."""
+    pivots, field = dec.pivots, f.field
+    P = max(pivots, default=lo)
+    N = P + max(depth - 2 * lo, 1)
+    M = N + P - lo
+    fv = _values(f, N + P)  # f(x^n) at index n - lo, up to x^(M+lo)
+    if any(_values(gt, N) != fv[p : p + N - lo + 1] for p, gt in zip(pivots, dec.right)):
+        return False
+    F, D = _tables(dec.left, M, field)  # f_t(x^n) = F[t][n - lo] / D
+    (H,), _ = _tables([f], N + P, field)  # h(x^n) = f(x^(n+lo)) is H[n] over a common denominator
+    cols = list(zip(*F)) or [()] * (M - lo + 1)
+    at = [p - lo for p in pivots]
+    return (
+        all(Ft[k] == (D if u == t else 0) for t, Ft in enumerate(F) for u, k in enumerate(at))
+        and all(_expands([Ft[k + 1] for k in at], cols[:-1], Ft[1:], D, field.p) for Ft in F)
+        and _expands([H[p] for p in pivots], cols, H[lo : M + 1], D, field.p)
+    )
 
 
 def _first_difference(got, want):
@@ -370,35 +471,55 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
     whole range of the factorization.  At the truncation edge, b = s,
     the factorization reads h up to x^(P+s) = x^N, exactly where (1)-(3)
     stop; for s < 1 there is no step, and N = P + 1 only keeps (2) in
-    range.  That is O(rank^2 (depth + P)) where a pairing per factor costs
-    O(rank^2 depth^2).  A factor that fails is reported as the
-    decomposition of f_t or g_t, with the least failing (a, b) of its
-    factorization among the instances (1)-(3) read: (p_u, 0), (n, 1) or
-    (n, 0); the first identity is checked on its own, against direct
-    evaluation.
+    range.  A factor that fails is reported as the decomposition of f_t or
+    g_t, with the least failing (a, b) of its factorization among the
+    instances (1)-(3) read: (p_u, 0), (n, 1) or (n, 0).
+
+    A pass is decided without the pairs (i, j) of the first identity
+    either, and without (3).  With h = sigma^lo f, h(x^n) = f(x^(n+lo)),
+    P the largest pivot (lo at rank 0) and M = N + P - lo, it checks
+      (1) on every pivot, and (2) on n = lo..M-1;
+      (4) h(x^n) = sum_u h(x^(p_u)) f_u(x^n) on n = lo..M;
+      (5) g_t(x^n) = f(x^(n+p_t)) on n = lo..N,
+    in O(rank^2 M) operations (over Q on integer tables, one common
+    denominator each for the f_t and for h).  (4) is Q_h(0) on n = lo..M,
+    and the step above, run to M in place of N with (2) to M - 1, gives
+    Q_h(b) on n = lo..M-b for every b <= M - P.  The first identity at
+    (i, j) is Q_h(j - lo) at n = i: j - lo <= s <= M - P, i + j <= depth
+    <= M + lo, and h(x^(p_u+j-lo)) = f(x^(p_u+j)) = g_u(x^j) by (5), as
+    j <= depth - lo <= N.  Identity (3) for g_t is Q_h(p_t - lo) on
+    n = lo..N (p_t - lo <= M - P and N <= M - p_t + lo), read through (5)
+    at n and at the pivots.  So a pass of (1), (2), (4) and (5) is a pass
+    of the first identity and of (1)-(3).  Only when one of them fails
+    are the first identity, paired against direct evaluation in
+    O(rank depth^2), and (1)-(3) checked as above, to name the witness,
+    so the report is the same whichever way it was decided.
     """
     depth = _depth(f, depth)
     lo = 0 if f.s0 is not None else 1
     steps = max(depth - 2 * lo, 1)
-    # the shifts carry their values up to the last degree the certificate can read
+    # the shifts carry their values up to the last degree a certificate can read
     left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + steps)
     dec = CoproductDecomposition(len(left), left, right, pivots)
-    canon = f.field.canon
-    width = depth - lo + 1
-    last = (pivots[-1] if pivots else 0) + steps
-    lv = [_values(ft, last) for ft in left]
-    rv = [_values(gt, last) for gt in right]
+    if _certified(f, dec, lo, depth):
+        decided, first, (wit, detail) = "certificate", None, (None, "")
+    else:
+        canon = f.field.canon
+        last = (pivots[-1] if pivots else 0) + steps
+        lv = [_values(ft, last) for ft in left]
+        rv = [_values(gt, last) for gt in right]
+        decided = "scan"
+        first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
+        wit, detail = _certificate_failure(lv, rv, pivots, lo, canon)
 
     report = Report()
-    first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
     report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
-    wit, detail = _certificate_failure(lv, rv, pivots, lo, canon)
     report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
-    _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, width)
+    _log.debug("coproduct_decompose rank=%d depth=%d width=%d decided=%s", dec.rank, depth, depth - lo + 1, decided)
 
     if not report.ok:
         raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
-    return dec
+    return _keep(dec, f, depth)
 
 
 def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
@@ -409,7 +530,12 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     Its coproduct of f is s_0 e (x) e + e (x) phi_I + phi_I (x) e +
     sum_t f_t (x) g_t, the last sum the coproduct of phi_I; e is
     evaluation at x^0, where phi_I, f_t and g_t vanish.  The check is one
-    pairing of those factors over n = 0..depth.
+    pairing of those factors over n = 0..depth, with the witness of the
+    least failing (i, j).  On the decomposition coproduct_decompose has
+    just verified for phi_I at this depth (``_stamped``) only the edge is
+    read: row i = 0 and column j = 0 both hold s_0 e + phi_I, and once it
+    matches f, phi_I = f on x^1..x^depth and the interior i, j >= 1 is
+    phi_I's first identity.  Any other decomposition is paired in full.
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
@@ -420,13 +546,20 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     depth = _depth(f, depth)
 
     report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
-    e = [1] + [0] * depth
+    values = _values(f, depth)
     phi = [0] + _values(phi_i, depth)
-    fs = [[0] + _values(ft, depth) for ft in dec.left]
-    gs = [[0] + _values(gt, depth) for gt in dec.right]
-    lefts = [[f.s0] + e[1:], e, phi] + fs
-    rights = [e, phi, e] + gs
-    wit = _pairing_failure(lefts, rights, _values(f, depth), 0, depth, field.canon)
+    reused = _stamped(dec, phi_i, depth)
+    if reused:
+        k = _first_difference([f.s0] + phi[1:], values)
+        wit = None if k is None else (0, k)
+    else:
+        e = [1] + [0] * depth
+        fs = [[0] + _values(ft, depth) for ft in dec.left]
+        gs = [[0] + _values(gt, depth) for gt in dec.right]
+        lefts = [[f.s0] + e[1:], e, phi] + fs
+        rights = [e, phi, e] + gs
+        wit = _pairing_failure(lefts, rights, values, 0, depth, field.canon)
+    _log.debug("dorroh_decompose rank=%d depth=%d interior=%s", dec.rank, depth, "coproduct" if reused else "scan")
     return report.add_witness("blockwise coproduct assembly matches m*(f)", wit)
 
 
@@ -449,4 +582,5 @@ def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> 
         if canon(vals[k + r] - sum(map(mul, rcoeffs, vals[k : k + r]))) != 0:
             wit = (k + lo,)
             break
+    _log.debug("vanishing_check degree=%d depth=%d witness=%s", r, depth, wit)
     return Report().add_witness("f(x^n p(x))=0", wit)

@@ -1,5 +1,8 @@
+import cProfile
+import itertools
 import logging
 import math
+import pstats
 import random
 import time
 from fractions import Fraction
@@ -529,7 +532,7 @@ def test_coproduct_logs_one_event_per_call(caplog, monkeypatch):
         (record,) = caplog.records
         assert record.name == "dorroh.findual" and record.levelno == logging.DEBUG
         lo = 0 if f.s0 is not None else 1
-        assert record.args == (dec.rank, depth, depth - lo + 1)
+        assert record.args == (dec.rank, depth, depth - lo + 1, "certificate")
     f = genuine[0][0]
     left = findual._shift_space(f)[0]
 
@@ -542,7 +545,7 @@ def test_coproduct_logs_one_event_per_call(caplog, monkeypatch):
         coproduct_decompose(f, 28)
     assert err.value.report.checks[1].detail == "decomposition of f_1"
     (record,) = caplog.records
-    assert record.args == (len(left), 28, 29)
+    assert record.args == (len(left), 28, 29, "scan")
 
 
 # ---------------------------------------------------------------------------
@@ -955,3 +958,275 @@ def test_minimal_recurrence_logs_one_event_per_call(caplog):
         (record,) = caplog.records
         assert record.name == "dorroh.findual" and record.levelno == logging.DEBUG
         assert record.args == (len(prefix), bound, order)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the pass certificate and the Dorroh edge against the
+# scanning bodies they replaced, kept verbatim (the coproduct also hands
+# back its report, and neither logs)
+
+
+def reference_scanning_coproduct_decompose(f, depth=None):
+    """coproduct_decompose as written before the pass certificate: the first
+    identity paired on every (i, j) and identities (1)-(3) checked on
+    every call."""
+    _shift_space, _values = findual._shift_space, findual._values
+    _pairing_failure, _certificate_failure = findual._pairing_failure, findual._certificate_failure
+    depth = findual._depth(f, depth)
+    lo = 0 if f.s0 is not None else 1
+    steps = max(depth - 2 * lo, 1)
+    # the shifts carry their values up to the last degree the certificate can read
+    left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + steps)
+    dec = findual.CoproductDecomposition(len(left), left, right, pivots)
+    canon = f.field.canon
+    last = (pivots[-1] if pivots else 0) + steps
+    lv = [_values(ft, last) for ft in left]
+    rv = [_values(gt, last) for gt in right]
+
+    report = Report()
+    first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
+    report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
+    wit, detail = _certificate_failure(lv, rv, pivots, lo, canon)
+    report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
+
+    if not report.ok:
+        raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
+    return dec, report
+
+
+def reference_scanning_dorroh_decompose(f, depth=None):
+    """dorroh_decompose as written before it read phi_I's verified
+    interior: one pairing of every factor over n = 0..depth."""
+    _values, _pairing_failure = findual._values, findual._pairing_failure
+    if f.s0 is None:
+        raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
+    field = f.field
+    phi_i = RecurrentSequence(field, None, f.initial, f.coeffs)
+    # phi_I has f's order, so a default depth is the same for both
+    dec = findual.coproduct_decompose(phi_i, depth)
+    depth = findual._depth(f, depth)
+
+    report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
+    e = [1] + [0] * depth
+    phi = [0] + _values(phi_i, depth)
+    fs = [[0] + _values(ft, depth) for ft in dec.left]
+    gs = [[0] + _values(gt, depth) for gt in dec.right]
+    lefts = [[f.s0] + e[1:], e, phi] + fs
+    rights = [e, phi, e] + gs
+    wit = _pairing_failure(lefts, rights, _values(f, depth), 0, depth, field.canon)
+    return report.add_witness("blockwise coproduct assembly matches m*(f)", wit)
+
+
+def _scanning_outcome(f, depth):
+    """The reference's decomposition fields and report, or ("fail", report)."""
+    try:
+        dec, report = reference_scanning_coproduct_decompose(f, depth)
+    except ValidationFailure as err:
+        return "fail", _checks(err.report)
+    return (dec.rank, dec.left, dec.right, dec.pivots), _checks(report)
+
+
+def _certified_outcome(monkeypatch, f, depth):
+    """coproduct_decompose's decomposition fields and report, or ("fail", report)."""
+    with monkeypatch.context() as m:
+        m.setattr(findual, "Report", _KeptReports)
+        _KeptReports.made.clear()
+        try:
+            dec = coproduct_decompose(f, depth)
+        except ValidationFailure as err:
+            assert str(err) == "coproduct decomposition is internally inconsistent"
+            return "fail", _checks(err.report)
+        (report,) = _KeptReports.made
+    return (dec.rank, dec.left, dec.right, dec.pivots), _checks(report)
+
+
+def _bend_cases_505():
+    """The bent decompositions of test_bent_decompositions_report_the_failing_factor, in its order."""
+    rng = random.Random(505)
+    for case in range(180):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        depth = rng.randint(0, 20)
+        yield f, depth, _random_bend(rng, f, depth)
+
+
+def _bend_cases_507():
+    """The bent decompositions of test_factors_bent_at_the_last_degree_the_certificate_reads."""
+    rng = random.Random(507)
+    for field in (QQ, GF(10007)):
+        for with_s0 in (True, False):
+            lo = 0 if with_s0 else 1
+            for depth in (0, 2, 5, 9):
+                f = _random_sequence(rng, field, with_s0)
+                pivots = findual._shift_space(f)[2]
+                last = last_certified_degree(pivots, lo, depth)
+                for side in (0, 1):
+                    for k in range(len(pivots)):
+
+                        def edit(basis, shifts, pivots, side=side, k=k, last=last):
+                            part = (basis, shifts)[side]
+                            part[k] = _bent_from(part[k], last, 1)
+
+                        yield f, depth, edit
+
+
+def test_certified_coproduct_and_dorroh_split_match_the_scanning_references(monkeypatch):
+    ranks = set()
+    for _, f, depth in _differential_cases(801, 300):
+        got = _certified_outcome(monkeypatch, f, depth)
+        assert got == _scanning_outcome(f, depth), (f, depth)
+        assert got[0] != "fail", (f, depth)
+        ranks.add(got[0][0])
+        unital = RecurrentSequence(f.field, 1, f.initial, f.coeffs) if f.s0 is None else f
+        split = _checks(dorroh_decompose(unital, depth))
+        assert split == _checks(reference_scanning_dorroh_decompose(unital, depth)), (unital, depth)
+    assert ranks >= set(range(10)), ranks
+
+
+def test_certified_coproduct_matches_the_scanning_reference_on_bent_decompositions(monkeypatch):
+    kinds = {"pass": 0, "fail": 0}
+    for f, depth, edit in itertools.chain(_bend_cases_505(), _bend_cases_507()):
+        with monkeypatch.context() as m:
+            _bend_decomposition_of(m, f, edit)
+            got = _certified_outcome(monkeypatch, f, depth)
+            assert got == _scanning_outcome(f, depth), (f, depth)
+        kinds["fail" if got[0] == "fail" else "pass"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_dorroh_split_matches_the_scanning_reference_on_bent_decompositions(monkeypatch):
+    # The bent decompositions of test_dorroh_assembly_matches_the_loop_on_bent_decompositions,
+    # handed over as a new object, as there, and bent in place inside the
+    # verified one, whose stamp must then no longer hold.
+    kinds = {"pass": 0, "fail": 0}
+    for rng, f, depth in _oracle_cases(702):
+        if f.s0 is None:
+            f = RecurrentSequence(f.field, _oracle_scalar(rng, f.field), f.initial, f.coeffs)
+        phi_i = RecurrentSequence(f.field, None, f.initial, f.coeffs)
+        side, index, position, delta = rng.randrange(2), rng.randrange(4), rng.randrange(6), rng.randint(0, 4)
+        original = findual.coproduct_decompose
+        for in_place in (False, True):
+
+            def bent(h, depth=None, in_place=in_place):
+                dec = original(h, depth)
+                if h == phi_i:
+                    parts = [dec.left, dec.right] if in_place else [list(dec.left), list(dec.right)]
+                    if parts[side]:
+                        k = index % len(parts[side])
+                        parts[side][k] = _bent(parts[side][k], position, delta)
+                    if not in_place:
+                        dec = findual.CoproductDecomposition(dec.rank, *parts, dec.pivots)
+                return dec
+
+            with monkeypatch.context() as m:
+                m.setattr(findual, "coproduct_decompose", bent)
+                got = _checks(dorroh_decompose(f, depth))
+                assert got == _checks(reference_scanning_dorroh_decompose(f, depth)), (f, depth, in_place)
+            kinds["pass" if got[-1][1] else "fail"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_a_basis_of_another_shift_space_fails_the_certificate(monkeypatch):
+    # The echelon basis of another sequence with the same pivots satisfies
+    # (1) and (2), and the shifts are still windows of f; only the
+    # expansion of h = sigma^lo f through the basis, and with it the first
+    # identity, sees that f is not in their span.
+    rng = random.Random(509)
+    caught = 0
+    for case in range(60):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        scalar = (lambda: rng.randint(-3, 3)) if field.p is None else (lambda: rng.randrange(field.p))
+        other = RecurrentSequence(
+            field, None if f.s0 is None else scalar(), [scalar() for _ in f.initial], [scalar() for _ in f.coeffs]
+        )
+        basis, _, pivots, _ = findual._shift_space(other)
+        depth = rng.randint(0, 20)
+        if pivots != findual._shift_space(f)[2]:
+            continue
+
+        def edit(b, shifts, p, basis=basis):
+            b[:] = basis
+
+        with monkeypatch.context() as m:
+            _bend_decomposition_of(m, f, edit)
+            got = _certified_outcome(monkeypatch, f, depth)
+            assert got == _scanning_outcome(f, depth), (f, other, depth)
+        caught += got[0] == "fail"
+    assert caught >= 20, caught
+
+
+def test_a_pass_runs_no_scan_and_a_failure_names_the_reference_witness(monkeypatch):
+    calls = []
+    for name in ("_pairing_failure", "_certificate_failure"):
+
+        def counted(*args, original=getattr(findual, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(findual, name, counted)
+    for _, f, depth in _differential_cases(803, 60):
+        calls.clear()
+        coproduct_decompose(f, depth)
+        assert dorroh_decompose(RecurrentSequence(f.field, 1, f.initial, f.coeffs), depth).ok
+        assert calls == [], (f, depth)
+    failures = 0
+    for f, depth, edit in itertools.islice(_bend_cases_505(), 60):
+        with monkeypatch.context() as m:
+            _bend_decomposition_of(m, f, edit)
+            calls.clear()
+            got = _certified_outcome(monkeypatch, f, depth)
+            scans = list(calls)
+            assert got == _scanning_outcome(f, depth), (f, depth)
+        if got[0] == "fail":
+            failures += 1
+            assert scans == ["_pairing_failure", "_certificate_failure"], (f, depth)
+    assert failures >= 10, failures
+
+
+def test_dorroh_and_vanishing_log_one_event_per_call(caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="dorroh.findual")
+    fib = fibonacci(QQ)
+    assert dorroh_decompose(fib, 12).ok
+    coproduct, split = caplog.records
+    assert coproduct.args[-1] == "certificate"
+    assert split.name == "dorroh.findual" and split.levelno == logging.DEBUG
+    assert split.args == (2, 12, "coproduct")
+    caplog.clear()
+    assert vanishing_check(fib, [2], 30).checks[0].witness == (0,)
+    (record,) = caplog.records
+    assert record.args == (1, 30, (0,))
+    # a decomposition not stamped by coproduct_decompose is paired in full
+    original = findual.coproduct_decompose
+
+    def copied(h, depth=None):
+        dec = original(h, depth)
+        return findual.CoproductDecomposition(dec.rank, dec.left, dec.right, dec.pivots)
+
+    monkeypatch.setattr(findual, "coproduct_decompose", copied)
+    caplog.clear()
+    assert dorroh_decompose(fib, 12).ok
+    assert caplog.records[-1].args == (2, 12, "scan")
+
+
+def test_the_certificate_over_q_runs_on_integers(monkeypatch):
+    # Over Q with fractional coefficients the values' denominators grow
+    # with the degree.  The order-80 document with every coefficient 1/2
+    # took 9-12 s at depth 40 before the certificate, and a certificate on
+    # Fraction tables to M ran 1.3-1.6x slower than that; on integer tables
+    # over one common denominator it makes no Fraction at all.
+    profiles, original = [], findual._certified
+
+    def profiled(*args):
+        profiles.append(cProfile.Profile())
+        return profiles[-1].runcall(original, *args)
+
+    monkeypatch.setattr(findual, "_certified", profiled)
+    rng = random.Random(3)
+    for coeffs in ([Fraction(1, 2)] * 12, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)]):
+        f = RecurrentSequence(QQ, rng.randint(-4, 4), [rng.randint(-4, 4) for _ in coeffs], coeffs)
+        profiles.clear()
+        coproduct_decompose(f, 40)
+        (profile,) = profiles
+        called = {(path.rsplit("/", 1)[-1], name) for path, _, name in pstats.Stats(profile).stats}
+        assert ("findual.py", "_integer_table") in called and ("fractions.py", "__new__") not in called
