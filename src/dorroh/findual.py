@@ -13,16 +13,15 @@ with the basis in reduced echelon form (leftmost pivots), the dual
 elements are plain monomials x^{p_t} at the pivot degrees, so the right
 factors are the corresponding shifts of f.  The shift space V is
 shift-invariant, so every factor h lies in V and factors through the
-same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)); coassociativity is
-certified from three identities of the basis and the factors' values,
-with one elimination per sequence (see coproduct_decompose).  The Dorroh
-split of the finite dual, k[x]^o = k e |x (x k[x])^o with e evaluation
-at x^0, is the pairing of the factors e, phi_I and those of phi_I against
-f.  Everything is verified to a requested depth, at most MAX_DEPTH.  A
-pass is decided by one certificate on the basis, the shifts and f's
-values, in O(rank^2 (depth + order)) operations, and by the edge of the
-Dorroh pairing; the pairings against direct evaluation run only when a
-certificate fails, to name the least failing pair.
+same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)).  The first identity
+and coassociativity are decided by one certificate on the basis, the
+shifts and f's values, with one elimination per sequence and
+O(rank^2 (depth + order)) operations; its report names the least failing
+instance of each identity it checks (see coproduct_decompose).  The
+Dorroh split of the finite dual, k[x]^o = k e |x (x k[x])^o with e
+evaluation at x^0, pairs the factors e, phi_I and those of phi_I against
+f; its interior is the coproduct of phi_I, so it reads the edge.
+Everything is verified to a requested depth, at most MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from math import lcm
-from operator import is_, mul
+from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
@@ -39,18 +38,19 @@ from .reports import Report
 
 _log = logging.getLogger("dorroh.findual")
 
-# Caps on the verification depth, the recurrence-order bound and the size
-# of a sequence (its order and its number of initial values), past which
-# the functions below raise InputError.  A coproduct of a sequence with L
-# initial values and a rank-r shift space costs one elimination of an
-# (L+1)^2 matrix, the value tables of the basis to degree M <= depth + 2L
-# + 1 and a certificate of about r^2 M products (over Q in integers), on
-# values that grow with the depth over Q; only a failing certificate adds
-# the scans that name its witness, among them the first identity
-# (r depth^2 / 2 products).  The Dorroh split adds the coproduct of phi_I
-# and a comparison of depth + 1 values.  minimal_recurrence is
-# Berlekamp-Massey, O(m * bound) operations on a prefix of length m; a
-# random prefix over Q with no recurrence within MAX_BOUND takes 0.02 s.
+# Caps on the verification depth, the recurrence-order bound, the size of
+# a sequence (its order and its number of initial values) and the degree
+# of a vanishing polynomial (2 MAX_ORDER), past which the functions below
+# raise InputError.  A coproduct of a sequence with L initial values and a
+# rank-r shift space costs one elimination of an (L+1)^2 matrix, the value
+# tables of the basis to degree M <= depth + 2L + 1 and a certificate of
+# about r^2 M products (over Q in integers), on values that grow with the
+# depth over Q; a failing certificate costs the same, as it names its
+# witnesses from the lists it has compared.  The Dorroh split adds the
+# coproduct of phi_I and a comparison of depth + 1 values.
+# minimal_recurrence is Berlekamp-Massey, O(m * bound) operations on a
+# prefix of length m; a random prefix over Q with no recurrence within
+# MAX_BOUND takes 0.02 s.
 # In-process on a 2-vCPU machine, `dorroh findual --command dorroh` takes
 # about 0.02 s at MAX_DEPTH on an order-8 sequence over Q whose values
 # grow like 2^n, and on a random order-MAX_ORDER sequence over Q with
@@ -238,28 +238,6 @@ class CoproductDecomposition:
     left: list
     right: list
     pivots: list = dataclass_field(default_factory=list)
-    _verified: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)  # see _keep
-
-
-def _keep(dec: CoproductDecomposition, h: RecurrentSequence, depth: int) -> CoproductDecomposition:
-    """Stamp dec as the decomposition of h whose first identity holds to
-    depth, with the factor objects it was verified on."""
-    dec._verified = (h, depth, dec.left + dec.right)
-    return dec
-
-
-def _stamped(dec: CoproductDecomposition, h: RecurrentSequence, depth: int) -> bool:
-    """True when dec carries the stamp of h at depth and still holds the
-    factor objects that were verified."""
-    stamp = dec._verified
-    factors = dec.left + dec.right
-    return (
-        stamp is not None
-        and stamp[0] is h
-        and stamp[1] == depth
-        and len(stamp[2]) == len(factors)
-        and all(map(is_, stamp[2], factors))
-    )
 
 
 def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
@@ -355,37 +333,6 @@ def _tables(hs, top: int, field: FieldSpec):
     return [T if d == D else [t * (D // d) for t in T] for T, d in scaled], D
 
 
-def _expands(coords, cols, want, scale, p) -> bool:
-    """sum_u coords[u] cols[k][u] = scale want[k] for every k: in integers
-    over Q, and mod p over F_p, where scale is 1."""
-    if p is None:
-        return [sum(map(mul, coords, c)) for c in cols] == [scale * w for w in want]
-    return [sum(map(mul, coords, c)) % p for c in cols] == want
-
-
-def _certified(f: RecurrentSequence, dec: CoproductDecomposition, lo: int, depth: int) -> bool:
-    """The pass decision of coproduct_decompose: with P the largest pivot
-    (lo when there is none), N = P + max(depth - 2 lo, 1) and M = N + P - lo,
-    (1) on every pivot, (2) on n = lo..M-1, the expansion of h = sigma^lo f
-    on n = lo..M and the windows g_t(x^n) = f(x^(n+p_t)) on n = lo..N."""
-    pivots, field = dec.pivots, f.field
-    P = max(pivots, default=lo)
-    N = P + max(depth - 2 * lo, 1)
-    M = N + P - lo
-    fv = _values(f, N + P)  # f(x^n) at index n - lo, up to x^(M+lo)
-    if any(_values(gt, N) != fv[p : p + N - lo + 1] for p, gt in zip(pivots, dec.right)):
-        return False
-    F, D = _tables(dec.left, M, field)  # f_t(x^n) = F[t][n - lo] / D
-    (H,), _ = _tables([f], N + P, field)  # h(x^n) = f(x^(n+lo)) is H[n] over a common denominator
-    cols = list(zip(*F)) or [()] * (M - lo + 1)
-    at = [p - lo for p in pivots]
-    return (
-        all(Ft[k] == (D if u == t else 0) for t, Ft in enumerate(F) for u, k in enumerate(at))
-        and all(_expands([Ft[k + 1] for k in at], cols[:-1], Ft[1:], D, field.p) for Ft in F)
-        and _expands([H[p] for p in pivots], cols, H[lo : M + 1], D, field.p)
-    )
-
-
 def _first_difference(got, want):
     """The first index at which two equal-length lists differ; None when equal."""
     if got == want:
@@ -393,133 +340,99 @@ def _first_difference(got, want):
     return next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
 
 
-def _pairing_failure(lefts, rights, values, lo, top, canon):
-    """Least (i, j), lexicographic, with i, j >= lo and i + j <= top at which
-    sum_u lefts[u](x^i) rights[u](x^j) differs from values(x^(i+j)); None
-    when there is none.  Every sequence is a value list over n = lo, lo+1, ...
+def _certified(f: RecurrentSequence, dec: CoproductDecomposition, lo: int, depth: int) -> Report:
+    """The report of coproduct_decompose: with P the largest pivot (lo at
+    rank 0), N = P + max(depth - 2 lo, 1) and M = N + P - lo, one row for
+    each of its identities (1), (2), (4) and (5), decided by one equality
+    of lists of value lists, with the least failing instance as the
+    witness: the first differing list t, and the first differing k in it."""
+    pivots, p = dec.pivots, f.field.p
+    P = max(pivots, default=lo)
+    N = P + max(depth - 2 * lo, 1)
+    M = N + P - lo
+    F, D = _tables(dec.left, M, f.field)  # f_t(x^n) = F[t][n - lo] / D
+    (H,), _ = _tables([f], N + P, f.field)  # h(x^n) = f(x^(n+lo)) is H[n] over a common denominator
+    cols = list(zip(*F)) or [()] * (M - lo + 1)  # cols[n - lo][u] = D f_u(x^n)
+    fv, at, r = _values(f, N + P), [q - lo for q in pivots], range(len(pivots))
 
-    Each row i is read once per sequence; its entries are sum(map(mul, ...))
-    over the column tuples of the rights."""
-    size = top - 2 * lo + 1
-    cols = list(zip(*rights)) or [()] * size
-    for a in range(size):
-        row = [v[a] for v in lefts]
-        got = [canon(sum(map(mul, row, c))) for c in cols[: size - a]]
-        b = _first_difference(got, values[a + lo : a + lo + len(got)])
-        if b is not None:
-            return (a + lo, b + lo)
-    return None
+    def expand(coords, top):
+        """sum_u coords[u] cols[n - lo][u] for n = lo..top (mod p over F_p)."""
+        if p is None:
+            return [sum(map(mul, coords, c)) for c in cols[: top - lo + 1]]
+        return [sum(map(mul, coords, c)) % p for c in cols[: top - lo + 1]]
 
+    def scaled(values):
+        """D times values: an expansion's sums carry the f_u's D once more."""
+        return values if D == 1 else [D * v for v in values]
 
-def _certificate_failure(lv, rv, pivots, lo, canon):
-    """The first factor, f_0, f_1, ... then g_0, ..., that fails identity
-    (1), (2) or (3) of coproduct_decompose, with the least failing (a, b)
-    of its factorization: (p_u, 0) for (1), (n, 1) for (2) and (n, 0) for
-    (3); (None, "") when every factor passes.  lv and rv are the value
-    lists of the f_t and g_t over n = lo..N, N the last degree read."""
-    cols = list(zip(*lv))  # cols[k][u] = f_u(x^(lo+k))
-    at = [p - lo for p in pivots]
-
-    def expansion(hv, b):
-        """Least (n, b) at which h(x^(n+b)) differs from sum_u h(x^(p_u+b)) f_u(x^n)."""
-        coords = [hv[k + b] for k in at]
-        k = _first_difference([canon(sum(map(mul, coords, c))) for c in cols[: len(cols) - b]], hv[b:])
-        return None if k is None else (k + lo, b)
-
-    for t, hv in enumerate(lv):
-        wits = [(p, 0) for u, (p, k) in enumerate(zip(pivots, at)) if hv[k] != (1 if u == t else 0)]
-        wits += [w for w in [expansion(hv, 1)] if w]
-        if wits:
-            return min(wits), f"decomposition of f_{t}"
-    for t, hv in enumerate(rv):
-        wit = expansion(hv, 0)
-        if wit:
-            return wit, f"decomposition of g_{t}"
-    return None, ""
+    report = Report()
+    for name, got, want, witness in [
+        ("f_t(x^(p_u))=delta_tu", [[Ft[k] for k in at] for Ft in F],
+         [[D if u == t else 0 for u in r] for t in r], lambda t, k: (t, pivots[k])),
+        ("f_t(x^(n+1))=sum_u f_t(x^(p_u+1))f_u(x^n)", [expand([Ft[k + 1] for k in at], M - 1) for Ft in F],
+         [scaled(Ft[1:]) for Ft in F], lambda t, k: (t, lo + k)),
+        ("h(x^n)=sum_u h(x^(p_u))f_u(x^n) for h=sigma^lo f", [expand([H[q] for q in pivots], M)],
+         [scaled(H[lo : M + 1])], lambda _, k: (lo + k,)),
+        ("g_t(x^n)=f(x^(n+p_t))", [_values(gt, N) for _, gt in zip(pivots, dec.right)],
+         [fv[q : q + N - lo + 1] for q, _ in zip(pivots, dec.right)], lambda t, k: (t, lo + k)),
+    ]:
+        t = _first_difference(got, want)
+        report.add_witness(name, None if t is None else witness(t, _first_difference(got[t], want[t])))
+    return report
 
 
 def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> CoproductDecomposition:
     """m*(f) = sum_t f_t (x) g_t with the f_t the echelon basis of the shift
     space V and g_t = sigma^(p_t) f the shifts of f by the pivot degrees
-    p_t; verified on all monomial pairs x^i (x) x^j with i+j <= depth,
-    along with coassociativity.
+    p_t; verified on all monomial pairs x^i (x) x^j with i, j >= lo and
+    i+j <= depth, along with coassociativity.
 
-    Coassociativity expands each leg once more.  A factor h in {f_t, g_t}
+    Coassociativity expands each leg once more.  A factor k in {f_t, g_t}
     lies in V, whose echelon coordinates are the values at the pivots, so
-    h factors as h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)): the lefts are
-    the f_u and the rights are windows of h's own value table (g_t's is a
-    window of f's, g_t(x^n) = f(x^(n+p_t))).  If every factor satisfies
-    this for a, b >= lo, a+b <= depth - lo, and the first identity holds,
-    then both triple sums on x^a (x) x^b (x) x^c, a+b+c <= depth, equal
-    f(x^(a+b+c)), since sum_t f_t(x^(a+b)) g_t(x^c) = f(x^(a+b+c)) =
-    sum_t f_t(x^a) g_t(x^(b+c)).
+    k factors as k(x^(a+b)) = sum_u f_u(x^a) k(x^(p_u+b)): the lefts are
+    the f_u and the rights are windows of k's own value table.  If every
+    factor satisfies this for a, b >= lo, a+b <= depth - lo, and the first
+    identity holds, then both triple sums on x^a (x) x^b (x) x^c,
+    a+b+c <= depth, equal f(x^(a+b+c)), since sum_t f_t(x^(a+b)) g_t(x^c)
+    = f(x^(a+b+c)) = sum_t f_t(x^a) g_t(x^(b+c)).
 
-    The factorizations are certified without visiting the pairs (a, b).
-    With s = depth - 2 lo, P the largest pivot and N = P + max(s, 1), the
-    last degree read, it checks on n = lo..N:
+    Both are decided without visiting any pair.  With s = depth - 2 lo,
+    P the largest pivot (lo at rank 0), N = P + max(s, 1), M = N + P - lo
+    and h = sigma^lo f, h(x^n) = f(x^(n+lo)), it checks
       (1) f_t(x^(p_u)) = delta_tu;
-      (2) f_t(x^(n+1)) = sum_u f_t(x^(p_u+1)) f_u(x^n), for n < N;
-      (3) g_t(x^n) = sum_u g_t(x^(p_u)) f_u(x^n).
-    Let Q_h(b) say h(x^(n+b)) = sum_u h(x^(p_u+b)) f_u(x^n) for
-    n = lo..N-b.  (1) gives Q_h(0) for h = f_t, and (3) is Q_h(0) for
-    h = g_t.  For b < s, Q_h(b) gives Q_h(b+1): for n <= N-b-1,
-      h(x^(n+b+1)) = sum_u h(x^(p_u+b)) f_u(x^(n+1))           [Q_h(b) at n+1]
-                   = sum_v (sum_u h(x^(p_u+b)) f_u(x^(p_v+1))) f_v(x^n)   [(2)]
-                   = sum_v h(x^(p_v+b+1)) f_v(x^n)          [Q_h(b) at p_v+1],
-    the last step reading Q_h(b) at p_v + 1 <= P + 1 <= N - b.  So Q_h(b)
-    holds for b = 0..s on n = lo..N-b, and N - b >= depth - lo - b is the
-    whole range of the factorization.  At the truncation edge, b = s,
-    the factorization reads h up to x^(P+s) = x^N, exactly where (1)-(3)
-    stop; for s < 1 there is no step, and N = P + 1 only keeps (2) in
-    range.  A factor that fails is reported as the decomposition of f_t or
-    g_t, with the least failing (a, b) of its factorization among the
-    instances (1)-(3) read: (p_u, 0), (n, 1) or (n, 0).
-
-    A pass is decided without the pairs (i, j) of the first identity
-    either, and without (3).  With h = sigma^lo f, h(x^n) = f(x^(n+lo)),
-    P the largest pivot (lo at rank 0) and M = N + P - lo, it checks
-      (1) on every pivot, and (2) on n = lo..M-1;
+      (2) f_t(x^(n+1)) = sum_u f_t(x^(p_u+1)) f_u(x^n) on n = lo..M-1;
       (4) h(x^n) = sum_u h(x^(p_u)) f_u(x^n) on n = lo..M;
       (5) g_t(x^n) = f(x^(n+p_t)) on n = lo..N,
     in O(rank^2 M) operations (over Q on integer tables, one common
-    denominator each for the f_t and for h).  (4) is Q_h(0) on n = lo..M,
-    and the step above, run to M in place of N with (2) to M - 1, gives
-    Q_h(b) on n = lo..M-b for every b <= M - P.  The first identity at
-    (i, j) is Q_h(j - lo) at n = i: j - lo <= s <= M - P, i + j <= depth
-    <= M + lo, and h(x^(p_u+j-lo)) = f(x^(p_u+j)) = g_u(x^j) by (5), as
-    j <= depth - lo <= N.  Identity (3) for g_t is Q_h(p_t - lo) on
-    n = lo..N (p_t - lo <= M - P and N <= M - p_t + lo), read through (5)
-    at n and at the pivots.  So a pass of (1), (2), (4) and (5) is a pass
-    of the first identity and of (1)-(3).  Only when one of them fails
-    are the first identity, paired against direct evaluation in
-    O(rank depth^2), and (1)-(3) checked as above, to name the witness,
-    so the report is the same whichever way it was decided.
+    denominator each for the f_t and for h).  Let Q_k(b) say
+    k(x^(n+b)) = sum_u k(x^(p_u+b)) f_u(x^n) on n = lo..M-b.  (4) is
+    Q_h(0), and (1) gives Q_k(0) for k = f_t.  For b < M - P, Q_k(b)
+    gives Q_k(b+1): for n <= M-b-1,
+      k(x^(n+b+1)) = sum_u k(x^(p_u+b)) f_u(x^(n+1))             [Q_k(b) at n+1]
+                   = sum_v (sum_u k(x^(p_u+b)) f_u(x^(p_v+1))) f_v(x^n)   [(2)]
+                   = sum_v k(x^(p_v+b+1)) f_v(x^n)            [Q_k(b) at p_v+1],
+    the last step reading Q_k(b) at p_v + 1 <= P + 1 <= M - b.  So Q_k(b)
+    holds for b = 0..M-P, M - P = N - lo >= s.  The first identity at
+    (i, j) is Q_h(j - lo) at n = i (j - lo <= s, i + j - lo <= depth - lo
+    <= M), read through (5) at j <= depth - lo <= N.  The factorization
+    of f_t at (a, b) is Q_(f_t)(b) at n = a, and that of g_t is
+    Q_h(b + p_t - lo) at n = a (b + p_t - lo <= s + P - lo <= M - P and
+    a + b + p_t - lo <= s + P <= M), read through (5) at a + b and at
+    p_u + b <= P + s <= N.  So a pass of
+    (1), (2), (4) and (5) is a pass of both.  A failure reports the rows
+    that fail, each with its least failing instance: (t, p_u) for (1),
+    (t, n) for (2) and (5), (n,) for (4).
     """
     depth = _depth(f, depth)
     lo = 0 if f.s0 is not None else 1
-    steps = max(depth - 2 * lo, 1)
-    # the shifts carry their values up to the last degree a certificate can read
-    left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + steps)
+    # the shifts carry their values up to N, the last degree the certificate reads of them
+    left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + max(depth - 2 * lo, 1))
     dec = CoproductDecomposition(len(left), left, right, pivots)
-    if _certified(f, dec, lo, depth):
-        decided, first, (wit, detail) = "certificate", None, (None, "")
-    else:
-        canon = f.field.canon
-        last = (pivots[-1] if pivots else 0) + steps
-        lv = [_values(ft, last) for ft in left]
-        rv = [_values(gt, last) for gt in right]
-        decided = "scan"
-        first = _pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
-        wit, detail = _certificate_failure(lv, rv, pivots, lo, canon)
-
-    report = Report()
-    report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
-    report.add("h(x^(a+b))=sum h_u(x^a)h'_u(x^b) for h in {f_t, g_t}", wit is None, wit, detail)
-    _log.debug("coproduct_decompose rank=%d depth=%d width=%d decided=%s", dec.rank, depth, depth - lo + 1, decided)
-
+    report = _certified(f, dec, lo, depth)
+    _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, depth - lo + 1)
     if not report.ok:
         raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
-    return _keep(dec, f, depth)
+    return dec
 
 
 def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
@@ -529,49 +442,38 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
 
     Its coproduct of f is s_0 e (x) e + e (x) phi_I + phi_I (x) e +
     sum_t f_t (x) g_t, the last sum the coproduct of phi_I; e is
-    evaluation at x^0, where phi_I, f_t and g_t vanish.  The check is one
-    pairing of those factors over n = 0..depth, with the witness of the
-    least failing (i, j).  On the decomposition coproduct_decompose has
-    just verified for phi_I at this depth (``_stamped``) only the edge is
-    read: row i = 0 and column j = 0 both hold s_0 e + phi_I, and once it
-    matches f, phi_I = f on x^1..x^depth and the interior i, j >= 1 is
-    phi_I's first identity.  Any other decomposition is paired in full.
+    evaluation at x^0, where phi_I, f_t and g_t vanish.  Row i = 0 and
+    column j = 0 of its pairing both read s_0 e + phi_I, and the interior
+    i, j >= 1 reads the last sum only, which is phi_I's first identity:
+    coproduct_decompose has verified it at this depth, or raised.  So the
+    check is the edge, s_0 e + phi_I against f on x^0..x^depth, with the
+    witness (0, n) of the least failing degree.
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
-    field = f.field
-    phi_i = RecurrentSequence(field, None, f.initial, f.coeffs)
+    phi_i = RecurrentSequence(f.field, None, f.initial, f.coeffs)
     # phi_I has f's order, so a default depth is the same for both
     dec = coproduct_decompose(phi_i, depth)
     depth = _depth(f, depth)
-
+    k = _first_difference([f.s0] + _values(phi_i, depth), _values(f, depth))
+    _log.debug("dorroh_decompose rank=%d depth=%d", dec.rank, depth)
     report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
-    values = _values(f, depth)
-    phi = [0] + _values(phi_i, depth)
-    reused = _stamped(dec, phi_i, depth)
-    if reused:
-        k = _first_difference([f.s0] + phi[1:], values)
-        wit = None if k is None else (0, k)
-    else:
-        e = [1] + [0] * depth
-        fs = [[0] + _values(ft, depth) for ft in dec.left]
-        gs = [[0] + _values(gt, depth) for gt in dec.right]
-        lefts = [[f.s0] + e[1:], e, phi] + fs
-        rights = [e, phi, e] + gs
-        wit = _pairing_failure(lefts, rights, values, 0, depth, field.canon)
-    _log.debug("dorroh_decompose rank=%d depth=%d interior=%s", dec.rank, depth, "coproduct" if reused else "scan")
-    return report.add_witness("blockwise coproduct assembly matches m*(f)", wit)
+    return report.add_witness("blockwise coproduct assembly matches m*(f)", None if k is None else (0, k))
 
 
 def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> Report:
     """f kills x^n p(x) for 0 <= n <= depth, where p = x^r - sum c_i x^{r-i}.
 
     For functionals on x k[x] (no s_0) the range starts at n = 1, staying
-    inside the ideal.
+    inside the ideal.  The degree r is at most 2 MAX_ORDER = READ_DEGREE -
+    MAX_DEPTH, so f is read to degree READ_DEGREE at most, where MAX_HEIGHT
+    bounds its values over Q.
     """
     r = len(pcoeffs)
     if r < 1:
         raise InputError("polynomial degree mismatch: need degree >= 1")
+    if r > 2 * MAX_ORDER:
+        raise InputError(f"polynomial degree {r} is past the cap 2 MAX_ORDER = {2 * MAX_ORDER}")
     depth = _depth(f, depth)
     canon = f.field.canon
     rcoeffs = [canon(v) for v in reversed(pcoeffs)]  # c_r .. c_1

@@ -387,6 +387,21 @@ def test_findual_sequence_past_the_size_caps_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_findual_vanish_polynomial_past_the_degree_cap_exits_2(tmp_path, capsys):
+    seq = tmp_path / "fib.json"
+    run_cli("gallery", "--emit", "fibonacci", "-o", str(seq))
+    capsys.readouterr()
+    cap = 2 * MAX_ORDER
+    start = time.perf_counter()
+    for degree in (cap + 1, 65000):
+        assert run_cli("findual", "--seq", str(seq), "--command", "vanish", "--poly", ",".join(["0"] * degree)) == 2
+        assert capsys.readouterr().err == f"error: polynomial degree {degree} is past the cap 2 MAX_ORDER = {cap}\n"
+    assert time.perf_counter() - start < 1.0
+    # at the cap the command runs: x^(cap - 2) (x^2 - x - 1) kills fibonacci
+    poly = ",".join(["1", "1"] + ["0"] * (cap - 2))
+    assert run_cli("findual", "--seq", str(seq), "--command", "vanish", "--poly", poly) == 0
+
+
 # Python refuses int-from-string conversions past 4300 digits.
 NINES = "9" * 5000
 
