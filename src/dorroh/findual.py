@@ -5,23 +5,20 @@ space exactly when (s_n) satisfies a linear recurrence (k[x]^o is the
 space of linearly recursive sequences); the shifts sigma^j f,
 sigma(f)(x^n) = f(x^{n+1}), then span it.  Functionals on the non-unital
 ideal x k[x] are the same data without the value s_0 and with shifts
-starting at j = 1.  The minimal recurrence of a prefix comes from
-Berlekamp-Massey.
+starting at j = 1.  One Berlekamp-Massey body finds the minimal
+recurrence of a prefix and the reduced echelon basis of the shift space,
+with no elimination.
 
-Coproducts come from factoring f(x^{i+j}) through a shift-space basis:
-with the basis in reduced echelon form (leftmost pivots), the dual
+Coproducts come from factoring f(x^{i+j}) through that basis, whose dual
 elements are plain monomials x^{p_t} at the pivot degrees, so the right
 factors are the corresponding shifts of f.  The shift space V is
 shift-invariant, so every factor h lies in V and factors through the
 same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)).  The first identity
-and coassociativity are decided by one certificate on the basis, the
-shifts and f's values, with one elimination per sequence and
-O(rank^2 (depth + order)) operations; its report names the least failing
-instance of each identity it checks (see coproduct_decompose).  The
-Dorroh split of the finite dual, k[x]^o = k e |x (x k[x])^o with e
-evaluation at x^0, pairs the factors e, phi_I and those of phi_I against
-f; its interior is the coproduct of phi_I, so it reads the edge.
-Everything is verified to a requested depth, at most MAX_DEPTH.
+and coassociativity are decided by one certificate in O(rank^2 (depth +
+order)) operations, which names the least failing instance of each
+identity (see coproduct_decompose).  The Dorroh split k[x]^o = k e |x
+(x k[x])^o, e evaluation at x^0, holds once phi_I's coproduct is
+certified.  Everything is verified to a depth of at most MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import _rref
 from .reports import Report
 
 _log = logging.getLogger("dorroh.findual")
@@ -42,41 +38,36 @@ _log = logging.getLogger("dorroh.findual")
 # a sequence (its order and its number of initial values) and the degree
 # of a vanishing polynomial (2 MAX_ORDER), past which the functions below
 # raise InputError.  A coproduct of a sequence with L initial values and a
-# rank-r shift space costs one elimination of an (L+1)^2 matrix, the value
-# tables of the basis to degree M <= depth + 2L + 1 and a certificate of
-# about r^2 M products (over Q in integers), on values that grow with the
-# depth over Q; a failing certificate costs the same, as it names its
-# witnesses from the lists it has compared.  The Dorroh split adds the
-# coproduct of phi_I and a comparison of depth + 1 values.
-# minimal_recurrence is Berlekamp-Massey, O(m * bound) operations on a
-# prefix of length m; a random prefix over Q with no recurrence within
-# MAX_BOUND takes 0.02 s.
-# In-process on a 2-vCPU machine, `dorroh findual --command dorroh` takes
-# about 0.02 s at MAX_DEPTH on an order-8 sequence over Q whose values
-# grow like 2^n, and on a random order-MAX_ORDER sequence over Q with
-# coefficients in -3..3 about 4.5 s both at its default depth
-# 2 MAX_ORDER + 16 and at MAX_DEPTH, nearly all of it the elimination
-# (0.4 s and 0.65 s over GF(10007)).
+# rank-r shift space costs Berlekamp-Massey on 2L + 2 values, O(L^2), and
+# a certificate of about r^2 M products on the basis tables to degree
+# M <= depth + 2L + 1 (over Q in integers, on values that grow with the
+# depth), passing or failing; the Dorroh split is the coproduct of phi_I.
+# minimal_recurrence, Berlekamp-Massey on a prefix of length m, costs
+# O(m * bound): 0.04 s on a random prefix over Q with no recurrence within
+# MAX_BOUND.  In-process on a 2-vCPU machine, dorroh_decompose takes
+# 0.013 s at MAX_DEPTH on an order-8 sequence over Q whose values grow like
+# 2^n; on a random order-MAX_ORDER one with coefficients in -3..3, 0.9 s at
+# its default depth 2 MAX_ORDER + 16 and 1.45 s at MAX_DEPTH over Q, most
+# of it the certificate's integer tables, and 0.27 s and 0.41 s over
+# GF(10007).
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
 
 # Over Q the order caps do not bound the work, because the cost follows
-# the size of the scalars: the elimination works on the initial values and
-# every later value grows with the degree.  Two caps on a sequence document
-# over Q (``check_size``), in bits of numerator plus bits of denominator
-# beyond 1: MAX_SCALAR_BITS on the total of s_0, the initial values and
-# the coefficients, and MAX_HEIGHT on h0 + READ_DEGREE g, a bound on the
-# values read at MAX_DEPTH: h0 is the largest of s_0 and the initial
-# values, and with d the least common denominator of the coefficients and
-# S = d sum |c_i|, a step past the initial values multiplies by at most
-# S / d, so it adds at most g = bits(S) + bits(d) - 1.  In-process on a
-# 2-vCPU machine, `dorroh findual --command dorroh --depth MAX_DEPTH` takes
-# about 8 s on the slowest integer documents under both caps (order 80,
-# every coefficient 3, 4-bit initial values), as on order 80 with values in
-# -3..3; refused, an order-1 document with a 62-bit coefficient took 6 s,
-# an order-80 one with 45-bit initial values 29 s, and the 1000-digit
-# order-10 one 8.8 s at its default depth.  Over F_p every value is below
+# the size of the scalars, and every value read grows with the degree.
+# Two caps on a sequence document over Q (``check_size``), in bits of
+# numerator plus bits of denominator beyond 1: MAX_SCALAR_BITS on the
+# total of s_0, the initial values and the coefficients, and MAX_HEIGHT on
+# h0 + READ_DEGREE g, a bound on the values read at MAX_DEPTH: h0 is the
+# largest of s_0 and the initial values, and with d the least common
+# denominator of the coefficients and S = d sum |c_i|, a step past the
+# initial values multiplies by at most S / d, so it adds at most
+# g = bits(S) + bits(d) - 1.  In-process, dorroh_decompose at MAX_DEPTH
+# takes about 1.1 s on an order-80 document under both caps with every
+# coefficient 3, and 2.1 s with every coefficient 1/2; refused, an
+# order-80 one with 45-bit initial values took 1.2 s and the 1000-digit
+# order-10 one 6.1 s at its default depth.  Over F_p every value is below
 # p < 2^64, and the order caps bound the work.
 READ_DEGREE = MAX_DEPTH + 2 * MAX_ORDER
 MAX_SCALAR_BITS = 512
@@ -187,24 +178,14 @@ def check_bound(bound: int) -> int:
     return bound
 
 
-def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequence | None:
-    """Smallest-order recurrence (order <= bound) consistent with s_1..s_m.
-
-    Berlekamp-Massey: after s_1..s_n it holds a shortest recurrence
-    1 + C_1 x + ... + C_L x^L (s_k + sum_i C_i s_{k-i} = 0 for L < k <= n)
-    and corrects it by the recurrence in hand at its last length change
-    whenever s_{n+1} breaks it.  L never falls, so the search stops once
-    L passes the bound and returns None.  O(m * bound) field operations.
-    The result equals the monic kernel vector of the (L+1)-column Hankel
-    matrix of the prefix: m >= 2 bound + 2 > 2L, and a shortest recurrence
-    of a prefix at least twice its length is unique (Massey 1969).
-    """
-    check_bound(bound)
-    m = len(prefix)
-    if m < 2 * bound + 2:
-        raise InputError(f"prefix of length {m} is too short for bound {bound} (need {2 * bound + 2})")
-    canon = field.canon
-    prefix = [canon(v) for v in prefix]
+def _berlekamp_massey(prefix, bound: int, field: FieldSpec):
+    """(order, coeffs): the length L of a shortest recurrence s_k =
+    sum_i coeffs[i-1] s_{k-i} (L < k <= m) of the canonical values
+    s_1..s_m, or a length past the bound, where the search stopped.
+    Berlekamp-Massey: the connection polynomial in hand, 1 - sum_i
+    coeffs[i-1] x^i, is corrected by the one at its last length change
+    whenever s_{n+1} breaks it; L never falls.  O(m * bound) operations."""
+    canon, m = field.canon, len(prefix)
     rev = prefix[::-1]  # s_n, s_(n-1), ... from rev[m - n]
     conn, last = [1], [1]  # the connection polynomial, and the one before its last length change
     order, gap, last_d = 0, 1, 1  # last_d: the discrepancy at that change
@@ -224,12 +205,24 @@ def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequenc
         else:
             gap += 1
         conn = grown
+    coeffs = [canon(-c) for c in conn[1 : order + 1]]
+    return order, coeffs + [0] * (order - len(coeffs))
+
+
+def minimal_recurrence(prefix, bound: int, field: FieldSpec) -> RecurrentSequence | None:
+    """Smallest-order recurrence (order <= bound) consistent with s_1..s_m,
+    or None.  It equals the monic kernel vector of the (L+1)-column Hankel
+    matrix of the prefix: m >= 2 bound + 2 > 2L, and a shortest recurrence
+    of a prefix at least twice its length is unique (Massey 1969)."""
+    check_bound(bound)
+    m = len(prefix)
+    if m < 2 * bound + 2:
+        raise InputError(f"prefix of length {m} is too short for bound {bound} (need {2 * bound + 2})")
+    prefix = [field.canon(v) for v in prefix]
+    order, coeffs = _berlekamp_massey(prefix, bound, field)
     fits = order <= bound
     _log.debug("minimal_recurrence length=%d bound=%d order=%s", m, bound, order if fits else None)
-    if not fits:
-        return None
-    coeffs = [canon(-c) for c in conn[1 : order + 1]]
-    return RecurrentSequence(field, None, prefix[:order], coeffs + [0] * (order - len(coeffs)))
+    return RecurrentSequence(field, None, prefix[:order], coeffs) if fits else None
 
 
 @dataclass
@@ -252,24 +245,35 @@ def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
 
 
 def _shift_space(f: RecurrentSequence, reach: int = 0):
-    """Echelon basis of span{sigma^j f}, the shifts of f by the pivot
-    degrees, the pivots and lo.
+    """Reduced echelon basis of V = span{sigma^j f : j >= lo} on x^lo,
+    x^(lo+1), ..., the shifts of f by the pivot degrees, the pivots and lo.
 
-    Rows are the shifts sigma^j f for j = lo..L sampled on columns
-    n = lo..max(L, lo); elements of the span are determined by those
-    values, so the sampled rank is the true rank.  Every row and shift is
-    a window of one value table: sigma^d f over n = lo, lo+1, ... is
-    vals[d:], and each shift keeps its window, which reaches at least
-    degree max(L, lo, reach), as its values.
+    V = k[sigma] h, h = sigma^lo f, is spanned by the w = L + 1 - lo
+    shifts j = lo..L (L = len(f.initial)): f's recurrence makes sigma^j f,
+    j > L, a combination of sigma^(j-i) f, j - i > L - order >= lo - 1.
+    With m the minimal polynomial of h, of degree r <= w, V = k[sigma]/(m)
+    and each g in V satisfies m, so evaluation at x^lo..x^(lo+r-1) is
+    injective on V, hence bijective.  So the pivots are lo..lo+r-1, and
+    f_t, the g in V with g(x^(lo+u)) = delta_tu, is the dual basis of
+    1, x, ..., x^(r-1) in k[x]/(m): f_t(x^(lo+k)) = [x^t](x^k mod m).
+    Two recurrences of lengths r' <= r that agree on r + r' <= 2w values
+    agree everywhere (Massey 1969), so Berlekamp-Massey on h's first 2w
+    values finds m.  Each f_t, in V, satisfies f's recurrence past x^L,
+    which extends its values on lo..max(L, lo); each shift sigma^d f keeps
+    its window vals[d:] of f's value table, through max(L, lo, reach).
     """
     lo = 0 if f.s0 is not None else 1
     L = len(f.initial)
-    hi = max(L, lo)
-    width = hi - lo + 1
-    vals = _values(f, hi + max(hi, reach))
-    rows = [vals[j : j + width] for j in range(lo, L + 1)]
-    pivots = [lo + pc for pc in _rref(rows, width, f.field)]
-    basis = [_sequence(f, row, lo) for row in rows[: len(pivots)]]
+    hi, w = max(L, lo), L + 1 - lo
+    vals = _values(f, hi + max(hi + 1, reach))  # 2w values from x^(2 lo) reach x^(2L+1)
+    r, coeffs = _berlekamp_massey(vals[lo : lo + 2 * w], w, f.field)
+    canon, steps = f.field.canon, coeffs[::-1]  # x^r = sum_i c_i x^(r-i) mod m, c_r first
+    cols, v = [], [int(t == 0) for t in range(r)]  # x^k mod m, k = 0, 1, ...
+    for _ in range(hi - lo + 1):
+        cols.append(v)
+        v = [canon(a + v[-1] * c) for a, c in zip([0] + v[:-1], steps)]
+    pivots = list(range(lo, lo + r))
+    basis = [_sequence(f, list(row), lo) for row in zip(*cols)]
     shifts = [_sequence(f, vals[d:], lo) for d in pivots]
     return basis, shifts, pivots, lo
 
@@ -441,24 +445,20 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     all monomial pairs x^i (x) x^j with i+j <= depth.
 
     Its coproduct of f is s_0 e (x) e + e (x) phi_I + phi_I (x) e +
-    sum_t f_t (x) g_t, the last sum the coproduct of phi_I; e is
-    evaluation at x^0, where phi_I, f_t and g_t vanish.  Row i = 0 and
-    column j = 0 of its pairing both read s_0 e + phi_I, and the interior
-    i, j >= 1 reads the last sum only, which is phi_I's first identity:
-    coproduct_decompose has verified it at this depth, or raised.  So the
-    check is the edge, s_0 e + phi_I against f on x^0..x^depth, with the
-    witness (0, n) of the least failing degree.
+    sum_t f_t (x) g_t, with e evaluation at x^0, where phi_I, f_t and g_t
+    vanish.  The pairing reads s_0 = f(x^0) at (0, 0) and phi_I(x^n) =
+    f(x^n) at (0, n) and (n, 0), as phi_I has f's initial values and
+    recurrence; its interior is phi_I's first identity, which
+    coproduct_decompose verifies at this depth or raises on.  So the
+    assembly row is a derived pass.
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
-    phi_i = RecurrentSequence(f.field, None, f.initial, f.coeffs)
     # phi_I has f's order, so a default depth is the same for both
-    dec = coproduct_decompose(phi_i, depth)
-    depth = _depth(f, depth)
-    k = _first_difference([f.s0] + _values(phi_i, depth), _values(f, depth))
-    _log.debug("dorroh_decompose rank=%d depth=%d", dec.rank, depth)
+    dec = coproduct_decompose(RecurrentSequence(f.field, None, f.initial, f.coeffs), depth)
+    _log.debug("dorroh_decompose rank=%d depth=%d", dec.rank, _depth(f, depth))
     report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
-    return report.add_witness("blockwise coproduct assembly matches m*(f)", None if k is None else (0, k))
+    return report.add("blockwise coproduct assembly matches m*(f)", True)
 
 
 def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> Report:

@@ -853,6 +853,25 @@ def _oracle_cases(seed, count=100):
         yield rng, f, rng.choice((None, rng.randint(0, 24)))
 
 
+def _shift_space_edge_cases():
+    """(f, rank): orders past MAX_BOUND up to MAX_ORDER over GF(10007),
+    with s_0 (rank order + 1, up to MAX_ORDER + 1) and without; order 12
+    over Q; delayed sequences whose minimal polynomial has the factor x;
+    and 2^n under the order-2 recurrence of (x - 2)(x - 3), rank 1."""
+    rng = random.Random(704)
+    F = GF(10007)
+    for order in (findual.MAX_BOUND + 1, 57, findual.MAX_ORDER):
+        for s0 in (rng.randrange(F.p), None):
+            initial, coeffs = ([rng.randrange(1, F.p) for _ in range(order)] for _ in range(2))
+            yield RecurrentSequence(F, s0, initial, coeffs), order + (s0 is not None)
+    initial, coeffs = ([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(12)] for _ in range(2))
+    yield RecurrentSequence(QQ, Fraction(1, 3), initial, coeffs), 13
+    for field in (QQ, GF(5)):  # s_n = s_(n-1) + s_(n-2) from n = 6: x^4, x^2 divide the minimal polynomials
+        yield RecurrentSequence(field, 1, [2, 0, 3, 1, 1], [1, 1, 0, 0]), 6
+        yield RecurrentSequence(field, None, [2, 0, 3, 1, 1], [1, 1, 0, 0]), 4
+    yield RecurrentSequence(QQ, 1, [2, 4], [5, -6]), 1
+
+
 def test_shift_space_matches_the_per_entry_reference():
     ranks = set()
     for _, f, _ in _oracle_cases(701):
@@ -860,6 +879,10 @@ def test_shift_space_matches_the_per_entry_reference():
         assert (basis, shifts, pivots, lo) == reference_shift_space(f), f
         ranks.add(len(basis))
     assert ranks >= set(range(7)), ranks
+    for f, rank in _shift_space_edge_cases():
+        basis, shifts, pivots, lo = findual._shift_space(f)
+        assert (basis, shifts, pivots, lo) == reference_shift_space(f), f
+        assert len(basis) == rank, f
 
 
 def test_dorroh_assembly_matches_the_loop_on_bent_decompositions(monkeypatch):
@@ -946,9 +969,9 @@ def pairing_failure(lefts, rights, values, lo, top, canon):
 
 def reference_coproduct_decompose(f, depth=None):
     """coproduct_decompose as written before the basis certificate: every
-    factor decomposed again through its own _shift_space and paired on
-    a + b <= depth - lo."""
-    _shift_space, _values = findual._shift_space, findual._values
+    factor decomposed again through its own shift space, found by
+    elimination (reference_shift_space), and paired on a + b <= depth - lo."""
+    _shift_space, _values = reference_shift_space, findual._values
     depth = findual._depth(f, depth)
     left, right, pivots, lo = _shift_space(f)
     dec = findual.CoproductDecomposition(len(left), left, right, pivots)
@@ -1068,8 +1091,9 @@ def test_minimal_recurrence_matches_the_hankel_reference():
     assert min(found.values()) >= 1000, found
 
 
-def test_one_elimination_per_coproduct_and_none_per_minimal_recurrence(monkeypatch):
-    # solve_linear, the Hankel solver, went through _rref as well
+def test_no_elimination_per_coproduct_or_minimal_recurrence(monkeypatch):
+    # Berlekamp-Massey finds the shift-space basis as well as the minimal
+    # recurrence; solve_linear, the Hankel solver, went through _rref too
     calls = []
     original = linalg._rref
 
@@ -1078,14 +1102,11 @@ def test_one_elimination_per_coproduct_and_none_per_minimal_recurrence(monkeypat
         return original(rows, width, field)
 
     monkeypatch.setattr(linalg, "_rref", counted)
-    monkeypatch.setattr(findual, "_rref", counted)
+    assert not hasattr(findual, "_rref")
     for _, f, depth in _differential_cases(803, 30):
-        calls.clear()
         coproduct_decompose(f, depth)
-        assert len(calls) == 1, f
-        calls.clear()
         minimal_recurrence(f.prefix(18), 8, f.field)
-        assert calls == [], f
+    assert calls == []
 
 
 def test_minimal_recurrence_logs_one_event_per_call(caplog):
