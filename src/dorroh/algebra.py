@@ -57,6 +57,7 @@ class Algebra:
         self.mul = mul
         self.field = field
         self.labels = list(labels) if labels is not None else None
+        self._built_from = None  # see _build
         self._unit = "unset"
         if unit is not None:
             unit = [field.canon(u) for u in unit]
@@ -384,6 +385,7 @@ class BimoduleAction:
         self.left = left
         self.right = right
         self._validated = None  # see _keep
+        self._unit_law = None  # see _unit_law
 
     def validate(self, memo=None) -> Report:
         """Bimodule axioms over all basis triples."""
@@ -490,10 +492,62 @@ def _build(conv: Convention, pair):
         labels = list(acting.labels) + list(carrier.labels)
 
     built = conv.structure(n, tensor, field, labels=labels)
+    built._built_from = (pair, tensor)  # see _split
     unit = getattr(acting, conv.find_unit)()
-    if unit is not None and _acts_as_identity(left, right, unit, carrier.dim, conv.order):
+    if unit is not None and _unit_law(conv, pair, unit):
         setattr(built, "_" + conv.unit, unit + [0] * carrier.dim)
     return built
+
+
+def _unit_law(conv: Convention, pair, unit) -> bool:
+    """Whether ``unit``, the (co)unit of pair's acting structure, acts as
+    the identity on the carrier through pair's action.  The law reads only
+    the action and its acting structure, so it is decided once per action
+    and acting object and stamped on the action beside its report."""
+    acting, carrier, left, right = conv.parts_of(pair)
+    action = getattr(pair, conv.action)
+    stamp = action._unit_law
+    if stamp is None or stamp[0] is not acting:
+        stamp = action._unit_law = (acting, _acts_as_identity(left, right, unit, carrier.dim, conv.order))
+    return stamp[1]
+
+
+def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
+    """The pair carried by the four blocks of T, the structure of B in the
+    basis S whose first ``na`` vectors span the acting block, and the
+    verified isomorphism from its extension onto B.
+
+    When S is the identity and B was built from a valid pair whose acting
+    structure has dimension ``na``, T is the tensor that pair's blocks were
+    laid into, so the blocks read back are that pair's tensors entry for
+    entry: the recovered pair takes its report, the acting structure its
+    (co)unit and the action its unit-law decision.  Any other split, and
+    any B not built here, is validated in full.
+    """
+    field, n = B.field, B.dim
+    acting = conv.structure(na, T.block((0, 0, 0), (na, na, na)), field)
+    carrier = conv.structure(n - na, T.block((na, na, na), (n, n, n)), field)
+    left = T.block(conv.lay((0, na, na)), conv.lay((na, n, n)))
+    right = T.block(conv.lay((na, 0, na)), conv.lay((n, na, n)))
+    action = conv.action_type(acting, n - na, left, right)
+    pair = conv.pair(acting, carrier, action)
+
+    source, placed = B._built_from or (None, None)
+    derived = T is placed and conv.parts_of(source)[0].dim == na
+    _log.debug("split derived=%d", derived)
+    if derived:
+        unit = getattr(conv.parts_of(source)[0], "_" + conv.unit)  # found by the build of B
+        setattr(acting, "_" + conv.unit, unit)
+        if unit is not None:
+            action._unit_law = (acting, _unit_law(conv, source, unit))
+        _keep(conv, pair, source._report)
+    pair.require_valid()
+
+    iso = conv.morphism(build(pair), B, S)
+    report = verify(iso, iso=True)
+    if not report.ok:
+        raise ValidationFailure(report, "split isomorphism failed verification")
+    return pair, iso
 
 
 class Morphism:
@@ -600,7 +654,8 @@ def direct_product_pair(A: Algebra, B: Algebra) -> DorrohPairAlgebra:
     """(A, B) with zero actions; its extension is the direct product algebra.
 
     Every term of every pair law contains an action, so zero actions
-    satisfy them all and the pair carries the all-pass report.
+    satisfy them all and the pair carries the all-pass report.  They act
+    as the identity only on a zero carrier, which decides the unit law.
     """
     return _zero_action_pair(ALGEBRA, A, B)
 
@@ -613,6 +668,7 @@ def _zero_action_pair(conv: Convention, A, B):
         SparseTensor3.zero(conv.lay((A.dim, B.dim, B.dim)), field),
         SparseTensor3.zero(conv.lay((B.dim, A.dim, B.dim)), field),
     )
+    action._unit_law = (A, B.dim == 0)
     pair = conv.pair(A, B, action)
     _keep(conv, pair, _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name)))
     return pair
@@ -657,18 +713,7 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
         raise ValidationFailure(ideal, "I-span is not an ideal")
 
     # Closure and the ideal property leave every entry in one of four blocks.
-    n = na + ni
-    A = Algebra(na, T.block((0, 0, 0), (na, na, na)), field)
-    I = Algebra(ni, T.block((na, na, na), (n, n, n)), field)
-    action = BimoduleAction(A, ni, T.block((0, na, na), (na, n, n)), T.block((na, 0, na), (n, na, n)))
-    pair = DorrohPairAlgebra(A, I, action)
-    pair.require_valid()
-
-    iso = AlgebraMorphism(build_dorroh_algebra(pair), B, S)
-    report = verify_algebra_morphism(iso, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "split isomorphism failed verification")
-    return pair, iso
+    return _split(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, B, S, T, na)
 
 
 def universal_map_algebra(
@@ -827,9 +872,10 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     # One law memo for (A1, A3), (A2, A3) and the mixed laws: with A3 = A2
     # acting on itself, (A2, A3) is six renamings of A2's associativity and
     # the six mixed laws are three identities, each written twice.
+    pair13 = conv.pair(a1, a3, act13)
     with _scope(None) as memo:
         report = Report()
-        report.merge(conv.pair(a1, a3, act13).validate(memo), prefix=f"{a}1{a}3:")
+        report.merge(pair13.validate(memo), prefix=f"{a}1{a}3:")
         report.merge(pair23.validate(memo), prefix=f"{a}2{a}3:")
 
         (l12, r12), (l13, r13), (l23, r23) = (conv.tensors(act) for act in (act12, act13, act23))
@@ -860,6 +906,16 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
         place(lay((n23, n1, n23)), field, (r12, (0, 0, 0)), (r13, lay((n2, 0, n2)))),
     )
     pair_right = conv.pair(a1, b23, act_1_23)
+    # The unit u_1 of A1 acts on A2|xA3 through A2 and A3 side by side, and
+    # when it acts as the identity on A2, (u_1, 0) is the unit of A1|xA2
+    # and acts on A3 through A1 alone: both unit laws are (A1, A2)'s and
+    # (A1, A3)'s.  The build of (A1, A2) found u_1.
+    unit = getattr(a1, "_" + conv.unit)
+    if unit is not None:
+        on_a2, on_a3 = _unit_law(conv, pair12, unit), _unit_law(conv, pair13, unit)
+        act_1_23._unit_law = (a1, on_a2 and on_a3)
+        if on_a2:
+            act_12_3._unit_law = (b12, on_a3)
     for prefix, pair in (("left-bracketing:", pair_left), ("right-bracketing:", pair_right)):
         passed = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
         report.merge(_keep(conv, pair, passed), prefix=prefix)

@@ -35,6 +35,7 @@ from .algebra import (
     _keep,
     _record_verified,
     _scope,
+    _split,
     _stamped,
     _two_sided_unit,
     _zero_action_pair,
@@ -59,6 +60,7 @@ class Coalgebra:
         self.delta = delta
         self.field = field
         self.labels = list(labels) if labels is not None else None
+        self._built_from = None  # see algebra._build
         self._counit = "unset"
         if counit is not None:
             counit = [field.canon(c) for c in counit]
@@ -123,6 +125,7 @@ class BicomoduleCoaction:
         self.rho_l = rho_l
         self.rho_r = rho_r
         self._validated = None  # see algebra._keep
+        self._unit_law = None  # see algebra._unit_law
 
     def validate(self, memo=None) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
@@ -293,18 +296,7 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
         raise ValidationFailure(coideal, "P-span is not a coideal")
 
     # The subcoalgebra and coideal properties leave every entry in one of four blocks.
-    n = nc + np_
-    C = Coalgebra(nc, T.block((0, 0, 0), (nc, nc, nc)), field)
-    P = Coalgebra(np_, T.block((nc, nc, nc), (n, n, n)), field)
-    coaction = BicomoduleCoaction(C, np_, T.block((nc, 0, nc), (n, nc, n)), T.block((nc, nc, 0), (n, n, nc)))
-    pair = DorrohPairCoalgebra(C, P, coaction)
-    pair.require_valid()
-
-    iso = CoalgebraMorphism(build_dorroh_coalgebra(pair), D, S)
-    report = verify_coalgebra_morphism(iso, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "split isomorphism failed verification")
-    return pair, iso
+    return _split(COALGEBRA, build_dorroh_coalgebra, verify_coalgebra_morphism, D, S, T, nc)
 
 
 def universal_map_coalgebra(

@@ -31,6 +31,7 @@ from .algebra import (
     ModuleOverAlgebra,
     _keep,
     _passed,
+    _unit_law,
     build_dorroh_algebra,
     verify_algebra_morphism,
 )
@@ -62,11 +63,15 @@ def _turn(src, dst) -> tuple:
 
 
 def _dual(src, dst, s):
-    """The dual of the ``src``-side structure s, on side ``dst``; the unit
-    of one side is the counit of the other."""
+    """The dual of the ``src``-side structure s, on side ``dst``.  The unit
+    of one side is the counit of the other: finding the dual's solves the
+    same system on the same tensor, rotated back, so the dual takes s's,
+    None included, unchecked."""
     tensor = rotate(getattr(s, src.tensor), _turn(src, dst))
     labels = None if s.labels is None else [lab + "*" for lab in s.labels]
-    return dst.structure(s.dim, tensor, s.field, labels=labels, **{dst.unit: getattr(s, src.find_unit)()})
+    dual = dst.structure(s.dim, tensor, s.field, labels=labels)
+    setattr(dual, "_" + dst.unit, getattr(s, src.find_unit)())
+    return dual
 
 
 def dual_algebra_of_coalgebra(c: Coalgebra) -> Algebra:
@@ -100,12 +105,16 @@ def dual_coactions(com: ComoduleOverCoalgebra) -> ModuleOverAlgebra:
 def _dualize_pair(src, dst, pair, build, build_dual, verify):
     """The dual of a valid ``src``-side pair, which carries the all-pass
     report, and the verified identity map from the dual of its extension
-    to the extension of its dual."""
+    to the extension of its dual.  The counit law of the dual action is
+    the unit law of the action, so the dual action takes its decision."""
     pair.require_valid()
     acting, carrier, left, right = src.parts_of(pair)
     turn = _turn(src, dst)
     a_dual, i_dual = _dual(src, dst, acting), _dual(src, dst, carrier)
     action = dst.action_type(a_dual, carrier.dim, rotate(left, turn), rotate(right, turn))
+    unit = getattr(a_dual, "_" + dst.unit)  # acting's, taken by its dual
+    if unit is not None:
+        action._unit_law = (a_dual, _unit_law(src, pair, unit))
     dual = dst.pair(a_dual, i_dual, action)
     _keep(dst, dual, _passed(getattr(ACTION_LAWS, dst.name), getattr(PAIR_LAWS, dst.name)))
 

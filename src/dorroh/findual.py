@@ -46,8 +46,8 @@ _log = logging.getLogger("dorroh.findual")
 # O(m * bound): 0.04 s on a random prefix over Q with no recurrence within
 # MAX_BOUND.  In-process on a 2-vCPU machine, dorroh_decompose takes
 # 0.013 s at MAX_DEPTH on an order-8 sequence over Q whose values grow like
-# 2^n; on a random order-MAX_ORDER one with coefficients in -3..3, 0.9 s at
-# its default depth 2 MAX_ORDER + 16 and 1.45 s at MAX_DEPTH over Q, most
+# 2^n; on a random order-MAX_ORDER one with coefficients in -3..3, 0.8 s at
+# its default depth 2 MAX_ORDER + 16 and 1.1 s at MAX_DEPTH over Q, a third
 # of it the certificate's integer tables, and 0.27 s and 0.41 s over
 # GF(10007).
 MAX_DEPTH = 320
@@ -307,7 +307,10 @@ def _integer_table(h: RecurrentSequence, top: int):
     common denominator.  Past them the recurrence runs in integers: with
     c_i = b_i / d over the least common denominator d of the coefficients,
     T_n = D0 d^(n-K) h(x^n) = sum_i b_i d^min(i-1, n-K-1) T_(n-i).  Every
-    entry is then brought to D = D0 d^(top-K), so no Fraction is made."""
+    entry is then brought to D = D0 d^(top-K), so no Fraction is made.
+
+    The weights are kept from step to step, each b_i taking one factor d
+    per step until it reaches d^(i-1)."""
     lo = 0 if h.s0 is not None else 1
     K = min(len(h._vals), top)
     held = _values(h, K)
@@ -315,11 +318,12 @@ def _integer_table(h: RecurrentSequence, top: int):
     T = [v.numerator * (D0 // v.denominator) for v in held]
     d = lcm(*(c.denominator for c in h.coeffs))
     bs = [c.numerator * (d // c.denominator) for c in h.coeffs]  # b_1 .. b_r
-    r, weights = len(bs), []
+    # the weight of T_(n-i) at slot r - i: b_i d^min(i-1, j-1) at step j
+    r, weights = len(bs), bs[::-1]
     for j in range(1, top - K + 1):  # x^(K+j)
-        if j <= r:  # the weights settle at b_i d^(i-1) once j reaches r
-            weights = [b * d ** min(i, j - 1) for i, b in enumerate(bs)][::-1]
         T.append(sum(map(mul, weights, T[len(T) - r :])))
+        if j < r:  # the weights of b_i with i > j take one more factor d
+            weights[: r - j] = [w * d for w in weights[: r - j]]
     e = top - K
     if e and d != 1:
         held_count = K - lo + 1

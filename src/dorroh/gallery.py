@@ -4,10 +4,10 @@ Catalog names are frozen identifiers (golden tests and the CLI rely on
 them).  Parameterized entries are spelled ``name(arg)``, e.g.
 ``trunc_poly(3)`` or ``geometric(2)``.
 
-Random pairs for stress tests come from constructions (trivial
-extensions, direct products, triangular pairs, regular pairs, duals,
-pushforwards, basis conjugation), never from rejection-sampling raw
-tensors: raw random tensors essentially never satisfy the pair axioms.
+The pair constructors here (trivial extensions, direct products,
+triangular pairs, regular pairs, basis conjugation) are what the tests'
+random pairs are built from: raw random tensors essentially never
+satisfy the pair axioms.
 """
 
 from __future__ import annotations
@@ -455,7 +455,7 @@ def standard_coalgebra_pairs(field: FieldSpec):
 
 
 # ---------------------------------------------------------------------------
-# random construction generators
+# basis changes
 
 
 def random_invertible(rng, n: int, field: FieldSpec) -> Matrix:
@@ -515,99 +515,3 @@ def _conjugate_pair(conv, pair, SA, SI):
         transport(right, conv.lay((i_in, a_in, i_out))),
     )
     return conv.pair(A2, I2, action)
-
-
-def _random_small_algebra(rng, field: FieldSpec, max_dim: int) -> Algebra:
-    choices = [lambda: algebra_k(field), lambda: nilpotent_line(field)]
-    if max_dim >= 2:
-        choices += [
-            lambda: dual_numbers(field),
-            lambda: group_algebra_z2(field),
-            lambda: truncated_polynomials(1, field),
-        ]
-    if max_dim >= 3:
-        choices.append(lambda: truncated_polynomials(2, field))
-    if max_dim >= 4:
-        choices.append(lambda: matrix_algebra_2(field))
-    return rng.choice(choices)()
-
-
-def random_algebra_pair(rng, field: FieldSpec, max_total_dim: int = 8) -> DorrohPairAlgebra:
-    kind = rng.randrange(5)
-    half = max_total_dim // 2
-    if kind == 0:
-        a = _random_small_algebra(rng, field, half)
-        pair = trivial_extension_pair(a, regular_bimodule(a))
-    elif kind == 1:
-        a = _random_small_algebra(rng, field, half)
-        b = _random_small_algebra(rng, field, max_total_dim - a.dim)
-        pair = direct_product_pair(a, b)
-    elif kind == 2:
-        a = _random_small_algebra(rng, field, half)
-        pair = regular_pair(a)
-    elif kind == 3:
-        i = _random_small_algebra(rng, field, max_total_dim - 1)
-        pair = scalar_action_pair(field, i)
-    else:
-        a = _random_small_algebra(rng, field, (max_total_dim - 1) // 2)
-        b = algebra_k(field)
-        # left-regular A, zero right B-action
-        right = SparseTensor3.zero((a.dim, 1, a.dim), field)
-        pair = triangular_pair(a, b, a.mul, right)[0]
-    if rng.random() < 0.5:
-        pair = conjugate_algebra_pair(
-            pair,
-            random_invertible(rng, pair.A.dim, field),
-            random_invertible(rng, pair.I.dim, field),
-        )
-    return pair
-
-
-def _random_small_coalgebra(rng, field: FieldSpec, max_dim: int) -> Coalgebra:
-    choices = [lambda: grouplikes(1, field)]
-    if max_dim >= 2:
-        choices += [lambda: grouplikes(2, field), lambda: divided_power(1, field)]
-    if max_dim >= 3:
-        choices.append(lambda: divided_power(2, field))
-    if max_dim >= 4:
-        choices.append(lambda: matrix_coalgebra_2(field))
-    return rng.choice(choices)()
-
-
-def random_coalgebra_pair(rng, field: FieldSpec, max_total_dim: int = 8) -> DorrohPairCoalgebra:
-    kind = rng.randrange(5)
-    half = max_total_dim // 2
-    if kind == 0:
-        c = _random_small_coalgebra(rng, field, half)
-        pair = trivial_coextension_pair(c, regular_bicomodule(c))
-    elif kind == 1:
-        c = _random_small_coalgebra(rng, field, half)
-        p = _random_small_coalgebra(rng, field, max_total_dim - c.dim)
-        pair = zero_coaction_pair(c, p)
-    elif kind == 2:
-        c = _random_small_coalgebra(rng, field, half)
-        pair = regular_copair(c)
-    elif kind == 3:
-        p = _random_small_coalgebra(rng, field, max_total_dim - 1)
-        pair = counital_hull(p)
-    else:
-        # random grouplike pair: each p_i coacts through one group-like of C
-        nc = rng.randint(1, max(1, half))
-        npp = rng.randint(1, max(1, max_total_dim - nc))
-        c = grouplikes(nc, field)
-        p = grouplikes(npp, field)
-        assign = [rng.randrange(nc) for _ in range(npp)]
-        rho_l = SparseTensor3(
-            (npp, nc, npp), {(x, assign[x], x): 1 for x in range(npp)}, field
-        )
-        rho_r = SparseTensor3(
-            (npp, npp, nc), {(x, x, assign[x]): 1 for x in range(npp)}, field
-        )
-        pair = DorrohPairCoalgebra(c, p, BicomoduleCoaction(c, npp, rho_l, rho_r))
-    if rng.random() < 0.5:
-        pair = conjugate_coalgebra_pair(
-            pair,
-            random_invertible(rng, pair.C.dim, field),
-            random_invertible(rng, pair.P.dim, field),
-        )
-    return pair

@@ -5,12 +5,45 @@ The library carries every action through sparse tensors; ``act_left`` and
 independent reference for the tests that check a law on single elements,
 and ``basis`` gives the coordinates of one basis vector.
 ``solve_linear`` solves a dense system by the library's elimination.
+``random_algebra_pair`` and ``random_coalgebra_pair`` draw valid pairs
+from the gallery's constructions, never by rejection-sampling raw
+tensors: raw random tensors essentially never satisfy the pair axioms.
 """
 
-from dorroh.algebra import AlgebraMorphism
-from dorroh.coalgebra import CoalgebraMorphism
+from dorroh.algebra import Algebra, AlgebraMorphism, DorrohPairAlgebra, direct_product_pair, regular_bimodule
+from dorroh.coalgebra import (
+    BicomoduleCoaction,
+    Coalgebra,
+    CoalgebraMorphism,
+    DorrohPairCoalgebra,
+    regular_bicomodule,
+    zero_coaction_pair,
+)
 from dorroh.errors import InputError
+from dorroh.fields import FieldSpec
+from dorroh.gallery import (
+    algebra_k,
+    conjugate_algebra_pair,
+    conjugate_coalgebra_pair,
+    counital_hull,
+    divided_power,
+    dual_numbers,
+    group_algebra_z2,
+    grouplikes,
+    matrix_algebra_2,
+    matrix_coalgebra_2,
+    nilpotent_line,
+    random_invertible,
+    regular_copair,
+    regular_pair,
+    scalar_action_pair,
+    triangular_pair,
+    trivial_coextension_pair,
+    trivial_extension_pair,
+    truncated_polynomials,
+)
 from dorroh.linalg import Matrix, _rref
+from dorroh.tensors import SparseTensor3
 
 
 def act_left(action, a_vec, x_vec):
@@ -70,3 +103,99 @@ def solve_linear(A: Matrix, b) -> list | None:
     for r, c in enumerate(pivots):
         x[c] = aug[r][A.cols]
     return x
+
+
+def _random_small_algebra(rng, field: FieldSpec, max_dim: int) -> Algebra:
+    choices = [lambda: algebra_k(field), lambda: nilpotent_line(field)]
+    if max_dim >= 2:
+        choices += [
+            lambda: dual_numbers(field),
+            lambda: group_algebra_z2(field),
+            lambda: truncated_polynomials(1, field),
+        ]
+    if max_dim >= 3:
+        choices.append(lambda: truncated_polynomials(2, field))
+    if max_dim >= 4:
+        choices.append(lambda: matrix_algebra_2(field))
+    return rng.choice(choices)()
+
+
+def random_algebra_pair(rng, field: FieldSpec, max_total_dim: int = 8) -> DorrohPairAlgebra:
+    kind = rng.randrange(5)
+    half = max_total_dim // 2
+    if kind == 0:
+        a = _random_small_algebra(rng, field, half)
+        pair = trivial_extension_pair(a, regular_bimodule(a))
+    elif kind == 1:
+        a = _random_small_algebra(rng, field, half)
+        b = _random_small_algebra(rng, field, max_total_dim - a.dim)
+        pair = direct_product_pair(a, b)
+    elif kind == 2:
+        a = _random_small_algebra(rng, field, half)
+        pair = regular_pair(a)
+    elif kind == 3:
+        i = _random_small_algebra(rng, field, max_total_dim - 1)
+        pair = scalar_action_pair(field, i)
+    else:
+        a = _random_small_algebra(rng, field, (max_total_dim - 1) // 2)
+        b = algebra_k(field)
+        # left-regular A, zero right B-action
+        right = SparseTensor3.zero((a.dim, 1, a.dim), field)
+        pair = triangular_pair(a, b, a.mul, right)[0]
+    if rng.random() < 0.5:
+        pair = conjugate_algebra_pair(
+            pair,
+            random_invertible(rng, pair.A.dim, field),
+            random_invertible(rng, pair.I.dim, field),
+        )
+    return pair
+
+
+def _random_small_coalgebra(rng, field: FieldSpec, max_dim: int) -> Coalgebra:
+    choices = [lambda: grouplikes(1, field)]
+    if max_dim >= 2:
+        choices += [lambda: grouplikes(2, field), lambda: divided_power(1, field)]
+    if max_dim >= 3:
+        choices.append(lambda: divided_power(2, field))
+    if max_dim >= 4:
+        choices.append(lambda: matrix_coalgebra_2(field))
+    return rng.choice(choices)()
+
+
+def random_coalgebra_pair(rng, field: FieldSpec, max_total_dim: int = 8) -> DorrohPairCoalgebra:
+    kind = rng.randrange(5)
+    half = max_total_dim // 2
+    if kind == 0:
+        c = _random_small_coalgebra(rng, field, half)
+        pair = trivial_coextension_pair(c, regular_bicomodule(c))
+    elif kind == 1:
+        c = _random_small_coalgebra(rng, field, half)
+        p = _random_small_coalgebra(rng, field, max_total_dim - c.dim)
+        pair = zero_coaction_pair(c, p)
+    elif kind == 2:
+        c = _random_small_coalgebra(rng, field, half)
+        pair = regular_copair(c)
+    elif kind == 3:
+        p = _random_small_coalgebra(rng, field, max_total_dim - 1)
+        pair = counital_hull(p)
+    else:
+        # random grouplike pair: each p_i coacts through one group-like of C
+        nc = rng.randint(1, max(1, half))
+        npp = rng.randint(1, max(1, max_total_dim - nc))
+        c = grouplikes(nc, field)
+        p = grouplikes(npp, field)
+        assign = [rng.randrange(nc) for _ in range(npp)]
+        rho_l = SparseTensor3(
+            (npp, nc, npp), {(x, assign[x], x): 1 for x in range(npp)}, field
+        )
+        rho_r = SparseTensor3(
+            (npp, npp, nc), {(x, x, assign[x]): 1 for x in range(npp)}, field
+        )
+        pair = DorrohPairCoalgebra(c, p, BicomoduleCoaction(c, npp, rho_l, rho_r))
+    if rng.random() < 0.5:
+        pair = conjugate_coalgebra_pair(
+            pair,
+            random_invertible(rng, pair.C.dim, field),
+            random_invertible(rng, pair.P.dim, field),
+        )
+    return pair

@@ -38,14 +38,12 @@ from dorroh.gallery import (
     grouplikes,
     instance,
     matrix_algebra_2,
-    random_algebra_pair,
-    random_coalgebra_pair,
     regular_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
 )
 from dorroh.tensors import SparseTensor3
-from support import act_left, act_right, basis
+from support import act_left, act_right, basis, random_algebra_pair, random_coalgebra_pair
 
 GALLERY_NAMES = [
     "k",

@@ -174,3 +174,62 @@ def test_duality_records_the_same_spans():
             getattr(duality, name)(arg)
         counts[name] = Counter(span for span, *_ in tracer.spans)
     assert counts == DUALITY_SPANS
+
+
+# Span names recorded by the split of each side's extension of the pair
+# (k, dual numbers) over Q along its own blocks, and of the same extension
+# parsed from its document.  The split body is shared by both sides; its
+# build and verification must still be reached through its side's module
+# globals.  The built extension's split takes the pair's report, so only
+# the parsed one records a pair check (and its bimodule check).
+SPLIT_SPANS = {
+    "built": {
+        "task": 1,
+        "algebra.split": 1,
+        "algebra.build": 1,
+        "algebra.find_identity": 1,
+        "algebra.verify_morphism": 1,
+        "coalgebra.split": 1,
+        "coalgebra.build": 1,
+        "coalgebra.find_counit": 1,
+        "coalgebra.verify_morphism": 1,
+    },
+    "parsed": {
+        "task": 1,
+        "algebra.split": 1,
+        "algebra.build": 1,
+        "algebra.find_identity": 1,
+        "algebra.validate": 2,
+        "algebra.verify_morphism": 1,
+        "coalgebra.split": 1,
+        "coalgebra.build": 1,
+        "coalgebra.find_counit": 1,
+        "coalgebra.validate": 2,
+        "coalgebra.verify_morphism": 1,
+    },
+}
+
+
+def test_splits_record_the_same_spans():
+    from dorroh import algebra, coalgebra, duality, exchange
+    from dorroh.fields import QQ
+    from dorroh.gallery import dual_numbers, scalar_action_pair
+
+    pair = scalar_action_pair(QQ, dual_numbers(QQ))
+    copair = duality.dualize_algebra_pair(pair)[0]
+    built = {"built": (algebra.build_dorroh_algebra(pair), coalgebra.build_dorroh_coalgebra(copair))}
+    built["parsed"] = tuple(exchange.parse(exchange.emit(b)) for b in built["built"])
+    n, na = built["built"][0].dim, pair.A.dim
+    rows = [[int(t == i) for t in range(n)] for i in range(n)]
+
+    bench_trace = _bench_trace()
+    for module, *_ in bench_trace.SPANS:
+        importlib.import_module(f"dorroh.{module}")
+    counts = {}
+    for kind, (b, d) in built.items():
+        tracer = bench_trace.Tracer()
+        with tracer.patched(), tracer.task(0):
+            algebra.split_algebra_extension(b, rows[:na], rows[na:])
+            coalgebra.split_coalgebra_extension(d, rows[:na], rows[na:])
+        counts[kind] = Counter(span for span, *_ in tracer.spans)
+    assert counts == SPLIT_SPANS

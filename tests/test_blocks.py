@@ -71,8 +71,6 @@ from dorroh.gallery import (
     matrix_algebra_2,
     matrix_coalgebra_2,
     nilpotent_line,
-    random_algebra_pair,
-    random_coalgebra_pair,
     random_invertible,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
@@ -83,7 +81,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix, invert
 from dorroh.tensors import SparseTensor3
-from support import solve_linear
+from support import random_algebra_pair, random_coalgebra_pair, solve_linear
 
 GOLDEN = Path(__file__).parent / "data" / "blocks_golden.json"
 FIELDS = (QQ, GF(3), GF(5))

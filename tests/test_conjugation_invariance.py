@@ -27,13 +27,13 @@ from dorroh.fields import GF, QQ
 from dorroh.gallery import (
     conjugate_algebra_pair,
     conjugate_coalgebra_pair,
-    random_algebra_pair,
-    random_coalgebra_pair,
     random_invertible,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
 )
 from dorroh.tensors import SparseTensor3
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 FIELDS = [QQ, GF(5)]
 

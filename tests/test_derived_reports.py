@@ -71,8 +71,6 @@ from dorroh.gallery import (
     matrix_algebra_2,
     matrix_coalgebra_2,
     nilpotent_line,
-    random_algebra_pair,
-    random_coalgebra_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
     truncated_polynomials,
@@ -80,6 +78,8 @@ from dorroh.gallery import (
 from dorroh.linalg import Matrix
 from dorroh.reports import Report
 from dorroh.tensors import TO_ALGEBRA, SparseTensor3, first_witness, place, rotate
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 FIELDS = (QQ, GF(3), GF(5))
 SEED = 20070250

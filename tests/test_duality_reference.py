@@ -51,6 +51,8 @@ from dorroh.fields import GF, QQ
 from dorroh.linalg import Matrix, invert
 from dorroh.tensors import TO_ALGEBRA, TO_COALGEBRA, rotate, transport
 
+from support import random_algebra_pair, random_coalgebra_pair
+
 # ---------------------------------------------------------------------------
 # reference: the per-side duality functions, verbatim
 
@@ -247,8 +249,8 @@ def _corpus(field):
     apairs = dict(gallery.standard_algebra_pairs(field))
     cpairs = dict(gallery.standard_coalgebra_pairs(field))
     for i in range(RANDOM_PAIRS):
-        apairs[f"random{i}"] = gallery.random_algebra_pair(rng, field)
-        cpairs[f"random{i}"] = gallery.random_coalgebra_pair(rng, field)
+        apairs[f"random{i}"] = random_algebra_pair(rng, field)
+        cpairs[f"random{i}"] = random_coalgebra_pair(rng, field)
     for name, pair in apairs.items():
         algebras[f"ext:{name}"] = build_dorroh_algebra(pair)
     for name, pair in cpairs.items():

@@ -18,8 +18,6 @@ from dorroh.gallery import (
     matrix_algebra_2,
     matrix_coalgebra_2,
     one_point_pair,
-    random_algebra_pair,
-    random_coalgebra_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
     trunc_poly_pair,
@@ -27,6 +25,8 @@ from dorroh.gallery import (
 )
 from dorroh.coalgebra import Coalgebra
 from dorroh.tensors import SparseTensor3
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 FIELDS = [QQ, GF(2), GF(5), GF(7)]
 

@@ -56,13 +56,13 @@ from dorroh.gallery import (
     matrix_algebra_2,
     matrix_coalgebra_2,
     nilpotent_line,
-    random_algebra_pair,
-    random_coalgebra_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
     truncated_polynomials,
 )
 from dorroh.tensors import SparseTensor3, first_witness
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 GOLDEN = Path(__file__).parent / "data" / "validator_golden.json"
 FIELDS = (QQ, GF(3), GF(5))

@@ -45,8 +45,9 @@ from dorroh.coalgebra import (
 from dorroh.tensors import TO_COALGEBRA
 from dorroh.errors import ValidationFailure
 from dorroh.fields import GF, QQ
-from dorroh.gallery import random_algebra_pair
 from dorroh.tensors import SparseTensor3, place
+
+from support import random_algebra_pair
 
 ACTION = {
     "(ab)x=a(bx)": "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",

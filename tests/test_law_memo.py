@@ -48,13 +48,13 @@ from dorroh.gallery import (
     dual_numbers,
     matrix_algebra_2,
     matrix_coalgebra_2,
-    random_algebra_pair,
-    random_coalgebra_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
 )
 from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3, first_witness
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 FIELDS = (QQ, GF(3), GF(5))
 ALL_LAWS = tuple(

@@ -27,13 +27,13 @@ from dorroh.gallery import (
     divided_power,
     dual_numbers,
     grouplike_pair,
-    random_algebra_pair,
-    random_coalgebra_pair,
     random_invertible,
     regular_bimodule,
     regular_pair,
     trivial_extension_pair,
 )
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 
 def test_duality_on_conjugated_random_pairs():

@@ -57,8 +57,6 @@ from dorroh.gallery import (
     conjugate_algebra_pair,
     conjugate_coalgebra,
     conjugate_coalgebra_pair,
-    random_algebra_pair,
-    random_coalgebra_pair,
     random_invertible,
     regular_pair,
     standard_algebra_pairs,
@@ -66,6 +64,8 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix, invert
 from dorroh.tensors import TO_COALGEBRA, SparseTensor3
+
+from support import random_algebra_pair, random_coalgebra_pair
 
 GOLDEN = Path(__file__).parent / "data" / "transport_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
