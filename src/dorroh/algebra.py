@@ -236,9 +236,11 @@ def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None
     bound to a tensor in ``tensors``; ``names`` renames the laws in order.
 
     ``memo`` maps the canonical form of each law decided so far (see
-    ``_law_key``) to [witness, uses]; a law whose form is there takes its
-    witness without a contraction.  A check that runs several tables
-    passes one memo through them all (``_scope``).
+    ``_law_key``) to [witness, uses, lhs, rhs]; a law whose form is there
+    takes its witness without a contraction.  The two terms hold the
+    tensors whose ids the key names, so no id is reused while the memo
+    lives.  A check that runs several tables passes one memo through them
+    all (``_scope``).
     """
     if memo is None:
         memo = {}
@@ -249,23 +251,28 @@ def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None
             key = _law_key(box, out, lhs, rhs)
             seen = memo.get(key)
             if seen is None:
-                seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0]
+                seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0, lhs, rhs]
             seen[1] += 1
             report.add_witness(names[i] if names else name, seen[0])
     return report
 
 
 @contextmanager
-def _scope(memo):
+def _scope(memo, seeds=()):
     """The law memo of one check_dorroh_pair_* call or iterated triple: the
-    caller's, or a fresh one whose counts are logged when the check returns."""
+    caller's, or a fresh one whose counts are logged when the check returns.
+    A fresh memo opens with copies of the decisions of ``seeds``, memos
+    stamped by ``_keep`` (None skipped), their use counts at 0; a law that
+    one of them decided counts as copied, not decided."""
     if memo is not None:
         yield memo
         return
-    memo = {}
+    memo = {key: [witness, 0, *terms] for seed in seeds if seed for key, (witness, _, *terms) in seed.items()}
+    seeded = len(memo)
     yield memo
-    laws = sum(uses for _, uses in memo.values())
-    _log.debug("check_laws laws=%d decided=%d copied=%d", laws, len(memo), laws - len(memo))
+    laws = sum(law[1] for law in memo.values())
+    decided = len(memo) - seeded
+    _log.debug("check_laws laws=%d decided=%d copied=%d", laws, decided, laws - decided)
 
 
 def _law_key(box, out, lhs, rhs) -> tuple:
@@ -386,6 +393,7 @@ class BimoduleAction:
         self.right = right
         self._validated = None  # see _keep
         self._unit_law = None  # see _unit_law
+        self._laid = None  # see _build
 
     def validate(self, memo=None) -> Report:
         """Bimodule axioms over all basis triples."""
@@ -413,10 +421,7 @@ class DorrohPairAlgebra:
         return self.A.field
 
     def validate(self, memo=None) -> Report:
-        if self._report is None:
-            report = _stamped(ALGEBRA, self)
-            _keep(ALGEBRA, self, check_dorroh_pair_algebra(self, memo) if report is None else report)
-        return self._report
+        return _validate(ALGEBRA, self, check_dorroh_pair_algebra, memo)
 
     def require_valid(self):
         report = self.validate()
@@ -442,23 +447,38 @@ def check_dorroh_pair_algebra(pair: DorrohPairAlgebra, memo=None) -> Report:
         return check_laws(pair.action.validate(memo), pair.field, PAIR_LAWS.algebra, tensors, memo=memo)
 
 
-def _keep(conv: Convention, pair, report: Report) -> Report:
+def _validate(conv: Convention, pair, check, memo) -> Report:
+    """pair's report: the one stamped on its action by a pair of the same
+    objects (``_stamped``), or else ``check``'s, decided in ``memo`` or in
+    a scope of its own, and kept with that memo (``_keep``)."""
+    if pair._report is None:
+        stamp = _stamped(conv, pair)
+        if stamp is None:
+            with _scope(memo) as memo:
+                stamp = check(pair, memo), memo
+        _keep(conv, pair, *stamp)
+    return pair._report
+
+
+def _keep(conv: Convention, pair, report: Report, memo=None) -> Report:
     """Set pair's report and stamp it on the pair's action object, with the
-    A and I objects it holds for, where ``_stamped`` finds it."""
+    A and I objects it holds for and the law memo it was decided in (None
+    for a report no law decided), where ``_stamped`` finds them."""
     (_, acting), (_, carrier) = conv.parts
     pair._report = report
-    getattr(pair, conv.action)._validated = (getattr(pair, acting), getattr(pair, carrier), report)
+    getattr(pair, conv.action)._validated = (getattr(pair, acting), getattr(pair, carrier), report, memo)
     return report
 
 
-def _stamped(conv: Convention, pair) -> Report | None:
-    """The report stamped on pair's action by a pair of the same A and I
-    objects, or None.  The pair (A1, A2) of an iterated triple built from a
-    validated pair's parts takes it instead of checking the pair again."""
+def _stamped(conv: Convention, pair) -> tuple | None:
+    """The (report, memo) stamped on pair's action by a pair of the same A
+    and I objects, or None.  The pair (A1, A2) of an iterated triple built
+    from a validated pair's parts takes the report instead of checking the
+    pair again, and the triple's scope opens with the memo's decisions."""
     (_, acting), (_, carrier) = conv.parts
     stamp = getattr(pair, conv.action)._validated
     if stamp is not None and stamp[0] is getattr(pair, acting) and stamp[1] is getattr(pair, carrier):
-        return stamp[2]
+        return stamp[2:]
     return None
 
 
@@ -474,18 +494,27 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
 
 
 def _build(conv: Convention, pair):
+    """The extension of a valid pair.  Its tensor is laid out once per
+    action and pair of acting and carrier objects and stamped on the
+    action (``_laid``), so every build of the same parts shares it.  The
+    stamp holds the tensor, never the extension, which records its pair
+    and would close a reference cycle through the action."""
     pair.require_valid()
     acting, carrier, left, right = conv.parts_of(pair)
     na = acting.dim
     n = na + carrier.dim
     field = pair.field
-    tensor = place(
-        (n, n, n), field,
-        (getattr(acting, conv.tensor), (0, 0, 0)),
-        (left, conv.lay((0, na, na))),
-        (right, conv.lay((na, 0, na))),
-        (getattr(carrier, conv.tensor), (na, na, na)),
-    )
+    action = getattr(pair, conv.action)
+    laid = action._laid
+    if laid is None or laid[0] is not acting or laid[1] is not carrier:
+        laid = action._laid = (acting, carrier, place(
+            (n, n, n), field,
+            (getattr(acting, conv.tensor), (0, 0, 0)),
+            (left, conv.lay((0, na, na))),
+            (right, conv.lay((na, 0, na))),
+            (getattr(carrier, conv.tensor), (na, na, na)),
+        ))
+    tensor = laid[2]
 
     labels = None
     if acting.labels is not None and carrier.labels is not None:
@@ -503,12 +532,17 @@ def _unit_law(conv: Convention, pair, unit) -> bool:
     """Whether ``unit``, the (co)unit of pair's acting structure, acts as
     the identity on the carrier through pair's action.  The law reads only
     the action and its acting structure, so it is decided once per action
-    and acting object and stamped on the action beside its report."""
+    and acting object and stamped on the action beside its report.  For
+    the regular action (both tensors the acting structure's own, and
+    ``unit`` its found (co)unit) the law is the definition of the (co)unit,
+    so it holds without a transport; it reads no carrier tensor."""
     acting, carrier, left, right = conv.parts_of(pair)
     action = getattr(pair, conv.action)
     stamp = action._unit_law
     if stamp is None or stamp[0] is not acting:
-        stamp = action._unit_law = (acting, _acts_as_identity(left, right, unit, carrier.dim, conv.order))
+        own = getattr(acting, conv.tensor)
+        regular = left is own and right is own and unit is getattr(acting, "_" + conv.unit)
+        stamp = action._unit_law = (acting, regular or _acts_as_identity(left, right, unit, carrier.dim, conv.order))
     return stamp[1]
 
 
@@ -850,8 +884,11 @@ def check_iterated_algebra_triple(
     mixed laws checked.  A pair of the same A, I and action objects as a
     pair already validated takes its report (``_keep``): (A1, A2) of a
     validated pair, and (A1, A3) when A3 is A2 with the same action.  The
-    laws of (A1, A3), (A2, A3) and the mixed laws share one memo, so each
-    distinct identity among them is decided once.  The two bracketings are
+    laws of (A1, A3), (A2, A3) and the mixed laws share one memo, which
+    opens with the decisions stamped with (A1, A2) and (A1, A3), so each
+    distinct identity among them is decided once; on the canonical triple
+    (A, I, I) of a validated pair the mixed laws are the pair's own, and
+    only I's associativity is decided.  The two bracketings are
     reached only when all of these pass, and block by block each
     bracketing identity is one of them (the associativity of iterated
     Dorroh extensions), so both bracketed pairs carry the all-pass report.
@@ -869,11 +906,13 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     lay = conv.lay
     a = conv.parts[0][1]
 
-    # One law memo for (A1, A3), (A2, A3) and the mixed laws: with A3 = A2
-    # acting on itself, (A2, A3) is six renamings of A2's associativity and
-    # the six mixed laws are three identities, each written twice.
+    # One law memo for (A1, A3), (A2, A3) and the mixed laws, opened with
+    # the decisions stamped with (A1, A2) and (A1, A3).  With A3 = A2 acting
+    # on itself, (A2, A3) is six renamings of A2's associativity and the six
+    # mixed laws are (A1, A2)'s three pair laws renamed, each written twice.
     pair13 = conv.pair(a1, a3, act13)
-    with _scope(None) as memo:
+    seeds = [stamp[1] for stamp in (_stamped(conv, pair12), _stamped(conv, pair13)) if stamp]
+    with _scope(None, seeds) as memo:
         report = Report()
         report.merge(pair13.validate(memo), prefix=f"{a}1{a}3:")
         report.merge(pair23.validate(memo), prefix=f"{a}2{a}3:")

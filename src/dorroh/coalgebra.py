@@ -32,12 +32,11 @@ from .algebra import (
     _assemble,
     _build,
     _iterated_triple,
-    _keep,
     _record_verified,
     _scope,
     _split,
-    _stamped,
     _two_sided_unit,
+    _validate,
     _zero_action_pair,
     check_laws,
 )
@@ -126,6 +125,7 @@ class BicomoduleCoaction:
         self.rho_r = rho_r
         self._validated = None  # see algebra._keep
         self._unit_law = None  # see algebra._unit_law
+        self._laid = None  # see algebra._build
 
     def validate(self, memo=None) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
@@ -153,10 +153,7 @@ class DorrohPairCoalgebra:
         return self.C.field
 
     def validate(self, memo=None) -> Report:
-        if self._report is None:
-            report = _stamped(COALGEBRA, self)
-            _keep(COALGEBRA, self, check_dorroh_pair_coalgebra(self, memo) if report is None else report)
-        return self._report
+        return _validate(COALGEBRA, self, check_dorroh_pair_coalgebra, memo)
 
     def require_valid(self):
         report = self.validate()

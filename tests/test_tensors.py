@@ -108,6 +108,32 @@ def test_first_difference_is_the_least_differing_prefix(data, width):
     assert first_difference(lhs, rhs, width) == expected
 
 
+def _scanned_difference(lhs, rhs, width):
+    """``first_difference`` as it was: every key of both dicts scanned."""
+    bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key)]
+    return min(bad)[:width] if bad else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["equal", "missing", "value"]), st.integers(0, 4))
+def test_first_difference_matches_the_full_scan(data, kind, width):
+    """Equal dicts, a key missing on one side, and one differing value."""
+    cells = st.tuples(*(st.integers(0, 3) for _ in range(4)))
+    lhs = data.draw(st.dictionaries(cells, st.integers(1, 4), max_size=12))
+    rhs = dict(lhs)
+    if lhs and kind != "equal":
+        key = data.draw(st.sampled_from(sorted(lhs)))
+        if kind == "missing":
+            del rhs[key]
+        else:
+            rhs[key] = lhs[key] % 4 + 1
+    if data.draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    expected = _scanned_difference(lhs, rhs, width)
+    assert (expected is None) == (lhs == rhs)
+    assert first_difference(lhs, rhs, width) == expected
+
+
 def _dense_place(dims, field, parts):
     """Reference: every cell of every part's box written to its placed cell."""
     out = {}
