@@ -262,8 +262,8 @@ def _scope(memo, seeds=()):
     """The law memo of one check_dorroh_pair_* call or iterated triple: the
     caller's, or a fresh one whose counts are logged when the check returns.
     A fresh memo opens with copies of the decisions of ``seeds``, memos
-    stamped by ``_keep`` (None skipped), their use counts at 0; a law that
-    one of them decided counts as copied, not decided."""
+    recorded by ``_validate`` (None skipped), their use counts at 0; a law
+    that one of them decided counts as copied, not decided."""
     if memo is not None:
         yield memo
         return
@@ -301,16 +301,6 @@ def _shape(box, out, spec) -> tuple:
         for slot, letters in enumerate(spec.split(","), 1)
     ]
     return tuple(sorted(factors))
-
-
-def _passed(*laws) -> Report:
-    """The report of ``check_laws`` on tensors known to satisfy every law
-    of ``laws``: each law's name, in table order, as a pass."""
-    report = Report()
-    for table in laws:
-        for name, *_ in table:
-            report.add(name, True)
-    return report
 
 
 # Roles: ``mul`` of the algebra acting by ``left`` (a,x,y) and ``right``
@@ -391,9 +381,7 @@ class BimoduleAction:
         self.carrier_dim = carrier_dim
         self.left = left
         self.right = right
-        self._validated = None  # see _keep
-        self._unit_law = None  # see _unit_law
-        self._laid = None  # see _build
+        self._known = None  # see _known
 
     def validate(self, memo=None) -> Report:
         """Bimodule axioms over all basis triples."""
@@ -414,7 +402,6 @@ class DorrohPairAlgebra:
         self.A = A
         self.I = I
         self.action = action
-        self._report = None
 
     @property
     def field(self):
@@ -447,39 +434,55 @@ def check_dorroh_pair_algebra(pair: DorrohPairAlgebra, memo=None) -> Report:
         return check_laws(pair.action.validate(memo), pair.field, PAIR_LAWS.algebra, tensors, memo=memo)
 
 
+class _Known:
+    """Everything decided about the pair of ``acting`` and ``carrier`` under
+    one action: its report and the law memo it was decided in (None for a
+    report derived from its parts), the unit law of the acting structure's
+    (co)unit (None while undecided) and the extension's laid-out tensor.
+    It holds the tensor, never the extension, which records its pair and
+    would close a reference cycle through the action."""
+
+    __slots__ = ("acting", "carrier", "report", "memo", "unit_law", "laid")
+
+    def __init__(self, acting, carrier):
+        self.acting, self.carrier = acting, carrier
+        self.report = self.memo = self.unit_law = self.laid = None
+
+
+def _known(conv: Convention, pair) -> _Known:
+    """The record on pair's action, replaced by an empty one unless it was
+    made with pair's acting and carrier objects.  So every pair of the same
+    three objects shares one record: the pair (A1, A2) of the canonical
+    triple (A, I, I) takes a validated pair's report unchecked."""
+    acting, carrier = conv.parts_of(pair)[:2]
+    action = getattr(pair, conv.action)
+    known = action._known
+    if known is None or known.acting is not acting or known.carrier is not carrier:
+        known = action._known = _Known(acting, carrier)
+    return known
+
+
 def _validate(conv: Convention, pair, check, memo) -> Report:
-    """pair's report: the one stamped on its action by a pair of the same
-    objects (``_stamped``), or else ``check``'s, decided in ``memo`` or in
-    a scope of its own, and kept with that memo (``_keep``)."""
-    if pair._report is None:
-        stamp = _stamped(conv, pair)
-        if stamp is None:
-            with _scope(memo) as memo:
-                stamp = check(pair, memo), memo
-        _keep(conv, pair, *stamp)
-    return pair._report
+    """pair's report: its record's, or else ``check``'s, decided in ``memo``
+    or in a scope of its own and recorded with that memo."""
+    known = _known(conv, pair)
+    if known.report is None:
+        with _scope(memo) as memo:
+            known.report, known.memo = check(pair, memo), memo
+    return known.report
 
 
-def _keep(conv: Convention, pair, report: Report, memo=None) -> Report:
-    """Set pair's report and stamp it on the pair's action object, with the
-    A and I objects it holds for and the law memo it was decided in (None
-    for a report no law decided), where ``_stamped`` finds them."""
-    (_, acting), (_, carrier) = conv.parts
-    pair._report = report
-    getattr(pair, conv.action)._validated = (getattr(pair, acting), getattr(pair, carrier), report, memo)
-    return report
-
-
-def _stamped(conv: Convention, pair) -> tuple | None:
-    """The (report, memo) stamped on pair's action by a pair of the same A
-    and I objects, or None.  The pair (A1, A2) of an iterated triple built
-    from a validated pair's parts takes the report instead of checking the
-    pair again, and the triple's scope opens with the memo's decisions."""
-    (_, acting), (_, carrier) = conv.parts
-    stamp = getattr(pair, conv.action)._validated
-    if stamp is not None and stamp[0] is getattr(pair, acting) and stamp[1] is getattr(pair, carrier):
-        return stamp[2:]
-    return None
+def _derived(conv: Convention, pair, unit_law) -> Report:
+    """Record on pair's action the report of a pair its parts prove valid,
+    as ``check_dorroh_pair_*`` gives it (each law's name, in table order,
+    as a pass), and the unit law the parts decide (None: undecided)."""
+    known = _known(conv, pair)
+    known.report = Report()
+    for table in (ACTION_LAWS, PAIR_LAWS):
+        for name, *_ in getattr(table, conv.name):
+            known.report.add(name, True)
+    known.unit_law = unit_law
+    return known.report
 
 
 def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
@@ -495,33 +498,28 @@ def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
 
 def _build(conv: Convention, pair):
     """The extension of a valid pair.  Its tensor is laid out once per
-    action and pair of acting and carrier objects and stamped on the
-    action (``_laid``), so every build of the same parts shares it.  The
-    stamp holds the tensor, never the extension, which records its pair
-    and would close a reference cycle through the action."""
+    record (``_known``), so every build of the same parts shares it."""
     pair.require_valid()
     acting, carrier, left, right = conv.parts_of(pair)
     na = acting.dim
     n = na + carrier.dim
     field = pair.field
-    action = getattr(pair, conv.action)
-    laid = action._laid
-    if laid is None or laid[0] is not acting or laid[1] is not carrier:
-        laid = action._laid = (acting, carrier, place(
+    known = _known(conv, pair)
+    if known.laid is None:
+        known.laid = place(
             (n, n, n), field,
             (getattr(acting, conv.tensor), (0, 0, 0)),
             (left, conv.lay((0, na, na))),
             (right, conv.lay((na, 0, na))),
             (getattr(carrier, conv.tensor), (na, na, na)),
-        ))
-    tensor = laid[2]
+        )
 
     labels = None
     if acting.labels is not None and carrier.labels is not None:
         labels = list(acting.labels) + list(carrier.labels)
 
-    built = conv.structure(n, tensor, field, labels=labels)
-    built._built_from = (pair, tensor)  # see _split
+    built = conv.structure(n, known.laid, field, labels=labels)
+    built._built_from = pair  # see _split
     unit = getattr(acting, conv.find_unit)()
     if unit is not None and _unit_law(conv, pair, unit):
         setattr(built, "_" + conv.unit, unit + [0] * carrier.dim)
@@ -530,20 +528,17 @@ def _build(conv: Convention, pair):
 
 def _unit_law(conv: Convention, pair, unit) -> bool:
     """Whether ``unit``, the (co)unit of pair's acting structure, acts as
-    the identity on the carrier through pair's action.  The law reads only
-    the action and its acting structure, so it is decided once per action
-    and acting object and stamped on the action beside its report.  For
-    the regular action (both tensors the acting structure's own, and
-    ``unit`` its found (co)unit) the law is the definition of the (co)unit,
-    so it holds without a transport; it reads no carrier tensor."""
+    the identity on the carrier through pair's action, decided once per
+    record (``_known``).  For the regular action (both tensors the acting
+    structure's own, and ``unit`` its found (co)unit) the law is the
+    definition of the (co)unit, so it holds without a transport."""
     acting, carrier, left, right = conv.parts_of(pair)
-    action = getattr(pair, conv.action)
-    stamp = action._unit_law
-    if stamp is None or stamp[0] is not acting:
+    known = _known(conv, pair)
+    if known.unit_law is None:
         own = getattr(acting, conv.tensor)
         regular = left is own and right is own and unit is getattr(acting, "_" + conv.unit)
-        stamp = action._unit_law = (acting, regular or _acts_as_identity(left, right, unit, carrier.dim, conv.order))
-    return stamp[1]
+        known.unit_law = regular or _acts_as_identity(left, right, unit, carrier.dim, conv.order)
+    return known.unit_law
 
 
 def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
@@ -552,11 +547,11 @@ def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     verified isomorphism from its extension onto B.
 
     When S is the identity and B was built from a valid pair whose acting
-    structure has dimension ``na``, T is the tensor that pair's blocks were
-    laid into, so the blocks read back are that pair's tensors entry for
-    entry: the recovered pair takes its report, the acting structure its
-    (co)unit and the action its unit-law decision.  Any other split, and
-    any B not built here, is validated in full.
+    structure has dimension ``na``, T is B's tensor, the one that pair's
+    blocks were laid into, so the blocks read back are that pair's tensors
+    entry for entry: the recovered pair is valid, the acting structure
+    takes the pair's (co)unit and the action its unit-law decision.  Any
+    other split, and any B not built here, is validated in full.
     """
     field, n = B.field, B.dim
     acting = conv.structure(na, T.block((0, 0, 0), (na, na, na)), field)
@@ -566,15 +561,13 @@ def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     action = conv.action_type(acting, n - na, left, right)
     pair = conv.pair(acting, carrier, action)
 
-    source, placed = B._built_from or (None, None)
-    derived = T is placed and conv.parts_of(source)[0].dim == na
+    source = B._built_from
+    derived = source is not None and T is getattr(B, conv.tensor) and conv.parts_of(source)[0].dim == na
     _log.debug("split derived=%d", derived)
     if derived:
         unit = getattr(conv.parts_of(source)[0], "_" + conv.unit)  # found by the build of B
         setattr(acting, "_" + conv.unit, unit)
-        if unit is not None:
-            action._unit_law = (acting, _unit_law(conv, source, unit))
-        _keep(conv, pair, source._report)
+        _derived(conv, pair, None if unit is None else _unit_law(conv, source, unit))
     pair.require_valid()
 
     iso = conv.morphism(build(pair), B, S)
@@ -702,9 +695,8 @@ def _zero_action_pair(conv: Convention, A, B):
         SparseTensor3.zero(conv.lay((A.dim, B.dim, B.dim)), field),
         SparseTensor3.zero(conv.lay((B.dim, A.dim, B.dim)), field),
     )
-    action._unit_law = (A, B.dim == 0)
     pair = conv.pair(A, B, action)
-    _keep(conv, pair, _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name)))
+    _derived(conv, pair, B.dim == 0)
     return pair
 
 
@@ -882,16 +874,17 @@ def check_iterated_algebra_triple(
 
     The pairs (A1, A2), (A1, A3) and (A2, A3) are validated and the six
     mixed laws checked.  A pair of the same A, I and action objects as a
-    pair already validated takes its report (``_keep``): (A1, A2) of a
-    validated pair, and (A1, A3) when A3 is A2 with the same action.  The
-    laws of (A1, A3), (A2, A3) and the mixed laws share one memo, which
-    opens with the decisions stamped with (A1, A2) and (A1, A3), so each
-    distinct identity among them is decided once; on the canonical triple
-    (A, I, I) of a validated pair the mixed laws are the pair's own, and
-    only I's associativity is decided.  The two bracketings are
-    reached only when all of these pass, and block by block each
-    bracketing identity is one of them (the associativity of iterated
-    Dorroh extensions), so both bracketed pairs carry the all-pass report.
+    pair already validated takes its report from the action's record
+    (``_known``): (A1, A2) of a validated pair, and (A1, A3) when A3 is A2
+    with the same action.  The laws of (A1, A3), (A2, A3) and the mixed
+    laws share one memo, which opens with the decisions recorded with
+    (A1, A2) and (A1, A3), so each distinct identity among them is decided
+    once; on the canonical triple (A, I, I) of a validated pair the mixed
+    laws are the pair's own, and only I's associativity is decided.  The
+    two bracketings are reached only when all of these pass, and block by
+    block each bracketing identity is one of them (the associativity of
+    iterated Dorroh extensions), so both bracketed pairs carry the
+    all-pass report and the unit laws of (A1, A2) and (A1, A3) (``_derived``).
     The associator is still verified by structure-constant equality.
     """
     return _iterated_triple(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, a1, a2, a3, act12, act13, act23)
@@ -907,12 +900,11 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     a = conv.parts[0][1]
 
     # One law memo for (A1, A3), (A2, A3) and the mixed laws, opened with
-    # the decisions stamped with (A1, A2) and (A1, A3).  With A3 = A2 acting
+    # the decisions recorded with (A1, A2) and (A1, A3).  With A3 = A2 acting
     # on itself, (A2, A3) is six renamings of A2's associativity and the six
     # mixed laws are (A1, A2)'s three pair laws renamed, each written twice.
     pair13 = conv.pair(a1, a3, act13)
-    seeds = [stamp[1] for stamp in (_stamped(conv, pair12), _stamped(conv, pair13)) if stamp]
-    with _scope(None, seeds) as memo:
+    with _scope(None, [_known(conv, pair12).memo, _known(conv, pair13).memo]) as memo:
         report = Report()
         report.merge(pair13.validate(memo), prefix=f"{a}1{a}3:")
         report.merge(pair23.validate(memo), prefix=f"{a}2{a}3:")
@@ -950,14 +942,14 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     # and acts on A3 through A1 alone: both unit laws are (A1, A2)'s and
     # (A1, A3)'s.  The build of (A1, A2) found u_1.
     unit = getattr(a1, "_" + conv.unit)
+    on_a2 = on_a3 = None
     if unit is not None:
         on_a2, on_a3 = _unit_law(conv, pair12, unit), _unit_law(conv, pair13, unit)
-        act_1_23._unit_law = (a1, on_a2 and on_a3)
-        if on_a2:
-            act_12_3._unit_law = (b12, on_a3)
-    for prefix, pair in (("left-bracketing:", pair_left), ("right-bracketing:", pair_right)):
-        passed = _passed(getattr(ACTION_LAWS, conv.name), getattr(PAIR_LAWS, conv.name))
-        report.merge(_keep(conv, pair, passed), prefix=prefix)
+    for prefix, pair, unit_law in (
+        ("left-bracketing:", pair_left, on_a3 if on_a2 else None),
+        ("right-bracketing:", pair_right, on_a2 and on_a3),
+    ):
+        report.merge(_derived(conv, pair, unit_law), prefix=prefix)
 
     associator = conv.morphism(build(pair_left), build(pair_right), Matrix.identity(n1 + n2 + n3, field))
     report.merge(verify(associator, iso=True), prefix=f"{conv.co}associator:")

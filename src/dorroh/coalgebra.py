@@ -123,9 +123,7 @@ class BicomoduleCoaction:
         self.carrier_dim = carrier_dim
         self.rho_l = rho_l
         self.rho_r = rho_r
-        self._validated = None  # see algebra._keep
-        self._unit_law = None  # see algebra._unit_law
-        self._laid = None  # see algebra._build
+        self._known = None  # see algebra._known
 
     def validate(self, memo=None) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
@@ -146,7 +144,6 @@ class DorrohPairCoalgebra:
         self.C = C
         self.P = P
         self.coaction = coaction
-        self._report = None
 
     @property
     def field(self):

@@ -22,15 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    ACTION_LAWS,
     ALGEBRA,
-    PAIR_LAWS,
     Algebra,
     AlgebraMorphism,
     DorrohPairAlgebra,
     ModuleOverAlgebra,
-    _keep,
-    _passed,
+    _derived,
     _unit_law,
     build_dorroh_algebra,
     verify_algebra_morphism,
@@ -112,11 +109,9 @@ def _dualize_pair(src, dst, pair, build, build_dual, verify):
     turn = _turn(src, dst)
     a_dual, i_dual = _dual(src, dst, acting), _dual(src, dst, carrier)
     action = dst.action_type(a_dual, carrier.dim, rotate(left, turn), rotate(right, turn))
-    unit = getattr(a_dual, "_" + dst.unit)  # acting's, taken by its dual
-    if unit is not None:
-        action._unit_law = (a_dual, _unit_law(src, pair, unit))
     dual = dst.pair(a_dual, i_dual, action)
-    _keep(dst, dual, _passed(getattr(ACTION_LAWS, dst.name), getattr(PAIR_LAWS, dst.name)))
+    unit = getattr(a_dual, "_" + dst.unit)  # acting's, taken by its dual
+    _derived(dst, dual, None if unit is None else _unit_law(src, pair, unit))
 
     identity = Matrix.identity(acting.dim + carrier.dim, pair.field)
     forward = dst.morphism(_dual(src, dst, build(pair)), build_dual(dual), identity)

@@ -1,21 +1,26 @@
 """A pair's decisions travel with the pair.
 
-``_keep`` stamps on a pair's action, beside its report, the law memo the
-report was decided in.  An iterated triple opens its memo with copies of
-the decisions stamped with (A1, A2) and (A1, A3), so on the canonical
-triple (A, I, I) of a validated pair only the associativity of I is
-decided.  ``_build`` lays an extension's tensor out once per action and
-pair of acting and carrier objects, and ``_unit_law`` takes the unit law
-of a regular action from the (co)unit itself.
+Each action holds one record (``algebra._known``) of what is decided about
+the pair of its acting and carrier objects: the report, the law memo it
+was decided in, the unit law and the laid-out extension tensor.  A pair
+of other acting or carrier objects replaces the record and decides
+again.  An iterated triple opens its memo with copies of the decisions
+recorded with (A1, A2) and (A1, A3), so on the canonical triple (A, I, I)
+of a validated pair only the associativity of I is decided.  ``_build``
+lays an extension's tensor out once per record, and ``_unit_law`` takes
+the unit law of a regular action from the (co)unit itself.
 
-The references are law by law on fresh copies (``reference_triple`` of
-``test_derived_reports``) and ``_acts_as_identity``, on both sides over
-Q, GF(3) and GF(5).  The last test guards the stamps against reference
-cycles, which would leave a whole pipeline's objects to the collector.
+The references are law by law on fresh copies (``reference_triple`` and
+``reference_check`` of ``test_derived_reports``), the reference layout of
+the extension and ``_acts_as_identity``, on both sides over Q, GF(3) and
+GF(5).  The last test guards the records against reference cycles, which
+would leave a whole pipeline's objects to the collector.
 """
 
 import gc
 import random
+
+import pytest
 
 from dorroh import algebra, coalgebra, exchange
 from dorroh.algebra import _acts_as_identity, _unit_law, split_algebra_extension, unital_ideal_iso
@@ -28,7 +33,7 @@ from dorroh.gallery import standard_algebra_pairs, standard_coalgebra_pairs
 from dorroh.tensors import SparseTensor3
 
 from support import random_algebra_pair, random_coalgebra_pair
-from test_derived_reports import ALGEBRA, COALGEBRA, _bent, _checks, _tangled, reference_triple
+from test_derived_reports import ALGEBRA, COALGEBRA, _bent, _checks, _tangled, reference_check, reference_triple
 
 FIELDS = (QQ, GF(3), GF(5))
 SEED = 18
@@ -244,6 +249,68 @@ def test_builds_of_the_same_parts_share_one_tensor(monkeypatch):
             _canonical_triple(pair)
             monkeypatch.undo()
             assert len(shared) >= 2 and all(t is tensor for t in shared), len(shared)
+
+
+def _fresh_pair(side, pair):
+    """pair on new structure, action and tensor objects: no record, no cached unit."""
+    conv = side["conv"]
+    acting, carrier, left, right = conv.parts_of(pair)
+    a, i = (side["structure"](s.dim, _copy(_own(side, s)), s.field) for s in (acting, carrier))
+    return conv.pair(a, i, side["make"](a, carrier.dim, _copy(left), _copy(right)))
+
+
+def _sharing(side, pair):
+    """Two pairs on pair's action object: with the same acting structure and
+    equal but distinct carriers, then with equal but distinct acting
+    structures and the same carrier.  Each twin shares its original's
+    tensor, so every law key would match."""
+    conv = side["conv"]
+    a, i = conv.parts_of(pair)[:2]
+    act = getattr(pair, conv.action)
+
+    def twin(s):
+        return side["structure"](s.dim, _own(side, s), s.field)
+
+    return [(conv.pair(a, i, act), conv.pair(a, twin(i), act)), (conv.pair(a, i, act), conv.pair(twin(a), i, act))]
+
+
+def test_an_action_shared_by_two_pairs_decides_anew_at_each_switch():
+    """The record on an action holds for one acting and one carrier object.
+    Two pairs sharing the action, used in alternation over three rounds,
+    each replace it: every report, layout and unit law is the one a fresh
+    copy finds, and the record is the current pair's throughout its turn."""
+    rng = random.Random(SEED + 2)
+    laws, invalid = {True: 0, False: 0}, 0
+    for field in (QQ, GF(5)):
+        for pair in _parsed_pairs(field):
+            side = _side(pair)
+            conv = side["conv"]
+            a, i, left, right = conv.parts_of(pair)
+            bent = conv.pair(a, i, side["make"](a, i.dim, _bent(left, rng), right))
+            for pairs in _sharing(side, pair) + _sharing(side, bent):
+                act = getattr(pairs[0], conv.action)
+                for _ in range(3):
+                    for p in pairs:
+                        acting, carrier, left, right = conv.parts_of(p)
+                        fresh = _fresh_pair(side, p)
+                        expected = reference_check(side, fresh)
+                        assert _checks(p.validate()) == _checks(expected)
+                        known = act._known
+                        assert known.acting is acting and known.carrier is carrier
+                        if expected.ok:
+                            built = side["build"](p)
+                            assert _own(side, built) == _own(side, side["extension"](fresh))
+                        else:
+                            with pytest.raises(ValidationFailure):
+                                side["build"](p)
+                            invalid += 1
+                        unit = getattr(acting, conv.find_unit)()
+                        if unit is not None:
+                            law = _unit_law(conv, p, unit)
+                            assert law == _acts_as_identity(left, right, unit, carrier.dim, conv.order)
+                            laws[law] += 1
+                        assert act._known is known
+    assert laws[True] >= 300 and laws[False] >= 300 and invalid >= 300, (laws, invalid)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ The reference below keeps the full computation: it lays both bracketings
 out with ``place`` and checks every pair law by law, each with its own
 ``first_witness`` call, so it also stands for the law memo of
 ``check_laws`` (one decision per distinct identity in a check) and for the
-pair reports that ``_keep`` stamps on an action.  The inputs are the
+pair reports recorded on an action (``algebra._known``).  The inputs are the
 triples of the golden block corpus (regular, zero and scalar actions) and
 (A, I, I) triples of seeded random pairs, with I the pair's own or a
 random non-(co)associative structure of its dimension, acting on itself,

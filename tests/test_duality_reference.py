@@ -21,15 +21,13 @@ import pytest
 
 from dorroh import duality, exchange, gallery
 from dorroh.algebra import (
-    ACTION_LAWS,
     ALGEBRA,
-    PAIR_LAWS,
     Algebra,
     AlgebraMorphism,
     BimoduleAction,
     DorrohPairAlgebra,
     ModuleOverAlgebra,
-    _passed,
+    _derived,
     build_dorroh_algebra,
     regular_bimodule,
     verify_algebra_morphism,
@@ -111,7 +109,7 @@ def dualize_algebra_pair(pair: DorrohPairAlgebra):
     rho_l = rotate(pair.action.left, TO_COALGEBRA)
     rho_r = rotate(pair.action.right, TO_COALGEBRA)
     copair = DorrohPairCoalgebra(c_dual, p_dual, BicomoduleCoaction(c_dual, ni, rho_l, rho_r))
-    copair._report = _passed(ACTION_LAWS.coalgebra, PAIR_LAWS.coalgebra)
+    _derived(COALGEBRA, copair, None)
 
     source = dual_coalgebra_of_algebra(build_dorroh_algebra(pair))
     target = build_dorroh_coalgebra(copair)
@@ -138,7 +136,7 @@ def dualize_coalgebra_pair(pair: DorrohPairCoalgebra):
     left = rotate(pair.coaction.rho_l, TO_ALGEBRA)
     right = rotate(pair.coaction.rho_r, TO_ALGEBRA)
     apair = DorrohPairAlgebra(a_dual, i_dual, BimoduleAction(a_dual, np_, left, right))
-    apair._report = _passed(ACTION_LAWS.algebra, PAIR_LAWS.algebra)
+    _derived(ALGEBRA, apair, None)
 
     source = build_dorroh_algebra(apair)
     target = dual_algebra_of_coalgebra(build_dorroh_coalgebra(pair))

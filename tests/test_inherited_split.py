@@ -143,11 +143,11 @@ def test_block_split_of_a_built_extension_reports_what_the_reference_finds():
         acting, carrier, left, right = conv.parts_of(recovered)
         assert _unit(acting) == _solved(conv.structure(acting.dim, getattr(acting, conv.tensor), pair.field))
         # the inherited unit-law decision is the law on the recovered tensors
-        stamp = getattr(recovered, conv.action)._unit_law
+        known = getattr(recovered, conv.action)._known
         if _unit(acting) is not None:
-            assert stamp[0] is acting
-            assert stamp[1] == _acts_as_identity(left, right, _unit(acting), carrier.dim, conv.order)
-            derived_units += stamp[1]
+            assert known.acting is acting and known.carrier is carrier
+            assert known.unit_law == _acts_as_identity(left, right, _unit(acting), carrier.dim, conv.order)
+            derived_units += known.unit_law
         # the split's own build takes the unit the recovered parts carry
         assert _unit(iso.source) == _solved(iso.source)
     assert derived_units >= 40, derived_units
@@ -250,12 +250,13 @@ def _law_holds(conv, pair):
 
 
 def _stamp_is_the_law(conv, pair):
-    """The unit-law decision stamped on pair's action, if any, is the law."""
-    stamp = getattr(pair, conv.action)._unit_law
-    acting = conv.parts_of(pair)[0]
-    if stamp is None or stamp[0] is not acting:
+    """The unit-law decision recorded on pair's action for its acting and
+    carrier objects, if any, is the law."""
+    known = getattr(pair, conv.action)._known
+    acting, carrier = conv.parts_of(pair)[:2]
+    if known is None or known.acting is not acting or known.carrier is not carrier or known.unit_law is None:
         return True
-    return _unit(acting) is None or stamp[1] == _law_holds(conv, pair)
+    return _unit(acting) is None or known.unit_law == _law_holds(conv, pair)
 
 
 def _one_sided_triples(field):
@@ -289,10 +290,10 @@ def test_triples_duals_and_products_take_the_unit_law_their_parts_decide():
             assert (side, algs, acts) not in one_sided
             continue
         for built in (associator.source, associator.target):
-            bracketed = built._built_from[0]
+            bracketed = built._built_from
             assert _stamp_is_the_law(conv, bracketed)
             assert _unit(built) == _solved(built)
-            bracketings += getattr(bracketed, conv.action)._unit_law is not None
+            bracketings += getattr(bracketed, conv.action)._known.unit_law is not None
     assert bracketings >= 60, bracketings
     for pair in VALID_PAIRS:
         side = _side(pair)

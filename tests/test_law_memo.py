@@ -4,7 +4,7 @@ verified without arithmetic.
 ``check_laws`` keys each law by its canonical form (``algebra._law_key``)
 and decides each key once per memo scope: one ``check_dorroh_pair_*`` call
 or one iterated triple.  A pair of the same A, I and action objects as a
-validated pair takes the report stamped on its action (``algebra._keep``).
+validated pair takes the report recorded on its action (``algebra._known``).
 A morphism whose matrix is the identity is verified by comparing the two
 structure tensors entry by entry, and is invertible without an
 elimination.  The tests pin the work these save and check the results
@@ -146,20 +146,6 @@ def test_laws_sharing_a_memo_key_share_their_first_witness(data):
 
 # ---------------------------------------------------------------------------
 # work counts
-
-
-def test_canonical_triple_on_a_validated_pair_runs_four_contractions(monkeypatch):
-    """pair12 takes the input pair's stamped report, (A1, A3) is the same
-    pair, (A2, A3) is the associativity of I six times over and the six
-    mixed laws are three identities: four contractions, not eighteen."""
-    calls = _counter(monkeypatch, algebra, "first_witness")
-    for field in (QQ, GF(5)):
-        for pair in _parsed_pairs(field):
-            assert pair.validate().ok
-            del calls[:]
-            report, associator = _canonical_triple(pair)
-            assert report.ok and associator.verified == "iso"
-            assert len(calls) <= 4, (pair, len(calls))
 
 
 def test_a2a3_decides_one_law(monkeypatch):
