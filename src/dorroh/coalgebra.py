@@ -246,7 +246,7 @@ def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
     data = Matrix.identity(n, field).data
     # sum p_(-1) eps_P(p_(0)) at (x, c, 0)
     for (x, c, _), v in transport(pair.coaction.rho_l, (None, None, [eps_p])).entries.items():
-        data[c][nc + x] = -v
+        data[c][nc + x] = -v  # not canonical over F_p: Matrix canonicalises it
     zeta = CoalgebraMorphism(source, target, Matrix(n, n, data, field))
     report = verify_coalgebra_morphism(zeta, iso=True)
     if not report.ok:

@@ -112,15 +112,20 @@ class _Reader:
         memo = self.memo
         entries = {}
         for idx, row in enumerate(obj):
-            # an entry of known-good shape whose scalar string was read before
+            # an entry of known-good shape at a new key: its scalar is read
+            # here, in the order ``_entry`` checks it, and only a zero, a
+            # duplicate or a bad shape falls through to ``_entry``
             if type(row) is list and len(row) == 4:
                 i, j, k, s = row
                 if type(i) is int and type(j) is int and type(k) is int and 0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2:
                     key = (i, j, k)
-                    v = memo.get(s) if type(s) is str else None
-                    if v and key not in entries:
-                        entries[key] = v
-                        continue
+                    if key not in entries:
+                        v = memo.get(s) if type(s) is str else None
+                        if v is None:
+                            v = self.scalar(s, path, idx)
+                        if v:
+                            entries[key] = v
+                            continue
             key, v = self._entry(row, dims, entries, path, idx)
             entries[key] = v
         return SparseTensor3._canonical(dims, entries, self.field)

@@ -237,10 +237,12 @@ def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
     """The sequence with f's recurrence and the values vals over n = lo, lo+1, ...
 
     Its values up to x^L, L = len(f.initial), define it; the rest of vals
-    are its next values already and become its memo."""
+    are its next values already and become its memo.  f passed the size
+    caps and vals are canonical, so nothing is checked or canonicalised."""
     L = len(f.initial)
-    h = RecurrentSequence(f.field, vals[0] if lo == 0 else None, vals[1 - lo : L + 1 - lo], f.coeffs)
-    h._vals = vals[1 - lo :]
+    h = RecurrentSequence.__new__(RecurrentSequence)
+    h.field, h.s0, h.coeffs = f.field, vals[0] if lo == 0 else None, list(f.coeffs)
+    h.initial, h._vals = vals[1 - lo : L + 1 - lo], vals[1 - lo :]
     return h
 
 
@@ -458,8 +460,9 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
-    # phi_I has f's order, so a default depth is the same for both
-    dec = coproduct_decompose(RecurrentSequence(f.field, None, f.initial, f.coeffs), depth)
+    # phi_I has f's initial values and recurrence: it takes the values f
+    # has computed so far, and f's default depth
+    dec = coproduct_decompose(_sequence(f, f._vals, 1), depth)
     _log.debug("dorroh_decompose rank=%d depth=%d", dec.rank, _depth(f, depth))
     report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
     return report.add("blockwise coproduct assembly matches m*(f)", True)

@@ -30,11 +30,18 @@ class Matrix:
         self.field = field
 
     @classmethod
+    def _canonical(cls, rows: int, cols: int, data, field: FieldSpec) -> "Matrix":
+        """A matrix from a rows x cols list of rows already canonical over field."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data, m.field = rows, cols, data, field
+        return m
+
+    @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "Matrix":
         """The n x n identity; InputError when n is past MAX_DENSE_DIM."""
         if n > MAX_DENSE_DIM:
             raise InputError(f"dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}")
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
+        return cls._canonical(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "Matrix":
@@ -126,8 +133,23 @@ def _rref(rows, width, field):
     return pivots
 
 
+def _invertible(M: Matrix) -> bool:
+    """M is square and invertible.  A triangular matrix (the identity, the
+    unitriangular isos A|xI -> A x I and C|xP -> C x P) is invertible
+    exactly when its diagonal has no zero; any other goes through
+    elimination.  Entries are canonical, so 0 is falsy."""
+    if M.rows != M.cols:
+        return False
+    rows = M.data
+    below = any(any(row[:i]) for i, row in enumerate(rows))
+    if not below or not any(any(row[i + 1 :]) for i, row in enumerate(rows)):
+        return all(row[i] for i, row in enumerate(rows))
+    return invert(M) is not None
+
+
 def invert(A: Matrix) -> Matrix | None:
-    """The two-sided inverse, or None when A is singular."""
+    """The two-sided inverse, or None when A is singular.  Elimination
+    canonicalises every entry it writes, so the inverse is built as is."""
     if A.rows != A.cols:
         raise InputError("only square matrices can be inverted")
     n = A.rows
@@ -136,4 +158,4 @@ def invert(A: Matrix) -> Matrix | None:
     pivots = _rref(aug, n, field)
     if len(pivots) < n:
         return None
-    return Matrix(n, n, [row[n:] for row in aug], field)
+    return Matrix._canonical(n, n, [row[n:] for row in aug], field)

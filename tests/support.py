@@ -5,6 +5,8 @@ The library carries every action through sparse tensors; ``act_left`` and
 independent reference for the tests that check a law on single elements,
 and ``basis`` gives the coordinates of one basis vector.
 ``solve_linear`` solves a dense system by the library's elimination.
+``reference_unit_on`` decides a (co)unit law by a transport round trip
+against a dense identity, the reference for ``algebra._unit_on``.
 ``random_algebra_pair`` and ``random_coalgebra_pair`` draw valid pairs
 from the gallery's constructions, never by rejection-sampling raw
 tensors: raw random tensors essentially never satisfy the pair axioms.
@@ -43,7 +45,7 @@ from dorroh.gallery import (
     truncated_polynomials,
 )
 from dorroh.linalg import Matrix, _rref
-from dorroh.tensors import SparseTensor3
+from dorroh.tensors import SparseTensor3, transport
 
 
 def act_left(action, a_vec, x_vec):
@@ -85,6 +87,13 @@ def identity_morphism(a) -> AlgebraMorphism:
 
 def identity_comorphism(c) -> CoalgebraMorphism:
     return CoalgebraMorphism(c, c, Matrix.identity(c.dim, c.field))
+
+
+def reference_unit_on(T, leg, u, n) -> bool:
+    """Contracting ``leg`` of T with u leaves the identity: 1 at each (x, x), 0 at ``leg``."""
+    legs = [[u] if t == leg else None for t in range(3)]
+    identity = dict.fromkeys(zip(*[[0] * n if t == leg else range(n) for t in range(3)]), 1)
+    return transport(T, legs).entries == identity
 
 
 def solve_linear(A: Matrix, b) -> list | None:
