@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import InputError, PreconditionError, ValidationFailure
 from .fields import FieldSpec
-from .linalg import Matrix, _invertible, invert, is_identity
+from .linalg import Matrix, _invertible, _rref, invert, is_identity
 from .reports import Report
 from .tensors import (
     TO_COALGEBRA,
@@ -107,7 +107,8 @@ def _two_sided_unit(mul: SparseTensor3):
     rows with a stored coefficient or right-hand side 1 can constrain u,
     and a row with right-hand side 1 but no coefficient makes the system
     inconsistent.  Two two-sided units u, u' agree (u = uu' = u'), so when
-    a solution exists it is the only one, whatever order eliminates it.
+    a solution exists it is the only one, whatever order ``_rref``
+    eliminates it in.
     """
     n = mul.dims[0]
     if n == 0:
@@ -116,44 +117,17 @@ def _two_sided_unit(mul: SparseTensor3):
     for (i, j, m), c in mul.entries.items():
         rows.setdefault((0, j, m), {})[i] = c
         rows.setdefault((1, i, m), {})[j] = c
-    if any((side, j, j) not in rows for side in (0, 1) for j in range(n)):
-        return None
-    canon, inv = mul.field.canon, mul.field.inv
-
-    def subtract(row, rhs, f, prow, prhs):
-        for c, v in prow.items():
-            row[c] = canon(row.get(c, 0) - f * v)
-        return canon(rhs - f * prhs)
-
-    # Gauss-Jordan on sparse rows: pivot column -> (rest of the row, rhs),
-    # scaled to 1 at the pivot, with 0 at every other pivot column.
-    pivots = {}
-    for (_, j, m), row in rows.items():
-        row, rhs = dict(row), int(j == m)
-        for col in [c for c in row if c in pivots]:
-            rhs = subtract(row, rhs, row.pop(col), *pivots[col])
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            if rhs:
+    # the right-hand sides 1 sit in column n, past the unknowns
+    for side in (0, 1):
+        for j in range(n):
+            row = rows.get((side, j, j))
+            if row is None:
                 return None
-            continue
-        col = min(row)
-        scale = inv(row.pop(col))
-        row, rhs = {c: canon(v * scale) for c, v in row.items()}, canon(rhs * scale)
-        for other, (orow, orhs) in pivots.items():
-            if col in orow:
-                pivots[other] = (orow, subtract(orow, orhs, orow.pop(col), row, rhs))
-        pivots[col] = (row, rhs)
-        if len(pivots) == n:
-            break
-    else:
+            row[n] = 1
+    pivots = _rref(rows.values(), n, mul.field)
+    if pivots is None or len(pivots) < n:
         return None
-    # Full rank fixes u; the rows not eliminated only need checking.
-    u = [pivots[c][1] for c in range(n)]
-    for (_, j, m), row in rows.items():
-        if canon(sum(v * u[i] for i, v in row.items())) != (j == m):
-            return None
-    return u
+    return [pivots[c].get(n, 0) for c in range(n)]
 
 
 def _acts_as_identity(left, right, u, n, order=(0, 1, 2)) -> bool:
@@ -614,9 +588,6 @@ class Morphism:
         self.matrix = matrix
         self.verified = verified
 
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
     def inverse(self):
         inv = invert(self.matrix)
         if inv is None:
@@ -642,8 +613,8 @@ def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:
     M = F.matrix
     lhs, rhs = F.source.mul, F.target.mul
     if not is_identity(M):
-        lhs = transport(lhs, (None, None, M.data))
-        Mt = M.columns()  # the rows of M^T
+        lhs = transport(lhs, (None, None, M))
+        Mt = M.transpose()
         rhs = transport(rhs, (Mt, Mt, None))
     report = Report().add_witness("multiplicative", first_difference(lhs.entries, rhs.entries, 2))
     return _record_verified(F, iso, report)
@@ -677,8 +648,9 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
     field = pair.field
 
     # a.1_I at (a, 0, y) and 1_I.a at (0, a, y)
-    shift = transport(pair.action.left, (None, [one_i], None)).entries
-    right = transport(pair.action.right, ([one_i], None, None))
+    one = Matrix(1, ni, [one_i], field)
+    shift = transport(pair.action.left, (None, one, None)).entries
+    right = transport(pair.action.right, (one, None, None))
     right = place((na, 1, ni), field, (right, (0, 0, 0), (1, 0, 2))).entries
     balance = Report().add_witness("a.1_I=1_I.a", first_difference(shift, right, 1))
     if not balance.ok:
@@ -687,10 +659,10 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
     source = build_dorroh_algebra(pair)
     target = build_dorroh_algebra(direct_product_pair(pair.A, pair.I))
     n = na + ni
-    data = Matrix.identity(n, field).data
-    for (a, _, y), v in shift.items():
-        data[na + y][a] = v  # canonical, as every transported entry
-    eta = AlgebraMorphism(source, target, Matrix._canonical(n, n, data, field))
+    columns = [[(j, 1)] for j in range(n)]  # the identity, and a.1_I below it in column a
+    for (a, _, y), v in sorted(shift.items()):
+        columns[a].append((na + y, v))  # canonical, as every transported entry
+    eta = AlgebraMorphism(source, target, Matrix._canonical(n, n, columns, field))
     report = verify_algebra_morphism(eta, iso=True)
     if not report.ok:
         raise ValidationFailure(report, "unital ideal isomorphism failed verification")
@@ -740,8 +712,8 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
         Sinv = invert(S)
         if Sinv is None:
             raise InputError("bases do not span a direct sum: dependent vectors")
-        St = S.columns()
-        T = transport(B.mul, (St, St, Sinv.data))
+        St = S.transpose()
+        T = transport(B.mul, (St, St, Sinv))
     split = T.entries
 
     closure = Report().add_witness(
@@ -772,8 +744,8 @@ def universal_map_algebra(
     if phi.source != pair.A or f.source != pair.I or phi.target != B or f.target != B:
         raise InputError("phi must map A to B and f must map I to B")
     pair.require_valid()
-    fm = f.matrix.data
-    ft, pt = f.matrix.columns(), phi.matrix.columns()
+    fm = f.matrix
+    ft, pt = fm.transpose(), phi.matrix.transpose()
     conds = Report()
     for name, action, legs in (
         ("f(ax)=phi(a)f(x)", pair.action.left, (pt, ft, None)),
@@ -784,7 +756,8 @@ def universal_map_algebra(
     if not conds.ok:
         raise ValidationFailure(conds, "not a Dorroh homomorphism")
 
-    eta = AlgebraMorphism(build_dorroh_algebra(pair), B, Matrix.from_columns(pt + ft, pair.field))
+    columns = phi.matrix.columns + fm.columns  # (a, x) -> phi(a) + f(x)
+    eta = AlgebraMorphism(build_dorroh_algebra(pair), B, Matrix._canonical(B.dim, len(columns), columns, pair.field))
     report = verify_algebra_morphism(eta)
     if not report.ok:
         raise ValidationFailure(report, "universal map failed verification")

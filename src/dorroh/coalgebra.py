@@ -203,8 +203,8 @@ def verify_coalgebra_morphism(F: CoalgebraMorphism, iso: bool = False) -> Report
     M = F.matrix
     lhs, rhs = F.target.delta, F.source.delta
     if not is_identity(M):
-        lhs = transport(lhs, (M.columns(), None, None))
-        rhs = transport(rhs, (None, M.data, M.data))
+        lhs = transport(lhs, (M.transpose(), None, None))
+        rhs = transport(rhs, (None, M, M))
     report = Report().add_witness("comultiplicative", first_difference(lhs.entries, rhs.entries, 1))
     return _record_verified(F, iso, report)
 
@@ -225,8 +225,9 @@ def counit_balance_check(pair: DorrohPairCoalgebra, eps_p) -> Report:
     if len(eps_p) != pair.P.dim or not _acts_as_identity(dp, dp, eps_p, pair.P.dim, TO_COALGEBRA):
         raise PreconditionError("eps_P is not a counit of P")
     # both sides at (x, c, 0)
-    lhs = transport(pair.coaction.rho_l, (None, None, [eps_p])).entries
-    rhs = transport(pair.coaction.rho_r, (None, [eps_p], None))
+    eps = Matrix(1, pair.P.dim, [eps_p], pair.field)
+    lhs = transport(pair.coaction.rho_l, (None, None, eps)).entries
+    rhs = transport(pair.coaction.rho_r, (None, eps, None))
     rhs = place((pair.P.dim, pair.C.dim, 1), pair.field, (rhs, (0, 0, 0), (0, 2, 1))).entries
     return Report().add_witness("sum p(-1)eps(p(0)) = sum eps(p(0))p(1)", first_difference(lhs, rhs, 1))
 
@@ -243,11 +244,12 @@ def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
     source = build_dorroh_coalgebra(pair)
     target = build_dorroh_coalgebra(zero_coaction_pair(pair.C, pair.P))
     n = nc + np_
-    data = Matrix.identity(n, field).data
-    # sum p_(-1) eps_P(p_(0)) at (x, c, 0)
-    for (x, c, _), v in transport(pair.coaction.rho_l, (None, None, [eps_p])).entries.items():
-        data[c][nc + x] = -v  # not canonical over F_p: Matrix canonicalises it
-    zeta = CoalgebraMorphism(source, target, Matrix(n, n, data, field))
+    # zeta^T: the identity, and -sum p_(-1) eps_P(p_(0)) below it in column c
+    columns = [[(j, 1)] for j in range(n)]
+    eps = Matrix(1, np_, [eps_p], field)
+    for (x, c, _), v in sorted(transport(pair.coaction.rho_l, (None, None, eps)).entries.items()):
+        columns[c].append((nc + x, field.canon(-v)))  # -v is not canonical over F_p
+    zeta = CoalgebraMorphism(source, target, Matrix._canonical(n, n, columns, field).transpose())
     report = verify_coalgebra_morphism(zeta, iso=True)
     if not report.ok:
         raise ValidationFailure(report, "counital split isomorphism failed verification")
@@ -274,7 +276,7 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
         Sinv = invert(S)
         if Sinv is None:
             raise InputError("bases do not span a direct sum: dependent vectors")
-        T = transport(D.delta, (S.columns(), Sinv.data, Sinv.data))
+        T = transport(D.delta, (S.transpose(), Sinv, Sinv))
     split = T.entries
 
     sub = Report().add_witness(
@@ -304,8 +306,8 @@ def universal_map_coalgebra(
         raise InputError("phi must map D to C and f must map D to P")
     pair.require_valid()
     field = pair.field
-    fm, pm = f.matrix.data, phi.matrix.data
-    ft = f.matrix.columns()
+    fm, pm = f.matrix, phi.matrix
+    ft = fm.transpose()
     conds = Report()
     for name, coaction, legs in (
         ("rho_l(f(d))=(phi(x)f)Delta(d)", pair.coaction.rho_l, (None, pm, fm)),
@@ -317,7 +319,10 @@ def universal_map_coalgebra(
         raise ValidationFailure(conds, "not a Dorroh pair homomorphism")
 
     target = build_dorroh_coalgebra(pair)
-    eta = CoalgebraMorphism(D, target, Matrix(target.dim, D.dim, pm + fm, field))
+    # d -> (phi(d), f(d)): each column of phi above the same column of f
+    nc = pm.rows
+    columns = [pc + [(nc + i, v) for i, v in fc] for pc, fc in zip(pm.columns, fm.columns)]
+    eta = CoalgebraMorphism(D, target, Matrix._canonical(target.dim, D.dim, columns, field))
     report = verify_coalgebra_morphism(eta)
     if not report.ok:
         raise ValidationFailure(report, "universal map failed verification")
@@ -383,7 +388,7 @@ def pushforward_pair(pair: DorrohPairCoalgebra, f: CoalgebraMorphism) -> DorrohP
     if f.source != pair.C:
         raise InputError("f must have source C")
     D = f.target
-    m = f.matrix.data
+    m = f.matrix
     rho_l = transport(pair.coaction.rho_l, (None, m, None))
     rho_r = transport(pair.coaction.rho_r, (None, None, m))
     out = DorrohPairCoalgebra(D, pair.P, BicomoduleCoaction(D, pair.P.dim, rho_l, rho_r))

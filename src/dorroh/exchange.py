@@ -35,6 +35,13 @@ KINDS = (
 )
 VERIFIED = ("unchecked", "hom", "iso")
 
+# The largest side of a morphism matrix ``emit`` writes.  A document holds
+# a matrix as dense rows, so a short document declaring a large dim (the
+# associator of ``dorroh iso --which associator``, a duality witness) would
+# otherwise ask for n^2 output; at the cap an emitted identity is 1.3 MB.
+# Matrices in memory are sparse and uncapped.
+MAX_DENSE_DIM = 512
+
 
 def _fail(path, msg):
     raise InputError(f"{path}: {msg}")
@@ -235,11 +242,14 @@ def _parse_module(side, reader, payload, path):
 
 
 def _morphism_payload(side, m):
+    n = max(m.matrix.rows, m.matrix.cols)
+    if n > MAX_DENSE_DIM:
+        raise InputError(f"dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}")
     return {
         "structure": side.name,
         "source": _structure_payload(side, m.source),
         "target": _structure_payload(side, m.target),
-        "matrix": [_emit_vector(row) for row in m.matrix.data],
+        "matrix": [_emit_vector(row) for row in m.matrix.dense()],
         "verified": m.verified,
     }
 

@@ -264,8 +264,7 @@ def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTe
 
     # Permute the extension basis [A, B, M] into block order [A, M, B].
     order = [*range(na), *range(nam, n), *range(na, nam)]
-    cols = [[1 if t == i else 0 for t in range(n)] for i in order]
-    iso = AlgebraMorphism(build_dorroh_algebra(pair), block, Matrix.from_columns(cols, field))
+    iso = AlgebraMorphism(build_dorroh_algebra(pair), block, Matrix._canonical(n, n, [[(i, 1)] for i in order], field))
     report = verify_algebra_morphism(iso, iso=True)
     if not report.ok:
         raise ValidationFailure(report, "triangular block isomorphism failed verification")
@@ -481,18 +480,18 @@ def conjugate_coalgebra(c: Coalgebra, S: Matrix) -> Coalgebra:
 
 def _conjugate(conv, s, S):
     """The ``conv``-side structure s in the new basis e'_j = sum_i S[i][j] e_i,
-    and the rows (input, output) that carry its legs there.
+    and the matrices (input, output) that carry its legs there.
 
-    An algebra takes S on its input legs (the rows of S^T) and S^-1 on its
-    output leg.  The Kronecker dual basis changes by S^-T, so a coalgebra
-    takes the same two matrices the other way round, laid out by ``lay``.
+    An algebra takes S^T on its input legs and S^-1 on its output leg.
+    The Kronecker dual basis changes by S^-T, so a coalgebra takes the
+    same two matrices the other way round, laid out by ``lay``.
     """
     if S.field != s.field or (S.rows, S.cols) != (s.dim, s.dim):
         raise InputError(f"basis change must be a {s.dim}x{s.dim} matrix over {s.field!r}")
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    ins, out = (S.columns(), Sinv.data) if conv is ALGEBRA else (Sinv.data, S.columns())
+    ins, out = (S.transpose(), Sinv) if conv is ALGEBRA else (Sinv, S.transpose())
     return conv.structure(s.dim, transport(getattr(s, conv.tensor), conv.lay((ins, ins, out))), s.field), (ins, out)
 
 

@@ -1,8 +1,11 @@
-"""Dense exact matrices with deterministic Gaussian elimination.
+"""Exact matrices as sparse columns, with one deterministic Gauss-Jordan.
 
-Elimination always picks the leftmost pivot column and the first row with
-a nonzero entry, so eliminations and inverses are reproducible across
-runs and platforms.
+A ``Matrix`` keeps, for each column, its (row, value) nonzeros in row
+order, every value canonical.  The isomorphisms of the package are
+mostly the identity or unitriangular, so their cost is their nonzeros,
+not the square of their size.  ``transport`` carries tensor legs through
+the columns as they are, and ``_rref`` is the one elimination, behind
+``invert`` and the (co)unit solve.
 """
 
 from __future__ import annotations
@@ -10,42 +13,37 @@ from __future__ import annotations
 from .errors import InputError
 from .fields import FieldSpec
 
-# The largest identity ``Matrix.identity`` builds.  Every dense matrix sized
-# by a declared dim starts from it, so a short document cannot ask for n^2
-# work: at the cap ``dorroh iso --which duality`` takes about 0.3 s and 44 MB.
-MAX_DENSE_DIM = 512
+
+def _nonzeros(vec, canon) -> list:
+    """The (index, canonical value) pairs of vec's nonzero entries; a zero
+    entry costs no ``canon`` call."""
+    return [(i, y) for i, x in enumerate(vec) if x and (y := canon(x))]
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "data", "field")
+    __slots__ = ("rows", "cols", "columns", "field")
 
     def __init__(self, rows: int, cols: int, data, field: FieldSpec):
+        """The matrix with the dense rows ``data``: each nonzero entry is
+        canonicalised, and only the nonzeros are kept."""
         data = [list(r) for r in data]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"matrix data does not fill {rows}x{cols}")
-        canon = field.canon
         self.rows = rows
         self.cols = cols
-        self.data = [[canon(x) for x in r] for r in data]
+        self.columns = [_nonzeros(c, field.canon) for c in zip(*data)] if rows else [[] for _ in range(cols)]
         self.field = field
 
     @classmethod
-    def _canonical(cls, rows: int, cols: int, data, field: FieldSpec) -> "Matrix":
-        """A matrix from a rows x cols list of rows already canonical over field."""
+    def _canonical(cls, rows: int, cols: int, columns, field: FieldSpec) -> "Matrix":
+        """A matrix from sparse columns already in row order, nonzero and canonical."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.data, m.field = rows, cols, data, field
+        m.rows, m.cols, m.columns, m.field = rows, cols, columns, field
         return m
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "Matrix":
-        """The n x n identity; InputError when n is past MAX_DENSE_DIM."""
-        if n > MAX_DENSE_DIM:
-            raise InputError(f"dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}")
-        return cls._canonical(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)], field)
+        return cls._canonical(n, n, [[(j, 1)] for j in range(n)], field)
 
     @classmethod
     def from_columns(cls, columns, field: FieldSpec) -> "Matrix":
@@ -54,34 +52,22 @@ class Matrix:
         rows = len(columns[0])
         if any(len(c) != rows for c in columns):
             raise InputError("columns of unequal length")
-        return cls(rows, len(columns), [[c[i] for c in columns] for i in range(rows)], field)
+        return cls._canonical(rows, len(columns), [_nonzeros(c, field.canon) for c in columns], field)
 
-    def column(self, j: int) -> list:
-        return [r[j] for r in self.data]
+    def transpose(self) -> "Matrix":
+        columns = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                columns[i].append((j, v))
+        return Matrix._canonical(self.cols, self.rows, columns, self.field)
 
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise InputError("matrix product dimension mismatch")
-        canon = self.field.canon
-        out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append(
-                [
-                    canon(sum(row[k] * other.data[k][j] for k in range(self.cols)))
-                    for j in range(other.cols)
-                ]
-            )
-        return Matrix(self.rows, other.cols, out, self.field)
-
-    def apply(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise InputError("matrix-vector dimension mismatch")
-        canon = self.field.canon
-        return [canon(sum(r[j] * vec[j] for j in range(self.cols))) for r in self.data]
+    def dense(self) -> list:
+        """The dense list of rows, as a morphism document writes them."""
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                rows[i][j] = v
+        return rows
 
     def __eq__(self, other):
         return (
@@ -89,7 +75,7 @@ class Matrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self.data == other.data
+            and self.columns == other.columns
         )
 
     def __repr__(self):
@@ -97,39 +83,48 @@ class Matrix:
 
 
 def is_identity(M: Matrix) -> bool:
-    """M is the square identity; entries are canonical, so 0 is falsy."""
-    return M.rows == M.cols and all(
-        row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(M.data)
-    )
+    """M is the square identity; entries are canonical, so 1 is the int 1."""
+    return M.rows == M.cols and all(col == [(j, 1)] for j, col in enumerate(M.columns))
+
+
+def _subtract(row: dict, f, pivot: dict, canon):
+    """row -= f * pivot, keeping row's values canonical and nonzero."""
+    for c, v in pivot.items():
+        x = canon(row.get(c, 0) - f * v)
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
 
 
 def _rref(rows, width, field):
-    """In-place reduced row echelon over the first `width` columns; returns pivot columns."""
-    canon = field.canon
-    inv = field.inv
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    """Gauss-Jordan on sparse rows over their first ``width`` columns.
+
+    A row is a dict column -> nonzero canonical value; columns from
+    ``width`` on are the augmented part.  Rows are taken in order and
+    consumed: each is reduced by the pivots so far, pivots on its least
+    column below ``width`` and is cleared from the earlier pivot rows.
+    Returns pivot column -> the rest of its row (1 at the pivot, 0 at
+    every other pivot column), or None when a row reduces to zero below
+    ``width`` but not past it, so the augmented system is inconsistent.
+    """
+    canon, inv = field.canon, field.inv
+    pivots = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], canon)
+        lead = min((c for c in row if c < width), default=None)
+        if lead is None:
+            if row:
+                return None
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = inv(rows[r][c])
+        scale = inv(row.pop(lead))
         if scale != 1:
-            rows[r] = [canon(x * scale) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rr = rows[r]
-                rows[i] = [canon(x - f * y) for x, y in zip(rows[i], rr)]
-        pivots.append(c)
-        r += 1
+            row = {c: canon(v * scale) for c, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other.pop(lead), row, canon)
+        pivots[lead] = row
     return pivots
 
 
@@ -137,25 +132,32 @@ def _invertible(M: Matrix) -> bool:
     """M is square and invertible.  A triangular matrix (the identity, the
     unitriangular isos A|xI -> A x I and C|xP -> C x P) is invertible
     exactly when its diagonal has no zero; any other goes through
-    elimination.  Entries are canonical, so 0 is falsy."""
+    elimination."""
     if M.rows != M.cols:
         return False
-    rows = M.data
-    below = any(any(row[:i]) for i, row in enumerate(rows))
-    if not below or not any(any(row[i + 1 :]) for i, row in enumerate(rows)):
-        return all(row[i] for i, row in enumerate(rows))
+    cols = M.columns
+    if all(i <= j for j, col in enumerate(cols) for i, _ in col) or all(
+        i >= j for j, col in enumerate(cols) for i, _ in col
+    ):
+        return all(any(i == j for i, _ in col) for j, col in enumerate(cols))
     return invert(M) is not None
 
 
 def invert(A: Matrix) -> Matrix | None:
-    """The two-sided inverse, or None when A is singular.  Elimination
-    canonicalises every entry it writes, so the inverse is built as is."""
+    """The two-sided inverse, or None when A is singular: the elimination
+    of [A | 1] leaves row c of the inverse past column n of pivot row c."""
     if A.rows != A.cols:
         raise InputError("only square matrices can be inverted")
     n = A.rows
-    field = A.field
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(A.data)]
-    pivots = _rref(aug, n, field)
-    if len(pivots) < n:
+    rows = [{n + i: 1} for i in range(n)]
+    for j, col in enumerate(A.columns):
+        for i, v in col:
+            rows[i][j] = v
+    pivots = _rref(rows, n, A.field)
+    if pivots is None or len(pivots) < n:
         return None
-    return Matrix._canonical(n, n, [row[n:] for row in aug], field)
+    columns = [[] for _ in range(n)]
+    for c in range(n):
+        for k, v in pivots[c].items():
+            columns[k - n].append((c, v))
+    return Matrix._canonical(n, n, columns, A.field)

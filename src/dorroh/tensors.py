@@ -204,19 +204,19 @@ def _contract(acc, sign, term, stride, free):
 def transport(T: SparseTensor3, legs) -> SparseTensor3:
     """T with each leg carried through a matrix, one leg at a time.
 
-    ``legs`` holds one entry per leg.  None leaves that leg alone; a list
-    of rows M (new size x old size) sends index j of the leg to
-    sum_i M[i][j] e_i, so a matrix F acting by columns is carried by
-    ``F.data`` and its transpose by ``F.columns()``.  A vector v is the
-    one-row matrix [v]: it contracts the leg with v and leaves a leg of
-    size 1.
+    ``legs`` holds one entry per leg.  None leaves that leg alone; a
+    ``linalg.Matrix`` M (new size x old size) sends index j of the leg to
+    its column j, sum_i M[i][j] e_i, read from M's sparse columns as they
+    are; ``M.transpose()`` carries the leg the other way.  A vector v is
+    the one-row matrix [v]: it contracts the leg with v and leaves a leg
+    of size 1.
 
     A leg costs the stored entries times the nonzeros of a column of its
     matrix, never the dense box.  Index triples are mixed-radix integers
     while they move, so a leg rewrites one digit with an int add.
     """
     old = T.dims
-    new = tuple(d if M is None else len(M) for d, M in zip(old, legs))
+    new = tuple(d if M is None else M.rows for d, M in zip(old, legs))
     radix = [max(a, b) for a, b in zip(old, new)]
     s1 = radix[2]
     s0 = radix[1] * s1
@@ -224,7 +224,9 @@ def transport(T: SparseTensor3, legs) -> SparseTensor3:
     p = T.field.p
     for d, size, stride, M in zip(old, radix, (s0, s1, 1), legs):
         if M is not None:
-            acc = _carry(acc, size, stride, _sparse_columns(M, d), p)
+            if M.cols != d:
+                raise ValueError(f"leg matrix must have {d} columns, not {M.cols}")
+            acc = _carry(acc, size, stride, M.columns, p)
     # Every code decodes in range and every value is nonzero; over F_p it
     # is also reduced, over Q a whole Fraction still becomes an int.
     canon = T.field.canon
@@ -233,15 +235,6 @@ def transport(T: SparseTensor3, legs) -> SparseTensor3:
         i, jk = divmod(code, s0)
         entries[(i, *divmod(jk, s1))] = v if p else canon(v)
     return SparseTensor3._canonical(new, entries, T.field)
-
-
-def _sparse_columns(M, width):
-    """Column j of the row list M as its (row, value) nonzeros."""
-    if any(len(row) != width for row in M):
-        raise ValueError(f"leg matrix rows must have length {width}")
-    if not M:
-        return [[] for _ in range(width)]
-    return [[(i, c) for i, c in enumerate(col) if c] for col in zip(*M)]
 
 
 def _carry(acc, size, stride, cols, p):

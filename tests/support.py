@@ -4,9 +4,13 @@ The library carries every action through sparse tensors; ``act_left`` and
 ``act_right`` apply one to coordinate vectors entry by entry, as an
 independent reference for the tests that check a law on single elements,
 and ``basis`` gives the coordinates of one basis vector.
-``solve_linear`` solves a dense system by the library's elimination.
-``reference_unit_on`` decides a (co)unit law by a transport round trip
-against a dense identity, the reference for ``algebra._unit_on``.
+``dense_rref`` is the dense Gauss-Jordan the library once used, the
+reference for its one sparse elimination ``linalg._rref``;
+``solve_linear`` solves a dense system by it, and ``dense_unit`` the
+(co)unit system by ``solve_linear``.  ``zeros``, ``matmul``,
+``apply`` and ``dense_columns`` are dense matrix helpers no library code
+needs.  ``reference_unit_on`` decides a (co)unit law by a transport round
+trip against a dense identity, the reference for ``algebra._unit_on``.
 ``random_algebra_pair`` and ``random_coalgebra_pair`` draw valid pairs
 from the gallery's constructions, never by rejection-sampling raw
 tensors: raw random tensors essentially never satisfy the pair axioms.
@@ -44,7 +48,7 @@ from dorroh.gallery import (
     trivial_extension_pair,
     truncated_polynomials,
 )
-from dorroh.linalg import Matrix, _rref
+from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3, transport
 
 
@@ -89,9 +93,64 @@ def identity_comorphism(c) -> CoalgebraMorphism:
     return CoalgebraMorphism(c, c, Matrix.identity(c.dim, c.field))
 
 
+def zeros(rows: int, cols: int, field: FieldSpec) -> Matrix:
+    return Matrix(rows, cols, [[0] * cols for _ in range(rows)], field)
+
+
+def dense_columns(M: Matrix) -> list:
+    """The columns of M as dense lists."""
+    return [list(c) for c in zip(*M.dense())] if M.rows else [[] for _ in range(M.cols)]
+
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    if A.cols != B.rows:
+        raise InputError("matrix product dimension mismatch")
+    a, b = A.dense(), B.dense()
+    return Matrix(A.rows, B.cols, [[sum(r[k] * b[k][j] for k in range(A.cols)) for j in range(B.cols)] for r in a], A.field)
+
+
+def apply(A: Matrix, vec) -> list:
+    if len(vec) != A.cols:
+        raise InputError("matrix-vector dimension mismatch")
+    canon = A.field.canon
+    return [canon(sum(r[j] * vec[j] for j in range(A.cols))) for r in A.dense()]
+
+
+def dense_rref(rows, width, field):
+    """In-place reduced row echelon of dense rows over the first ``width``
+    columns, leftmost pivot column and first nonzero row first; returns
+    the pivot columns."""
+    canon = field.canon
+    inv = field.inv
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        if scale != 1:
+            rows[r] = [canon(x * scale) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rr = rows[r]
+                rows[i] = [canon(x - f * y) for x, y in zip(rows[i], rr)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def reference_unit_on(T, leg, u, n) -> bool:
     """Contracting ``leg`` of T with u leaves the identity: 1 at each (x, x), 0 at ``leg``."""
-    legs = [[u] if t == leg else None for t in range(3)]
+    legs = [Matrix(1, len(u), [u], T.field) if t == leg else None for t in range(3)]
     identity = dict.fromkeys(zip(*[[0] * n if t == leg else range(n) for t in range(3)]), 1)
     return transport(T, legs).entries == identity
 
@@ -102,8 +161,8 @@ def solve_linear(A: Matrix, b) -> list | None:
         raise InputError("right-hand side length must equal row count")
     field = A.field
     canon = field.canon
-    aug = [row + [canon(bi)] for row, bi in zip(A.data, b)]
-    pivots = _rref(aug, A.cols, field)
+    aug = [row + [canon(bi)] for row, bi in zip(A.dense(), b)]
+    pivots = dense_rref(aug, A.cols, field)
     rank = len(pivots)
     for i in range(rank, A.rows):
         if aug[i][A.cols] != 0:
@@ -112,6 +171,19 @@ def solve_linear(A: Matrix, b) -> list | None:
     for r, c in enumerate(pivots):
         x[c] = aug[r][A.cols]
     return x
+
+
+def dense_unit(n, coefficient, field):
+    """Solve the dense 2n^2 x n system u.e_j = e_j = e_j.u in every
+    coordinate m, with coefficient(i, j, m) the structure constant."""
+    if n == 0:
+        return None
+    rows, rhs = [], []
+    for j in range(n):
+        for m in range(n):
+            rows += [[coefficient(i, j, m) for i in range(n)], [coefficient(j, i, m) for i in range(n)]]
+            rhs += [int(j == m)] * 2
+    return solve_linear(Matrix(len(rows), n, rows, field), rhs)
 
 
 def _random_small_algebra(rng, field: FieldSpec, max_dim: int) -> Algebra:

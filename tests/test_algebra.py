@@ -35,7 +35,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix, is_identity
 from dorroh.tensors import SparseTensor3
-from support import act_left, act_right, basis, identity_morphism
+from support import act_left, act_right, basis, identity_morphism, matmul, zeros
 
 
 def brute_force_associative(a):
@@ -239,7 +239,7 @@ def test_unital_ideal_iso_kk():
     pair = regular_pair(algebra_k(QQ))
     eta = unital_ideal_iso(pair)
     # eta(a, x) = (a, x + a)
-    assert eta.matrix.data == [[1, 0], [1, 1]]
+    assert eta.matrix.dense() == [[1, 0], [1, 1]]
     assert eta.verified == "iso"
 
 
@@ -268,7 +268,7 @@ def test_unital_ideal_identity_is_central_for_action():
 def test_unital_ideal_iso_round_trip_is_identity():
     pair = regular_pair(group_algebra_z2(QQ))
     eta = unital_ideal_iso(pair)
-    assert is_identity(eta.matrix.mul(eta.inverse().matrix))
+    assert is_identity(matmul(eta.matrix, eta.inverse().matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +294,16 @@ def test_universal_map_projection():
     A = pair.A
     phi = identity_morphism(A)
     verify_algebra_morphism(phi)
-    zero = AlgebraMorphism(pair.I, A, Matrix.zeros(A.dim, pair.I.dim, QQ))
+    zero = AlgebraMorphism(pair.I, A, zeros(A.dim, pair.I.dim, QQ))
     verify_algebra_morphism(zero)
     eta = universal_map_algebra(pair, A, phi, zero)
-    assert eta.matrix.data == [[1, 0]]  # projection onto the A-block
+    assert eta.matrix.dense() == [[1, 0]]  # projection onto the A-block
 
 
 def test_universal_map_rejects_unverified():
     pair = scalar_action_pair(QQ, nilpotent_line(QQ))
     phi = identity_morphism(pair.A)
-    zero = AlgebraMorphism(pair.I, pair.A, Matrix.zeros(1, 1, QQ))
+    zero = AlgebraMorphism(pair.I, pair.A, zeros(1, 1, QQ))
     with pytest.raises(PreconditionError):
         universal_map_algebra(pair, pair.A, phi, zero)
 
@@ -315,7 +315,7 @@ def test_universal_map_rejects_non_dorroh_hom():
     built = build_dorroh_algebra(pair)
     tau_a = AlgebraMorphism(pair.A, built, Matrix.from_columns([basis(built, 0)], QQ))
     verify_algebra_morphism(tau_a)
-    bad = AlgebraMorphism(pair.I, built, Matrix.zeros(2, 1, QQ))
+    bad = AlgebraMorphism(pair.I, built, zeros(2, 1, QQ))
     verify_algebra_morphism(bad)  # zero map is a hom
     # f(ax) = 0 but phi(a) f(x) = 0 as well; zero f is fine. Use f = -tau_I instead.
     neg = AlgebraMorphism(pair.I, built, Matrix(2, 1, [[0], [-1]], QQ))
@@ -339,10 +339,10 @@ def test_verify_identity_morphism_iso():
 def test_verify_zero_morphism_hom_not_iso():
     m2 = matrix_algebra_2(QQ)
     dn = dual_numbers(QQ)
-    F = AlgebraMorphism(m2, dn, Matrix.zeros(2, 4, QQ))
+    F = AlgebraMorphism(m2, dn, zeros(2, 4, QQ))
     assert verify_algebra_morphism(F).ok
     assert F.verified == "hom"
-    G = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ))
+    G = AlgebraMorphism(dn, dn, zeros(2, 2, QQ))
     report = verify_algebra_morphism(G, iso=True)
     assert not report.ok
 
@@ -378,7 +378,7 @@ def test_failed_verification_lowers_a_stale_iso_stamp():
 
 def test_singular_map_checked_as_iso_is_stamped_hom():
     dn = dual_numbers(QQ)
-    zero = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ), verified="iso")
+    zero = AlgebraMorphism(dn, dn, zeros(2, 2, QQ), verified="iso")
     report = verify_algebra_morphism(zero, iso=True)
     assert report.headline() == "fail: invertible"
     assert zero.verified == "hom"
@@ -389,8 +389,8 @@ def test_passing_hom_check_lowers_an_iso_stamp_on_a_singular_map():
     # A document may stamp the zero map "iso"; verifying it as a
     # homomorphism must not leave that stamp, nor change the report.
     dn = dual_numbers(QQ)
-    zero = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ), verified="iso")
-    unstamped = AlgebraMorphism(dn, dn, Matrix.zeros(2, 2, QQ))
+    zero = AlgebraMorphism(dn, dn, zeros(2, 2, QQ), verified="iso")
+    unstamped = AlgebraMorphism(dn, dn, zeros(2, 2, QQ))
     report = verify_algebra_morphism(zero)
     assert report.render_text() == verify_algebra_morphism(unstamped).render_text() == "pass (1 checks)\n  [ok] multiplicative"
     assert zero.verified == "hom"

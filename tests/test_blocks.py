@@ -79,9 +79,9 @@ from dorroh.gallery import (
     trunc_poly_pair,
     truncated_polynomials,
 )
-from dorroh.linalg import Matrix, invert
+from dorroh.linalg import invert
 from dorroh.tensors import SparseTensor3
-from support import random_algebra_pair, random_coalgebra_pair, solve_linear
+from support import dense_columns, dense_unit, random_algebra_pair, random_coalgebra_pair
 
 GOLDEN = Path(__file__).parent / "data" / "blocks_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
@@ -142,7 +142,7 @@ def _algebra_records(tag, pair, rng):
     out = {f"build-algebra|{tag}": exchange.emit(B)}
 
     S = random_invertible(rng, n, field)
-    Sinv = invert(S).columns()
+    Sinv = dense_columns(invert(S))
     for name, (target, ba, bi) in {
         "block": (B, _block(n, 0, na), _block(n, na, n)),
         "conjugated": (conjugate_algebra(B, S), Sinv[:na], Sinv[na:]),
@@ -176,7 +176,7 @@ def _coalgebra_records(tag, pair, rng):
     out = {f"build-coalgebra|{tag}": exchange.emit(D)}
 
     S = random_invertible(rng, n, field)
-    Sinv = invert(S).columns()
+    Sinv = dense_columns(invert(S))
     for name, (target, bc, bp) in {
         "block": (D, _block(n, 0, nc), _block(n, nc, n)),
         "conjugated": (conjugate_coalgebra(D, S), Sinv[:nc], Sinv[nc:]),
@@ -410,19 +410,6 @@ def test_unit_and_counit_solve_scale_to_dim_100():
     assert time.perf_counter() - start < 1.5
 
 
-def _dense_unit(n, coefficient, field):
-    """Reference: solve the dense 2n^2 x n system, u.e_j = e_j = e_j.u in
-    every coordinate m, with coefficient(i, j, m) the structure constant."""
-    if n == 0:
-        return None
-    rows, rhs = [], []
-    for j in range(n):
-        for m in range(n):
-            rows += [[coefficient(i, j, m) for i in range(n)], [coefficient(j, i, m) for i in range(n)]]
-            rhs += [int(j == m)] * 2
-    return solve_linear(Matrix(len(rows), n, rows, field), rhs)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from([QQ, GF(3), GF(5)]))
 def test_unit_and_counit_match_the_dense_system(data, field):
@@ -434,8 +421,8 @@ def test_unit_and_counit_match_the_dense_system(data, field):
         # start from the unital k^n (or its dual) so that units are common
         entries = {**{(i, i, i): 1 for i in range(n)}, **entries}
     t = SparseTensor3((n, n, n), entries, field)
-    assert Algebra(n, t, field).find_identity() == _dense_unit(n, t.get, field)
-    assert Coalgebra(n, t, field).find_counit() == _dense_unit(n, lambda i, j, m: t.get(m, i, j), field)
+    assert Algebra(n, t, field).find_identity() == dense_unit(n, t.get, field)
+    assert Coalgebra(n, t, field).find_counit() == dense_unit(n, lambda i, j, m: t.get(m, i, j), field)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ from dorroh.cli import main
 from dorroh.coalgebra import verify_coalgebra_morphism
 from dorroh.fields import QQ
 from dorroh.findual import MAX_BOUND, MAX_DEPTH, MAX_ORDER
+from dorroh.exchange import MAX_DENSE_DIM
 from dorroh.gallery import MAX_PARAM, instance
-from dorroh.linalg import MAX_DENSE_DIM
 
 
 def run_cli(*argv):
@@ -450,10 +450,10 @@ def test_gallery_emit_unknown_pair_on_either_side(capsys):
         assert capsys.readouterr().err == f"error: unknown gallery pair '{side}:nope'\n"
 
 
-def _empty_pair(ni):
+def _empty_pair(ni, na=1):
     return (
         '{"format":"dorroh/1","field":{"kind":"Q"},"kind":"pair-algebra","payload":'
-        f'{{"a":{{"dim":1,"mul":[]}},"i":{{"dim":{ni},"mul":[]}},"left":[],"right":[]}}}}'
+        f'{{"a":{{"dim":{na},"mul":[]}},"i":{{"dim":{ni},"mul":[]}},"left":[],"right":[]}}}}'
     )
 
 
@@ -462,23 +462,37 @@ def _empty_algebra(n):
 
 
 def test_dense_identities_past_the_cap_exit_2_quickly(tmp_path, capsys):
-    """A short document declaring a large dim must not build a dense
-    identity of that size: the associator of (A, I, I), the duality
-    witnesses and the pair dual all start from ``Matrix.identity``."""
+    """A short document declaring a large dim must not write a dense
+    matrix of that size: the associator of (A, I, I) and the duality
+    witnesses are sparse identities, refused when emitted, before
+    anything is written to stdout or to -o."""
     ni = 1000
     cases = [
         (("iso", "--which", "associator"), _empty_pair(ni), 1 + 2 * ni),
         (("iso", "--which", "duality"), _empty_algebra(ni), ni),
         (("iso", "--which", "duality"), _empty_pair(ni), 1 + ni),
-        (("dualize",), _empty_pair(ni), 1 + ni),
     ]
+    out = tmp_path / "out.json"
     for argv, text, n in cases:
         assert len(text) < 170
         doc = _write(tmp_path, text)
-        start = time.perf_counter()
-        assert run_cli(*argv, doc) == 2
-        assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == f"error: dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}\n"
+        for extra in ((), ("-o", str(out))):
+            start = time.perf_counter()
+            assert run_cli(*argv, doc, *extra) == 2
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr() == ("", f"error: dense dimension {n} is past the cap MAX_DENSE_DIM = {MAX_DENSE_DIM}\n")
+            assert not out.exists()
+
+
+def test_dualize_of_a_large_empty_pair_exits_0(tmp_path, capsys):
+    """The pair dual is a sparse document and its witness a sparse
+    identity, verified and never emitted: no dense cap applies."""
+    doc = _write(tmp_path, _empty_pair(3000, 3000))
+    start = time.perf_counter()
+    assert run_cli("dualize", doc) == 0
+    assert time.perf_counter() - start < 2.0
+    dual = exchange.parse(capsys.readouterr().out)
+    assert (dual.C.dim, dual.P.dim) == (3000, 3000)
 
 
 def test_dense_identities_at_the_cap_still_build(tmp_path, capsys):

@@ -176,14 +176,14 @@ def conjugate_algebra(a: Algebra, S: Matrix) -> Algebra:
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    St = S.columns()
-    return Algebra(a.dim, transport(a.mul, (St, St, Sinv.data)), a.field)
+    St = S.transpose()
+    return Algebra(a.dim, transport(a.mul, (St, St, Sinv)), a.field)
 
 
 def conjugate_algebra_pair(pair: DorrohPairAlgebra, SA: Matrix, SI: Matrix) -> DorrohPairAlgebra:
     A2 = conjugate_algebra(pair.A, SA)
     I2 = conjugate_algebra(pair.I, SI)
-    SAt, SIt, SIinv = SA.columns(), SI.columns(), invert(SI).data
+    SAt, SIt, SIinv = SA.transpose(), SI.transpose(), invert(SI)
     action = BimoduleAction(
         A2,
         pair.I.dim,
@@ -197,13 +197,13 @@ def conjugate_coalgebra(c: Coalgebra, S: Matrix) -> Coalgebra:
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    return Coalgebra(c.dim, transport(c.delta, (S.columns(), Sinv.data, Sinv.data)), c.field)
+    return Coalgebra(c.dim, transport(c.delta, (S.transpose(), Sinv, Sinv)), c.field)
 
 
 def conjugate_coalgebra_pair(pair: DorrohPairCoalgebra, SC: Matrix, SP: Matrix) -> DorrohPairCoalgebra:
     C2 = conjugate_coalgebra(pair.C, SC)
     P2 = conjugate_coalgebra(pair.P, SP)
-    SPt, SCinv, SPinv = SP.columns(), invert(SC).data, invert(SP).data
+    SPt, SCinv, SPinv = SP.transpose(), invert(SC), invert(SP)
     coaction = BicomoduleCoaction(
         C2,
         pair.P.dim,

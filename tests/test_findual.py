@@ -21,9 +21,9 @@ from dorroh.findual import (
     vanishing_check,
 )
 from dorroh.gallery import fibonacci, geometric
-from dorroh.linalg import Matrix, _rref
+from dorroh.linalg import Matrix
 from dorroh.reports import Report
-from support import solve_linear
+from support import dense_rref, solve_linear
 
 
 def rightmost_pivot_rank(rows):
@@ -753,7 +753,7 @@ def reference_shift_space(f):
     hi = max(L, lo)
     cols = list(range(lo, hi + 1))
     rows = [[f.value(n + j) for n in cols] for j in range(lo, L + 1)]
-    pivots = _rref(rows, len(cols), f.field)
+    pivots = dense_rref(rows, len(cols), f.field)
 
     basis = []
     shifts = []

@@ -247,7 +247,7 @@ def test_basis_change_over_another_field_is_an_input_error():
     with pytest.raises(InputError, match=r"basis change must be a 2x2 matrix over QQ"):
         conjugate_coalgebra(divided_power(1, QQ), twice)
     # over Q, e'_j = 2 e_j scales every product by 2 and every coproduct by 1/2
-    on_q = Matrix(2, 2, twice.data, QQ)
+    on_q = Matrix(2, 2, twice.dense(), QQ)
     assert conjugate_algebra(dual_numbers(QQ), on_q).mul.entries == {(0, 0, 0): 2, (0, 1, 1): 2, (1, 0, 1): 2}
     half = Fraction(1, 2)
     assert conjugate_coalgebra(divided_power(1, QQ), on_q).delta.entries == {

@@ -7,7 +7,9 @@ identity.  ``linalg._invertible`` reads a triangular matrix's
 invertibility off its diagonal and eliminates any other.
 ``Matrix._canonical`` builds the identity, an inverse and the unitriangular
 iso A|xI -> A x I without canonicalising, so each must equal what
-``Matrix(...)`` builds from the same data.
+``Matrix(...)`` builds from the same data; ``Matrix(...)`` and
+``Matrix.from_columns`` canonicalise only the nonzero entries they are
+given, so a 0/1 basis of dim n costs n ``canon`` calls.
 
 Every morphism the constructions return is emitted as a ``dorroh/1``
 document, so its entries must be canonical: the golden corpora format
@@ -16,6 +18,7 @@ All tests run on both sides over Q, GF(3) and GF(5).
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,11 +29,11 @@ from dorroh.cli import _canonical_triple
 from dorroh.coalgebra import COALGEBRA, counital_split_iso, split_coalgebra_extension
 from dorroh.duality import double_dual_iso, double_dual_iso_coalgebra, dualize_algebra_pair, dualize_coalgebra_pair
 from dorroh.errors import ValidationFailure
-from dorroh.fields import GF, QQ
+from dorroh.fields import GF, QQ, FieldSpec
 from dorroh.gallery import random_invertible, standard_algebra_pairs, standard_coalgebra_pairs
 from dorroh.linalg import Matrix, _invertible, invert, is_identity
 
-from support import reference_unit_on
+from support import dense_columns, reference_unit_on, zeros
 
 FIELDS = (QQ, GF(3), GF(5))
 SEED = 20
@@ -71,7 +74,7 @@ def _counter(monkeypatch, module, name):
 def _block_basis(rng, field, na, n):
     """The columns of a block-diagonal random change of basis, split at na."""
     SA, SI = random_invertible(rng, na, field), random_invertible(rng, n - na, field)
-    columns = [c + [0] * (n - na) for c in SA.columns()] + [[0] * na + c for c in SI.columns()]
+    columns = [c + [0] * (n - na) for c in dense_columns(SA)] + [[0] * na + c for c in dense_columns(SI)]
     return columns[:na], columns[na:]
 
 
@@ -144,7 +147,7 @@ def _matrices(rng, field):
     """0 x 0, zero, identity, non-square and, for n = 1..5, dense, upper and
     lower triangular matrices, the triangular ones with a nonzero diagonal
     and with one zero on it."""
-    out = [Matrix(0, 0, [], field), Matrix.zeros(3, 3, field), Matrix.identity(4, field), Matrix.zeros(2, 3, field)]
+    out = [Matrix(0, 0, [], field), zeros(3, 3, field), Matrix.identity(4, field), zeros(2, 3, field)]
     for n in range(1, 6):
         out += [Matrix(n, n + 1, [[_scalar(rng, field) for _ in range(n + 1)] for _ in range(n)], field)]
         out += [Matrix(n + 1, n, [[_scalar(rng, field) for _ in range(n)] for _ in range(n + 1)], field)]
@@ -164,7 +167,7 @@ def _matrices(rng, field):
 
 def _same(a: Matrix, b: Matrix) -> bool:
     """Equal, and equal entry by entry in type: an int is not a whole Fraction."""
-    return a == b and [[type(x) for x in row] for row in a.data] == [[type(x) for x in row] for row in b.data]
+    return a == b and [[type(x) for _, x in col] for col in a.columns] == [[type(x) for _, x in col] for col in b.columns]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -173,7 +176,7 @@ def test_invertible_equals_elimination(field):
     answers = []
     for M in _matrices(rng, field):
         want = M.rows == M.cols and invert(M) is not None
-        assert _invertible(M) == want, M.data
+        assert _invertible(M) == want, M.dense()
         answers.append(want)
     assert sum(answers) >= 40 and answers.count(False) >= 40
 
@@ -183,12 +186,12 @@ def test_identity_and_inverse_equal_what_matrix_builds(field):
     rng = random.Random(SEED)
     for n in range(6):
         identity = Matrix.identity(n, field)
-        assert _same(identity, Matrix(n, n, identity.data, field))
+        assert _same(identity, Matrix(n, n, identity.dense(), field))
     inverses = 0
     for M in _matrices(rng, field) + [random_invertible(rng, n, field) for n in range(1, 6)]:
         inv = invert(M) if M.rows == M.cols else None
         if inv is not None:
-            assert _same(inv, Matrix(inv.rows, inv.cols, inv.data, field))
+            assert _same(inv, Matrix(inv.rows, inv.cols, inv.dense(), field))
             inverses += 1
     assert inverses >= 40
 
@@ -257,15 +260,53 @@ def test_a_split_along_a_basis_change_inverts_it_once(monkeypatch, field):
     assert moved >= 20
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_split_along_a_0_1_block_basis_canonicalises_its_n_ones(monkeypatch, field):
+    """A dim-n 0/1 block basis has n nonzero entries, and only nonzero
+    entries reach ``canon`` in ``linalg``: at most n calls, not n^2."""
+    cases = []
+    for pair in _pairs(field):
+        side = _side(pair)
+        built = side["build"](pair)
+        n, na = built.dim, side["conv"].parts_of(pair)[0].dim
+        standard = [[int(i == j) for i in range(n)] for j in range(n)]
+        cases.append((side, built, standard[:na], standard[na:]))
+    calls = []
+    canon = FieldSpec.canon
+
+    def counted(self, x):
+        if sys._getframe(1).f_code.co_filename == linalg.__file__:
+            calls.append(x)
+        return canon(self, x)
+
+    monkeypatch.setattr(FieldSpec, "canon", counted)
+    for side, built, acting_basis, carrier_basis in cases:
+        del calls[:]
+        side["split"](built, acting_basis, carrier_basis)
+        assert len(calls) <= built.dim
+    assert max(built.dim for _, built, _, _ in cases) >= 8
+
+
 # ---------------------------------------------------------------------------
 # returned maps hold canonical entries
 
 
+def _respelled(vectors, field, rng):
+    """The same vectors spelled non-canonically: over F_p each entry moved
+    by a multiple of p, below 0 or past p (a 0 becomes a nonzero int);
+    over Q each int made a whole Fraction."""
+    if field.p is None:
+        return [[Fraction(v) if type(v) is int else v for v in vec] for vec in vectors]
+    return [[v + field.p * rng.choice((-2, -1, 1, 2)) for v in vec] for vec in vectors]
+
+
 def _returned_morphisms(field, rng):
     """Every morphism the constructions return on the gallery pairs: the
-    split isos along the identity basis and a block-diagonal one, the
-    unital-ideal and counital-split isos, the duality witnesses, the
-    (co)associators and the double duals of the components."""
+    split isos along the identity basis, a block-diagonal one and a
+    non-canonical spelling of it, the identity built from non-canonical
+    rows, the unital-ideal and counital-split isos (whose -v entries are
+    negated here), the duality witnesses, the (co)associators and the
+    double duals of the components."""
     for pair in _pairs(field):
         side = _side(pair)
         conv = side["conv"]
@@ -273,8 +314,11 @@ def _returned_morphisms(field, rng):
         built = side["build"](pair)
         n, na = built.dim, acting.dim
         standard = [[int(i == j) for i in range(n)] for j in range(n)]
-        for bases in ((standard[:na], standard[na:]), _block_basis(rng, field, na, n)):
+        block = _block_basis(rng, field, na, n)
+        respelled = [_respelled(vectors, field, rng) for vectors in block]
+        for bases in ((standard[:na], standard[na:]), block, respelled):
             yield side["split"](built, *bases)[1]
+        yield conv.morphism(built, built, Matrix(n, n, _respelled(standard, field, rng), field))
         if getattr(carrier, conv.find_unit)() is not None:
             try:
                 yield side["iso"](pair)
@@ -294,7 +338,7 @@ def test_returned_maps_hold_canonical_entries(field):
     canon = field.canon
     count = 0
     for morphism in _returned_morphisms(field, rng):
-        assert all(type(v) is type(canon(v)) and v == canon(v) for row in morphism.matrix.data for v in row)
+        assert all(v and type(v) is type(canon(v)) and v == canon(v) for col in morphism.matrix.columns for _, v in col)
         text = exchange.emit(morphism)
         assert exchange.emit(exchange.parse(text)) == text
         count += 1

@@ -33,7 +33,7 @@ from dorroh.gallery import (
     trivial_extension_pair,
 )
 
-from support import random_algebra_pair, random_coalgebra_pair
+from support import dense_columns, random_algebra_pair, random_coalgebra_pair
 
 
 def test_duality_on_conjugated_random_pairs():
@@ -63,9 +63,8 @@ def test_split_along_conjugated_blocks_algebra(field):
     for _ in range(5):
         S = random_invertible(rng, built.dim, field)
         twisted = conjugate_algebra(built, S)
-        Sinv = invert(S)
-        a_basis = [Sinv.column(c) for c in range(na)]
-        i_basis = [Sinv.column(c) for c in range(na, built.dim)]
+        Sinv = dense_columns(invert(S))
+        a_basis, i_basis = Sinv[:na], Sinv[na:]
         back, iso = split_algebra_extension(twisted, a_basis, i_basis)
         assert iso.verified == "iso"
         assert back.validate().ok
@@ -82,10 +81,9 @@ def test_split_along_conjugated_blocks_coalgebra(field):
     for _ in range(5):
         S = random_invertible(rng, built.dim, field)
         twisted = conjugate_coalgebra(built, S)
-        Sinv = invert(S)
+        Sinv = dense_columns(invert(S))
         nc = pair.C.dim
-        c_basis = [Sinv.column(c) for c in range(nc)]
-        p_basis = [Sinv.column(c) for c in range(nc, built.dim)]
+        c_basis, p_basis = Sinv[:nc], Sinv[nc:]
         back, iso = split_coalgebra_extension(twisted, c_basis, p_basis)
         assert iso.verified == "iso"
         assert back.validate().ok

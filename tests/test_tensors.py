@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
+from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3, first_difference, place, transport
 
 
@@ -32,17 +33,17 @@ def test_duplicate_triple_rejected():
 
 def test_transport_sums_and_cancels():
     # old indices 0 and 1 of the first leg both go to new index 0
-    M = [[1, 1, 0], [0, 0, 1]]
+    rows = [[1, 1, 0], [0, 0, 1]]
     t = SparseTensor3((3, 1, 1), {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): 3}, QQ)
-    assert transport(t, (M, None, None)) == SparseTensor3((2, 1, 1), {(1, 0, 0): 3}, QQ)
+    assert transport(t, (Matrix(2, 3, rows, QQ), None, None)) == SparseTensor3((2, 1, 1), {(1, 0, 0): 3}, QQ)
     t = SparseTensor3((3, 1, 1), {(0, 0, 0): 2, (1, 0, 0): 3, (2, 0, 0): 4}, GF(5))
-    assert transport(t, (M, None, None)).entries == {(1, 0, 0): 4}
+    assert transport(t, (Matrix(2, 3, rows, GF(5)), None, None)).entries == {(1, 0, 0): 4}
 
 
 def test_transport_rejects_mis_sized_leg():
     t = SparseTensor3((2, 2, 2), {(0, 0, 0): 1}, QQ)
     with pytest.raises(ValueError):
-        transport(t, (None, [[1, 0, 0]], None))
+        transport(t, (None, Matrix(1, 3, [[1, 0, 0]], QQ), None))
 
 
 def test_groupings():
@@ -60,7 +61,7 @@ def test_equality_includes_dims_and_field():
 def _dense_transport(T, legs):
     """Reference: sum T[i,j,k] M0[a][i] M1[b][j] M2[c][k] over the whole box."""
     mats = [
-        [[int(r == c) for c in range(d)] for r in range(d)] if M is None else M
+        [[int(r == c) for c in range(d)] for r in range(d)] if M is None else M.dense()
         for d, M in zip(T.dims, legs)
     ]
     new = tuple(len(M) for M in mats)
@@ -93,7 +94,7 @@ def test_transport_matches_dense_contraction(data, field):
         kind = data.draw(st.sampled_from(["keep", "matrix", "vector"]))
         rows = 1 if kind == "vector" else data.draw(st.integers(0, 3))
         M = [data.draw(st.lists(_scalars(field), min_size=d, max_size=d)) for _ in range(rows)]
-        legs.append(None if kind == "keep" else M)
+        legs.append(None if kind == "keep" else Matrix(rows, d, M, field))
     assert transport(T, legs) == _dense_transport(T, legs)
 
 

@@ -65,7 +65,7 @@ from dorroh.gallery import (
 from dorroh.linalg import Matrix, invert
 from dorroh.tensors import TO_COALGEBRA, SparseTensor3
 
-from support import random_algebra_pair, random_coalgebra_pair
+from support import dense_columns, random_algebra_pair, random_coalgebra_pair, zeros
 
 GOLDEN = Path(__file__).parent / "data" / "transport_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
@@ -83,7 +83,7 @@ def _tensor(t):
 
 
 def _matrix(m):
-    return [[m.field.fmt(v) for v in row] for row in m.data]
+    return [[m.field.fmt(v) for v in row] for row in m.dense()]
 
 
 def _vector(field, v):
@@ -134,7 +134,7 @@ def _random_matrix(rng, field, rows, cols, zero_weight):
 
 def _bend(m, rng):
     """``m`` with one seeded entry shifted by a nonzero scalar."""
-    data = [list(r) for r in m.data]
+    data = m.dense()
     if m.rows and m.cols:
         i, j = rng.randrange(m.rows), rng.randrange(m.cols)
         data[i][j] += rng.choice((1, -1, 2))
@@ -186,7 +186,7 @@ def _morphism_records(tag, X, verify, make, conjugate, tensor_of, rebuild, rng):
         "basis-change~": (Xc, X, _bend(S, rng)),
         "bent-target": (X, rebuild(X, _bend_tensor(tensor_of(X), rng)), Matrix.identity(n, field)),
         "bent-source": (rebuild(X, _bend_tensor(tensor_of(X), rng)), X, Matrix.identity(n, field)),
-        "zero": (X, X, Matrix.zeros(n, n, field)),
+        "zero": (X, X, zeros(n, n, field)),
         "sparse": (X, X, _random_matrix(rng, field, n, n, 0.8)),
         "dense": (X, X, _random_matrix(rng, field, n, n, 0.2)),
         "rank-one": (X, X, Matrix(n, n, [[a * b for b in v] for a in v], field)),
@@ -226,7 +226,7 @@ def _algebra_records(tag, pair, rng):
 
     S = random_invertible(rng, n, field)
     Bc = conjugate_algebra(B, S)
-    Sinv = invert(S).columns()
+    Sinv = dense_columns(invert(S))
     bent = [list(v) for v in Sinv]
     if n:
         # add a multiple of one vector to another, then bump one coordinate
@@ -272,12 +272,12 @@ def _algebra_records(tag, pair, rng):
         eta = universal_map_algebra(pair, B, phi, f)
         return [_matrix(eta.matrix), eta.verified]
 
-    inc_a = Matrix.from_columns(_block(n, 0, na), field) if na else Matrix.zeros(n, 0, field)
-    inc_i = Matrix.from_columns(_block(n, na, n), field) if n > na else Matrix.zeros(n, 0, field)
+    inc_a = Matrix.from_columns(_block(n, 0, na), field) if na else zeros(n, 0, field)
+    inc_i = Matrix.from_columns(_block(n, na, n), field) if n > na else zeros(n, 0, field)
     for name, (pm, fm) in {
         "inclusions": (inc_a, inc_i),
-        "zero-phi": (Matrix.zeros(n, na, field), inc_i),
-        "zero-f": (inc_a, Matrix.zeros(n, n - na, field)),
+        "zero-phi": (zeros(n, na, field), inc_i),
+        "zero-f": (inc_a, zeros(n, n - na, field)),
     }.items():
         out[f"universal-algebra|{tag}|{name}"] = _outcome(universal, pm, fm)
     return out
@@ -298,7 +298,7 @@ def _coalgebra_records(tag, pair, rng):
 
     S = random_invertible(rng, n, field)
     Dc = conjugate_coalgebra(D, S)
-    Sinv = invert(S).columns()
+    Sinv = dense_columns(invert(S))
     bent = [list(v) for v in Sinv]
     if n:
         # add a multiple of one vector to another, then bump one coordinate
@@ -329,7 +329,7 @@ def _coalgebra_records(tag, pair, rng):
     CC = build_dorroh_coalgebra(zero_coaction_pair(C, C))
     for name, (target, m) in {
         "basis-change": (C2, invert(SC)),
-        "zero": (C, Matrix.zeros(nc, nc, field)),
+        "zero": (C, zeros(nc, nc, field)),
         "diagonal-block": (CC, Matrix.from_columns([c + [0] * nc for c in _block(nc, 0, nc)], field)),
         "bent": (C2, _bend(invert(SC), rng)),
     }.items():
@@ -381,8 +381,8 @@ def _coalgebra_records(tag, pair, rng):
     proj_p = Matrix(np_, n, _block(n, nc, n), field)
     for name, (pm, fm) in {
         "projections": (proj_c, proj_p),
-        "zero-phi": (Matrix.zeros(nc, n, field), proj_p),
-        "zero-f": (proj_c, Matrix.zeros(np_, n, field)),
+        "zero-phi": (zeros(nc, n, field), proj_p),
+        "zero-f": (proj_c, zeros(np_, n, field)),
     }.items():
         out[f"universal-coalgebra|{tag}|{name}"] = _outcome(universal, pm, fm)
     return out
