@@ -11,9 +11,10 @@ Conventions:
 
 Algebras here need not be unital and modules need not respect units.
 
-The extension, zero-action pair, gluing and iterated triple are written
-once, for both sides: a ``Convention`` names a side's classes and
-attributes, and its ``order`` lays each block out in that side's legs.
+The classes, extension, zero-action pair, gluing and iterated triple are
+written once, for both sides: a ``Convention`` names a side's classes and
+attributes, which the bases ``_Structure``, ``_Action``, ``_Pair`` and
+``_Module`` read, and its ``order`` lays each block out in that side's legs.
 """
 
 from __future__ import annotations
@@ -45,26 +46,48 @@ SIDES = (LEFT, RIGHT, BI)
 _log = logging.getLogger("dorroh.algebra")
 
 
-class Algebra:
+class _Structure:
+    """An algebra or a coalgebra: ``dim``, its structure tensor under the
+    name its side's ``Convention`` gives (``mul`` or ``delta``), ``field``,
+    optional ``labels`` and ``_unit``, its (co)unit once found (None when
+    it has none, "unset" before).  A (co)unit given here is checked."""
+
+    _conv: Convention  # the side's, set by _convention
+
     def __init__(self, dim, mul: SparseTensor3, field: FieldSpec, labels=None, unit=None):
+        conv = self._conv
         if mul.dims != (dim, dim, dim):
-            raise InputError(f"mul tensor dims {mul.dims} do not match dim {dim}")
+            raise InputError(f"{conv.tensor} tensor dims {mul.dims} do not match dim {dim}")
         if mul.field != field:
-            raise InputError("mul tensor field mismatch")
+            raise InputError(f"{conv.tensor} tensor field mismatch")
         if labels is not None and len(labels) != dim:
             raise InputError("label count must equal dim")
         self.dim = dim
-        self.mul = mul
+        setattr(self, conv.tensor, mul)
         self.field = field
         self.labels = list(labels) if labels is not None else None
         self._built_from = None  # see _build
         self._unit = "unset"
         if unit is not None:
             unit = [field.canon(u) for u in unit]
-            if len(unit) != dim or not _acts_as_identity(mul, mul, unit, dim):
-                raise InputError("cached unit fails the identity law")
+            if len(unit) != dim or not _acts_as_identity(mul, mul, unit, dim, conv.order):
+                raise InputError(f"cached {conv.unit} fails the {conv.unit_law} law")
             self._unit = unit
 
+    def __eq__(self, other):
+        conv = self._conv
+        return (
+            isinstance(other, conv.structure)
+            and self.dim == other.dim
+            and self.field == other.field
+            and getattr(self, conv.tensor) == getattr(other, conv.tensor)
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, field={self.field!r})"
+
+
+class Algebra(_Structure):
     def product(self, x, y):
         """Coordinates of x.y."""
         acc = [0] * self.dim
@@ -86,17 +109,6 @@ class Algebra:
     @property
     def unital(self):
         return self.find_identity() is not None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and self.dim == other.dim
-            and self.field == other.field
-            and self.mul == other.mul
-        )
-
-    def __repr__(self):
-        return f"Algebra(dim={self.dim}, field={self.field!r})"
 
 
 def _two_sided_unit(mul: SparseTensor3):
@@ -168,8 +180,11 @@ def _unit_on(T, leg, u, n) -> bool:
 class Convention(NamedTuple):
     """How one side names its structures, pairs and modules.  ``name`` is
     also a (co)module's attribute for the structure it is over, ``co``
-    prefixes the side's words, and ``order`` takes legs in algebra
-    convention to this side's: ``TO_COALGEBRA`` for coalgebras."""
+    prefixes the side's words (an action's acting structure is its
+    ``co + "acting"``), and ``order`` takes legs in algebra convention to
+    this side's: ``TO_COALGEBRA`` for coalgebras.  ``unit_law`` names the
+    (co)unit's law, and ``labels`` name the left and right action tensors
+    and one action in error texts."""
 
     name: str
     co: str
@@ -177,6 +192,7 @@ class Convention(NamedTuple):
     structure: type
     tensor: str
     unit: str
+    unit_law: str
     find_unit: str
     morphism: type
     pair: type
@@ -184,6 +200,7 @@ class Convention(NamedTuple):
     action: str
     action_type: type
     actions: tuple
+    labels: tuple
     module: type
 
     def lay(self, legs) -> tuple:
@@ -198,6 +215,15 @@ class Convention(NamedTuple):
     def tensors(self, owner) -> tuple:
         """The left and right tensors of an action or a (co)module."""
         return tuple(getattr(owner, key) for key in self.actions)
+
+
+def _convention(**names) -> Convention:
+    """A side's Convention, set as ``_conv`` on its four classes, whose
+    shared bases read every side-specific name from it."""
+    conv = Convention(**names)
+    for cls in (conv.structure, conv.action_type, conv.pair, conv.module):
+        cls._conv = conv
+    return conv
 
 
 class Laws(NamedTuple):
@@ -361,22 +387,29 @@ def check_associativity(a: Algebra) -> Report:
     return check_laws(Report(), a.field, ASSOCIATIVITY.algebra, {"mul": a.mul})
 
 
-class BimoduleAction:
-    """An algebra acting on a carrier from both sides."""
+class _Action:
+    """A structure acting on a carrier of ``carrier_dim`` from both sides,
+    through the two tensors its side's ``Convention`` names."""
 
-    def __init__(self, acting: Algebra, carrier_dim: int, left: SparseTensor3, right: SparseTensor3):
-        na = acting.dim
-        if left.dims != (na, carrier_dim, carrier_dim):
-            raise InputError(f"left action dims {left.dims} do not match ({na},{carrier_dim},{carrier_dim})")
-        if right.dims != (carrier_dim, na, carrier_dim):
-            raise InputError(f"right action dims {right.dims} do not match ({carrier_dim},{na},{carrier_dim})")
+    _conv: Convention  # the side's, set by _convention
+
+    def __init__(self, acting, carrier_dim: int, left: SparseTensor3, right: SparseTensor3):
+        conv = self._conv
+        na, n = acting.dim, carrier_dim
+        for label, t, dims in zip(conv.labels, (left, right), (conv.lay((na, n, n)), conv.lay((n, na, n)))):
+            if t.dims != dims:
+                raise InputError(f"{label} dims {t.dims} do not match ({dims[0]},{dims[1]},{dims[2]})")
         if left.field != acting.field or right.field != acting.field:
-            raise InputError("action tensor field mismatch")
-        self.acting = acting
+            raise InputError(f"{conv.action} tensor field mismatch")
+        setattr(self, conv.co + "acting", acting)
         self.carrier_dim = carrier_dim
-        self.left = left
-        self.right = right
+        for key, t in zip(conv.actions, (left, right)):
+            setattr(self, key, t)
         self._known = None  # see _known
+
+
+class BimoduleAction(_Action):
+    """An algebra acting on a carrier from both sides."""
 
     def validate(self, memo=None) -> Report:
         """Bimodule axioms over all basis triples."""
@@ -384,40 +417,43 @@ class BimoduleAction:
         return check_laws(Report(), self.acting.field, ACTION_LAWS.algebra, tensors, memo=memo)
 
 
-class DorrohPairAlgebra:
-    """A pair (A, I) with A acting on the algebra I from both sides."""
+class _Pair:
+    """A pair of an acting structure and a carrier structure with an action
+    of the first on the second, under the names its side's ``Convention``
+    gives them (``A``, ``I`` and ``action`` for algebras)."""
 
-    def __init__(self, A: Algebra, I: Algebra, action: BimoduleAction):
-        if action.acting is not A and action.acting != A:
-            raise InputError("action must be an action of the pair's A")
+    _conv: Convention  # the side's, set by _convention
+
+    def __init__(self, A, I, action):
+        conv = self._conv
+        (_, a), (_, i) = conv.parts
+        acting = getattr(action, conv.co + "acting")
+        if acting is not A and acting != A:
+            raise InputError(f"{conv.action} must be {conv.labels[2]} of the pair's {a}")
         if action.carrier_dim != I.dim:
-            raise InputError("action carrier does not match I")
+            raise InputError(f"{conv.action} carrier does not match {i}")
         if A.field != I.field:
             raise InputError("pair components over different fields")
-        self.A = A
-        self.I = I
-        self.action = action
-
-    @property
-    def field(self):
-        return self.A.field
-
-    def validate(self, memo=None) -> Report:
-        return _validate(ALGEBRA, self, check_dorroh_pair_algebra, memo)
+        setattr(self, a, A)
+        setattr(self, i, I)
+        setattr(self, conv.action, action)
+        self.field = A.field
 
     def require_valid(self):
         report = self.validate()
         if not report.ok:
-            raise ValidationFailure(report, "not a Dorroh pair of algebras: " + report.headline())
+            raise ValidationFailure(report, f"not a Dorroh pair of {self._conv.name}s: " + report.headline())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DorrohPairAlgebra)
-            and self.A == other.A
-            and self.I == other.I
-            and self.action.left == other.action.left
-            and self.action.right == other.action.right
-        )
+        conv = self._conv
+        return isinstance(other, conv.pair) and conv.parts_of(self) == conv.parts_of(other)
+
+
+class DorrohPairAlgebra(_Pair):
+    """A pair (A, I) with A acting on the algebra I from both sides."""
+
+    def validate(self, memo=None) -> Report:
+        return _validate(ALGEBRA, self, check_dorroh_pair_algebra, memo)
 
 
 def check_dorroh_pair_algebra(pair: DorrohPairAlgebra, memo=None) -> Report:
@@ -517,22 +553,18 @@ def _build(conv: Convention, pair):
     built._built_from = pair  # see _split
     unit = getattr(acting, conv.find_unit)()
     if unit is not None and _unit_law(conv, pair, unit):
-        setattr(built, "_" + conv.unit, unit + [0] * carrier.dim)
+        built._unit = unit + [0] * carrier.dim
     return built
 
 
 def _unit_law(conv: Convention, pair, unit) -> bool:
     """Whether ``unit``, the (co)unit of pair's acting structure, acts as
     the identity on the carrier through pair's action, decided once per
-    record (``_known``).  For the regular action (both tensors the acting
-    structure's own, and ``unit`` its found (co)unit) the law is the
-    definition of the (co)unit, so it holds without a transport."""
-    acting, carrier, left, right = conv.parts_of(pair)
+    record (``_known``)."""
+    _, carrier, left, right = conv.parts_of(pair)
     known = _known(conv, pair)
     if known.unit_law is None:
-        own = getattr(acting, conv.tensor)
-        regular = left is own and right is own and unit is getattr(acting, "_" + conv.unit)
-        known.unit_law = regular or _acts_as_identity(left, right, unit, carrier.dim, conv.order)
+        known.unit_law = _acts_as_identity(left, right, unit, carrier.dim, conv.order)
     return known.unit_law
 
 
@@ -560,8 +592,7 @@ def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     derived = source is not None and T is getattr(B, conv.tensor) and conv.parts_of(source)[0].dim == na
     _log.debug("split derived=%d", derived)
     if derived:
-        unit = getattr(conv.parts_of(source)[0], "_" + conv.unit)  # found by the build of B
-        setattr(acting, "_" + conv.unit, unit)
+        unit = acting._unit = conv.parts_of(source)[0]._unit  # found by the build of B
         _derived(conv, pair, None if unit is None else _unit_law(conv, source, unit))
     pair.require_valid()
 
@@ -587,12 +618,6 @@ class Morphism:
         self.target = target
         self.matrix = matrix
         self.verified = verified
-
-    def inverse(self):
-        inv = invert(self.matrix)
-        if inv is None:
-            raise PreconditionError("morphism matrix is singular")
-        return type(self)(self.target, self.source, inv, verified=self.verified)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r}, {self.verified})"
@@ -764,32 +789,38 @@ def universal_map_algebra(
     return eta
 
 
-class ModuleOverAlgebra:
+class _Module:
+    """A left, right or two-sided (co)module of ``dim`` over a structure
+    (its side's ``Convention.name``), by the action tensors the Convention
+    names; a side the module does not act on has None."""
+
+    _conv: Convention  # the side's, set by _convention
+
+    def __init__(self, algebra, dim: int, side: str, left=None, right=None):
+        conv = self._conv
+        if side not in SIDES:
+            raise InputError(f"side must be one of {SIDES}")
+        na = algebra.dim
+        shapes = (conv.lay((na, dim, dim)), conv.lay((dim, na, dim)))
+        for label, t, dims, own, other in zip(conv.labels, (left, right), shapes, (LEFT, RIGHT), (RIGHT, LEFT)):
+            if side in (own, BI):
+                if t is None or t.dims != dims:
+                    raise InputError(f"{label} tensor missing or mis-shaped")
+            elif t is not None:
+                raise InputError(f"{other} {conv.co}module cannot carry a {own} {conv.action}")
+        setattr(self, conv.name, algebra)
+        self.dim = dim
+        self.side = side
+        for key, t in zip(conv.actions, (left, right)):
+            setattr(self, key, t)
+
+
+class ModuleOverAlgebra(_Module):
     """A left/right/bi module by action structure constants.
 
     ``left`` (a,m,m') -> c: e_a . v_m contains c v_{m'};
     ``right`` (m,a,m') -> c: v_m . e_a contains c v_{m'}.
     """
-
-    def __init__(self, algebra: Algebra, dim: int, side: str, left=None, right=None):
-        if side not in SIDES:
-            raise InputError(f"side must be one of {SIDES}")
-        na = algebra.dim
-        if side in (LEFT, BI):
-            if left is None or left.dims != (na, dim, dim):
-                raise InputError("left action tensor missing or mis-shaped")
-        elif left is not None:
-            raise InputError("right module cannot carry a left action")
-        if side in (RIGHT, BI):
-            if right is None or right.dims != (dim, na, dim):
-                raise InputError("right action tensor missing or mis-shaped")
-        elif right is not None:
-            raise InputError("left module cannot carry a right action")
-        self.algebra = algebra
-        self.dim = dim
-        self.side = side
-        self.left = left
-        self.right = right
 
     def validate(self) -> Report:
         tensors = {"mul": self.algebra.mul, "left": self.left, "right": self.right}
@@ -797,10 +828,11 @@ class ModuleOverAlgebra:
         return check_laws(Report(), self.algebra.field, ACTION_LAWS.algebra, tensors, names)
 
 
-ALGEBRA = Convention(
-    name="algebra", co="", order=(0, 1, 2), structure=Algebra, tensor="mul", unit="unit",
+ALGEBRA = _convention(
+    name="algebra", co="", order=(0, 1, 2), structure=Algebra, tensor="mul", unit="unit", unit_law="identity",
     find_unit="find_identity", morphism=AlgebraMorphism, pair=DorrohPairAlgebra, parts=(("a", "A"), ("i", "I")),
-    action="action", action_type=BimoduleAction, actions=("left", "right"), module=ModuleOverAlgebra,
+    action="action", action_type=BimoduleAction, actions=("left", "right"),
+    labels=("left action", "right action", "an action"), module=ModuleOverAlgebra,
 )
 
 
@@ -869,23 +901,28 @@ def check_iterated_algebra_triple(
     mixed laws checked.  A pair of the same A, I and action objects as a
     pair already validated takes its report from the action's record
     (``_known``): (A1, A2) of a validated pair, and (A1, A3) when A3 is A2
-    with the same action.  The laws of (A1, A3), (A2, A3) and the mixed
-    laws share one memo, which opens with the decisions recorded with
-    (A1, A2) and (A1, A3), so each distinct identity among them is decided
-    once; on the canonical triple (A, I, I) of a validated pair the mixed
-    laws are the pair's own, and only I's associativity is decided.  The
-    two bracketings are reached only when all of these pass, and block by
-    block each bracketing identity is one of them (the associativity of
-    iterated Dorroh extensions), so both bracketed pairs carry the
-    all-pass report and the unit laws of (A1, A2) and (A1, A3) (``_derived``).
-    The associator is still verified by structure-constant equality.
+    with the same action.  (A1, A2) is built, and its unit law read, before
+    (A1, A3) can replace the record on a shared action: a copy of A2 as A3
+    does not make (A1, A2) be decided again.  The laws of (A1, A3), (A2, A3)
+    and the mixed laws share one memo, which opens with the decisions
+    recorded with (A1, A2) and (A1, A3), so each distinct identity among
+    them is decided once; on the canonical triple (A, I, I) of a validated
+    pair the mixed laws are the pair's own, and only I's associativity is
+    decided.  The two bracketings are reached only when all of these pass,
+    and block by block each bracketing identity is one of them (the
+    associativity of iterated Dorroh extensions), so both bracketed pairs
+    carry the all-pass report and the unit laws of (A1, A2) and (A1, A3)
+    (``_derived``).  The associator is still verified by structure-constant equality.
     """
     return _iterated_triple(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, a1, a2, a3, act12, act13, act23)
 
 
 def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, act23):
+    # The build validates (A1, A2) and finds the (co)unit u_1 of A1.
     pair12 = conv.pair(a1, a2, act12)
-    pair12.require_valid()
+    b12 = build(pair12)
+    unit = a1._unit
+    on_a2 = None if unit is None else _unit_law(conv, pair12, unit)
     pair23 = conv.pair(a2, a3, act23)
     field = a1.field
     n1, n2, n3 = a1.dim, a2.dim, a3.dim
@@ -911,7 +948,6 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
 
     # A1|xA2 acts on A3 through A1 and A2 side by side ...
     n12 = n1 + n2
-    b12 = build(pair12)
     act_12_3 = conv.action_type(
         b12,
         n3,
@@ -933,11 +969,8 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     # The unit u_1 of A1 acts on A2|xA3 through A2 and A3 side by side, and
     # when it acts as the identity on A2, (u_1, 0) is the unit of A1|xA2
     # and acts on A3 through A1 alone: both unit laws are (A1, A2)'s and
-    # (A1, A3)'s.  The build of (A1, A2) found u_1.
-    unit = getattr(a1, "_" + conv.unit)
-    on_a2 = on_a3 = None
-    if unit is not None:
-        on_a2, on_a3 = _unit_law(conv, pair12, unit), _unit_law(conv, pair13, unit)
+    # (A1, A3)'s.
+    on_a3 = None if unit is None else _unit_law(conv, pair13, unit)
     for prefix, pair, unit_law in (
         ("left-bracketing:", pair_left, on_a3 if on_a2 else None),
         ("right-bracketing:", pair_right, on_a2 and on_a3),

@@ -7,9 +7,9 @@ Conventions:
     contains a f_y (x) e_c.
   * Extensions order the basis C-block first, then P-block; the
     comultiplication of the extension restricted to the P-block carries
-    the rho_l, rho_r and Delta_P terms.  The extension, gluing and
-    iterated triple are those of ``algebra.py`` with every block rotated
-    by ``TO_COALGEBRA``, the Kronecker dual; no block is laid out here.
+    the rho_l, rho_r and Delta_P terms.  The classes' shared code, the
+    extension, gluing and iterated triple are those of ``algebra.py``,
+    with every block rotated by ``TO_COALGEBRA``, the Kronecker dual.
 
 Coalgebras need not be counital; a coideal is a subspace P with
 Delta(P) inside D(x)P + P(x)D (the non-counital sense, which keeps the
@@ -22,15 +22,16 @@ from .algebra import (
     ACTION_LAWS,
     ASSOCIATIVITY,
     BI,
-    LEFT,
     PAIR_LAWS,
-    RIGHT,
-    SIDES,
-    Convention,
     Morphism,
+    _Action,
+    _Module,
+    _Pair,
+    _Structure,
     _acts_as_identity,
     _assemble,
     _build,
+    _convention,
     _iterated_triple,
     _record_verified,
     _scope,
@@ -47,25 +48,9 @@ from .reports import Report
 from .tensors import TO_ALGEBRA, TO_COALGEBRA, SparseTensor3, first_difference, place, rotate, transport
 
 
-class Coalgebra:
+class Coalgebra(_Structure):
     def __init__(self, dim, delta: SparseTensor3, field: FieldSpec, labels=None, counit=None):
-        if delta.dims != (dim, dim, dim):
-            raise InputError(f"delta tensor dims {delta.dims} do not match dim {dim}")
-        if delta.field != field:
-            raise InputError("delta tensor field mismatch")
-        if labels is not None and len(labels) != dim:
-            raise InputError("label count must equal dim")
-        self.dim = dim
-        self.delta = delta
-        self.field = field
-        self.labels = list(labels) if labels is not None else None
-        self._built_from = None  # see algebra._build
-        self._counit = "unset"
-        if counit is not None:
-            counit = [field.canon(c) for c in counit]
-            if len(counit) != dim or not _acts_as_identity(delta, delta, counit, dim, TO_COALGEBRA):
-                raise InputError("cached counit fails the counit law")
-            self._counit = counit
+        super().__init__(dim, delta, field, labels, counit)
 
     def coproduct(self, x):
         """Delta of a coordinate vector, as a dict (i,j) -> coefficient."""
@@ -83,24 +68,13 @@ class Coalgebra:
 
         The counit of C is the unit of the convolution algebra C*.
         """
-        if self._counit == "unset":
-            self._counit = _two_sided_unit(rotate(self.delta, TO_ALGEBRA))
-        return self._counit
+        if self._unit == "unset":
+            self._unit = _two_sided_unit(rotate(self.delta, TO_ALGEBRA))
+        return self._unit
 
     @property
     def counital(self):
         return self.find_counit() is not None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coalgebra)
-            and self.dim == other.dim
-            and self.field == other.field
-            and self.delta == other.delta
-        )
-
-    def __repr__(self):
-        return f"Coalgebra(dim={self.dim}, field={self.field!r})"
 
 
 def check_coassociativity(c: Coalgebra) -> Report:
@@ -108,22 +82,11 @@ def check_coassociativity(c: Coalgebra) -> Report:
     return check_laws(Report(), c.field, ASSOCIATIVITY.coalgebra, {"mul": c.delta})
 
 
-class BicomoduleCoaction:
+class BicomoduleCoaction(_Action):
     """A coalgebra coacting on a carrier from both sides."""
 
     def __init__(self, coacting: Coalgebra, carrier_dim: int, rho_l: SparseTensor3, rho_r: SparseTensor3):
-        nc = coacting.dim
-        if rho_l.dims != (carrier_dim, nc, carrier_dim):
-            raise InputError(f"rho_l dims {rho_l.dims} do not match ({carrier_dim},{nc},{carrier_dim})")
-        if rho_r.dims != (carrier_dim, carrier_dim, nc):
-            raise InputError(f"rho_r dims {rho_r.dims} do not match ({carrier_dim},{carrier_dim},{nc})")
-        if rho_l.field != coacting.field or rho_r.field != coacting.field:
-            raise InputError("coaction tensor field mismatch")
-        self.coacting = coacting
-        self.carrier_dim = carrier_dim
-        self.rho_l = rho_l
-        self.rho_r = rho_r
-        self._known = None  # see algebra._known
+        super().__init__(coacting, carrier_dim, rho_l, rho_r)
 
     def validate(self, memo=None) -> Report:
         """Left/right comodule coassociativity and the bicomodule exchange."""
@@ -131,40 +94,14 @@ class BicomoduleCoaction:
         return check_laws(Report(), self.coacting.field, ACTION_LAWS.coalgebra, tensors, memo=memo)
 
 
-class DorrohPairCoalgebra:
+class DorrohPairCoalgebra(_Pair):
     """A pair (C, P) with C coacting on the coalgebra P from both sides."""
 
     def __init__(self, C: Coalgebra, P: Coalgebra, coaction: BicomoduleCoaction):
-        if coaction.coacting is not C and coaction.coacting != C:
-            raise InputError("coaction must be a coaction of the pair's C")
-        if coaction.carrier_dim != P.dim:
-            raise InputError("coaction carrier does not match P")
-        if C.field != P.field:
-            raise InputError("pair components over different fields")
-        self.C = C
-        self.P = P
-        self.coaction = coaction
-
-    @property
-    def field(self):
-        return self.C.field
+        super().__init__(C, P, coaction)
 
     def validate(self, memo=None) -> Report:
         return _validate(COALGEBRA, self, check_dorroh_pair_coalgebra, memo)
-
-    def require_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise ValidationFailure(report, "not a Dorroh pair of coalgebras: " + report.headline())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DorrohPairCoalgebra)
-            and self.C == other.C
-            and self.P == other.P
-            and self.coaction.rho_l == other.coaction.rho_l
-            and self.coaction.rho_r == other.coaction.rho_r
-        )
 
 
 def check_dorroh_pair_coalgebra(pair: DorrohPairCoalgebra, memo=None) -> Report:
@@ -329,7 +266,7 @@ def universal_map_coalgebra(
     return eta
 
 
-class ComoduleOverCoalgebra:
+class ComoduleOverCoalgebra(_Module):
     """A left/right/bi comodule by coaction structure constants.
 
     ``rho_l`` (m,c,m') -> a: rho_l(v_m) contains a e_c (x) v_{m'};
@@ -337,34 +274,18 @@ class ComoduleOverCoalgebra:
     """
 
     def __init__(self, coalgebra: Coalgebra, dim: int, side: str, rho_l=None, rho_r=None):
-        if side not in SIDES:
-            raise InputError(f"side must be one of {SIDES}")
-        nc = coalgebra.dim
-        if side in (LEFT, BI):
-            if rho_l is None or rho_l.dims != (dim, nc, dim):
-                raise InputError("rho_l tensor missing or mis-shaped")
-        elif rho_l is not None:
-            raise InputError("right comodule cannot carry a left coaction")
-        if side in (RIGHT, BI):
-            if rho_r is None or rho_r.dims != (dim, dim, nc):
-                raise InputError("rho_r tensor missing or mis-shaped")
-        elif rho_r is not None:
-            raise InputError("left comodule cannot carry a right coaction")
-        self.coalgebra = coalgebra
-        self.dim = dim
-        self.side = side
-        self.rho_l = rho_l
-        self.rho_r = rho_r
+        super().__init__(coalgebra, dim, side, rho_l, rho_r)
 
     def validate(self) -> Report:
         tensors = {"mul": self.coalgebra.delta, "left": self.rho_l, "right": self.rho_r}
         return check_laws(Report(), self.coalgebra.field, ACTION_LAWS.coalgebra, tensors)
 
 
-COALGEBRA = Convention(
+COALGEBRA = _convention(
     name="coalgebra", co="co", order=TO_COALGEBRA, structure=Coalgebra, tensor="delta", unit="counit",
-    find_unit="find_counit", morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra, parts=(("c", "C"), ("p", "P")),
-    action="coaction", action_type=BicomoduleCoaction, actions=("rho_l", "rho_r"), module=ComoduleOverCoalgebra,
+    unit_law="counit", find_unit="find_counit", morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra,
+    parts=(("c", "C"), ("p", "P")), action="coaction", action_type=BicomoduleCoaction, actions=("rho_l", "rho_r"),
+    labels=("rho_l", "rho_r", "a coaction"), module=ComoduleOverCoalgebra,
 )
 
 

@@ -67,7 +67,7 @@ def _dual(src, dst, s):
     tensor = rotate(getattr(s, src.tensor), _turn(src, dst))
     labels = None if s.labels is None else [lab + "*" for lab in s.labels]
     dual = dst.structure(s.dim, tensor, s.field, labels=labels)
-    setattr(dual, "_" + dst.unit, getattr(s, src.find_unit)())
+    dual._unit = getattr(s, src.find_unit)()
     return dual
 
 
@@ -110,7 +110,7 @@ def _dualize_pair(src, dst, pair, build, build_dual, verify):
     a_dual, i_dual = _dual(src, dst, acting), _dual(src, dst, carrier)
     action = dst.action_type(a_dual, carrier.dim, rotate(left, turn), rotate(right, turn))
     dual = dst.pair(a_dual, i_dual, action)
-    unit = getattr(a_dual, "_" + dst.unit)  # acting's, taken by its dual
+    unit = a_dual._unit  # acting's, taken by its dual
     _derived(dst, dual, None if unit is None else _unit_law(src, pair, unit))
 
     identity = Matrix.identity(acting.dim + carrier.dim, pair.field)

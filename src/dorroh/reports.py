@@ -28,12 +28,9 @@ class CheckResult:
 @dataclass
 class Report:
     checks: list = field(default_factory=list)
-    error: str | None = None
 
     @property
     def status(self) -> str:
-        if self.error is not None:
-            return "error"
         return "pass" if all(c.ok for c in self.checks) else "fail"
 
     @property
@@ -56,8 +53,6 @@ class Report:
             self.checks.append(
                 CheckResult(prefix + c.name if prefix else c.name, c.ok, c.witness, c.detail)
             )
-        if other.error and not self.error:
-            self.error = other.error
         return self
 
     def first_failure(self) -> CheckResult | None:
@@ -67,8 +62,6 @@ class Report:
         return None
 
     def headline(self) -> str:
-        if self.error is not None:
-            return f"error: {self.error}"
         bad = self.first_failure()
         if bad is None:
             return f"pass ({len(self.checks)} checks)"
@@ -83,8 +76,6 @@ class Report:
             "checks": [c.to_json() for c in self.checks],
             "summary": {"passed": passed, "failed": len(self.checks) - passed},
         }
-        if self.error is not None:
-            out["error"] = self.error
         return out
 
     def render_text(self) -> str:

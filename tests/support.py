@@ -8,8 +8,9 @@ and ``basis`` gives the coordinates of one basis vector.
 reference for its one sparse elimination ``linalg._rref``;
 ``solve_linear`` solves a dense system by it, and ``dense_unit`` the
 (co)unit system by ``solve_linear``.  ``zeros``, ``matmul``,
-``apply`` and ``dense_columns`` are dense matrix helpers no library code
-needs.  ``reference_unit_on`` decides a (co)unit law by a transport round
+``apply`` and ``dense_columns`` are dense matrix helpers, and ``inverse``
+the inverse of a morphism, that no library code needs.
+``reference_unit_on`` decides a (co)unit law by a transport round
 trip against a dense identity, the reference for ``algebra._unit_on``.
 ``random_algebra_pair`` and ``random_coalgebra_pair`` draw valid pairs
 from the gallery's constructions, never by rejection-sampling raw
@@ -25,7 +26,7 @@ from dorroh.coalgebra import (
     regular_bicomodule,
     zero_coaction_pair,
 )
-from dorroh.errors import InputError
+from dorroh.errors import InputError, PreconditionError
 from dorroh.fields import FieldSpec
 from dorroh.gallery import (
     algebra_k,
@@ -48,7 +49,7 @@ from dorroh.gallery import (
     trivial_extension_pair,
     truncated_polynomials,
 )
-from dorroh.linalg import Matrix
+from dorroh.linalg import Matrix, invert
 from dorroh.tensors import SparseTensor3, transport
 
 
@@ -91,6 +92,14 @@ def identity_morphism(a) -> AlgebraMorphism:
 
 def identity_comorphism(c) -> CoalgebraMorphism:
     return CoalgebraMorphism(c, c, Matrix.identity(c.dim, c.field))
+
+
+def inverse(F):
+    """The morphism of F's inverse matrix, target to source, stamped as F is."""
+    inv = invert(F.matrix)
+    if inv is None:
+        raise PreconditionError("morphism matrix is singular")
+    return type(F)(F.target, F.source, inv, verified=F.verified)
 
 
 def zeros(rows: int, cols: int, field: FieldSpec) -> Matrix:

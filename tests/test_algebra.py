@@ -35,7 +35,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix, is_identity
 from dorroh.tensors import SparseTensor3
-from support import act_left, act_right, basis, identity_morphism, matmul, zeros
+from support import act_left, act_right, basis, identity_morphism, inverse, matmul, zeros
 
 
 def brute_force_associative(a):
@@ -268,7 +268,7 @@ def test_unital_ideal_identity_is_central_for_action():
 def test_unital_ideal_iso_round_trip_is_identity():
     pair = regular_pair(group_algebra_z2(QQ))
     eta = unital_ideal_iso(pair)
-    assert is_identity(matmul(eta.matrix, eta.inverse().matrix))
+    assert is_identity(matmul(eta.matrix, inverse(eta).matrix))
 
 
 # ---------------------------------------------------------------------------

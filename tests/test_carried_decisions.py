@@ -6,9 +6,10 @@ was decided in, the unit law and the laid-out extension tensor.  A pair
 of other acting or carrier objects replaces the record and decides
 again.  An iterated triple opens its memo with copies of the decisions
 recorded with (A1, A2) and (A1, A3), so on the canonical triple (A, I, I)
-of a validated pair only the associativity of I is decided.  ``_build``
-lays an extension's tensor out once per record, and ``_unit_law`` takes
-the unit law of a regular action from the (co)unit itself.
+of a validated pair only the associativity of I is decided; a triple
+builds (A1, A2) before (A1, A3) can replace the record on a shared
+action.  ``_build`` lays an extension's tensor out once per record, and
+``_unit_law`` decides every unit law by one pass over the action.
 
 The references are law by law on fresh copies (``reference_triple`` and
 ``reference_check`` of ``test_derived_reports``), the reference layout of
@@ -22,7 +23,7 @@ import random
 
 import pytest
 
-from dorroh import algebra, coalgebra, exchange
+from dorroh import algebra, coalgebra, exchange, gallery
 from dorroh.algebra import _acts_as_identity, _unit_law, split_algebra_extension, unital_ideal_iso
 from dorroh.cli import _canonical_triple
 from dorroh.coalgebra import counital_split_iso, split_coalgebra_extension
@@ -167,6 +168,36 @@ def test_canonical_triple_on_a_validated_pair_runs_one_contraction(monkeypatch):
                 report, associator = _canonical_triple(pair)
                 assert report.ok and associator.verified == "iso"
                 assert len(calls) == 1, (pair, len(calls))
+
+
+@pytest.mark.parametrize("name,counts", [("algebra", (14, 15, 28, 21)), ("coalgebra", (13, 22, 26, 34))])
+def test_a_twin_a3_triple_decides_a1_a2_once(monkeypatch, name, counts):
+    """With A3 an equal but distinct copy of A2 (sharing its tensor) and
+    act13 = act12, (A1, A3) replaces the record on the shared action, but
+    (A1, A2) was built and its unit law read before: the triple checks
+    (A1, A3) and (A2, A3) and never (A1, A2).  The counts are the pair
+    checks and contractions over the Q gallery pairs, with A3 = A2 and
+    with the twin."""
+    side, module = SIDES[name], {"algebra": algebra, "coalgebra": coalgebra}[name]
+    conv = side["conv"]
+    pairs = [p for _, p in getattr(gallery, f"standard_{name}_pairs")(QQ)]
+    for pair in pairs:
+        assert pair.validate().ok
+    checks = _counter(monkeypatch, module, f"check_dorroh_pair_{name}")
+    contractions = _counter(monkeypatch, algebra, "first_witness")
+    got = []
+    for twin in (False, True):
+        del checks[:], contractions[:]
+        for pair in pairs:
+            a, i = conv.parts_of(pair)[:2]
+            a3 = side["structure"](i.dim, _own(side, i), QQ) if twin else i
+            act = getattr(pair, conv.action)
+            before = len(checks)
+            report, _ = side["triple"](a, i, a3, act, act, _regular(side, i))
+            assert report.ok
+            assert len(checks) - before == 1 + twin
+        got += [len(checks), len(contractions)]
+    assert tuple(got) == counts
 
 
 def test_triples_on_validated_pairs_report_what_the_reference_finds():
@@ -328,9 +359,9 @@ def _structures(side, field, rng):
 
 
 def test_regular_unit_law_stamp_equals_acts_as_identity():
-    """For the regular action and the found (co)unit the stamp is True
-    without a transport; every other action or vector, on unital and
-    non-unital structures alike, is decided and agrees with the law."""
+    """The stamp of every action and vector, the regular action with the
+    found (co)unit included, on unital and non-unital structures alike,
+    agrees with the law."""
     rng = random.Random(SEED + 1)
     regular = decided = 0
     for field in FIELDS:

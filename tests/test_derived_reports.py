@@ -471,7 +471,7 @@ def test_built_unit_is_the_unit_of_the_extension():
             assert built.find_identity() == _two_sided_unit(built.mul)
         for pair in coalgebra_pairs + [zero_coaction_pair(p.C, p.P) for p in coalgebra_pairs]:
             built = build_dorroh_coalgebra(pair)
-            stored += built._counit != "unset"
+            stored += built._unit != "unset"
             assert built.find_counit() == _two_sided_unit(rotate(built.delta, TO_ALGEBRA))
     assert stored >= 40
 
