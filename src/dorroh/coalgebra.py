@@ -72,10 +72,6 @@ class Coalgebra(_Structure):
             self._unit = _two_sided_unit(rotate(self.delta, TO_ALGEBRA))
         return self._unit
 
-    @property
-    def counital(self):
-        return self.find_counit() is not None
-
 
 def check_coassociativity(c: Coalgebra) -> Report:
     """(Delta (x) 1) Delta = (1 (x) Delta) Delta on every basis element."""

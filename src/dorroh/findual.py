@@ -14,11 +14,13 @@ elements are plain monomials x^{p_t} at the pivot degrees, so the right
 factors are the corresponding shifts of f.  The shift space V is
 shift-invariant, so every factor h lies in V and factors through the
 same basis, h(x^(a+b)) = sum_u f_u(x^a) h(x^(p_u+b)).  The first identity
-and coassociativity are decided by one certificate in O(rank^2 (depth +
-order)) operations, which names the least failing instance of each
-identity (see coproduct_decompose).  The Dorroh split k[x]^o = k e |x
-(x k[x])^o, e evaluation at x^0, holds once phi_I's coproduct is
-certified.  Everything is verified to a depth of at most MAX_DEPTH.
+and coassociativity are decided by one certificate, which names the least
+failing instance of each identity.  Every sequence it compares follows
+f's recurrence past f's L initial values, so it reads them only up to
+about x^(2L+1), in O(rank^2 L) operations whatever the depth, and a pass
+holds at every depth (see coproduct_decompose).  The Dorroh split
+k[x]^o = k e |x (x k[x])^o, e evaluation at x^0, holds once phi_I's
+coproduct is certified.  Depths are capped at MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -39,17 +41,16 @@ _log = logging.getLogger("dorroh.findual")
 # of a vanishing polynomial (2 MAX_ORDER), past which the functions below
 # raise InputError.  A coproduct of a sequence with L initial values and a
 # rank-r shift space costs Berlekamp-Massey on 2L + 2 values, O(L^2), and
-# a certificate of about r^2 M products on the basis tables to degree
-# M <= depth + 2L + 1 (over Q in integers, on values that grow with the
-# depth), passing or failing; the Dorroh split is the coproduct of phi_I.
-# minimal_recurrence, Berlekamp-Massey on a prefix of length m, costs
-# O(m * bound): 0.04 s on a random prefix over Q with no recurrence within
-# MAX_BOUND.  In-process on a 2-vCPU machine, dorroh_decompose takes
-# 0.013 s at MAX_DEPTH on an order-8 sequence over Q whose values grow like
-# 2^n; on a random order-MAX_ORDER one with coefficients in -3..3, 0.8 s at
-# its default depth 2 MAX_ORDER + 16 and 1.1 s at MAX_DEPTH over Q, a third
-# of it the certificate's integer tables, and 0.27 s and 0.41 s over
-# GF(10007).
+# a certificate of about r^2 L products on tables that stop by x^(2L+2)
+# (over Q in integers), passing or failing, whatever the depth; the
+# Dorroh split is the coproduct of phi_I.  minimal_recurrence,
+# Berlekamp-Massey on a prefix of length m, costs O(m * bound): 0.04 s on
+# a random prefix over Q with no recurrence within MAX_BOUND.  In-process
+# on a 2-vCPU machine, dorroh_decompose takes 0.7 ms at MAX_DEPTH on an
+# order-8 sequence over Q with roots +-1, +-2, each twice; on a random
+# order-MAX_ORDER one with coefficients and initial values in -3..3,
+# 0.15-0.18 s over Q at its default depth 2 MAX_ORDER + 16 and at
+# MAX_DEPTH alike, and 0.02 s over GF(10007).
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
@@ -64,11 +65,13 @@ MAX_ORDER = 80
 # denominator of the coefficients and S = d sum |c_i|, a step past the
 # initial values multiplies by at most S / d, so it adds at most
 # g = bits(S) + bits(d) - 1.  In-process, dorroh_decompose at MAX_DEPTH
-# takes about 1.1 s on an order-80 document under both caps with every
-# coefficient 3, and 2.1 s with every coefficient 1/2; refused, an
-# order-80 one with 45-bit initial values took 1.2 s and the 1000-digit
-# order-10 one 6.1 s at its default depth.  Over F_p every value is below
-# p < 2^64, and the order caps bound the work.
+# takes about 0.14 s on an order-80 document under both caps with every
+# coefficient 3 and initial values in -3..3, and 0.17 s with every
+# coefficient 1/2; refused, an order-80 one with 45-bit initial values
+# and every coefficient 1 took 2.0 s and an order-10 one of 1000-digit
+# scalars 3.6 s at its default depth, nearly all of both Berlekamp-Massey.
+# Over F_p every value is below p < 2^64, and the order caps bound the
+# work.
 READ_DEGREE = MAX_DEPTH + 2 * MAX_ORDER
 MAX_SCALAR_BITS = 512
 MAX_HEIGHT = 4096
@@ -246,7 +249,7 @@ def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
     return h
 
 
-def _shift_space(f: RecurrentSequence, reach: int = 0):
+def _shift_space(f: RecurrentSequence):
     """Reduced echelon basis of V = span{sigma^j f : j >= lo} on x^lo,
     x^(lo+1), ..., the shifts of f by the pivot degrees, the pivots and lo.
 
@@ -262,12 +265,12 @@ def _shift_space(f: RecurrentSequence, reach: int = 0):
     agree everywhere (Massey 1969), so Berlekamp-Massey on h's first 2w
     values finds m.  Each f_t, in V, satisfies f's recurrence past x^L,
     which extends its values on lo..max(L, lo); each shift sigma^d f keeps
-    its window vals[d:] of f's value table, through max(L, lo, reach).
+    its window vals[d:] of f's value table, through x^(2 max(L, lo) + 1 - d).
     """
     lo = 0 if f.s0 is not None else 1
     L = len(f.initial)
     hi, w = max(L, lo), L + 1 - lo
-    vals = _values(f, hi + max(hi + 1, reach))  # 2w values from x^(2 lo) reach x^(2L+1)
+    vals = _values(f, 2 * hi + 1)  # 2w values from x^(2 lo) reach x^(2L+1)
     r, coeffs = _berlekamp_massey(vals[lo : lo + 2 * w], w, f.field)
     canon, steps = f.field.canon, coeffs[::-1]  # x^r = sum_i c_i x^(r-i) mod m, c_r first
     cols, v = [], [int(t == 0) for t in range(r)]  # x^k mod m, k = 0, 1, ...
@@ -350,20 +353,36 @@ def _first_difference(got, want):
     return next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
 
 
+def _window(f: RecurrentSequence, dec: CoproductDecomposition) -> int | None:
+    """E, the most initial values among f and its factors when they all
+    have f's coefficients, past which each of them follows f's recurrence;
+    None when some factor has other coefficients."""
+    factors = dec.left + dec.right
+    if any(h.coeffs != f.coeffs for h in factors):
+        return None
+    return max(len(h.initial) for h in (f, *factors))
+
+
 def _certified(f: RecurrentSequence, dec: CoproductDecomposition, lo: int, depth: int) -> Report:
     """The report of coproduct_decompose: with P the largest pivot (lo at
-    rank 0), N = P + max(depth - 2 lo, 1) and M = N + P - lo, one row for
-    each of its identities (1), (2), (4) and (5), decided by one equality
-    of lists of value lists, with the least failing instance as the
-    witness: the first differing list t, and the first differing k in it."""
+    rank 0), N = P + max(depth - 2 lo, 1) and M = N + P - lo, cut to
+    min(N, E) and min(M, E + 1) when the factors follow f's recurrence past
+    E (``_window``), one row for each of its identities (1), (2), (4) and
+    (5), decided by one equality of lists of value lists, with the least
+    failing instance as the witness: the first differing list t, and the
+    first differing k in it."""
     pivots, p = dec.pivots, f.field.p
     P = max(pivots, default=lo)
     N = P + max(depth - 2 * lo, 1)
     M = N + P - lo
-    F, D = _tables(dec.left, M, f.field)  # f_t(x^n) = F[t][n - lo] / D
-    (H,), _ = _tables([f], N + P, f.field)  # h(x^n) = f(x^(n+lo)) is H[n] over a common denominator
+    E = _window(f, dec)
+    if E is not None:
+        N, M = min(N, E), min(M, E + 1)
+    F, D = _tables(dec.left, max(M, P + 1), f.field)  # f_t(x^n) = F[t][n - lo] / D
+    last = max(M + lo, N + P)  # the last degree read of f
+    (H,), _ = _tables([f], last, f.field)  # h(x^n) = f(x^(n+lo)) is H[n] over a common denominator
     cols = list(zip(*F)) or [()] * (M - lo + 1)  # cols[n - lo][u] = D f_u(x^n)
-    fv, at, r = _values(f, N + P), [q - lo for q in pivots], range(len(pivots))
+    fv, at, r = _values(f, last), [q - lo for q in pivots], range(len(pivots))
 
     def expand(coords, top):
         """sum_u coords[u] cols[n - lo][u] for n = lo..top (mod p over F_p)."""
@@ -380,7 +399,7 @@ def _certified(f: RecurrentSequence, dec: CoproductDecomposition, lo: int, depth
         ("f_t(x^(p_u))=delta_tu", [[Ft[k] for k in at] for Ft in F],
          [[D if u == t else 0 for u in r] for t in r], lambda t, k: (t, pivots[k])),
         ("f_t(x^(n+1))=sum_u f_t(x^(p_u+1))f_u(x^n)", [expand([Ft[k + 1] for k in at], M - 1) for Ft in F],
-         [scaled(Ft[1:]) for Ft in F], lambda t, k: (t, lo + k)),
+         [scaled(Ft[1 : M - lo + 1]) for Ft in F], lambda t, k: (t, lo + k)),
         ("h(x^n)=sum_u h(x^(p_u))f_u(x^n) for h=sigma^lo f", [expand([H[q] for q in pivots], M)],
          [scaled(H[lo : M + 1])], lambda _, k: (lo + k,)),
         ("g_t(x^n)=f(x^(n+p_t))", [_values(gt, N) for _, gt in zip(pivots, dec.right)],
@@ -412,9 +431,9 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
       (1) f_t(x^(p_u)) = delta_tu;
       (2) f_t(x^(n+1)) = sum_u f_t(x^(p_u+1)) f_u(x^n) on n = lo..M-1;
       (4) h(x^n) = sum_u h(x^(p_u)) f_u(x^n) on n = lo..M;
-      (5) g_t(x^n) = f(x^(n+p_t)) on n = lo..N,
-    in O(rank^2 M) operations (over Q on integer tables, one common
-    denominator each for the f_t and for h).  Let Q_k(b) say
+      (5) g_t(x^n) = f(x^(n+p_t)) on n = lo..N
+    (over Q on integer tables, one common denominator each for the f_t
+    and for h).  Let Q_k(b) say
     k(x^(n+b)) = sum_u k(x^(p_u+b)) f_u(x^n) on n = lo..M-b.  (4) is
     Q_h(0), and (1) gives Q_k(0) for k = f_t.  For b < M - P, Q_k(b)
     gives Q_k(b+1): for n <= M-b-1,
@@ -432,11 +451,27 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
     (1), (2), (4) and (5) is a pass of both.  A failure reports the rows
     that fail, each with its least failing instance: (t, p_u) for (1),
     (t, n) for (2) and (5), (n,) for (4).
+
+    The rows are read on a window that stops where the recurrence takes
+    over.  f and every factor follow s_n = sum_i c_i s_(n-i) for n past
+    their initial values, with c f's coefficients, and a shift sigma^d
+    only lowers the degree from which a sequence follows it.  Each row
+    compares, for each t, a combination with constant coefficients of
+    these sequences, so the difference e of its two sides follows it for
+    n > E, E the most initial values among f and the factors, and
+    E + 1 - order >= 1 >= lo.  So e vanishes on lo..n for every n once it
+    vanishes on lo..E, and the least failing t, and in it the least failing
+    n, are the same on lo..top and on lo..min(top, E).  (2) is read on
+    n <= min(M - 1, E), (4) on n <= min(M, E + 1) and (5) on
+    n <= min(N, E), so (2) reads f_t up to x^(E+1), and the tables stop
+    by x^(E+P+1): O(rank^2 E) operations, whatever the depth.  A pass
+    makes every difference vanish on all n >= lo, so (1)-(5) hold for M
+    and N as large as one likes, and the decomposition at every depth.  A
+    factor with other coefficients (a decomposition this function does
+    not build) is read on the full range.
     """
     depth = _depth(f, depth)
-    lo = 0 if f.s0 is not None else 1
-    # the shifts carry their values up to N, the last degree the certificate reads of them
-    left, right, pivots, lo = _shift_space(f, max(len(f.initial), lo) + max(depth - 2 * lo, 1))
+    left, right, pivots, lo = _shift_space(f)
     dec = CoproductDecomposition(len(left), left, right, pivots)
     report = _certified(f, dec, lo, depth)
     _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, depth - lo + 1)

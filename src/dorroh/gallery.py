@@ -150,7 +150,10 @@ _CATALOG = {
 }
 
 
-_SELF_CHECKS = {Algebra: (check_associativity, "unital"), Coalgebra: (check_coassociativity, "counital")}
+_SELF_CHECKS = {
+    Algebra: (check_associativity, "unital", Algebra.find_identity),
+    Coalgebra: (check_coassociativity, "counital", Coalgebra.find_counit),
+}
 
 
 def catalog_names():
@@ -180,11 +183,11 @@ def instance(name: str, field: FieldSpec):
         obj = builder(field)
 
     if type(obj) in _SELF_CHECKS:
-        check, unital = _SELF_CHECKS[type(obj)]  # unital: "unital" or "counital"
+        check, unital, find_unit = _SELF_CHECKS[type(obj)]  # unital: "unital" or "counital"
         report = check(obj)
         if not report.ok:
             raise ValidationFailure(report, f"gallery instance {name} failed validation")
-        if unital in props and getattr(obj, unital) != props[unital]:
+        if unital in props and (find_unit(obj) is not None) != props[unital]:
             raise ValidationFailure(
                 Report().add(f"expected {unital}ity", False), f"gallery instance {name} has wrong {unital}ity"
             )

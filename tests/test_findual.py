@@ -391,12 +391,16 @@ def _bent(h, position, delta):
 
 
 def _bent_from(h, degree, delta):
-    """h with s_degree moved by delta and s_n unchanged for n < degree."""
+    """h with s_degree moved by delta and s_n unchanged for n < degree.  Its
+    initial values run to x^degree, past MAX_ORDER at large depths: the
+    cap bounds documents, not the certificate."""
     if degree == 0:
         return _bent(h, 0, delta)
     values = h.prefix(max(degree, len(h.initial)))
-    values[degree - 1] += delta
-    return RecurrentSequence(h.field, h.s0, values, h.coeffs)
+    values[degree - 1] = h.field.canon(values[degree - 1] + delta)
+    bent = RecurrentSequence(h.field, h.s0, values[: h.order], h.coeffs)
+    bent.initial, bent._vals = values, list(values)
+    return bent
 
 
 def _shifted(f, d):
@@ -410,8 +414,8 @@ def _bend_decomposition_of(monkeypatch, target, edit):
     other call is untouched."""
     original = findual._shift_space
 
-    def bent(h, reach=0):
-        basis, shifts, pivots, lo = original(h, reach)
+    def bent(h):
+        basis, shifts, pivots, lo = original(h)
         if h == target:
             basis, shifts, pivots = list(basis), list(shifts), list(pivots)
             edit(basis, shifts, pivots)
@@ -608,6 +612,97 @@ def test_order8_depth160_coproduct_is_fast():
         dec = coproduct_decompose(f, 160)
         assert time.perf_counter() - start < 2.0
         assert dec.rank == 8 + with_s0
+
+
+# ---------------------------------------------------------------------------
+# the recurrence window
+
+
+def _order6_q(rng, with_s0):
+    coeffs = [rng.randint(-3, 3) for _ in range(5)] + [rng.choice((-2, -1, 1, 2))]
+    s0 = rng.randint(-3, 3) if with_s0 else None
+    return RecurrentSequence(QQ, s0, [rng.randint(-3, 3) for _ in range(6)], coeffs)
+
+
+def test_the_certificate_reads_no_table_past_the_recurrence_window(monkeypatch):
+    # Every factor has f's coefficients and len(f.initial) = E initial
+    # values, so the tables stop at E + P + 1 at any depth.
+    tops, original = [], findual._tables
+
+    def recorded(hs, top, field):
+        tops.append(top)
+        return original(hs, top, field)
+
+    monkeypatch.setattr(findual, "_tables", recorded)
+    rng = random.Random(23)
+    for with_s0 in (True, False):
+        for f in (_order8(GF(10007), rng, with_s0), _order6_q(rng, with_s0)):
+            for depth in (26, findual.MAX_DEPTH):
+                tops.clear()
+                dec = coproduct_decompose(f, depth)
+                E, P = len(f.initial), max(dec.pivots)
+                assert len(tops) == 2 and max(tops) <= E + P + 1 < depth, (f, depth, tops)
+                assert _expected(f, depth) is None
+
+
+def test_the_window_reports_as_the_full_range_up_to_max_depth(monkeypatch):
+    # Random sequences at depths up to MAX_DEPTH, and a basis element or a
+    # shift bent from a degree between E + 1 and M, past f's E initial
+    # values: the bent factor's own initial values reach that degree, so
+    # the window does too, and the report is the full-range reference's.
+    rng = random.Random(2301)
+    failed = 0
+    for case in range(48):
+        field = (QQ, GF(3), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        depth = rng.choice((rng.randint(0, findual.MAX_DEPTH), findual.MAX_DEPTH))
+        assert _outcome(f, depth) is None and _expected(f, depth) is None, (f, depth)
+        lo = 0 if f.s0 is not None else 1
+        pivots = findual._shift_space(f)[2]
+        if not pivots:
+            continue
+        M = certified_degrees(pivots, lo, depth)[1]
+        side, k = rng.randrange(2), rng.randrange(len(pivots))
+        degree = rng.randint(len(f.initial) + 1, max(len(f.initial) + 1, M))
+
+        def edit(basis, shifts, pivots, side=side, k=k, degree=degree):
+            part = (basis, shifts)[side]
+            part[k] = _bent_from(part[k], degree, 1)
+
+        failed += _bent_outcome(monkeypatch, f, depth, edit) is not None
+    assert failed >= 20, failed
+
+
+def test_a_factor_with_other_coefficients_keeps_the_full_range(monkeypatch):
+    # A factor that keeps its values up to x^(d-1), d - 1 past f's initial
+    # values, and then follows other coefficients first leaves V at x^d.
+    # Its d - 1 initial values would stop a window before x^d, so the
+    # certificate reads the full range and reports the failure there: at
+    # n = d - 1 in (2) for a basis element and at n = d in (5) for a shift.
+    rng = random.Random(2302)
+    caught = {ROWS[1]: 0, ROWS[3]: 0}
+    for case in range(60):
+        field = (QQ, GF(5), GF(10007))[case % 3]
+        f = _random_sequence(rng, field, with_s0=case % 2 == 0)
+        lo = 0 if f.s0 is not None else 1
+        depth = rng.randint(12, 40)
+        pivots = findual._shift_space(f)[2]
+        if not pivots:
+            continue
+        side, k = (case // 2) % 2, rng.randrange(len(pivots))
+        last = certified_degrees(pivots, lo, depth)[1 - side]  # M for a basis element, N for a shift
+        d = rng.randint(len(f.initial) + 2, last)
+
+        def edit(basis, shifts, pivots, side=side, k=k, d=d):
+            part = (basis, shifts)[side]
+            h = part[k]
+            part[k] = RecurrentSequence(h.field, h.s0, h.prefix(d - 1), h.coeffs[:-1] + [h.coeffs[-1] + 1])
+
+        got = _bent_outcome(monkeypatch, f, depth, edit)
+        row = (1, 3)[side]
+        if got is not None and got[row][2] == (k, d - 1 + side):
+            caught[ROWS[row]] += 1
+    assert min(caught.values()) >= 10, caught
 
 
 def test_coproduct_logs_one_event_per_call(caplog, monkeypatch):
