@@ -261,24 +261,17 @@ def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None
     """
     if memo is None:
         memo = {}
-    for i, name, box, out, lhs, rhs in _bind(laws, tensors):
-        key = _law_key(box, out, lhs, rhs)
-        seen = memo.get(key)
-        if seen is None:
-            seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0, lhs, rhs]
-        seen[1] += 1
-        report.add_witness(names[i] if names else name, seen[0])
-    return report
-
-
-def _bind(laws, tensors: dict):
-    """(index, name, box, out, lhs, rhs) of each law in ``laws`` whose
-    roles are all bound to a tensor in ``tensors``, its terms holding those
-    tensors in place of the roles."""
     for i, (name, box, out, (ls, l1, l2), (rs, r1, r2)) in enumerate(laws):
         a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
         if a is not None and b is not None and c is not None and d is not None:
-            yield i, name, box, out, (ls, a, b), (rs, c, d)
+            lhs, rhs = (ls, a, b), (rs, c, d)
+            key = _law_key(box, out, lhs, rhs)
+            seen = memo.get(key)
+            if seen is None:
+                seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0, lhs, rhs]
+            seen[1] += 1
+            report.add_witness(names[i] if names else name, seen[0])
+    return report
 
 
 @contextmanager
@@ -286,9 +279,8 @@ def _scope(memo, seeds=()):
     """The law memo of one check_dorroh_pair_* call or iterated triple: the
     caller's, or a fresh one whose counts are logged when the check returns.
     A fresh memo opens with copies of the decisions of ``seeds``, memos
-    recorded by ``_validate`` or ``_decisions`` (None skipped), their use
-    counts at 0; a law that one of them decided counts as copied, not
-    decided."""
+    recorded by ``_validate`` (None skipped), their use counts at 0; a law
+    that one of them decided counts as copied, not decided."""
     if memo is not None:
         yield memo
         return
@@ -471,10 +463,9 @@ def check_dorroh_pair_algebra(pair: DorrohPairAlgebra, memo=None) -> Report:
 
 class _Known:
     """Everything decided about the pair of ``acting`` and ``carrier`` under
-    one action: its report and the law memo it was decided in (for a
-    report derived from its parts, the one ``_decisions`` keys), the unit
-    law of the acting structure's (co)unit (None while undecided) and the
-    extension's laid-out tensor.
+    one action: its report and the law memo it was decided in (None for a
+    report derived from its parts), the unit law of the acting structure's
+    (co)unit (None while undecided) and the extension's laid-out tensor.
     It holds the tensor, never the extension, which records its pair and
     would close a reference cycle through the action."""
 
@@ -511,8 +502,7 @@ def _validate(conv: Convention, pair, check, memo) -> Report:
 def _derived(conv: Convention, pair, unit_law) -> Report:
     """Record on pair's action the report of a pair its parts prove valid,
     as ``check_dorroh_pair_*`` gives it (each law's name, in table order,
-    as a pass), and the unit law the parts decide (None: undecided).  Its
-    law memo is left to ``_decisions``."""
+    as a pass), and the unit law the parts decide (None: undecided)."""
     known = _known(conv, pair)
     known.report = Report()
     for table in (ACTION_LAWS, PAIR_LAWS):
@@ -520,22 +510,6 @@ def _derived(conv: Convention, pair, unit_law) -> Report:
             known.report.add(name, True)
     known.unit_law = unit_law
     return known.report
-
-
-def _decisions(conv: Convention, pair):
-    """The law memo recorded with pair's report, None while it has none.
-    A report ``_derived`` wrote gets its memo here, on first use: each of
-    the pair's laws keyed as a pass, without a contraction, so a check
-    seeded from it decides none of them again."""
-    known = _known(conv, pair)
-    if known.memo is None and known.report is not None:
-        acting, carrier, left, right = conv.parts_of(pair)
-        tensors = {"mul": getattr(acting, conv.tensor), "mi": getattr(carrier, conv.tensor), "left": left, "right": right}
-        known.memo = {}
-        for table in (ACTION_LAWS, PAIR_LAWS):
-            for _, _, box, out, lhs, rhs in _bind(getattr(table, conv.name), tensors):
-                known.memo[_law_key(box, out, lhs, rhs)] = [None, 0, lhs, rhs]
-    return known.memo
 
 
 def build_dorroh_algebra(pair: DorrohPairAlgebra) -> Algebra:
@@ -956,7 +930,7 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     # on itself, (A2, A3) is six renamings of A2's associativity and the six
     # mixed laws are (A1, A2)'s three pair laws renamed, each written twice.
     pair13 = conv.pair(a1, a3, act13)
-    with _scope(None, [_decisions(conv, pair12), _decisions(conv, pair13)]) as memo:
+    with _scope(None, [_known(conv, pair12).memo, _known(conv, pair13).memo]) as memo:
         report = Report()
         report.merge(pair13.validate(memo), prefix=f"{a}1{a}3:")
         report.merge(pair23.validate(memo), prefix=f"{a}2{a}3:")

@@ -49,7 +49,7 @@ _log = logging.getLogger("dorroh.findual")
 # on a 2-vCPU machine, dorroh_decompose takes 0.7 ms at MAX_DEPTH on an
 # order-8 sequence over Q with roots +-1, +-2, each twice; on a random
 # order-MAX_ORDER one with coefficients and initial values in -3..3,
-# 0.15-0.18 s over Q at its default depth 2 MAX_ORDER + 16 and at
+# 0.14-0.23 s over Q at its default depth 2 MAX_ORDER + 16 and at
 # MAX_DEPTH alike, and 0.02 s over GF(10007).
 MAX_DEPTH = 320
 MAX_BOUND = 32
@@ -65,8 +65,8 @@ MAX_ORDER = 80
 # denominator of the coefficients and S = d sum |c_i|, a step past the
 # initial values multiplies by at most S / d, so it adds at most
 # g = bits(S) + bits(d) - 1.  In-process, dorroh_decompose at MAX_DEPTH
-# takes about 0.14 s on an order-80 document under both caps with every
-# coefficient 3 and initial values in -3..3, and 0.17 s with every
+# takes about 0.13 s on an order-80 document under both caps with every
+# coefficient 3 and initial values in -3..3, and 0.18 s with every
 # coefficient 1/2; refused, an order-80 one with 45-bit initial values
 # and every coefficient 1 took 2.0 s and an order-10 one of 1000-digit
 # scalars 3.6 s at its default depth, nearly all of both Berlekamp-Massey.
@@ -308,32 +308,25 @@ def _values(h: RecurrentSequence, depth: int) -> list:
 def _integer_table(h: RecurrentSequence, top: int):
     """(T, D): ints with h(x^n) = T[n - lo] / D for n = lo..top, over Q.
 
-    The values h already holds, up to x^K, are scaled by D0, their least
+    The values h already holds, up to x^K, are scaled by D, their least
     common denominator.  Past them the recurrence runs in integers: with
     c_i = b_i / d over the least common denominator d of the coefficients,
-    T_n = D0 d^(n-K) h(x^n) = sum_i b_i d^min(i-1, n-K-1) T_(n-i).  Every
-    entry is then brought to D = D0 d^(top-K), so no Fraction is made.
-
-    The weights are kept from step to step, each b_i taking one factor d
-    per step until it reaches d^(i-1)."""
-    lo = 0 if h.s0 is not None else 1
+    each step appends sum_i b_i T_(n-i) and multiplies D and the entries
+    before it by d, so no Fraction is made.  The certificate's window
+    leaves at most one step on the sequences coproduct_decompose builds."""
     K = min(len(h._vals), top)
     held = _values(h, K)
-    D0 = lcm(*(v.denominator for v in held))
-    T = [v.numerator * (D0 // v.denominator) for v in held]
+    D = lcm(*(v.denominator for v in held))
+    T = [v.numerator * (D // v.denominator) for v in held]
     d = lcm(*(c.denominator for c in h.coeffs))
-    bs = [c.numerator * (d // c.denominator) for c in h.coeffs]  # b_1 .. b_r
-    # the weight of T_(n-i) at slot r - i: b_i d^min(i-1, j-1) at step j
-    r, weights = len(bs), bs[::-1]
-    for j in range(1, top - K + 1):  # x^(K+j)
-        T.append(sum(map(mul, weights, T[len(T) - r :])))
-        if j < r:  # the weights of b_i with i > j take one more factor d
-            weights[: r - j] = [w * d for w in weights[: r - j]]
-    e = top - K
-    if e and d != 1:
-        held_count = K - lo + 1
-        T = [t * d**e for t in T[:held_count]] + [t * d ** (e - j) for j, t in enumerate(T[held_count:], 1)]
-    return T, D0 * d**e
+    weights = [c.numerator * (d // c.denominator) for c in reversed(h.coeffs)]  # b_r .. b_1
+    r = len(weights)
+    for _ in range(top - K):
+        step = sum(map(mul, weights, T[len(T) - r :]))
+        if d != 1:
+            T, D = [t * d for t in T], D * d
+        T.append(step)
+    return T, D
 
 
 def _tables(hs, top: int, field: FieldSpec):
