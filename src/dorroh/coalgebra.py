@@ -52,17 +52,6 @@ class Coalgebra(_Structure):
     def __init__(self, dim, delta: SparseTensor3, field: FieldSpec, labels=None, counit=None):
         super().__init__(dim, delta, field, labels, counit)
 
-    def coproduct(self, x):
-        """Delta of a coordinate vector, as a dict (i,j) -> coefficient."""
-        acc = {}
-        for (k, i, j), c in self.delta.entries.items():
-            xk = x[k]
-            if xk:
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + xk * c
-        canon = self.field.canon
-        return {k: cv for k, v in acc.items() if (cv := canon(v)) != 0}
-
     def find_counit(self):
         """The unique counit functional in dual coordinates, or None.  Cached.
 

@@ -1,13 +1,15 @@
-"""Named validated instances and pair constructors.
+"""Named instances and pair constructors.
 
 Catalog names are frozen identifiers (golden tests and the CLI rely on
 them).  Parameterized entries are spelled ``name(arg)``, e.g.
-``trunc_poly(3)`` or ``geometric(2)``.
+``trunc_poly(3)`` or ``geometric(2)``.  The instances are correct by
+construction and are built unchecked; the tests validate each one.
 
 The pair constructors here (trivial extensions, direct products,
 triangular pairs, regular pairs, basis conjugation) are what the tests'
 random pairs are built from: raw random tensors essentially never
-satisfy the pair axioms.
+satisfy the pair axioms.  A pair kind that exists on both sides is
+written once, over the side's ``Convention``.
 """
 
 from __future__ import annotations
@@ -18,23 +20,20 @@ from .algebra import (
     ALGEBRA,
     Algebra,
     AlgebraMorphism,
-    BimoduleAction,
     DorrohPairAlgebra,
     ModuleOverAlgebra,
+    _build,
+    _zero_action_pair,
     build_dorroh_algebra,
-    check_associativity,
     direct_product_pair,
     regular_bimodule,
     verify_algebra_morphism,
 )
 from .coalgebra import (
     COALGEBRA,
-    BicomoduleCoaction,
     Coalgebra,
     ComoduleOverCoalgebra,
     DorrohPairCoalgebra,
-    build_dorroh_coalgebra,
-    check_coassociativity,
     regular_bicomodule,
     zero_coaction_pair,
 )
@@ -43,13 +42,13 @@ from .errors import InputError, ValidationFailure
 from .fields import FieldSpec
 from .findual import RecurrentSequence
 from .linalg import Matrix, invert
-from .reports import Report
 from .tensors import SparseTensor3, place, transport
 
 _NAME_RE = re.compile(r"([A-Za-z_0-9]+)(?:\((-?\d+)\))?\Z")
-# The largest parameter of trunc_poly, grouplikes and divided_power.  Their
-# validation grows about n^3: at 200 the first two emit in 2.2 s on a
-# 2-vCPU machine, at 300 in 7.5 s, so a larger n exits 2 instead of hanging.
+# The largest parameter of trunc_poly, grouplikes and divided_power.  It
+# bounds the documents they emit: trunc_poly(n) and divided_power(n) have
+# about n^2/2 entries, and trunc_poly(200) is a 532 kB document, so a larger
+# n exits 2 instead of writing megabytes.
 MAX_PARAM = 200
 
 
@@ -136,23 +135,17 @@ def geometric(q: int, field: FieldSpec) -> RecurrentSequence:
 
 
 _CATALOG = {
-    "k": (algebra_k, {"dim": 1, "unital": True}),
-    "dual_numbers": (dual_numbers, {"dim": 2, "unital": True}),
-    "M2": (matrix_algebra_2, {"dim": 4, "unital": True}),
-    "kZ2": (group_algebra_z2, {"dim": 2, "unital": True}),
-    "nilpotent1": (nilpotent_line, {"dim": 1, "unital": False}),
-    "trunc_poly": (truncated_polynomials, {"unital": True, "param": True, "capped": True}),
-    "Mc2": (matrix_coalgebra_2, {"dim": 4, "counital": True}),
-    "grouplikes": (grouplikes, {"counital": True, "param": True, "capped": True}),
-    "divided_power": (divided_power, {"counital": True, "param": True, "capped": True}),
+    "k": (algebra_k, {}),
+    "dual_numbers": (dual_numbers, {}),
+    "M2": (matrix_algebra_2, {}),
+    "kZ2": (group_algebra_z2, {}),
+    "nilpotent1": (nilpotent_line, {}),
+    "trunc_poly": (truncated_polynomials, {"param": True, "capped": True}),
+    "Mc2": (matrix_coalgebra_2, {}),
+    "grouplikes": (grouplikes, {"param": True, "capped": True}),
+    "divided_power": (divided_power, {"param": True, "capped": True}),
     "fibonacci": (fibonacci, {}),
     "geometric": (geometric, {"param": True}),
-}
-
-
-_SELF_CHECKS = {
-    Algebra: (check_associativity, "unital", Algebra.find_identity),
-    Coalgebra: (check_coassociativity, "counital", Coalgebra.find_counit),
 }
 
 
@@ -161,7 +154,7 @@ def catalog_names():
 
 
 def instance(name: str, field: FieldSpec):
-    """Build and validate a catalog instance; raises on unknown names."""
+    """Build a catalog instance; raises on unknown names."""
     m = _NAME_RE.match(name.strip())
     if not m or m.group(1) not in _CATALOG:
         raise InputError(f"unknown gallery name {name!r}")
@@ -176,30 +169,14 @@ def instance(name: str, field: FieldSpec):
             raise InputError(f"{base} parameter has {len(arg)} digits, past the conversion limit") from None
         if props.get("capped") and n > MAX_PARAM:
             raise InputError(f"{base} parameter {n} is past the cap MAX_PARAM = {MAX_PARAM}")
-        obj = builder(n, field)
-    else:
-        if arg is not None:
-            raise InputError(f"{base} takes no parameter")
-        obj = builder(field)
-
-    if type(obj) in _SELF_CHECKS:
-        check, unital, find_unit = _SELF_CHECKS[type(obj)]  # unital: "unital" or "counital"
-        report = check(obj)
-        if not report.ok:
-            raise ValidationFailure(report, f"gallery instance {name} failed validation")
-        if unital in props and (find_unit(obj) is not None) != props[unital]:
-            raise ValidationFailure(
-                Report().add(f"expected {unital}ity", False), f"gallery instance {name} has wrong {unital}ity"
-            )
-    if "dim" in props and obj.dim != props["dim"]:
-        raise ValidationFailure(
-            Report().add("expected dimension", False), f"gallery instance {name} has wrong dimension"
-        )
-    return obj
+        return builder(n, field)
+    if arg is not None:
+        raise InputError(f"{base} takes no parameter")
+    return builder(field)
 
 
 # ---------------------------------------------------------------------------
-# algebra pair constructors
+# pair kinds, written once over the side's Convention
 
 
 def _valid_pair(conv, A, I, left, right):
@@ -209,13 +186,54 @@ def _valid_pair(conv, A, I, left, right):
     return pair
 
 
+def _zero_structure(conv, n, field):
+    """The ``conv``-side structure of dim n whose (co)multiplication is zero."""
+    return conv.structure(n, SparseTensor3.zero((n, n, n), field), field)
+
+
+def _trivial_pair(conv, A, M):
+    """(A, M) with zero (co)multiplication on the bi(co)module M of A."""
+    co = conv.co
+    if M.side != "bi" or getattr(M, conv.name) != A:
+        raise InputError(f"trivial {co}extension needs {'an A' if conv is ALGEBRA else 'a C'}-bi{co}module")
+    return _valid_pair(conv, A, _zero_structure(conv, M.dim, A.field), *conv.tensors(M))
+
+
+def _scalar_pair(conv, one, I):
+    """(k, I) with k = ``one``, the 1-dimensional (co)unital structure,
+    (co)acting by scalars; valid for any I."""
+    n, field = I.dim, one.field
+    left = SparseTensor3(conv.lay((1, n, n)), {conv.lay((0, x, x)): 1 for x in range(n)}, field)
+    right = SparseTensor3(conv.lay((n, 1, n)), {conv.lay((x, 0, x)): 1 for x in range(n)}, field)
+    return _valid_pair(conv, one, I, left, right)
+
+
+def _triangular(conv, A, B, left, right):
+    """The pair (A x B, M) of an A-B-bi(co)module M with zero (co)multiplication,
+    A (co)acting by ``left`` and B by ``right``."""
+    field, na, nb = A.field, A.dim, B.dim
+    nm = left.dims[2]  # a carrier leg on both sides
+    if left.dims != conv.lay((na, nm, nm)) or right.dims != conv.lay((nm, nb, nm)):
+        co = conv.co
+        raise InputError(f"bi{co}module tensors mis-shaped for triangular {co}pair")
+    ab = _build(conv, _zero_action_pair(conv, A, B))
+    # (a,b) m = a m and m (a,b) = m b.
+    return _valid_pair(
+        conv,
+        ab,
+        _zero_structure(conv, nm, field),
+        place(conv.lay((na + nb, nm, nm)), field, (left, (0, 0, 0))),
+        place(conv.lay((nm, na + nb, nm)), field, (right, conv.lay((0, na, 0)))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# algebra pair constructors
+
+
 def trivial_extension_pair(A: Algebra, M: ModuleOverAlgebra) -> DorrohPairAlgebra:
     """(A, M) with M M = 0; the extension is the trivial extension of A by M."""
-    if M.side != "bi" or M.algebra != A:
-        raise InputError("trivial extension needs an A-bimodule")
-    field = A.field
-    I = Algebra(M.dim, SparseTensor3.zero((M.dim, M.dim, M.dim), field), field)
-    return _valid_pair(ALGEBRA, A, I, M.left, M.right)
+    return _trivial_pair(ALGEBRA, A, M)
 
 
 def regular_pair(A: Algebra) -> DorrohPairAlgebra:
@@ -225,9 +243,7 @@ def regular_pair(A: Algebra) -> DorrohPairAlgebra:
 
 def scalar_action_pair(field: FieldSpec, I: Algebra) -> DorrohPairAlgebra:
     """(k, I) with k acting by scalar multiplication; valid for any I."""
-    left = SparseTensor3((1, I.dim, I.dim), {(0, x, x): 1 for x in range(I.dim)}, field)
-    right = SparseTensor3((I.dim, 1, I.dim), {(x, 0, x): 1 for x in range(I.dim)}, field)
-    return _valid_pair(ALGEBRA, algebra_k(field), I, left, right)
+    return _scalar_pair(ALGEBRA, algebra_k(field), I)
 
 
 def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTensor3):
@@ -236,22 +252,8 @@ def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTe
 
     ``left`` is the A-action (a,m,m'), ``right`` the B-action (m,b,m').
     """
-    field = A.field
-    nm = left.dims[1]
-    if left.dims != (A.dim, nm, nm) or right.dims != (nm, B.dim, nm):
-        raise InputError("bimodule tensors mis-shaped for triangular pair")
-    ab = build_dorroh_algebra(direct_product_pair(A, B))
-    na, nb = A.dim, B.dim
-    # (a,b) m = a m and m (a,b) = m b.
-    action = BimoduleAction(
-        ab,
-        nm,
-        place((na + nb, nm, nm), field, (left, (0, 0, 0))),
-        place((nm, na + nb, nm), field, (right, (0, na, 0))),
-    )
-    I = Algebra(nm, SparseTensor3.zero((nm, nm, nm), field), field)
-    pair = DorrohPairAlgebra(ab, I, action)
-    pair.require_valid()
+    pair = _triangular(ALGEBRA, A, B, left, right)
+    field, na, nm, nb = A.field, A.dim, pair.I.dim, B.dim
 
     # Block algebra on basis [A-block, M-block, B-block].
     n = na + nm + nb
@@ -284,20 +286,6 @@ def one_point_pair(A: Algebra, left: SparseTensor3):
     return triangular_pair(A, k, left, right)
 
 
-def make_algebra_pair(kind: str, *components):
-    if kind == "trivial_extension":
-        return trivial_extension_pair(*components)
-    if kind == "direct_product":
-        return direct_product_pair(*components)
-    if kind == "triangular":
-        return triangular_pair(*components)
-    if kind == "one_point":
-        return one_point_pair(*components)
-    if kind == "regular":
-        return regular_pair(*components)
-    raise InputError(f"unknown algebra pair kind {kind!r}")
-
-
 def trunc_poly_pair(n: int, field: FieldSpec) -> DorrohPairAlgebra:
     """(k, span{x..x^n}) inside k[x]/(x^{n+1}); the graded splitting."""
     if n < 1:
@@ -312,11 +300,7 @@ def trunc_poly_pair(n: int, field: FieldSpec) -> DorrohPairAlgebra:
 
 def trivial_coextension_pair(C: Coalgebra, M: ComoduleOverCoalgebra) -> DorrohPairCoalgebra:
     """(C, M) with Delta_M = 0; the extension is the trivial coextension."""
-    if M.side != "bi" or M.coalgebra != C:
-        raise InputError("trivial coextension needs a C-bicomodule")
-    field = C.field
-    P = Coalgebra(M.dim, SparseTensor3.zero((M.dim, M.dim, M.dim), field), field)
-    return _valid_pair(COALGEBRA, C, P, M.rho_l, M.rho_r)
+    return _trivial_pair(COALGEBRA, C, M)
 
 
 def regular_copair(C: Coalgebra) -> DorrohPairCoalgebra:
@@ -327,10 +311,7 @@ def regular_copair(C: Coalgebra) -> DorrohPairCoalgebra:
 def counital_hull(P: Coalgebra) -> DorrohPairCoalgebra:
     """(k, P) with the trivial coactions p -> 1 (x) p and p -> p (x) 1;
     the extension is counital with counit (1, 0, ..., 0)."""
-    field = P.field
-    rho_l = SparseTensor3((P.dim, 1, P.dim), {(x, 0, x): 1 for x in range(P.dim)}, field)
-    rho_r = SparseTensor3((P.dim, P.dim, 1), {(x, x, 0): 1 for x in range(P.dim)}, field)
-    return _valid_pair(COALGEBRA, grouplikes(1, field), P, rho_l, rho_r)
+    return _scalar_pair(COALGEBRA, grouplikes(1, P.field), P)
 
 
 def grouplike_pair(field: FieldSpec) -> DorrohPairCoalgebra:
@@ -345,39 +326,17 @@ def triangular_copair(C: Coalgebra, D: Coalgebra, rho_l: SparseTensor3, rho_r: S
 
     ``rho_l`` is the C-coaction (m,c,m'), ``rho_r`` the D-coaction (m,m',d).
     """
-    field = C.field
-    nm = rho_l.dims[0]
-    if rho_l.dims != (nm, C.dim, nm) or rho_r.dims != (nm, nm, D.dim):
-        raise InputError("bicomodule tensors mis-shaped for triangular copair")
-    cxd = build_dorroh_coalgebra(zero_coaction_pair(C, D))
-    coaction = BicomoduleCoaction(
-        cxd,
-        nm,
-        place((nm, cxd.dim, nm), field, (rho_l, (0, 0, 0))),
-        place((nm, nm, cxd.dim), field, (rho_r, (0, 0, C.dim))),
-    )
-    M = Coalgebra(nm, SparseTensor3.zero((nm, nm, nm), field), field)
-    pair = DorrohPairCoalgebra(cxd, M, coaction)
-    pair.require_valid()
-    return pair
-
-
-def make_coalgebra_pair(kind: str, *components):
-    if kind == "trivial_coextension":
-        return trivial_coextension_pair(*components)
-    if kind == "direct_product":
-        return zero_coaction_pair(*components)
-    if kind == "triangular":
-        return triangular_copair(*components)
-    if kind == "counital_hull":
-        return counital_hull(*components)
-    if kind == "grouplike":
-        return grouplike_pair(*components)
-    raise InputError(f"unknown coalgebra pair kind {kind!r}")
+    return _triangular(COALGEBRA, C, D, rho_l, rho_r)
 
 
 # ---------------------------------------------------------------------------
 # standard pair lists (the acceptance substrate)
+
+
+def _triangular_kkk(field):
+    """The pair of [[k, k], [0, k]], the upper triangular 2x2 matrices."""
+    one = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
+    return triangular_pair(algebra_k(field), algebra_k(field), one, one)[0]
 
 
 def standard_algebra_pairs(field: FieldSpec):
@@ -395,14 +354,9 @@ def standard_algebra_pairs(field: FieldSpec):
         ("trunc_poly2_regular", regular_pair(tp2)),
         ("trivial_ext_M2_regular", trivial_extension_pair(m2, regular_bimodule(m2))),
         ("trivial_ext_dn_regular", trivial_extension_pair(dn, regular_bimodule(dn))),
-        ("direct_product_M2_kZ2", make_algebra_pair("direct_product", m2, kz2)),
-        ("direct_product_dn_tp2", make_algebra_pair("direct_product", dn, tp2)),
-        ("triangular_kkk", triangular_pair(
-            algebra_k(field),
-            algebra_k(field),
-            SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-            SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-        )[0]),
+        ("direct_product_M2_kZ2", direct_product_pair(m2, kz2)),
+        ("direct_product_dn_tp2", direct_product_pair(dn, tp2)),
+        ("triangular_kkk", _triangular_kkk(field)),
         ("one_point_M2_k2", one_point_pair(
             m2,
             SparseTensor3(
@@ -422,36 +376,21 @@ def standard_coalgebra_pairs(field: FieldSpec):
     mc2 = matrix_coalgebra_2(field)
     gl2 = grouplikes(2, field)
     dp2 = divided_power(2, field)
+    one = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
     pairs = [
         ("grouplike", grouplike_pair(field)),
         ("counital_hull_dp2", counital_hull(dp2)),
-        ("counital_hull_zero_line", counital_hull(
-            Coalgebra(1, SparseTensor3.zero((1, 1, 1), field), field)
-        )),
-        ("direct_product_Mc2_gl2", make_coalgebra_pair("direct_product", mc2, gl2)),
-        ("direct_product_gl1_dp1", make_coalgebra_pair(
-            "direct_product", grouplikes(1, field), divided_power(1, field)
-        )),
+        ("counital_hull_zero_line", counital_hull(_zero_structure(COALGEBRA, 1, field))),
+        ("direct_product_Mc2_gl2", zero_coaction_pair(mc2, gl2)),
+        ("direct_product_gl1_dp1", zero_coaction_pair(grouplikes(1, field), divided_power(1, field))),
         ("trivial_coext_Mc2_regular", trivial_coextension_pair(mc2, regular_bicomodule(mc2))),
         ("trivial_coext_gl2_regular", trivial_coextension_pair(gl2, regular_bicomodule(gl2))),
-        ("triangular_gl1_gl1_line", triangular_copair(
-            grouplikes(1, field),
-            grouplikes(1, field),
-            SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-            SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-        )),
+        ("triangular_gl1_gl1_line", triangular_copair(grouplikes(1, field), grouplikes(1, field), one, one)),
         ("regular_Mc2", regular_copair(mc2)),
         ("regular_gl2", regular_copair(gl2)),
         ("regular_dp2", regular_copair(dp2)),
         ("dual_of_trunc_poly3_graded", dualize_algebra_pair(trunc_poly_pair(3, field))[0]),
-        ("dual_of_triangular_kkk", dualize_algebra_pair(
-            triangular_pair(
-                algebra_k(field),
-                algebra_k(field),
-                SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-                SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field),
-            )[0]
-        )[0]),
+        ("dual_of_triangular_kkk", dualize_algebra_pair(_triangular_kkk(field))[0]),
     ]
     return pairs
 

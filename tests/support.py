@@ -126,9 +126,9 @@ def apply(A: Matrix, vec) -> list:
 
 
 def dense_rref(rows, width, field):
-    """In-place reduced row echelon of dense rows over the first ``width``
-    columns, leftmost pivot column and first nonzero row first; returns
-    the pivot columns."""
+    """In-place reduced row echelon of dense rows of canonical scalars over
+    the first ``width`` columns, leftmost pivot column and first nonzero row
+    first; returns the pivot columns."""
     canon = field.canon
     inv = field.inv
     nrows = len(rows)
@@ -145,13 +145,15 @@ def dense_rref(rows, width, field):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         scale = inv(rows[r][c])
+        # a canonical entry that the step leaves as it is (a zero of the
+        # pivot row, or a zero scaled) is kept without arithmetic
         if scale != 1:
-            rows[r] = [canon(x * scale) for x in rows[r]]
+            rows[r] = [canon(x * scale) if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rr = rows[r]
-                rows[i] = [canon(x - f * y) for x, y in zip(rows[i], rr)]
+                rows[i] = [canon(x - f * y) if y else x for x, y in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
     return pivots

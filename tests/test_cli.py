@@ -9,7 +9,7 @@ from dorroh.cli import main
 from dorroh.coalgebra import verify_coalgebra_morphism
 from dorroh.fields import QQ
 from dorroh.findual import MAX_BOUND, MAX_DEPTH, MAX_ORDER
-from dorroh.exchange import MAX_DENSE_DIM
+from dorroh.exchange import MAX_DENSE_DIM, MAX_DIM
 from dorroh.gallery import MAX_PARAM, instance
 
 
@@ -493,6 +493,35 @@ def test_dualize_of_a_large_empty_pair_exits_0(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     dual = exchange.parse(capsys.readouterr().out)
     assert (dual.C.dim, dual.P.dim) == (3000, 3000)
+
+
+def test_a_declared_dim_past_the_cap_exits_2_quickly(tmp_path, capsys):
+    """A dim costs no bytes, but dualize, the duality witnesses and the
+    associator build an identity of that size: a short document declaring
+    dim 10^12 ran out of memory before MAX_DIM refused it at parse time."""
+    n = 10**12
+    doc = _write(tmp_path, _empty_pair(0, n))
+    runs = [
+        ("check",),
+        ("build",),
+        ("dualize",),
+        ("iso", "--which", "associator"),
+        ("iso", "--which", "duality"),
+        ("split", "--a-basis", "1", "--i-basis", ""),
+    ]
+    for argv in runs:
+        start = time.perf_counter()
+        assert run_cli(*argv, doc) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: $.payload.a.dim: dim {n} is past the cap MAX_DIM = {MAX_DIM}\n")
+
+
+def test_a_declared_dim_at_the_cap_dualizes(tmp_path, capsys):
+    assert run_cli("dualize", _write(tmp_path, _empty_pair(MAX_DIM, MAX_DIM))) == 0
+    dual = exchange.parse(capsys.readouterr().out)
+    assert (dual.C.dim, dual.P.dim) == (MAX_DIM, MAX_DIM)
+    assert run_cli("check", _write(tmp_path, _empty_algebra(MAX_DIM + 1))) == 2
+    assert capsys.readouterr().err == f"error: $.payload.dim: dim {MAX_DIM + 1} is past the cap MAX_DIM = {MAX_DIM}\n"
 
 
 def test_dense_identities_at_the_cap_still_build(tmp_path, capsys):

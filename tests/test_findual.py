@@ -1044,38 +1044,85 @@ def test_dorroh_decompose_runs_one_coproduct(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # differential oracle: the basis certificate and Berlekamp-Massey against
-# the code they replaced, kept verbatim but for the pairing, written out
-# here (the coproduct also hands back its report, and logs nothing)
+# the code they replaced, kept verbatim but for the pairing and the value
+# tables, written out here in integers (the coproduct also hands back its
+# report, and logs nothing)
 
 
-def pairing_failure(lefts, rights, values, lo, top, canon):
+def pairing_failure(lefts, rights, values, lo, top, p):
     """Least (i, j), lexicographic, with i, j >= lo and i + j <= top at which
     sum_u lefts[u](x^i) rights[u](x^j) differs from values(x^(i+j)); None
-    when there is none.  Every sequence is a value list over n = lo, lo+1, ..."""
+    when there is none.  Every sequence is a table (T, D) over n = lo, lo+1,
+    ..., its values T[n - lo] / D, as ``_value_table`` gives it.
+
+    The lefts and the rights are each brought to a common denominator, dl
+    and dr, so over Q the identity is compared in integers, without a
+    Fraction, as sum L R D = V dl dr; over F_p every denominator is 1 and
+    the difference is reduced mod ``p``."""
     size = top - 2 * lo + 1
+    (lefts, dl), (rights, dr), (values, dv) = _common(lefts), _common(rights), values
+    dlr = dl * dr
     cols = list(zip(*rights)) or [()] * size
     for a in range(size):
         row = [v[a] for v in lefts]
         for b, col in enumerate(cols[: size - a]):
-            if canon(sum(map(operator.mul, row, col))) != values[a + b + lo]:
+            diff = sum(map(operator.mul, row, col)) * dv - values[a + b + lo] * dlr
+            if diff and (p is None or diff % p):
                 return (a + lo, b + lo)
     return None
+
+
+def _common(tables):
+    """Tables (T, D) over their least common denominator d, and d."""
+    d = math.lcm(*(D for _, D in tables))
+    return [[t * (d // D) for t in T] for T, D in tables], d
+
+
+def _value_table(h, top):
+    """(T, D) with h(x^n) = T[n - lo] / D for n = lo..top, lo = 0 with s_0 and
+    1 without, the recurrence run in integers: mod p over F_p, and over Q on
+    t_n = s_n D0 d^n, where D0 clears the given values and d = lcm of the
+    coefficients' denominators, c_i = b_i / d, so t_n = sum_i b_i d^(i-1) t_(n-i)."""
+    lo = 0 if h.s0 is not None else 1
+    given = [h.s0][lo:] + h.initial
+    r, p = len(h.coeffs), h.field.p
+    if p is not None:
+        t, weights, d0, d = list(given), h.coeffs[::-1], 1, 1
+    else:
+        d0 = math.lcm(*(v.denominator for v in given))
+        d = math.lcm(*(c.denominator for c in h.coeffs))
+        weights = [c.numerator * (d // c.denominator) * d ** (i - 1) for i, c in enumerate(h.coeffs, 1)][::-1]
+        t = [v.numerator * (d0 // v.denominator) * d ** (n + lo) for n, v in enumerate(given)]
+    for _ in range(len(t) + lo, top + 1):
+        step = sum(map(operator.mul, weights, t[len(t) - r :]))
+        t.append(step % p if p else step)
+    t = t[: top + 1 - lo]
+    return [v * d ** (top - n - lo) for n, v in enumerate(t)], d0 * d**top
 
 
 def reference_coproduct_decompose(f, depth=None):
     """coproduct_decompose as written before the basis certificate: every
     factor decomposed again through its own shift space, found by
-    elimination (reference_shift_space), and paired on a + b <= depth - lo."""
-    _shift_space, _values = reference_shift_space, findual._values
+    elimination (reference_shift_space), and paired on a + b <= depth - lo.
+    The value tables are in integers (``_value_table``), one per distinct
+    sequence: the factors' shift spaces share most of their sequences."""
+    _shift_space, tables = reference_shift_space, {}
     depth = findual._depth(f, depth)
+
+    def _values(h, depth):
+        key = (h.s0, tuple(h.initial), tuple(h.coeffs))
+        if key not in tables:
+            tables[key] = _value_table(h, depth)
+        return tables[key]
+
     left, right, pivots, lo = _shift_space(f)
     dec = findual.CoproductDecomposition(len(left), left, right, pivots)
-    canon = f.field.canon
+    p = f.field.p
     lv = [_values(ft, depth) for ft in left]
     rv = [_values(gt, depth) for gt in right]
 
     report = Report()
-    first = pairing_failure(lv, rv, _values(f, depth), lo, depth, canon)
+    first = pairing_failure(lv, rv, _values(f, depth), lo, depth, p)
     report.add_witness("f(x^(i+j))=sum f_t(x^i)g_t(x^j)", first)
 
     wit, detail = None, ""
@@ -1083,7 +1130,7 @@ def reference_coproduct_decompose(f, depth=None):
     factors += [("g", t, gt, v) for t, (gt, v) in enumerate(zip(right, rv))]
     for name, t, h, hv in factors:
         hl, hr = ([_values(u, depth) for u in part] for part in _shift_space(h)[:2])
-        wit = pairing_failure(hl, hr, hv, lo, depth - lo, canon)
+        wit = pairing_failure(hl, hr, hv, lo, depth - lo, p)
         if wit is not None:
             detail = f"decomposition of {name}_{t}"
             break

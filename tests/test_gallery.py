@@ -3,23 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from dorroh.algebra import build_dorroh_algebra, check_associativity, regular_bimodule
-from dorroh.coalgebra import build_dorroh_coalgebra, check_coassociativity
+from dorroh.algebra import Algebra, build_dorroh_algebra, check_associativity, regular_bimodule
+from dorroh.coalgebra import build_dorroh_coalgebra, check_coassociativity, zero_coaction_pair
 from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
 from dorroh.findual import RecurrentSequence
 from dorroh.gallery import (
     algebra_k,
     catalog_names,
+    counital_hull,
+    grouplike_pair,
     grouplikes,
     instance,
-    make_algebra_pair,
-    make_coalgebra_pair,
     matrix_algebra_2,
     matrix_coalgebra_2,
     one_point_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
+    triangular_pair,
+    trivial_extension_pair,
     trunc_poly_pair,
     truncated_polynomials,
 )
@@ -29,6 +31,21 @@ from dorroh.tensors import SparseTensor3
 from support import random_algebra_pair, random_coalgebra_pair
 
 FIELDS = [QQ, GF(2), GF(5), GF(7)]
+
+# The dim and whether it has a (co)unit of each catalog structure, the dim
+# as a function of the parameter where it takes one.  The gallery builds
+# its instances unchecked, so these are the declarations they are held to.
+DECLARED = {
+    "k": (1, True),
+    "dual_numbers": (2, True),
+    "M2": (4, True),
+    "kZ2": (2, True),
+    "nilpotent1": (1, False),
+    "trunc_poly": (lambda n: n + 1, True),
+    "Mc2": (4, True),
+    "grouplikes": (lambda n: n, True),
+    "divided_power": (lambda n: n + 1, True),
+}
 
 ALL_NAMES = [
     "k",
@@ -42,13 +59,27 @@ ALL_NAMES = [
     "divided_power(3)",
     "fibonacci",
     "geometric(2)",
+    *(f"{name}({n})" for name in ("trunc_poly", "divided_power") for n in (0, 1, 7, 30)),
+    *(f"grouplikes({n})" for n in (1, 7, 30)),
 ]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_every_instance_validates_on_every_field(name, field):
-    instance(name, field)  # validators run inside
+    obj = instance(name, field)
+    base, _, arg = name.rstrip(")").partition("(")
+    if base not in DECLARED:
+        assert isinstance(obj, RecurrentSequence)
+        return
+    dim, unital = DECLARED[base]
+    if arg:
+        dim = dim(int(arg))
+    if isinstance(obj, Algebra):
+        report, unit = check_associativity(obj), obj.find_identity()
+    else:
+        report, unit = check_coassociativity(obj), obj.find_counit()
+    assert report.ok and obj.dim == dim and (unit is not None) == unital
 
 
 def test_catalog_names_frozen():
@@ -95,7 +126,7 @@ def test_sequences_from_catalog():
 
 def test_trivial_extension_squares_to_zero():
     m2 = matrix_algebra_2(QQ)
-    pair = make_algebra_pair("trivial_extension", m2, regular_bimodule(m2))
+    pair = trivial_extension_pair(m2, regular_bimodule(m2))
     assert pair.I.mul.entries == {}
     assert pair.validate().ok
 
@@ -103,7 +134,7 @@ def test_trivial_extension_squares_to_zero():
 def test_triangular_kkk_is_upper_triangular_2x2():
     field = QQ
     one = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
-    pair, iso = make_algebra_pair("triangular", algebra_k(field), algebra_k(field), one, one)
+    pair, iso = triangular_pair(algebra_k(field), algebra_k(field), one, one)
     built = build_dorroh_algebra(pair)
     assert built.dim == 3
     assert iso.verified == "iso"
@@ -131,7 +162,7 @@ def test_one_point_extension_of_m2():
 
 def test_counital_hull_formula():
     p = Coalgebra(1, SparseTensor3.zero((1, 1, 1), QQ), QQ)
-    pair = make_coalgebra_pair("counital_hull", p)
+    pair = counital_hull(p)
     d = build_dorroh_coalgebra(pair)
     # Delta(0,p) = (1,0) (x) (0,p) + (0,p) (x) (1,0); Delta_P = 0
     assert d.delta.entries == {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
@@ -139,12 +170,12 @@ def test_counital_hull_formula():
 
 
 def test_direct_product_copair_zero_coactions():
-    pair = make_coalgebra_pair("direct_product", matrix_coalgebra_2(QQ), grouplikes(2, QQ))
+    pair = zero_coaction_pair(matrix_coalgebra_2(QQ), grouplikes(2, QQ))
     assert pair.coaction.rho_l.entries == {} and pair.coaction.rho_r.entries == {}
 
 
 def test_grouplike_pair_is_standard_instance():
-    pair = make_coalgebra_pair("grouplike", QQ)
+    pair = grouplike_pair(QQ)
     assert pair.C.dim == 1 and pair.P.dim == 1
     assert pair.coaction.rho_l.entries == {(0, 0, 0): 1}
 
@@ -222,19 +253,6 @@ def test_random_coalgebra_pairs_are_valid(field):
         assert pair.C.dim + pair.P.dim <= 8
         built = build_dorroh_coalgebra(pair)
         assert check_coassociativity(built).ok
-
-
-def test_instance_self_check_names_the_wrong_unitality(monkeypatch):
-    from dorroh import gallery
-    from dorroh.errors import ValidationFailure
-
-    for name, unital in (("k", "unital"), ("Mc2", "counital")):
-        builder, props = gallery._CATALOG[name]
-        monkeypatch.setitem(gallery._CATALOG, name, (builder, {**props, unital: False}))
-        with pytest.raises(ValidationFailure) as err:
-            gallery.instance(name, QQ)
-        assert str(err.value) == f"gallery instance {name} has wrong {unital}ity"
-        assert [c.name for c in err.value.report.checks] == [f"expected {unital}ity"]
 
 
 def test_basis_change_over_another_field_is_an_input_error():
