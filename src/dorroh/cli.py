@@ -74,27 +74,36 @@ _PAIR_DUALS = {DorrohPairAlgebra: dualize_algebra_pair, DorrohPairCoalgebra: dua
 _GALLERY_PAIRS = {"pair-algebra": standard_algebra_pairs, "pair-coalgebra": standard_coalgebra_pairs}
 
 
-def _print_report(report: Report, args, stream=None):
-    stream = stream or sys.stdout
+def _print_report(report: Report, args, stream):
     if args.report == "json":
         print(json.dumps(report.to_json(), indent=2), file=stream)
     else:
         print(report.render_text(), file=stream)
 
 
-def _write_doc(obj, args) -> bool:
-    """Emit a document to -o or stdout; returns True when stdout was used."""
-    text = exchange.emit(obj)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return False
-    sys.stdout.write(text)
-    return True
+def _write(path, obj):
+    text = exchange.emit(obj)  # before the file is opened, so an emit error leaves no file
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _report_stream(doc_on_stdout: bool):
-    return sys.stderr if doc_on_stdout else sys.stdout
+def _run(args) -> int:
+    """Run a command and write what it made: its document to -o or stdout,
+    a split's isomorphism to --iso-out, then its report, to stderr when
+    the document took stdout.  Returns 1 when the report fails, else 0."""
+    report, doc, *iso = args.func(args)
+    stream = sys.stdout
+    if doc is not None and args.output:
+        _write(args.output, doc)
+    elif doc is not None:
+        sys.stdout.write(exchange.emit(doc))
+        stream = sys.stderr
+    if iso and args.iso_out:
+        _write(args.iso_out, iso[0])
+    if report is None:
+        return 0
+    _print_report(report, args, stream)
+    return 0 if report.ok else 1
 
 
 def _parse_field_flag(spec: str) -> FieldSpec:
@@ -123,40 +132,37 @@ def _parse_basis(spec: str, field: FieldSpec, dim: int):
     return vectors
 
 
-def _check_object(obj) -> Report:
+# Each command returns its report (None when it prints none) and its
+# document (None when it writes none); split also returns its isomorphism.
+
+
+def cmd_check(args):
+    obj = exchange.load(args.file)
     if isinstance(obj, Algebra):
-        return check_associativity(obj)
+        return check_associativity(obj), None
     if isinstance(obj, Coalgebra):
-        return check_coassociativity(obj)
+        return check_coassociativity(obj), None
     if isinstance(obj, (DorrohPairAlgebra, DorrohPairCoalgebra, ModuleOverAlgebra, ComoduleOverCoalgebra)):
-        return obj.validate()
+        return obj.validate(), None
     if isinstance(obj, AlgebraMorphism):
-        return verify_algebra_morphism(obj, iso=obj.verified == "iso")
+        return verify_algebra_morphism(obj, iso=obj.verified == "iso"), None
     if isinstance(obj, CoalgebraMorphism):
-        return verify_coalgebra_morphism(obj, iso=obj.verified == "iso")
+        return verify_coalgebra_morphism(obj, iso=obj.verified == "iso"), None
     if isinstance(obj, RecurrentSequence):
-        return Report().add("well-formed", True)
+        return Report().add("well-formed", True), None
     raise InputError(f"cannot check object of type {type(obj).__name__}")
 
 
-def cmd_check(args) -> int:
-    obj = exchange.load(args.file)
-    report = _check_object(obj)
-    _print_report(report, args)
-    return 0 if report.ok else 1
-
-
-def cmd_build(args) -> int:
+def cmd_build(args):
     pair = exchange.load(args.file)
     build = _BUILDS.get(type(pair))
     if build is None:
         raise InputError("build needs a pair-algebra or pair-coalgebra document")
-    on_stdout = _write_doc(build(pair), args)
-    _print_report(pair.validate(), args, _report_stream(on_stdout))
-    return 0
+    built = build(pair)
+    return pair.validate(), built
 
 
-def cmd_split(args) -> int:
+def cmd_split(args):
     obj = exchange.load(args.file)
     split = _SPLITS.get(type(obj))
     if split is None:
@@ -164,29 +170,17 @@ def cmd_split(args) -> int:
     a_basis = _parse_basis(args.a_basis, obj.field, obj.dim)
     i_basis = _parse_basis(args.i_basis, obj.field, obj.dim)
     pair, iso = split(obj, a_basis, i_basis)
-    on_stdout = _write_doc(pair, args)
-    if args.iso_out:
-        with open(args.iso_out, "w", encoding="utf-8") as fh:
-            fh.write(exchange.emit(iso))
-    report = Report().add("split verified", True, detail=f"iso {iso.verified}")
-    _print_report(report, args, _report_stream(on_stdout))
-    return 0
+    return Report().add("split verified", True, detail=f"iso {iso.verified}"), pair, iso
 
 
-def cmd_dualize(args) -> int:
+def cmd_dualize(args):
     obj = exchange.load(args.file)
-    report = Report()
     if type(obj) in _PAIR_DUALS:
         out, witness = _PAIR_DUALS[type(obj)](obj)
-        report.add("duality witness verified", True, detail=witness.convention)
-    elif type(obj) in _DUALS:
-        out = _DUALS[type(obj)](obj)
-        report.add("dualized", True)
-    else:
-        raise InputError("dualize needs an algebra, coalgebra, pair, module or comodule document")
-    on_stdout = _write_doc(out, args)
-    _print_report(report, args, _report_stream(on_stdout))
-    return 0
+        return Report().add("duality witness verified", True, detail=witness.convention), out
+    if type(obj) in _DUALS:
+        return Report().add("dualized", True), _DUALS[type(obj)](obj)
+    raise InputError("dualize needs an algebra, coalgebra, pair, module or comodule document")
 
 
 def _canonical_triple(pair):
@@ -201,7 +195,8 @@ def _canonical_triple(pair):
 
 
 def _named_iso(which, obj):
-    """The isomorphism ``which`` of a document, built and verified."""
+    """The isomorphism ``which`` (prop1.1, counital-split or duality) of a
+    document, built and verified."""
     if which == "prop1.1":
         if not isinstance(obj, DorrohPairAlgebra):
             raise InputError("prop1.1 needs a pair-algebra document")
@@ -210,8 +205,6 @@ def _named_iso(which, obj):
         if not isinstance(obj, DorrohPairCoalgebra):
             raise InputError("counital-split needs a pair-coalgebra document")
         return counital_split_iso(obj)
-    if which != "duality":  # unreachable: argparse enforces choices
-        raise InputError(f"unknown isomorphism {which!r}")
     if isinstance(obj, Algebra):
         return double_dual_iso(obj)
     if isinstance(obj, Coalgebra):
@@ -223,29 +216,18 @@ def _named_iso(which, obj):
     raise InputError("duality needs an algebra, coalgebra or pair document")
 
 
-def _verified_iso_report(morphism) -> Report:
-    """The report of ``verify_*_morphism(morphism, iso=True)`` for a named
-    isomorphism: its constructor raises unless that verification passed."""
-    law = "multiplicative" if isinstance(morphism, AlgebraMorphism) else "comultiplicative"
-    return Report().add(law, True).add("invertible", True)
-
-
-def cmd_iso(args) -> int:
+def cmd_iso(args):
     obj = exchange.load(args.file)
     if args.which == "associator":
-        report, morphism = _canonical_triple(obj)
-    else:
-        morphism = _named_iso(args.which, obj)
-        report = _verified_iso_report(morphism)
-
-    on_stdout = False
-    if morphism is not None and report.ok:
-        on_stdout = _write_doc(morphism, args)
-    _print_report(report, args, _report_stream(on_stdout))
-    return 0 if report.ok else 1
+        return _canonical_triple(obj)  # no associator when the report fails
+    # the report of verify_*_morphism(morphism, iso=True): each constructor
+    # raises unless that verification passed
+    morphism = _named_iso(args.which, obj)
+    law = "multiplicative" if isinstance(morphism, AlgebraMorphism) else "comultiplicative"
+    return Report().add(law, True).add("invertible", True), morphism
 
 
-def cmd_findual(args) -> int:
+def cmd_findual(args):
     seq = exchange.load(args.seq)
     if not isinstance(seq, RecurrentSequence):
         raise InputError("findual needs a sequence document")
@@ -258,40 +240,24 @@ def cmd_findual(args) -> int:
             prefix = list(seq.initial)
         found = minimal_recurrence(prefix, bound, field)
         if found is None:
-            report = Report().add(
-                "minimal recurrence", False, (bound,), detail=f"no recurrence of order <= {bound}"
-            )
-            _print_report(report, args)
-            return 1
-        on_stdout = _write_doc(found, args)
-        report = Report().add("minimal recurrence", True, detail=f"order {found.order}")
-        _print_report(report, args, _report_stream(on_stdout))
-        return 0
+            detail = f"no recurrence of order <= {bound}"
+            return Report().add("minimal recurrence", False, (bound,), detail=detail), None
+        return Report().add("minimal recurrence", True, detail=f"order {found.order}"), found
     if args.command == "coproduct":
         dec = coproduct_decompose(seq, args.depth)
-        report = Report().add(
-            "coproduct decomposition", True, detail=f"rank {dec.rank}, pivots {dec.pivots}"
-        )
-        _print_report(report, args)
-        return 0
+        return Report().add("coproduct decomposition", True, detail=f"rank {dec.rank}, pivots {dec.pivots}"), None
     if args.command == "dorroh":
-        report = dorroh_decompose(seq, args.depth)
-        _print_report(report, args)
-        return 0 if report.ok else 1
-    if args.command == "vanish":
-        if args.poly:
-            coeffs = [field.parse(p.strip()) for p in args.poly.split(",")]
-        else:
-            if not seq.coeffs:
-                raise InputError("sequence has no recurrence; pass --poly")
-            coeffs = list(seq.coeffs)
-        report = vanishing_check(seq, coeffs, args.depth)
-        _print_report(report, args)
-        return 0 if report.ok else 1
-    raise InputError(f"unknown findual command {args.command!r}")
+        return dorroh_decompose(seq, args.depth), None
+    if args.poly:  # vanish
+        coeffs = [field.parse(p.strip()) for p in args.poly.split(",")]
+    elif seq.coeffs:
+        coeffs = list(seq.coeffs)
+    else:
+        raise InputError("sequence has no recurrence; pass --poly")
+    return vanishing_check(seq, coeffs, args.depth), None
 
 
-def cmd_gallery(args) -> int:
+def cmd_gallery(args):
     field = _parse_field_flag(args.field)
     if args.list:
         for name in catalog_names():
@@ -299,20 +265,17 @@ def cmd_gallery(args) -> int:
         for kind, pairs in _GALLERY_PAIRS.items():
             for name, _ in pairs(field):
                 print(f"{kind}:{name}")
-        return 0
+        return None, None
     if not args.emit:
         raise InputError("gallery needs --list or --emit NAME")
     name = args.emit
     kind, colon, key = name.partition(":")
-    if colon and kind in _GALLERY_PAIRS:
-        table = dict(_GALLERY_PAIRS[kind](field))
-        if key not in table:
-            raise InputError(f"unknown gallery pair {name!r}")
-        obj = table[key]
-    else:
-        obj = instance(name, field)
-    _write_doc(obj, args)
-    return 0
+    if not (colon and kind in _GALLERY_PAIRS):
+        return None, instance(name, field)
+    table = dict(_GALLERY_PAIRS[kind](field))
+    if key not in table:
+        raise InputError(f"unknown gallery pair {name!r}")
+    return None, table[key]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,9 +346,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        return _run(args)
     except ValidationFailure as e:
-        _print_report(e.report, args)
+        _print_report(e.report, args, sys.stdout)
         return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -391,4 +391,8 @@ def parse(text: str):
 
 def load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InputError(f"not valid UTF-8: {e}") from None
+    return parse(text)

@@ -1,9 +1,10 @@
 """Dense references and identity maps shared by the tests.
 
 The library carries every action through sparse tensors; ``act_left`` and
-``act_right`` apply one to coordinate vectors entry by entry, as an
-independent reference for the tests that check a law on single elements,
-and ``basis`` gives the coordinates of one basis vector.
+``act_right`` apply one to coordinate vectors entry by entry, and
+``product`` an algebra's multiplication, as an independent reference for
+the tests that check a law on single elements, and ``basis`` gives the
+coordinates of one basis vector.
 ``dense_rref`` is the dense Gauss-Jordan the library once used, the
 reference for its one sparse elimination ``linalg._rref``;
 ``solve_linear`` solves a dense system by it, and ``dense_unit`` the
@@ -76,6 +77,19 @@ def act_right(action, x_vec, a_vec):
             if va:
                 acc[y] += vx * va * c
     canon = action.acting.field.canon
+    return [canon(v) for v in acc]
+
+
+def product(a, x, y) -> list:
+    """Coordinates of x.y in the ``Algebra`` a."""
+    acc = [0] * a.dim
+    for (i, j, k), c in a.mul.entries.items():
+        xi = x[i]
+        if xi:
+            yj = y[j]
+            if yj:
+                acc[k] += xi * yj * c
+    canon = a.field.canon
     return [canon(v) for v in acc]
 
 

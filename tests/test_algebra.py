@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -35,15 +36,25 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import Matrix, is_identity
 from dorroh.tensors import SparseTensor3
-from support import act_left, act_right, basis, identity_morphism, inverse, matmul, zeros
+from support import (
+    act_left,
+    act_right,
+    basis,
+    identity_morphism,
+    inverse,
+    matmul,
+    product,
+    random_algebra_pair,
+    zeros,
+)
 
 
 def brute_force_associative(a):
     """Independent oracle: expand both triple products coordinatewise."""
     for i, j, k in itertools.product(range(a.dim), repeat=3):
-        ij = a.product(basis(a, i), basis(a, j))
-        jk = a.product(basis(a, j), basis(a, k))
-        if a.product(ij, basis(a, k)) != a.product(basis(a, i), jk):
+        ij = product(a, basis(a, i), basis(a, j))
+        jk = product(a, basis(a, j), basis(a, k))
+        if product(a, ij, basis(a, k)) != product(a, basis(a, i), jk):
             return (i, j, k)
     return None
 
@@ -112,8 +123,8 @@ def test_pair_violating_left_compatibility_fails():
     wit = next(c.witness for c in report.checks if c.name == "a(xy)=(ax)y" and not c.ok)
     a, x, y = wit
     act = pair.action
-    lhs = act_left(act, basis(pair.A, a), I.product(basis(I, x), basis(I, y)))
-    rhs = I.product(act_left(act, basis(pair.A, a), basis(I, x)), basis(I, y))
+    lhs = act_left(act, basis(pair.A, a), product(I, basis(I, x), basis(I, y)))
+    rhs = product(I, act_left(act, basis(pair.A, a), basis(I, x)), basis(I, y))
     assert lhs != rhs
 
 
@@ -258,11 +269,22 @@ def test_unital_ideal_iso_needs_unital_ideal():
 
 
 def test_unital_ideal_identity_is_central_for_action():
-    pair = regular_pair(group_algebra_z2(QQ))
-    one_i = pair.I.find_identity()
-    for a in range(pair.A.dim):
-        ea = basis(pair.A, a)
-        assert act_left(pair.action, ea, one_i) == act_right(pair.action, one_i, ea)
+    # unital_ideal_iso checks no a.1_I = 1_I.a: the pair laws imply it on
+    # every valid pair with unital I
+    pairs = [regular_pair(group_algebra_z2(QQ))]
+    for field in (QQ, GF(7)):
+        rng = random.Random(11)
+        drawn = (random_algebra_pair(rng, field) for _ in range(60))
+        unital = [pair for pair in drawn if pair.I.find_identity() is not None]
+        assert len(unital) >= 20, field
+        pairs += unital
+    for pair in pairs:
+        assert pair.validate().ok
+        one_i = pair.I.find_identity()
+        for a in range(pair.A.dim):
+            ea = basis(pair.A, a)
+            assert act_left(pair.action, ea, one_i) == act_right(pair.action, one_i, ea)
+        assert unital_ideal_iso(pair).verified == "iso"
 
 
 def test_unital_ideal_iso_round_trip_is_identity():
@@ -663,10 +685,10 @@ def test_extension_product_matches_component_formula():
             x = [rng.randint(-3, 3) for _ in range(ni)]
             b = [rng.randint(-3, 3) for _ in range(na)]
             y = [rng.randint(-3, 3) for _ in range(ni)]
-            lhs = built.product(a + x, b + y)
-            ab = pair.A.product(a, b)
+            lhs = product(built, a + x, b + y)
+            ab = product(pair.A, a, b)
             ay = act_left(pair.action, a, y)
             xb = act_right(pair.action, x, b)
-            xy = pair.I.product(x, y)
+            xy = product(pair.I, x, y)
             rhs = ab + [field.canon(p + q + r) for p, q, r in zip(ay, xb, xy)]
             assert lhs == rhs

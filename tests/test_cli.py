@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 import time
@@ -646,3 +648,125 @@ def test_consecutive_calls_answer_as_fresh_processes(tmp_path, capsys):
             fresh = subprocess.run([sys.executable, "-m", "dorroh.cli", *argv], capture_output=True, text=True)
             assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert codes == [0, 0, 2, 0, 0, 0]
+
+
+def test_a_document_not_in_utf8_is_an_input_error(tmp_path, capsys):
+    """A document saved as UTF-16 (bytes ff fe first) exits 2 with an
+    error, from every command that reads a file."""
+    doc = tmp_path / "utf16.json"
+    doc.write_bytes(_empty_algebra(1).encode("utf-16"))
+    assert doc.read_bytes()[:2] == b"\xff\xfe"
+    runs = [
+        ("check",),
+        ("build",),
+        ("split", "--a-basis", "1", "--i-basis", ""),
+        ("dualize",),
+        *(("iso", "--which", which) for which in ("prop1.1", "counital-split", "duality", "associator")),
+        *(("findual", "--command", command, "--seq") for command in ("minrec", "coproduct", "dorroh", "vanish")),
+    ]
+    message = "error: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    for argv in runs:
+        assert run_cli(*argv, str(doc)) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
+def _nonassociative_pair():
+    """A valid pair whose I (e0 e0 = e1, e0 e1 = e0) is not associative:
+    the zero actions of a unitless A pass every pair law."""
+    i = '{"dim":2,"mul":[[0,0,1,"1"],[0,1,0,"1"]]}'
+    return (
+        '{"format":"dorroh/1","field":{"kind":"Q"},"kind":"pair-algebra","payload":'
+        f'{{"a":{{"dim":1,"mul":[]}},"i":{i},"left":[],"right":[]}}}}'
+    )
+
+
+# (argv with {name} for an input document, the outputs the command makes, exit
+# code).  The outputs: "doc" a document, "report" a text report, "iso" the
+# split's isomorphism to --iso-out, "list" the gallery listing on stdout.
+ROUTES = (
+    (("check", "{m2}"), {"report"}, 0),
+    (("check", "{bad}"), {"report"}, 1),
+    (("build", "{pair}"), {"doc", "report"}, 0),
+    (("split", "{dn}", "--a-basis", "1,0", "--i-basis", "0,1"), {"doc", "report"}, 0),
+    (("split", "{dn}", "--a-basis", "1,0", "--i-basis", "0,1", "--iso-out", "{iso}"), {"doc", "report", "iso"}, 0),
+    (("dualize", "{m2}"), {"doc", "report"}, 0),
+    (("iso", "--which", "prop1.1", "{m2pair}"), {"doc", "report"}, 0),
+    (("iso", "--which", "associator", "{nonassoc}"), {"report"}, 1),
+    (("findual", "--seq", "{fib}", "--command", "minrec", "--bound", "4"), {"doc", "report"}, 0),
+    (("findual", "--seq", "{fact}", "--command", "minrec", "--bound", "4"), {"report"}, 1),
+    (("findual", "--seq", "{fib}", "--command", "coproduct"), {"report"}, 0),
+    (("findual", "--seq", "{fib}", "--command", "dorroh"), {"report"}, 0),
+    (("findual", "--seq", "{fib}", "--command", "vanish"), {"report"}, 0),
+    (("gallery", "--list"), {"list"}, 0),
+    (("gallery", "--emit", "M2"), {"doc"}, 0),
+)
+
+
+def test_every_command_routes_its_document_and_report(tmp_path, capsys):
+    """The document goes to -o or stdout, the split's isomorphism to
+    --iso-out, and the report to stdout, or to stderr when the document
+    took stdout; the exit code is the report's.  Each command that takes
+    -o runs with and without it."""
+    docs = {
+        "m2": exchange.emit(instance("M2", QQ)),
+        "dn": exchange.emit(instance("dual_numbers", QQ)),
+        "fib": exchange.emit(instance("fibonacci", QQ)),
+        "nonassoc": _nonassociative_pair(),
+    }
+    bad = json.loads(docs["m2"])
+    bad["payload"]["mul"][0] = [0, 0, 1, "1"]
+    del bad["payload"]["unit"]
+    docs["bad"] = json.dumps(bad)
+    for key, name in (("pair", "pair-algebra:k_nilpotent_scalar"), ("m2pair", "pair-algebra:M2_regular")):
+        assert run_cli("gallery", "--emit", name, "-o", str(tmp_path / f"{key}.json")) == 0
+    docs["fact"] = json.dumps({
+        "format": "dorroh/1",
+        "field": {"kind": "Q"},
+        "kind": "sequence",
+        "payload": {"initial": [str(math.factorial(n)) for n in range(1, 11)], "recurrence": []},
+    })
+    for key, text in docs.items():
+        (tmp_path / f"{key}.json").write_text(text)
+    paths = {key: str(tmp_path / f"{key}.json") for key in (*docs, "pair", "m2pair")}
+    out, iso = tmp_path / "out.json", tmp_path / "iso.out.json"
+    paths["iso"] = str(iso)
+    capsys.readouterr()
+
+    def is_report(text):
+        return re.fullmatch(r"(pass \(\d+ checks\)|fail: .*)\n(  \[(ok|FAIL)\] .*\n)+", text) is not None
+
+    for argv, made, code in ROUTES:
+        argv = [a.format(**paths) for a in argv]
+        runs = []
+        takes_output = argv[0] != "check"  # check writes no document and takes no -o
+        for extra in ((), ("-o", str(out)) if takes_output else ()):
+            for stale in (out, iso):
+                if stale.exists():
+                    stale.unlink()
+            assert run_cli(*argv, *extra) == code, (argv, extra)
+            stdout, stderr = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            iso_written = iso.read_text() if iso.exists() else None
+            runs.append((stdout, stderr, written, iso_written))
+        (stdout, stderr, written, iso_bare), (stdout_o, stderr_o, written_o, iso_o) = runs
+        assert written is None, argv
+        assert stderr_o == "", argv
+        if "doc" in made:
+            exchange.parse(written_o)  # a document
+            assert stdout == written_o, argv
+            report = stderr
+        else:
+            assert written_o is None, argv
+            report = stdout
+            assert stderr == "", argv
+        assert stdout_o == report, argv
+        if "report" in made:
+            assert is_report(report), (argv, report)
+        elif "list" in made:
+            assert report.startswith("M2\n") and "pair-algebra:M2_regular\n" in report, argv
+        else:
+            assert report == "", argv
+        if "iso" in made:
+            assert iso_bare == iso_o and exchange.parse(iso_o).verified == "iso", argv
+        else:
+            assert iso_bare is None and iso_o is None, argv

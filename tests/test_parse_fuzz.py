@@ -372,6 +372,39 @@ def test_check_exits_only_0_1_or_2(text):
     assert code in (0, 1, 2)
 
 
+# Bytes as a document file may hold them: arbitrary, a document in another
+# encoding, or a document with a byte that is not UTF-8 spliced in.
+document_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda text, codec: text.encode(codec), documents, st.sampled_from(("utf-16", "utf-16-le", "latin-1"))),
+    st.builds(lambda text, at, byte: text.encode()[:at] + bytes([byte]) + text.encode()[at:],
+              documents, st.integers(0, 200), st.integers(0x80, 0xFF)),
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document_bytes)
+def test_load_reads_any_bytes_as_a_document_or_an_input_error(data):
+    """``exchange.load`` returns what ``exchange.parse`` returns on the
+    bytes decoded as UTF-8, or raises ``InputError``, and nothing else;
+    ``dorroh check`` exits 0, 1 or 2."""
+    path = Path(_DOCDIR.name) / "bytes.json"
+    path.write_bytes(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        expected = f"InputError: not valid UTF-8: {e}"
+    else:
+        expected = _outcome(text.replace("\r\n", "\n").replace("\r", "\n"))  # as text mode reads it
+    try:
+        outcome = _fingerprint(exchange.load(str(path)), set())
+    except InputError as err:
+        outcome = f"InputError: {err}"
+    assert outcome == expected
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["check", str(path)]) in (0, 1, 2)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated())
 def test_emit_matches_the_json_dumps_renderer(text):
