@@ -61,17 +61,26 @@ from .findual import (
 from .gallery import catalog_names, instance, standard_algebra_pairs, standard_coalgebra_pairs
 from .reports import Report
 
-# The command for each kind of document, where the two sides differ only in it.
-_BUILDS = {DorrohPairAlgebra: build_dorroh_algebra, DorrohPairCoalgebra: build_dorroh_coalgebra}
-_SPLITS = {Algebra: split_algebra_extension, Coalgebra: split_coalgebra_extension}
+# The command for each kind of document, where the two sides differ only
+# in it, by name: _command looks the function up when the command runs, so
+# a wrapper put on the module global (a tracer's span, say) is the one called.
+_BUILDS = {DorrohPairAlgebra: "build_dorroh_algebra", DorrohPairCoalgebra: "build_dorroh_coalgebra"}
+_SPLITS = {Algebra: "split_algebra_extension", Coalgebra: "split_coalgebra_extension"}
 _DUALS = {
-    Algebra: dual_coalgebra_of_algebra,
-    Coalgebra: dual_algebra_of_coalgebra,
-    ModuleOverAlgebra: dual_actions,
-    ComoduleOverCoalgebra: dual_coactions,
+    Algebra: "dual_coalgebra_of_algebra",
+    Coalgebra: "dual_algebra_of_coalgebra",
+    ModuleOverAlgebra: "dual_actions",
+    ComoduleOverCoalgebra: "dual_coactions",
+    DorrohPairAlgebra: "dualize_algebra_pair",
+    DorrohPairCoalgebra: "dualize_coalgebra_pair",
 }
-_PAIR_DUALS = {DorrohPairAlgebra: dualize_algebra_pair, DorrohPairCoalgebra: dualize_coalgebra_pair}
 _GALLERY_PAIRS = {"pair-algebra": standard_algebra_pairs, "pair-coalgebra": standard_coalgebra_pairs}
+
+
+def _command(table, obj):
+    """The function ``table`` names for the type of obj, or None."""
+    name = table.get(type(obj))
+    return None if name is None else globals()[name]
 
 
 def _print_report(report: Report, args, stream):
@@ -155,7 +164,7 @@ def cmd_check(args):
 
 def cmd_build(args):
     pair = exchange.load(args.file)
-    build = _BUILDS.get(type(pair))
+    build = _command(_BUILDS, pair)
     if build is None:
         raise InputError("build needs a pair-algebra or pair-coalgebra document")
     built = build(pair)
@@ -164,7 +173,7 @@ def cmd_build(args):
 
 def cmd_split(args):
     obj = exchange.load(args.file)
-    split = _SPLITS.get(type(obj))
+    split = _command(_SPLITS, obj)
     if split is None:
         raise InputError("split needs an algebra or coalgebra document")
     a_basis = _parse_basis(args.a_basis, obj.field, obj.dim)
@@ -175,12 +184,13 @@ def cmd_split(args):
 
 def cmd_dualize(args):
     obj = exchange.load(args.file)
-    if type(obj) in _PAIR_DUALS:
-        out, witness = _PAIR_DUALS[type(obj)](obj)
+    dualize = _command(_DUALS, obj)
+    if dualize is None:
+        raise InputError("dualize needs an algebra, coalgebra, pair, module or comodule document")
+    if isinstance(obj, (DorrohPairAlgebra, DorrohPairCoalgebra)):
+        out, witness = dualize(obj)
         return Report().add("duality witness verified", True, detail=witness.convention), out
-    if type(obj) in _DUALS:
-        return Report().add("dualized", True), _DUALS[type(obj)](obj)
-    raise InputError("dualize needs an algebra, coalgebra, pair, module or comodule document")
+    return Report().add("dualized", True), dualize(obj)
 
 
 def _canonical_triple(pair):

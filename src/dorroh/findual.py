@@ -7,7 +7,9 @@ sigma(f)(x^n) = f(x^{n+1}), then span it.  Functionals on the non-unital
 ideal x k[x] are the same data without the value s_0 and with shifts
 starting at j = 1.  One Berlekamp-Massey body finds the minimal
 recurrence of a prefix and the reduced echelon basis of the shift space,
-with no elimination.
+with no elimination; over Q it runs fraction-free, on integers.  A
+sequence keeps its run, as it keeps its values, and the Dorroh split
+derives phi_I's from it, so a sequence decomposed both ways runs it once.
 
 Coproducts come from factoring f(x^{i+j}) through that basis, whose dual
 elements are plain monomials x^{p_t} at the pivot degrees, so the right
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dataclass_field
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError, PreconditionError, ValidationFailure
@@ -42,15 +45,16 @@ _log = logging.getLogger("dorroh.findual")
 # raise InputError.  A coproduct of a sequence with L initial values and a
 # rank-r shift space costs Berlekamp-Massey on 2L + 2 values, O(L^2), and
 # a certificate of about r^2 L products on tables that stop by x^(2L+2)
-# (over Q in integers), passing or failing, whatever the depth; the
-# Dorroh split is the coproduct of phi_I.  minimal_recurrence,
-# Berlekamp-Massey on a prefix of length m, costs O(m * bound): 0.04 s on
-# a random prefix over Q with no recurrence within MAX_BOUND.  In-process
-# on a 2-vCPU machine, dorroh_decompose takes 0.7 ms at MAX_DEPTH on an
-# order-8 sequence over Q with roots +-1, +-2, each twice; on a random
+# (both over Q in integers), passing or failing, whatever the depth; the
+# Dorroh split is the coproduct of phi_I, on f's Berlekamp-Massey run.
+# minimal_recurrence, Berlekamp-Massey on a prefix of length m, costs
+# O(m * bound).  In-process on a 2-vCPU machine it takes 3.5 ms on a
+# random prefix of small fractions over Q with no recurrence within
+# MAX_BOUND, and dorroh_decompose takes 0.5 ms at MAX_DEPTH on an order-8
+# sequence over Q with roots +-1, +-2, each twice; on a random
 # order-MAX_ORDER one with coefficients and initial values in -3..3,
-# 0.14-0.23 s over Q at its default depth 2 MAX_ORDER + 16 and at
-# MAX_DEPTH alike, and 0.02 s over GF(10007).
+# 0.05 s over Q at its default depth 2 MAX_ORDER + 16 and at MAX_DEPTH
+# alike, and 0.03 s over GF(10007).
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
@@ -65,11 +69,12 @@ MAX_ORDER = 80
 # denominator of the coefficients and S = d sum |c_i|, a step past the
 # initial values multiplies by at most S / d, so it adds at most
 # g = bits(S) + bits(d) - 1.  In-process, dorroh_decompose at MAX_DEPTH
-# takes about 0.13 s on an order-80 document under both caps with every
-# coefficient 3 and initial values in -3..3, and 0.18 s with every
+# takes about 0.05 s on an order-80 document under both caps with every
+# coefficient 3 and initial values in -3..3, and 0.12 s with every
 # coefficient 1/2; refused, an order-80 one with 45-bit initial values
-# and every coefficient 1 took 2.0 s and an order-10 one of 1000-digit
-# scalars 3.6 s at its default depth, nearly all of both Berlekamp-Massey.
+# and every coefficient 1 took 0.57 s and an order-10 one of 1000-digit
+# scalars 1.3 s at its default depth, nearly all of both the one
+# Berlekamp-Massey run (its content gcds and integer corrections).
 # Over F_p every value is below p < 2^64, and the order caps bound the
 # work.
 READ_DEGREE = MAX_DEPTH + 2 * MAX_ORDER
@@ -97,6 +102,7 @@ class RecurrentSequence:
         self.initial = [field.canon(v) for v in initial]
         self.coeffs = [field.canon(v) for v in coeffs]
         self._vals = list(self.initial)  # memo of s_1..; grows on demand
+        self._minpoly = None  # memo of _minimal_polynomial
 
     @property
     def order(self) -> int:
@@ -185,22 +191,40 @@ def _berlekamp_massey(prefix, bound: int, field: FieldSpec):
     """(order, coeffs): the length L of a shortest recurrence s_k =
     sum_i coeffs[i-1] s_{k-i} (L < k <= m) of the canonical values
     s_1..s_m, or a length past the bound, where the search stopped.
-    Berlekamp-Massey: the connection polynomial in hand, 1 - sum_i
-    coeffs[i-1] x^i, is corrected by the one at its last length change
-    whenever s_{n+1} breaks it; L never falls.  O(m * bound) operations."""
-    canon, m = field.canon, len(prefix)
+    Berlekamp-Massey: the connection polynomial in hand, C with
+    coeffs[i-1] = -C_i / C_0, is corrected by the one at its last length
+    change, B, whenever s_{n+1} breaks it, C <- b C - d x^gap B with d and
+    b the discrepancies sum_(i>=0) C_i s_(n+1-i) of C and of B; L never
+    falls.  Over F_p, C_0 = 1 and C is corrected by d / b.  Over Q the run
+    is fraction-free (as Bareiss's elimination): the values are scaled to
+    integers by their common denominator, which scales every discrepancy
+    alike, and C is divided by its content after each correction, so no
+    Fraction is made before the coefficients.  O(m * bound) operations."""
+    p, m = field.p, len(prefix)
+    if p is None:
+        D = lcm(*(v.denominator for v in prefix))
+        prefix = [v.numerator * (D // v.denominator) for v in prefix]
     rev = prefix[::-1]  # s_n, s_(n-1), ... from rev[m - n]
     conn, last = [1], [1]  # the connection polynomial, and the one before its last length change
     order, gap, last_d = 0, 1, 1  # last_d: the discrepancy at that change
     for n in range(m):
-        d = canon(prefix[n] + sum(map(mul, conn[1:], rev[m - n : m - n + len(conn) - 1])))
+        d = sum(map(mul, conn, rev[m - 1 - n : m - 1 - n + len(conn)]))
+        if p is not None:
+            d %= p
         if d == 0:
             gap += 1
             continue
-        scale = canon(d * field.inv(last_d))
         grown = conn + [0] * (gap + len(last) - len(conn))
-        for i, c in enumerate(last, gap):
-            grown[i] = canon(grown[i] - scale * c)
+        if p is None:
+            grown = [last_d * c for c in grown]
+            for i, c in enumerate(last, gap):
+                grown[i] -= d * c
+            content = gcd(*grown)
+            grown = [c // content for c in grown]
+        else:
+            scale = d * pow(last_d, -1, p) % p
+            for i, c in enumerate(last, gap):
+                grown[i] = (grown[i] - scale * c) % p
         if 2 * order <= n:
             order, last, last_d, gap = n + 1 - order, conn, d, 1
             if order > bound:
@@ -208,7 +232,11 @@ def _berlekamp_massey(prefix, bound: int, field: FieldSpec):
         else:
             gap += 1
         conn = grown
-    coeffs = [canon(-c) for c in conn[1 : order + 1]]
+    c0, tail = conn[0], conn[1 : order + 1]
+    if p is None:
+        coeffs = [Fraction(-c, c0) if c % c0 else -c // c0 for c in tail]
+    else:
+        coeffs = [-c % p for c in tail]
     return order, coeffs + [0] * (order - len(coeffs))
 
 
@@ -246,7 +274,35 @@ def _sequence(f: RecurrentSequence, vals, lo: int) -> RecurrentSequence:
     h = RecurrentSequence.__new__(RecurrentSequence)
     h.field, h.s0, h.coeffs = f.field, vals[0] if lo == 0 else None, list(f.coeffs)
     h.initial, h._vals = vals[1 - lo : L + 1 - lo], vals[1 - lo :]
+    h._minpoly = None
     return h
+
+
+def _minimal_polynomial(f: RecurrentSequence):
+    """(r, coeffs): the minimal polynomial m = x^r - sum_i coeffs[i-1]
+    x^(r-i) of h = sigma^lo f, kept on f as its values are.
+
+    f's recurrence past x^L, L = len(f.initial), kills h by a polynomial
+    of degree at most w = L + 1 - lo, so r <= w.  Two recurrences of
+    lengths r' <= r that agree on r + r' <= 2w values agree everywhere
+    (Massey 1969), so Berlekamp-Massey on h's first 2w values on x^lo, ...,
+    f's values on x^(2 lo)..x^(2L+1), finds m."""
+    if f._minpoly is None:
+        lo = 0 if f.s0 is not None else 1
+        w = len(f.initial) + 1 - lo
+        f._minpoly = _berlekamp_massey(_values(f, 2 * len(f.initial) + 1)[lo:], w, f.field)
+    return f._minpoly
+
+
+def _over_x2(run):
+    """(r, coeffs) of m / gcd(m, x^2) from those of m: x^j divides
+    m = x^r - sum_i c_i x^(r-i) exactly when c_r, ..., c_(r-j+1) vanish,
+    and each factor of x dropped drops one of them."""
+    order, coeffs = run
+    drop = 0
+    while drop < min(2, order) and coeffs[order - 1 - drop] == 0:
+        drop += 1
+    return order - drop, coeffs[: order - drop]
 
 
 def _shift_space(f: RecurrentSequence):
@@ -261,17 +317,16 @@ def _shift_space(f: RecurrentSequence):
     injective on V, hence bijective.  So the pivots are lo..lo+r-1, and
     f_t, the g in V with g(x^(lo+u)) = delta_tu, is the dual basis of
     1, x, ..., x^(r-1) in k[x]/(m): f_t(x^(lo+k)) = [x^t](x^k mod m).
-    Two recurrences of lengths r' <= r that agree on r + r' <= 2w values
-    agree everywhere (Massey 1969), so Berlekamp-Massey on h's first 2w
-    values finds m.  Each f_t, in V, satisfies f's recurrence past x^L,
-    which extends its values on lo..max(L, lo); each shift sigma^d f keeps
-    its window vals[d:] of f's value table, through x^(2 max(L, lo) + 1 - d).
+    m comes from f's one Berlekamp-Massey run (_minimal_polynomial), or,
+    for phi_I, from its sequence's run (dorroh_decompose).  Each f_t, in
+    V, satisfies f's recurrence past x^L, which extends its values on
+    lo..max(L, lo); each shift sigma^d f keeps its window vals[d:] of f's
+    value table, through x^(2 max(L, lo) + 1 - d).
     """
     lo = 0 if f.s0 is not None else 1
-    L = len(f.initial)
-    hi, w = max(L, lo), L + 1 - lo
-    vals = _values(f, 2 * hi + 1)  # 2w values from x^(2 lo) reach x^(2L+1)
-    r, coeffs = _berlekamp_massey(vals[lo : lo + 2 * w], w, f.field)
+    hi = max(len(f.initial), lo)
+    vals = _values(f, 2 * hi + 1)
+    r, coeffs = _minimal_polynomial(f)
     canon, steps = f.field.canon, coeffs[::-1]  # x^r = sum_i c_i x^(r-i) mod m, c_r first
     cols, v = [], [int(t == 0) for t in range(r)]  # x^k mod m, k = 0, 1, ...
     for _ in range(hi - lo + 1):
@@ -485,12 +540,20 @@ def dorroh_decompose(f: RecurrentSequence, depth: int | None = None) -> Report:
     recurrence; its interior is phi_I's first identity, which
     coproduct_decompose verifies at this depth or raises on.  So the
     assembly row is a derived pass.
+
+    phi_I's shift space reads f's values from x^2 on, so its minimal
+    polynomial is the annihilator of sigma^2 f, m_f / gcd(m_f, x^2), with
+    m_f f's own (_minimal_polynomial): phi_I needs no Berlekamp-Massey
+    run of its own, and f's is shared with coproduct_decompose(f).
     """
     if f.s0 is None:
         raise PreconditionError("dorroh_decompose needs a functional on unital k[x] (s_0 present)")
+    run = _over_x2(_minimal_polynomial(f))
     # phi_I has f's initial values and recurrence: it takes the values f
     # has computed so far, and f's default depth
-    dec = coproduct_decompose(_sequence(f, f._vals, 1), depth)
+    phi = _sequence(f, f._vals, 1)
+    phi._minpoly = run
+    dec = coproduct_decompose(phi, depth)
     _log.debug("dorroh_decompose rank=%d depth=%d", dec.rank, _depth(f, depth))
     report = Report().add("phi_I coproduct verified", True, detail=f"rank {dec.rank}")
     return report.add("blockwise coproduct assembly matches m*(f)", True)

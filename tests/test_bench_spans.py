@@ -233,3 +233,45 @@ def test_splits_record_the_same_spans():
             coalgebra.split_coalgebra_extension(d, rows[:na], rows[na:])
         counts[kind] = Counter(span for span, *_ in tracer.spans)
     assert counts == SPLIT_SPANS
+
+
+# The construction span of each command that dispatches on the kind of its
+# document, run through cli.main on the regular pairs of k: the command
+# finds the library function when it runs, so the tracer's wrapper on the
+# module global is the one it calls.
+CLI_SPANS = {
+    "build pair-algebra": "algebra.build",
+    "build pair-coalgebra": "coalgebra.build",
+    "split algebra": "algebra.split",
+    "split coalgebra": "coalgebra.split",
+    "dualize pair-algebra": "duality.dualize",
+    "dualize pair-coalgebra": "duality.dualize",
+}
+
+
+def test_cli_commands_record_their_construction_spans(tmp_path, capsys):
+    from dorroh import cli
+
+    for table in (cli._BUILDS, cli._SPLITS, cli._DUALS):  # the tables name module globals
+        assert all(callable(getattr(cli, name)) for name in table.values()), table
+    docs = {kind: tmp_path / f"{kind}.json" for kind in ("pair-algebra", "pair-coalgebra", "algebra", "coalgebra")}
+    assert cli.main(["gallery", "--emit", "pair-algebra:k_regular", "-o", str(docs["pair-algebra"])]) == 0
+    assert cli.main(["gallery", "--emit", "pair-coalgebra:grouplike", "-o", str(docs["pair-coalgebra"])]) == 0
+    assert cli.main(["build", str(docs["pair-algebra"]), "-o", str(docs["algebra"])]) == 0
+    assert cli.main(["build", str(docs["pair-coalgebra"]), "-o", str(docs["coalgebra"])]) == 0
+    capsys.readouterr()
+
+    bench_trace = _bench_trace()
+    for module, *_ in bench_trace.SPANS:
+        importlib.import_module(f"dorroh.{module}")
+    recorded = {}
+    for command, span in CLI_SPANS.items():
+        verb, kind = command.split()
+        argv = [verb, str(docs[kind]), "-o", str(tmp_path / "out.json")]
+        if verb == "split":
+            argv += ["--a-basis", "1,0", "--i-basis", "0,1"]
+        tracer = bench_trace.Tracer()
+        with tracer.patched(), tracer.task(0):
+            assert cli.main(argv) == 0, command
+        recorded[command] = span if span in {name for name, *_ in tracer.spans} else None
+    assert recorded == CLI_SPANS

@@ -1315,3 +1315,205 @@ def test_the_certificate_over_q_runs_on_integers(monkeypatch):
             called = {(path.rsplit("/", 1)[-1], name) for path, _, name in pstats.Stats(profile).stats}
             assert ("findual.py", "_integer_table") in called and ("fractions.py", "__new__") not in called
         assert len(profiles) == 2
+
+
+# ---------------------------------------------------------------------------
+# one Berlekamp-Massey run per sequence: phi_I takes f's, without two
+# factors of x
+
+
+def _with_x_power(rng, field, j):
+    """A functional on k[x] that follows a recurrence with polynomial x^j g,
+    g(0) != 0 of degree 0..3, from s_(deg) on, its first values random,
+    and sometimes one or two initial values more that break it."""
+    k = rng.randint(0, 3)
+    coeffs = [_oracle_scalar(rng, field) for _ in range(k - 1)] + ([rng.randint(1, 4)] if k else []) + [0] * j
+    r = len(coeffs)
+    head = [_oracle_scalar(rng, field) for _ in range(r)] if r else [rng.randint(1, 3)]
+    vals = RecurrentSequence(field, None, head, coeffs).prefix(r + 1)
+    extra = [_oracle_scalar(rng, field) for _ in range(rng.choice((0, 0, 1, 2)))]
+    return RecurrentSequence(field, vals[0], vals[1:] + extra, coeffs)
+
+
+def _spied_phi(monkeypatch):
+    """Make coproduct_decompose keep each sequence it decomposes, with
+    its decomposition, in the list returned."""
+    seen, original = [], findual.coproduct_decompose
+
+    def spied(h, depth=None):
+        dec = original(h, depth)
+        seen.append((h, dec))
+        return dec
+
+    monkeypatch.setattr(findual, "coproduct_decompose", spied)
+    return seen
+
+
+def _types(run):
+    return [type(c) for c in run[1]]
+
+
+def test_phi_i_takes_the_run_of_its_sequence_without_two_factors_of_x(monkeypatch):
+    # phi_I's shift space reads f from x^2 on, so its minimal polynomial is
+    # m_f / gcd(m_f, x^2): at most two factors of x come off, also when x^3
+    # divides m_f.
+    seen = _spied_phi(monkeypatch)
+    rng = random.Random(26)
+    powers = {}
+    for case in range(600):
+        field = (QQ, GF(7), GF(10007))[case % 3]
+        f = _with_x_power(rng, field, rng.randint(0, 4))
+        seen.clear()
+        assert dorroh_decompose(f, rng.choice((None, 12))).ok
+        ((phi, _),) = seen
+        run = findual._minimal_polynomial(f)
+        own = findual._berlekamp_massey(f.prefix(2 * len(f.initial) + 1)[1:], len(f.initial), field)
+        assert phi._minpoly == own and _types(phi._minpoly) == _types(own), (f, run)
+        j = next((k for k, c in enumerate(reversed(run[1])) if c != 0), run[0])  # x^j divides m_f exactly
+        powers[field.p, min(j, 3)] = powers.get((field.p, min(j, 3)), 0) + 1
+    assert {(p, j) for p, j in powers} == {(p, j) for p in (None, 7, 10007) for j in range(4)}, powers
+    assert min(powers.values()) >= 10, powers
+
+
+def test_dorroh_decompose_alone_matches_it_after_the_coproduct(monkeypatch):
+    # Called alone, dorroh_decompose runs f's Berlekamp-Massey itself; after
+    # coproduct_decompose(f) it takes the run kept on f.  Both give the
+    # decomposition of phi_I decomposed on its own.
+    seen = _spied_phi(monkeypatch)
+    rng = random.Random(27)
+    for case in range(300):
+        field = (QQ, GF(7), GF(10007))[case % 3]
+        f = _with_x_power(rng, field, rng.randint(0, 4))
+        depth = rng.choice((None, rng.randint(0, 30)))
+        runs = []
+        for first in (False, True):
+            g = RecurrentSequence(field, f.s0, f.initial, f.coeffs)
+            if first:
+                coproduct_decompose(g, depth)
+            seen.clear()
+            report = dorroh_decompose(g, depth)
+            ((_, dec),) = seen
+            runs.append((_checks(report), dec.rank, dec.left, dec.right, dec.pivots))
+        own = coproduct_decompose(RecurrentSequence(field, None, f.initial, f.coeffs), depth)
+        assert runs[0] == runs[1], (f, depth)
+        assert runs[0][1:] == (own.rank, own.left, own.right, own.pivots), (f, depth)
+
+
+def _counted_runs(monkeypatch):
+    calls, original = [], findual._berlekamp_massey
+
+    def counted(prefix, bound, field):
+        calls.append(len(prefix))
+        return original(prefix, bound, field)
+
+    monkeypatch.setattr(findual, "_berlekamp_massey", counted)
+    return calls
+
+
+def test_a_recurrences_task_runs_berlekamp_massey_twice(monkeypatch):
+    # minimal_recurrence on the bare prefix, and f's run, which the Dorroh
+    # split's phi_I takes; dorroh_decompose alone runs f's once.
+    calls = _counted_runs(monkeypatch)
+    rng = random.Random(28)
+    for case in range(30):
+        field = (QQ, GF(10007))[case % 2]
+        f = _with_x_power(rng, field, rng.randint(0, 2))
+        bound = len(f.initial)
+        calls.clear()
+        assert minimal_recurrence(f.prefix(2 * bound + 2), bound, field) is not None
+        coproduct_decompose(f)
+        assert dorroh_decompose(f).ok
+        vanishing_check(f, list(f.coeffs) + [0])
+        assert len(calls) == 2, calls
+        calls.clear()
+        assert dorroh_decompose(RecurrentSequence(field, f.s0, f.initial, f.coeffs)).ok
+        assert len(calls) == 1, calls
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: Berlekamp-Massey on integers against the Fraction
+# run it replaced, kept verbatim
+
+
+def reference_berlekamp_massey(prefix, bound, field):
+    """_berlekamp_massey as written before it ran fraction-free: the
+    connection polynomial kept with constant term 1, corrected by d / b in
+    field arithmetic."""
+    canon, m = field.canon, len(prefix)
+    rev = prefix[::-1]  # s_n, s_(n-1), ... from rev[m - n]
+    conn, last = [1], [1]  # the connection polynomial, and the one before its last length change
+    order, gap, last_d = 0, 1, 1  # last_d: the discrepancy at that change
+    for n in range(m):
+        d = canon(prefix[n] + sum(map(operator.mul, conn[1:], rev[m - n : m - n + len(conn) - 1])))
+        if d == 0:
+            gap += 1
+            continue
+        scale = canon(d * field.inv(last_d))
+        grown = conn + [0] * (gap + len(last) - len(conn))
+        for i, c in enumerate(last, gap):
+            grown[i] = canon(grown[i] - scale * c)
+        if 2 * order <= n:
+            order, last, last_d, gap = n + 1 - order, conn, d, 1
+            if order > bound:
+                break
+        else:
+            gap += 1
+        conn = grown
+    coeffs = [canon(-c) for c in conn[1 : order + 1]]
+    return order, coeffs + [0] * (order - len(coeffs))
+
+
+def _wide_scalar(rng, field, kind):
+    """A small, fractional or large scalar, or 0."""
+    if rng.random() < 0.2:
+        return 0
+    if field.p is not None:
+        return rng.randrange(field.p)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return field.canon(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+    return field.canon(Fraction(rng.randint(-(10**30), 10**30), rng.choice((1, 1, rng.randint(1, 10**12)))))
+
+
+def test_integer_berlekamp_massey_matches_the_fraction_run():
+    found = {"within": 0, "past": 0}
+    rng = random.Random(29)
+    for case in range(900):
+        field = (QQ, QQ, GF(7), GF(10007))[case % 4]
+        bound = case % (findual.MAX_BOUND + 1)
+        kind = rng.randrange(3 if bound <= 8 else 2)  # large values cost the Fraction run seconds past that
+        m = 2 * bound + 2 + rng.randint(0, 3)
+        if rng.random() < 0.5:  # a recurrence within the bound, or one past it
+            r = rng.randint(0, bound + 2)
+            coeffs = [_wide_scalar(rng, field, kind) for _ in range(r)]
+            prefix = RecurrentSequence(field, None, [_wide_scalar(rng, field, kind) for _ in range(r)], coeffs).prefix(m)
+        else:
+            prefix = [_wide_scalar(rng, field, kind) for _ in range(m)]
+        got = findual._berlekamp_massey(prefix, bound, field)
+        want = reference_berlekamp_massey(prefix, bound, field)
+        assert got == want and _types(got) == _types(want), (prefix, bound, field)
+        found["within" if got[0] <= bound else "past"] += 1
+    assert min(found.values()) >= 200, found
+
+
+def test_berlekamp_massey_over_q_makes_no_fraction_before_its_coefficients():
+    # The run scales the values to integers and divides the connection
+    # polynomial by its content; a Fraction is made only for each
+    # fractional coefficient -C_i / C_0 at the end, and no Fraction
+    # arithmetic runs.
+    rng = random.Random(30)
+    fractional = 0
+    for kind in (0, 1, 1, 2, 2):
+        coeffs = [_wide_scalar(rng, QQ, kind) for _ in range(6)]
+        initial = [_wide_scalar(rng, QQ, kind) for _ in range(6)]
+        prefix = RecurrentSequence(QQ, None, initial, coeffs).prefix(16)
+        profile = cProfile.Profile()
+        order, got = profile.runcall(findual._berlekamp_massey, prefix, 7, QQ)
+        assert order <= 6 and RecurrentSequence(QQ, None, prefix[:order], got).prefix(16) == prefix
+        stats = pstats.Stats(profile).stats
+        made = {name: calls for (path, _, name), (calls, *_) in stats.items() if path.endswith("fractions.py")}
+        assert set(made) <= {"__new__", "numerator", "denominator"}, made
+        assert made.get("__new__", 0) == sum(type(c) is Fraction for c in got), (made, got)
+        fractional += made.get("__new__", 0)
+    assert fractional >= 3
