@@ -288,6 +288,20 @@ def cmd_gallery(args):
     return None, table[key]
 
 
+def _naming_the_equals_form(error):
+    """A parser's ``error`` that, for a basis flag given without its value,
+    also names the = form: argparse reads a separate value that starts
+    with '-' as an option."""
+
+    def hinted(message):
+        for flag in ("--a-basis", "--i-basis"):
+            if message == f"argument {flag}: expected one argument":
+                message += f" (join a value that starts with '-' with =, as in {flag}='-1,0;...')"
+        error(message)
+
+    return hinted
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dorroh",
@@ -313,6 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--iso-out")
     p.set_defaults(func=cmd_split)
+    p.error = _naming_the_equals_form(p.error)
 
     p = sub.add_parser("dualize", parents=[common], help="dualize a document")
     p.add_argument("file")

@@ -356,6 +356,10 @@ def _render_rows(rows, pad):
     return [pad + "[" + ", ".join([f'"{s}"' for s in row]) + "]" for row in rows]
 
 
+# one encoder for every value: json.dumps(..., ensure_ascii=False) builds one per call
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _render(value, indent=0):
     """The text of an ``encode`` result.  A list of lists in it holds
     tensor entries or matrix rows."""
@@ -369,9 +373,9 @@ def _render(value, indent=0):
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, list):
         if all(not isinstance(x, (dict, list)) for x in value):
-            return json.dumps(value, ensure_ascii=False)
+            return _dumps(value)
         return "[\n" + ",\n".join(_render_rows(value, pad + "  ")) + "\n" + pad + "]"
-    return json.dumps(value, ensure_ascii=False)
+    return _dumps(value)
 
 
 def emit(obj) -> str:

@@ -22,7 +22,10 @@ f's recurrence past f's L initial values, so it reads them only up to
 about x^(2L+1), in O(rank^2 L) operations whatever the depth, and a pass
 holds at every depth (see coproduct_decompose).  The Dorroh split
 k[x]^o = k e |x (x k[x])^o, e evaluation at x^0, holds once phi_I's
-coproduct is certified.  Depths are capped at MAX_DEPTH.
+coproduct is certified.  The vanishing check of f on x^n p(x) stops
+at n = L too, since past it the residuals follow f's recurrence (see
+vanishing_check), so nothing here reads f past x^(L + 2 MAX_ORDER).
+Depths are capped at MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -46,15 +49,17 @@ _log = logging.getLogger("dorroh.findual")
 # rank-r shift space costs Berlekamp-Massey on 2L + 2 values, O(L^2), and
 # a certificate of about r^2 L products on tables that stop by x^(2L+2)
 # (both over Q in integers), passing or failing, whatever the depth; the
-# Dorroh split is the coproduct of phi_I, on f's Berlekamp-Massey run.
+# Dorroh split is the coproduct of phi_I, on f's Berlekamp-Massey run.  A
+# vanishing check of a degree-r polynomial reads f to x^(L+r) and makes
+# about (L + 1) r products, whatever the depth.
 # minimal_recurrence, Berlekamp-Massey on a prefix of length m, costs
-# O(m * bound).  In-process on a 2-vCPU machine it takes 3.5 ms on a
+# O(m * bound).  In-process on a 2-vCPU machine it takes 1.0 ms on a
 # random prefix of small fractions over Q with no recurrence within
-# MAX_BOUND, and dorroh_decompose takes 0.5 ms at MAX_DEPTH on an order-8
+# MAX_BOUND, and dorroh_decompose takes 0.12 ms at MAX_DEPTH on an order-8
 # sequence over Q with roots +-1, +-2, each twice; on a random
 # order-MAX_ORDER one with coefficients and initial values in -3..3,
-# 0.05 s over Q at its default depth 2 MAX_ORDER + 16 and at MAX_DEPTH
-# alike, and 0.03 s over GF(10007).
+# 0.03 s over Q at its default depth 2 MAX_ORDER + 16 and at MAX_DEPTH
+# alike, and 0.02 s over GF(10007).
 MAX_DEPTH = 320
 MAX_BOUND = 32
 MAX_ORDER = 80
@@ -64,17 +69,22 @@ MAX_ORDER = 80
 # Two caps on a sequence document over Q (``check_size``), in bits of
 # numerator plus bits of denominator beyond 1: MAX_SCALAR_BITS on the
 # total of s_0, the initial values and the coefficients, and MAX_HEIGHT on
-# h0 + READ_DEGREE g, a bound on the values read at MAX_DEPTH: h0 is the
+# h0 + READ_DEGREE g, a bound on the values up to x^READ_DEGREE: h0 is the
 # largest of s_0 and the initial values, and with d the least common
 # denominator of the coefficients and S = d sum |c_i|, a step past the
 # initial values multiplies by at most S / d, so it adds at most
-# g = bits(S) + bits(d) - 1.  In-process, dorroh_decompose at MAX_DEPTH
-# takes about 0.05 s on an order-80 document under both caps with every
-# coefficient 3 and initial values in -3..3, and 0.12 s with every
-# coefficient 1/2; refused, an order-80 one with 45-bit initial values
-# and every coefficient 1 took 0.57 s and an order-10 one of 1000-digit
-# scalars 1.3 s at its default depth, nearly all of both the one
-# Berlekamp-Massey run (its content gcds and integer corrections).
+# g = bits(S) + bits(d) - 1.  The certificate and the vanishing check stop
+# where the recurrence takes over, so nothing reads past x^(L + 2
+# MAX_ORDER), at most x^240, well below READ_DEGREE = 480; the caps stay
+# as they are.  In-process, dorroh_decompose at MAX_DEPTH takes about
+# 0.03 s on an order-80 document under both caps with every coefficient 3
+# and initial values in -3..3, and 0.065 s with every coefficient 1/2,
+# and vanishing_check at MAX_DEPTH of x^80 times their characteristic
+# polynomials (degree 160) 2 ms and 0.1 s; refused, an order-80 one with
+# 45-bit initial values and every coefficient 1 took 0.4 s and an
+# order-10 one of 1000-digit scalars 0.3 s at its default depth, nearly
+# all of both the one Berlekamp-Massey run (its content gcds and integer
+# corrections).
 # Over F_p every value is below p < 2^64, and the order caps bound the
 # work.
 READ_DEGREE = MAX_DEPTH + 2 * MAX_ORDER
@@ -157,8 +167,8 @@ def _height(q) -> int:
 
 
 def height_bound(f: RecurrentSequence) -> int:
-    """h0 + READ_DEGREE g, the bound on the height of f's values read at
-    MAX_DEPTH over Q (see MAX_HEIGHT)."""
+    """h0 + READ_DEGREE g, the bound on the height of f's values up to
+    x^READ_DEGREE over Q (see MAX_HEIGHT)."""
     d = lcm(*(c.denominator for c in f.coeffs))
     step = int(d * sum(map(abs, f.coeffs)))
     h0 = max(map(_height, f.initial + ([f.s0] if f.s0 is not None else [])), default=0)
@@ -327,11 +337,14 @@ def _shift_space(f: RecurrentSequence):
     hi = max(len(f.initial), lo)
     vals = _values(f, 2 * hi + 1)
     r, coeffs = _minimal_polynomial(f)
-    canon, steps = f.field.canon, coeffs[::-1]  # x^r = sum_i c_i x^(r-i) mod m, c_r first
+    canon, p, steps = f.field.canon, f.field.p, coeffs[::-1]  # x^r = sum_i c_i x^(r-i) mod m, c_r first
     cols, v = [], [int(t == 0) for t in range(r)]  # x^k mod m, k = 0, 1, ...
     for _ in range(hi - lo + 1):
         cols.append(v)
-        v = [canon(a + v[-1] * c) for a, c in zip([0] + v[:-1], steps)]
+        if p is None:
+            v = [canon(a + v[-1] * c) for a, c in zip([0] + v[:-1], steps)]
+        else:
+            v = [(a + v[-1] * c) % p for a, c in zip([0] + v[:-1], steps)]
     pivots = list(range(lo, lo + r))
     basis = [_sequence(f, list(row), lo) for row in zip(*cols)]
     shifts = [_sequence(f, vals[d:], lo) for d in pivots]
@@ -357,7 +370,11 @@ def _depth(f: RecurrentSequence, depth: int | None) -> int:
 
 def _values(h: RecurrentSequence, depth: int) -> list:
     """[h(x^n) for n = lo..depth], lo = 0 with s_0 and 1 without."""
-    return ([h.s0] if h.s0 is not None else []) + h.prefix(depth)
+    if len(h._vals) < depth:
+        h.value(depth)
+    if h.s0 is None:
+        return h._vals[:depth]
+    return [h.s0, *h._vals[:depth]]
 
 
 def _integer_table(h: RecurrentSequence, top: int):
@@ -563,9 +580,15 @@ def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> 
     """f kills x^n p(x) for 0 <= n <= depth, where p = x^r - sum c_i x^{r-i}.
 
     For functionals on x k[x] (no s_0) the range starts at n = 1, staying
-    inside the ideal.  The degree r is at most 2 MAX_ORDER = READ_DEGREE -
-    MAX_DEPTH, so f is read to degree READ_DEGREE at most, where MAX_HEIGHT
-    bounds its values over Q.
+    inside the ideal.  The degree r is at most 2 MAX_ORDER.
+
+    It is decided on the window n = lo..min(depth, L), L = len(f.initial).
+    With e_n = f(x^n p(x)) = sum_j p_j s_(n+j), every value s_(n+j) read
+    by e_n for n > L follows f's recurrence s_m = sum_i a_i s_(m-i), so
+    e_n = sum_i a_i e_(n-i), with n - i >= L + 1 - order >= 1 >= lo.  So
+    e vanishes on lo..depth exactly when it vanishes on the window, and
+    the least failing n is the same.  f is read to degree L + r <=
+    3 MAX_ORDER at most, whatever the depth.
     """
     r = len(pcoeffs)
     if r < 1:
@@ -573,13 +596,15 @@ def vanishing_check(f: RecurrentSequence, pcoeffs, depth: int | None = None) -> 
     if r > 2 * MAX_ORDER:
         raise InputError(f"polynomial degree {r} is past the cap 2 MAX_ORDER = {2 * MAX_ORDER}")
     depth = _depth(f, depth)
-    canon = f.field.canon
-    rcoeffs = [canon(v) for v in reversed(pcoeffs)]  # c_r .. c_1
+    p = f.field.p
+    rcoeffs = [f.field.canon(v) for v in reversed(pcoeffs)]  # c_r .. c_1
     lo = 0 if f.s0 is not None else 1
-    vals = _values(f, depth + r)  # f(x^m) at index m - lo
+    top = min(depth, len(f.initial))
+    vals = _values(f, top + r)  # f(x^m) at index m - lo
     wit = None
-    for k in range(depth - lo + 1):
-        if canon(vals[k + r] - sum(map(mul, rcoeffs, vals[k : k + r]))) != 0:
+    for k in range(top - lo + 1):
+        e = vals[k + r] - sum(map(mul, rcoeffs, vals[k : k + r]))
+        if (e % p if p is not None else e) != 0:
             wit = (k + lo,)
             break
     _log.debug("vanishing_check degree=%d depth=%d witness=%s", r, depth, wit)

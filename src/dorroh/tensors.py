@@ -182,6 +182,8 @@ def _contract(acc, sign, term, stride, free):
     l = shared.pop() if len(shared) == 1 else None
     if l is None or sorted((t_letters + u_letters).replace(l, "")) != sorted(free):
         raise ValueError(f"spec {spec!r} does not contract to {free!r}")
+    if not U.entries:  # an empty factor contributes nothing: skip the walk of the other
+        return
     p, q = t_letters.index(l), u_letters.index(l)
     u0, u1, u2 = (0 if c == l else stride[c] for c in u_letters)
     groups = {}

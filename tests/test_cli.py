@@ -110,6 +110,32 @@ def test_split_non_ideal_fails(tmp_path):
     assert run_cli("split", str(dn), "--a-basis", "0,1", "--i-basis", "1,0") == 1
 
 
+def test_split_basis_usage_error_names_the_equals_form(tmp_path, capsys):
+    dn = tmp_path / "dn.json"
+    run_cli("gallery", "--emit", "dual_numbers", "-o", str(dn))
+    capsys.readouterr()
+    for argv, flag in (
+        (("--a-basis", "-1,0", "--i-basis", "0,1"), "--a-basis"),
+        (("--a-basis", "1,0", "--i-basis", "-0,1"), "--i-basis"),
+    ):
+        assert run_cli("split", str(dn), *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: dorroh split ")
+        assert err.endswith(
+            f"dorroh split: error: argument {flag}: expected one argument"
+            f" (join a value that starts with '-' with =, as in {flag}='-1,0;...')\n"
+        )
+    # the = form reads the value; other usage errors keep argparse's text
+    assert run_cli("split", str(dn), "--a-basis=-1,0", "--i-basis=0,1") == 0
+    capsys.readouterr()
+    assert run_cli("split", str(dn), "--a-basis", "1,0") == 2
+    assert capsys.readouterr().err.endswith(
+        "dorroh split: error: the following arguments are required: --i-basis\n"
+    )
+    assert run_cli("findual", "--seq") == 2
+    assert capsys.readouterr().err.endswith("dorroh findual: error: argument --seq: expected one argument\n")
+
+
 def test_dualize_pair(tmp_path):
     src = tmp_path / "pair.json"
     out = tmp_path / "dual.json"

@@ -764,9 +764,10 @@ def test_depth_and_bound_caps():
 
 
 def test_vanishing_polynomial_degree_is_capped():
-    # f is read to degree depth + r; past READ_DEGREE, MAX_HEIGHT does not
-    # bound the values read.  Over Q on f = (1, 200 s), r = 8000 took 49 MB
-    # and 24000 took 315 MB, and one 128 KB argument holds r = 65000.
+    # f is read to degree min(depth, L) + r, L its initial values; past
+    # READ_DEGREE, MAX_HEIGHT does not bound the values read.  Over Q on
+    # f = (1, 200 s), r = 8000 took 49 MB and 24000 took 315 MB, and one
+    # 128 KB argument holds r = 65000.
     cap = 2 * findual.MAX_ORDER
     assert cap == findual.READ_DEGREE - findual.MAX_DEPTH
     steep = RecurrentSequence(QQ, 1, [200], [200])
@@ -1025,6 +1026,121 @@ def test_vanishing_matches_the_per_entry_reference():
             assert got == _checks(reference_vanishing_report(f, p, findual._depth(f, depth))), (f, p, depth)
             kinds["pass" if got[0][1] else "fail"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def reference_vanishing_check(f, pcoeffs, depth=None):
+    """vanishing_check as written before it stopped at the recurrence
+    window: the full scan of n = lo..depth, reading f to x^(depth+r)."""
+    r = len(pcoeffs)
+    depth = findual._depth(f, depth)
+    canon = f.field.canon
+    rcoeffs = [canon(v) for v in reversed(pcoeffs)]  # c_r .. c_1
+    lo = 0 if f.s0 is not None else 1
+    vals = ([f.s0] if f.s0 is not None else []) + f.prefix(depth + r)  # f(x^m) at index m - lo
+    wit = None
+    for k in range(depth - lo + 1):
+        if canon(vals[k + r] - sum(map(operator.mul, rcoeffs, vals[k : k + r]))) != 0:
+            wit = (k + lo,)
+            break
+    return Report().add_witness("f(x^n p(x))=0", wit)
+
+
+def _window_scalar(rng, field):
+    """Mostly a small integer; over Q now and then a fraction."""
+    if field.p is not None:
+        return rng.randrange(field.p)
+    if rng.random() < 0.15:
+        return Fraction(rng.randint(-3, 3), rng.choice((2, 3)))
+    return rng.randint(-2, 2)
+
+
+def _poly_mul(a, b, field):
+    """The product of two coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [field.canon(v) for v in out]
+
+
+def _vanishing_cases(seed, count):
+    """(f, pcoeffs, depth, kind): a sequence over Q, GF(7) or GF(10007)
+    with and without s_0, with L = order or L > order, at a depth from 0
+    to MAX_DEPTH (below L a quarter of the time) or the default, and a
+    polynomial that passes (x^j chi_f q with j large enough for every
+    n >= lo, a multiple of x chi_f), one that may fail inside the window
+    (j too small) or a random one of degree 1..2 MAX_ORDER."""
+    rng = random.Random(seed)
+    cap = 2 * findual.MAX_ORDER
+    for case in range(count):
+        field = (QQ, GF(7), GF(10007))[case % 3]
+        order = rng.randint(0, 8) if field.p is None or rng.random() < 0.9 else rng.randint(9, findual.MAX_ORDER)
+        L = order if case % 2 == 0 else min(order + rng.randint(1, 8), findual.MAX_ORDER)
+        s0 = _window_scalar(rng, field) if case % 4 < 2 else None
+        coeffs = [_window_scalar(rng, field) for _ in range(order)]
+        initial = [_window_scalar(rng, field) for _ in range(L)]
+        kind = ("pass", "window", "random")[rng.randrange(3)]
+        if kind == "window" or rng.random() < 0.3:  # follow the recurrence from s_(order+1) but for one bend: failures come late
+            bend = rng.randint(order + 1, L) if L > order else None
+            for k in range(order + 1, L + 1):
+                step = sum(c * initial[k - 1 - i] for i, c in enumerate(coeffs, 1))
+                initial[k - 1] = field.canon(step + (rng.randint(1, 3) if k == bend else 0))
+        f = RecurrentSequence(field, s0, initial, coeffs)
+        lo = 0 if s0 is not None else 1
+        depth = rng.choice((rng.randint(0, max(L - 1, 0)), rng.randint(0, findual.MAX_DEPTH), findual.MAX_DEPTH, None))
+        chi = [field.canon(-c) for c in reversed(f.coeffs)] + [1]  # x^r - sum_i c_i x^(r-i), lowest degree first
+        need = max(1, L - order + 1 - lo)  # x^need chi_f kills x^n for every n >= lo
+        if kind == "random" or (kind == "window" and need == 1):
+            kind = "random"
+            p = [_window_scalar(rng, field) for _ in range(rng.randint(1, cap))] + [1]
+        else:
+            j = need + rng.randint(0, 2) if kind == "pass" else rng.randint(0, need - 1)
+            q = [_window_scalar(rng, field) for _ in range(rng.randint(0, 3) if rng.random() < 0.9 else cap)] + [1]
+            p = _poly_mul([0] * j + chi, q, field)
+            if len(p) > cap + 1:  # cut to the cap, still monic: then it need not pass
+                p, kind = p[:cap] + [1], "cut"
+        r = len(p) - 1
+        if r == 0:
+            p, r = [0, 1], 1
+        yield f, [field.canon(-p[r - i]) for i in range(1, r + 1)], depth, kind
+
+
+def test_vanishing_window_matches_the_full_scan():
+    found = {"pass": 0, "fail": 0, "late witness": 0, "depth below L": 0, "depth MAX_DEPTH": 0, "L > order": 0, "no s_0": 0}
+    for f, pcoeffs, depth, kind in _vanishing_cases(727, 720):
+        got = _checks(vanishing_check(f, pcoeffs, depth))
+        want = _checks(reference_vanishing_check(RecurrentSequence(f.field, f.s0, f.initial, f.coeffs), pcoeffs, depth))
+        assert got == want, (f, pcoeffs, depth)
+        if kind == "pass":
+            assert got[0][1], (f, pcoeffs, depth)
+        lo = 0 if f.s0 is not None else 1
+        found["pass" if got[0][1] else "fail"] += 1
+        found["late witness"] += not got[0][1] and got[0][2][0] > lo
+        found["depth below L"] += depth is not None and depth < len(f.initial)
+        found["depth MAX_DEPTH"] += depth == findual.MAX_DEPTH
+        found["L > order"] += len(f.initial) > f.order
+        found["no s_0"] += f.s0 is None
+    assert min(found.values()) >= 40, found
+
+
+def test_vanishing_extends_the_value_memo_only_to_the_window():
+    rng = random.Random(728)
+    for field in (QQ, GF(7), GF(10007)):
+        for order, extra, r in ((0, 0, 1), (3, 0, 2), (5, 3, 7), (8, 2, 2 * findual.MAX_ORDER)):
+            for depth in (0, 1, order + extra - 1, order + extra, 40, findual.MAX_DEPTH):
+                if depth < 0:
+                    continue
+                s0 = _window_scalar(rng, field) if depth % 2 else None
+                initial = [_window_scalar(rng, field) for _ in range(order + extra)]
+                f = RecurrentSequence(field, s0, initial, [_window_scalar(rng, field) for _ in range(order)])
+                vanishing_check(f, [_window_scalar(rng, field) for _ in range(r)], depth)
+                L = order + extra
+                assert len(f._vals) == max(L, min(depth, L) + r), (f, r, depth)
+    # prefix still hands out a copy of the memo
+    f = fibonacci(QQ)
+    head = f.prefix(5)
+    head.append(0)
+    assert f.prefix(6) == [1, 1, 2, 3, 5, 8]
 
 
 def test_dorroh_decompose_runs_one_coproduct(monkeypatch):
