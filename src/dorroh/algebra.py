@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from functools import cache
 from typing import NamedTuple
 
-from .errors import InputError, PreconditionError, ValidationFailure
+from .errors import InputError, PreconditionError
 from .fields import FieldSpec
 from .linalg import Matrix, _invertible, _rref, invert, is_identity
 from .reports import Report
@@ -426,7 +426,7 @@ class _Pair:
     def require_valid(self):
         report = self.validate()
         if not report.ok:
-            raise ValidationFailure(report, f"not a Dorroh pair of {self._conv.name}s: " + report.headline())
+            report.require(f"not a Dorroh pair of {self._conv.name}s: " + report.headline())
 
     def __eq__(self, other):
         conv = self._conv
@@ -536,15 +536,18 @@ def _build(conv: Convention, pair):
     built = conv.structure(n, known.laid, field, labels=labels)
     built._built_from = pair  # see _split
     unit = getattr(acting, conv.find_unit)()
-    if unit is not None and _unit_law(conv, pair, unit):
+    if _unit_law(conv, pair, unit):
         built._unit = unit + [0] * carrier.dim
     return built
 
 
-def _unit_law(conv: Convention, pair, unit) -> bool:
+def _unit_law(conv: Convention, pair, unit) -> bool | None:
     """Whether ``unit``, the (co)unit of pair's acting structure, acts as
     the identity on the carrier through pair's action, decided once per
-    record (``_known``)."""
+    record (``_known``); None, and nothing recorded, when there is no
+    (co)unit."""
+    if unit is None:
+        return None
     _, carrier, left, right = conv.parts_of(pair)
     known = _known(conv, pair)
     if known.unit_law is None:
@@ -577,15 +580,13 @@ def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     _log.debug("split derived=%d", derived)
     if derived:
         unit = acting._unit = conv.parts_of(source)[0]._unit  # found by the build of B
-        _derived(conv, pair, None if unit is None else _unit_law(conv, source, unit))
+        _derived(conv, pair, _unit_law(conv, source, unit))
     pair.require_valid()
 
     # S is invertible: it is the identity, or the caller carried B's tensor
     # through its inverse, so only the structure is left to verify.
     iso = conv.morphism(build(pair), B, S)
-    report = verify(iso).add("invertible", True)
-    if not report.ok:
-        raise ValidationFailure(report, "split isomorphism failed verification")
+    verify(iso).add("invertible", True).require("split isomorphism failed verification")
     iso.verified = "iso"
     return pair, iso
 
@@ -670,9 +671,7 @@ def unital_ideal_iso(pair: DorrohPairAlgebra) -> AlgebraMorphism:
     for (a, _, y), v in sorted(shift.items()):
         columns[a].append((na + y, v))  # canonical, as every transported entry
     eta = AlgebraMorphism(source, target, Matrix._canonical(n, n, columns, field))
-    report = verify_algebra_morphism(eta, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "unital ideal isomorphism failed verification")
+    verify_algebra_morphism(eta, iso=True).require("unital ideal isomorphism failed verification")
     return eta
 
 
@@ -723,19 +722,15 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
         T = transport(B.mul, (St, St, Sinv))
     split = T.entries
 
-    closure = Report().add_witness(
+    Report().add_witness(
         "A_closed", min(((i, j) for i, j, k in split if i < na and j < na and k >= na), default=None)
-    )
-    if not closure.ok:
-        raise ValidationFailure(closure, "A-span is not closed under multiplication")
+    ).require("A-span is not closed under multiplication")
 
     # Products landing in the A-block are reported block by block: all
     # (u, na+x) first, then (na+x, u), then (na+x, na+y), each block in
     # lexicographic order.  The flags (i >= na, j >= na) sort the blocks so.
     bad = [(i >= na, j >= na, i, j) for i, j, k in split if k < na and (i >= na or j >= na)]
-    ideal = Report().add_witness("I_ideal", min(bad)[2:] if bad else None)
-    if not ideal.ok:
-        raise ValidationFailure(ideal, "I-span is not an ideal")
+    Report().add_witness("I_ideal", min(bad)[2:] if bad else None).require("I-span is not an ideal")
 
     # Closure and the ideal property leave every entry in one of four blocks.
     return _split(ALGEBRA, build_dorroh_algebra, verify_algebra_morphism, B, S, T, na)
@@ -760,14 +755,11 @@ def universal_map_algebra(
     ):
         image = transport(action, (None, None, fm)).entries
         conds.add_witness(name, first_difference(image, transport(B.mul, legs).entries, 2))
-    if not conds.ok:
-        raise ValidationFailure(conds, "not a Dorroh homomorphism")
+    conds.require("not a Dorroh homomorphism")
 
     columns = phi.matrix.columns + fm.columns  # (a, x) -> phi(a) + f(x)
     eta = AlgebraMorphism(build_dorroh_algebra(pair), B, Matrix._canonical(B.dim, len(columns), columns, pair.field))
-    report = verify_algebra_morphism(eta)
-    if not report.ok:
-        raise ValidationFailure(report, "universal map failed verification")
+    verify_algebra_morphism(eta).require("universal map failed verification")
     return eta
 
 
@@ -853,10 +845,7 @@ def _assemble(conv: Convention, build, pair, m_a, m_i, side: str):
     # a one-sided module leaves its other side's roles unbound, which skips their laws
     (la, ra), (li, ri) = conv.tensors(m_a), conv.tensors(m_i)
     tensors = {"la": la, "li": li, "ra": ra, "ri": ri, "pl": pl, "pr": pr}
-    check_laws(report, field, getattr(GLUING_LAWS, conv.name), tensors)
-
-    if not report.ok:
-        raise ValidationFailure(report, f"{co}module compatibility failed")
+    check_laws(report, field, getattr(GLUING_LAWS, conv.name), tensors).require(f"{co}module compatibility failed")
 
     built = build(pair)
     n = built.dim
@@ -904,7 +893,7 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     pair12 = conv.pair(a1, a2, act12)
     b12 = build(pair12)
     unit = a1._unit
-    on_a2 = None if unit is None else _unit_law(conv, pair12, unit)
+    on_a2 = _unit_law(conv, pair12, unit)
     pair23 = conv.pair(a2, a3, act23)
     field = a1.field
     n1, n2, n3 = a1.dim, a2.dim, a3.dim
@@ -952,7 +941,7 @@ def _iterated_triple(conv: Convention, build, verify, a1, a2, a3, act12, act13, 
     # when it acts as the identity on A2, (u_1, 0) is the unit of A1|xA2
     # and acts on A3 through A1 alone: both unit laws are (A1, A2)'s and
     # (A1, A3)'s.
-    on_a3 = None if unit is None else _unit_law(conv, pair13, unit)
+    on_a3 = _unit_law(conv, pair13, unit)
     for prefix, pair, unit_law in (
         ("left-bracketing:", pair_left, on_a3 if on_a2 else None),
         ("right-bracketing:", pair_right, on_a2 and on_a3),

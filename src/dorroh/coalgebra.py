@@ -41,7 +41,7 @@ from .algebra import (
     _zero_action_pair,
     check_laws,
 )
-from .errors import InputError, PreconditionError, ValidationFailure
+from .errors import InputError, PreconditionError
 from .fields import FieldSpec
 from .linalg import Matrix, invert, is_identity
 from .reports import Report
@@ -172,9 +172,7 @@ def counital_split_iso(pair: DorrohPairCoalgebra) -> CoalgebraMorphism:
     for (x, c, _), v in sorted(transport(pair.coaction.rho_l, (None, None, eps)).entries.items()):
         columns[c].append((nc + x, field.canon(-v)))  # -v is not canonical over F_p
     zeta = CoalgebraMorphism(source, target, Matrix._canonical(n, n, columns, field).transpose())
-    report = verify_coalgebra_morphism(zeta, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "counital split isomorphism failed verification")
+    verify_coalgebra_morphism(zeta, iso=True).require("counital split isomorphism failed verification")
     return zeta
 
 
@@ -201,17 +199,13 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
         T = transport(D.delta, (S.transpose(), Sinv, Sinv))
     split = T.entries
 
-    sub = Report().add_witness(
+    Report().add_witness(
         "C_subcoalgebra", min(((k,) for k, a, b in split if k < nc and (a >= nc or b >= nc)), default=None)
-    )
-    if not sub.ok:
-        raise ValidationFailure(sub, "C-span is not a subcoalgebra")
+    ).require("C-span is not a subcoalgebra")
 
-    coideal = Report().add_witness(
+    Report().add_witness(
         "P_coideal", min(((k - nc,) for k, a, b in split if k >= nc and a < nc and b < nc), default=None)
-    )
-    if not coideal.ok:
-        raise ValidationFailure(coideal, "P-span is not a coideal")
+    ).require("P-span is not a coideal")
 
     # The subcoalgebra and coideal properties leave every entry in one of four blocks.
     return _split(COALGEBRA, build_dorroh_coalgebra, verify_coalgebra_morphism, D, S, T, nc)
@@ -237,17 +231,14 @@ def universal_map_coalgebra(
     ):
         image = transport(coaction, (ft, None, None)).entries
         conds.add_witness(name, first_difference(image, transport(D.delta, legs).entries, 1))
-    if not conds.ok:
-        raise ValidationFailure(conds, "not a Dorroh pair homomorphism")
+    conds.require("not a Dorroh pair homomorphism")
 
     target = build_dorroh_coalgebra(pair)
     # d -> (phi(d), f(d)): each column of phi above the same column of f
     nc = pm.rows
     columns = [pc + [(nc + i, v) for i, v in fc] for pc, fc in zip(pm.columns, fm.columns)]
     eta = CoalgebraMorphism(D, target, Matrix._canonical(target.dim, D.dim, columns, field))
-    report = verify_coalgebra_morphism(eta)
-    if not report.ok:
-        raise ValidationFailure(report, "universal map failed verification")
+    verify_coalgebra_morphism(eta).require("universal map failed verification")
     return eta
 
 

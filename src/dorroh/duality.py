@@ -41,7 +41,6 @@ from .coalgebra import (
     build_dorroh_coalgebra,
     verify_coalgebra_morphism,
 )
-from .errors import ValidationFailure
 from .linalg import Matrix
 from .tensors import rotate
 
@@ -111,13 +110,11 @@ def _dualize_pair(src, dst, pair, build, build_dual, verify):
     action = dst.action_type(a_dual, carrier.dim, rotate(left, turn), rotate(right, turn))
     dual = dst.pair(a_dual, i_dual, action)
     unit = a_dual._unit  # acting's, taken by its dual
-    _derived(dst, dual, None if unit is None else _unit_law(src, pair, unit))
+    _derived(dst, dual, _unit_law(src, pair, unit))
 
     identity = Matrix.identity(acting.dim + carrier.dim, pair.field)
     forward = dst.morphism(_dual(src, dst, build(pair)), build_dual(dual), identity)
-    report = verify(forward, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, f"{src.name}-pair duality witness failed")
+    verify(forward, iso=True).require(f"{src.name}-pair duality witness failed")
     return dual, DualityWitness(forward)
 
 
@@ -150,9 +147,7 @@ def dualize_coalgebra_pair(pair: DorrohPairCoalgebra):
 def _double_dual_iso(side, other, x, verify):
     double = _dual(other, side, _dual(side, other, x))
     forward = side.morphism(x, double, Matrix.identity(x.dim, x.field))
-    report = verify(forward, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "double dual evaluation failed verification")
+    verify(forward, iso=True).require("double dual evaluation failed verification")
     return forward
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError
 
@@ -23,8 +24,10 @@ MODULUS_BOUND = 2**64
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin for 0 <= p < MODULUS_BOUND."""
+    """Deterministic Miller-Rabin for 0 <= p < MODULUS_BOUND, run once per
+    modulus among the last 64 asked: every parsed F_p document asks."""
     if p < 2:
         return False
     for q in _WITNESS_BASES:

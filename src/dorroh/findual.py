@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError, PreconditionError, ValidationFailure
+from .errors import InputError, PreconditionError
 from .fields import FieldSpec
 from .reports import Report
 
@@ -540,8 +540,7 @@ def coproduct_decompose(f: RecurrentSequence, depth: int | None = None) -> Copro
     dec = CoproductDecomposition(len(left), left, right, pivots)
     report = _certified(f, dec, lo, depth)
     _log.debug("coproduct_decompose rank=%d depth=%d width=%d", dec.rank, depth, depth - lo + 1)
-    if not report.ok:
-        raise ValidationFailure(report, "coproduct decomposition is internally inconsistent")
+    report.require("coproduct decomposition is internally inconsistent")
     return dec
 
 

@@ -38,7 +38,7 @@ from .coalgebra import (
     zero_coaction_pair,
 )
 from .duality import dualize_algebra_pair
-from .errors import InputError, ValidationFailure
+from .errors import InputError
 from .fields import FieldSpec
 from .findual import RecurrentSequence
 from .linalg import Matrix, invert
@@ -270,9 +270,7 @@ def triangular_pair(A: Algebra, B: Algebra, left: SparseTensor3, right: SparseTe
     # Permute the extension basis [A, B, M] into block order [A, M, B].
     order = [*range(na), *range(nam, n), *range(na, nam)]
     iso = AlgebraMorphism(build_dorroh_algebra(pair), block, Matrix._canonical(n, n, [[(i, 1)] for i in order], field))
-    report = verify_algebra_morphism(iso, iso=True)
-    if not report.ok:
-        raise ValidationFailure(report, "triangular block isomorphism failed verification")
+    verify_algebra_morphism(iso, iso=True).require("triangular block isomorphism failed verification")
     return pair, iso
 
 

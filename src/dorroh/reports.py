@@ -2,11 +2,14 @@
 
 Each named check records the first failing index tuple in lexicographic
 order (never the full witness list) so golden outputs stay stable.
+``Report.require`` is the one place a failed check becomes an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .errors import ValidationFailure
 
 
 @dataclass
@@ -53,6 +56,13 @@ class Report:
             self.checks.append(
                 CheckResult(prefix + c.name if prefix else c.name, c.ok, c.witness, c.detail)
             )
+        return self
+
+    def require(self, message: str) -> "Report":
+        """self when every check passed; otherwise raise ValidationFailure
+        with ``message``, carrying self and so its first witness."""
+        if not self.ok:
+            raise ValidationFailure(self, message)
         return self
 
     def first_failure(self) -> CheckResult | None:

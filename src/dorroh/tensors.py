@@ -57,9 +57,6 @@ class SparseTensor3:
     def zero(cls, dims, field: FieldSpec) -> "SparseTensor3":
         return cls(dims, {}, field)
 
-    def get(self, i: int, j: int, k: int):
-        return self.entries.get((i, j, k), 0)
-
     def sorted_items(self):
         return sorted(self.entries.items())
 

@@ -4,7 +4,8 @@ The library carries every action through sparse tensors; ``act_left`` and
 ``act_right`` apply one to coordinate vectors entry by entry, and
 ``product`` an algebra's multiplication, as an independent reference for
 the tests that check a law on single elements, and ``basis`` gives the
-coordinates of one basis vector.
+coordinates of one basis vector.  ``entry`` reads one structure constant
+of a tensor, zero where it stores none.
 ``dense_rref`` is the dense Gauss-Jordan the library once used, the
 reference for its one sparse elimination ``linalg._rref``;
 ``solve_linear`` solves a dense system by it, and ``dense_unit`` the
@@ -91,6 +92,11 @@ def product(a, x, y) -> list:
                 acc[k] += xi * yj * c
     canon = a.field.canon
     return [canon(v) for v in acc]
+
+
+def entry(T: SparseTensor3, i: int, j: int, k: int):
+    """T's structure constant at (i, j, k), zero where T stores none."""
+    return T.entries.get((i, j, k), 0)
 
 
 def basis(s, i) -> list:

@@ -81,7 +81,7 @@ from dorroh.gallery import (
 )
 from dorroh.linalg import invert
 from dorroh.tensors import SparseTensor3
-from support import dense_columns, dense_unit, random_algebra_pair, random_coalgebra_pair
+from support import dense_columns, dense_unit, entry, random_algebra_pair, random_coalgebra_pair
 
 GOLDEN = Path(__file__).parent / "data" / "blocks_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
@@ -421,8 +421,8 @@ def test_unit_and_counit_match_the_dense_system(data, field):
         # start from the unital k^n (or its dual) so that units are common
         entries = {**{(i, i, i): 1 for i in range(n)}, **entries}
     t = SparseTensor3((n, n, n), entries, field)
-    assert Algebra(n, t, field).find_identity() == dense_unit(n, t.get, field)
-    assert Coalgebra(n, t, field).find_counit() == dense_unit(n, lambda i, j, m: t.get(m, i, j), field)
+    assert Algebra(n, t, field).find_identity() == dense_unit(n, lambda i, j, m: entry(t, i, j, m), field)
+    assert Coalgebra(n, t, field).find_counit() == dense_unit(n, lambda i, j, m: entry(t, m, i, j), field)
 
 
 if __name__ == "__main__":

@@ -71,6 +71,17 @@ def test_field_flag_rejects_moduli_past_two_to_the_64(capsys):
     assert "below 2**64" in capsys.readouterr().err
 
 
+def test_a_composite_modulus_exits_2_on_every_parse(tmp_path, capsys):
+    doc = tmp_path / "m2.json"
+    assert run_cli("gallery", "--emit", "M2", "--field", "Fp:7", "-o", str(doc)) == 0
+    data = json.loads(doc.read_text())
+    data["field"]["p"] = 561  # Carmichael number
+    doc.write_text(json.dumps(data))
+    for _ in range(2):  # the second parse reads the cached decision
+        assert run_cli("check", str(doc)) == 2
+        assert "modulus must be prime, got 561" in capsys.readouterr().err
+
+
 def test_build_and_recheck(tmp_path):
     pair_doc = tmp_path / "pair.json"
     built_doc = tmp_path / "built.json"

@@ -142,3 +142,24 @@ def _old_canon(field, x):
 def test_canon_matches_the_formula_before_its_int_fast_path(x, field):
     got, want = field.canon(x), _old_canon(field, x)
     assert got == want and type(got) is type(want)
+
+
+def test_primality_is_decided_once_per_modulus(monkeypatch):
+    """Two parses of one F_p field run Miller-Rabin, counted by its calls
+    to pow, once."""
+    from dorroh import fields
+
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    fields._is_prime.cache_clear()
+    monkeypatch.setattr(fields, "pow", counting_pow, raising=False)
+    doc = {"kind": "Fp", "p": 10007}
+    assert FieldSpec.from_json(doc).p == 10007
+    first = len(calls)
+    assert first > 0
+    assert FieldSpec.from_json(doc).p == 10007
+    assert len(calls) == first

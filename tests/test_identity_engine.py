@@ -62,7 +62,7 @@ from dorroh.gallery import (
 )
 from dorroh.tensors import SparseTensor3, first_witness
 
-from support import random_algebra_pair, random_coalgebra_pair
+from support import entry, random_algebra_pair, random_coalgebra_pair
 
 GOLDEN = Path(__file__).parent / "data" / "validator_golden.json"
 FIELDS = (QQ, GF(3), GF(5))
@@ -468,9 +468,7 @@ def _dense_first_witness(field, box, out, lhs, rhs):
                 t_letters, u_letters = spec.split(",")
                 (l,) = set(t_letters) & set(u_letters)
                 for env[l] in range(sizes[l]):
-                    total += sign * T.get(*(env[c] for c in t_letters)) * U.get(
-                        *(env[c] for c in u_letters)
-                    )
+                    total += sign * entry(T, *(env[c] for c in t_letters)) * entry(U, *(env[c] for c in u_letters))
             if field.canon(total) != 0:
                 return idx
     return None

@@ -21,7 +21,7 @@ from dorroh.gallery import standard_algebra_pairs, standard_coalgebra_pairs
 from dorroh.linalg import Matrix, invert
 from dorroh.tensors import SparseTensor3
 
-from support import dense_rref, dense_unit, random_algebra_pair, random_coalgebra_pair
+from support import dense_rref, dense_unit, entry, random_algebra_pair, random_coalgebra_pair
 
 FIELDS = (QQ, GF(3), GF(5))
 SEED = 21
@@ -113,9 +113,9 @@ def test_units_and_counits_equal_the_dense_solve(field):
     for s in _structures(field, rng):
         n = s.dim
         if isinstance(s, Algebra):
-            got, want = s.find_identity(), dense_unit(n, s.mul.get, field)
+            got, want = s.find_identity(), dense_unit(n, lambda i, j, m: entry(s.mul, i, j, m), field)
         else:
-            got, want = s.find_counit(), dense_unit(n, lambda i, j, m: s.delta.get(m, i, j), field)
+            got, want = s.find_counit(), dense_unit(n, lambda i, j, m: entry(s.delta, m, i, j), field)
         assert got == want and [type(v) for v in got or ()] == [type(v) for v in want or ()]
         found[type(s).__name__, got is None] += 1
     for side in ("Algebra", "Coalgebra"):

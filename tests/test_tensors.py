@@ -7,6 +7,7 @@ from dorroh.errors import InputError
 from dorroh.fields import GF, QQ
 from dorroh.linalg import Matrix
 from dorroh.tensors import SparseTensor3, first_difference, place, transport
+from support import entry
 
 
 def test_zero_entries_are_dropped():
@@ -69,7 +70,7 @@ def _dense_transport(T, legs):
     for key in itertools.product(*(range(d) for d in new)):
         total = 0
         for i, j, k in itertools.product(*(range(d) for d in T.dims)):
-            total += T.get(i, j, k) * mats[0][key[0]][i] * mats[1][key[1]][j] * mats[2][key[2]][k]
+            total += entry(T, i, j, k) * mats[0][key[0]][i] * mats[1][key[1]][j] * mats[2][key[2]][k]
         out[key] = total
     return SparseTensor3(new, out, T.field)
 
@@ -140,7 +141,7 @@ def _dense_place(dims, field, parts):
     out = {}
     for T, offsets, order in parts:
         for key in itertools.product(*(range(d) for d in T.dims)):
-            v = T.get(*key)
+            v = entry(T, *key)
             if v:
                 out[tuple(offsets[t] + key[order[t]] for t in range(3))] = v
     return SparseTensor3(dims, out, field)
