@@ -123,26 +123,37 @@ class _Reader:
         return self.scalars(obj, path)
 
     def tensor(self, obj, dims, path):
+        """The tensor of shape ``dims`` whose entries are the rows of ``obj``.
+
+        One pass reads rows ``[i, j, k, scalar]`` of int indices in range
+        and nonzero string scalars, parsing each new string once.  Any
+        other row, a scalar that fails to parse or a repeated key (caught
+        by counting at the end) reruns every check of ``_entry`` from row
+        0, so the first failure in document order is the one reported.
+        """
         if not isinstance(obj, list):
             _fail(path, "expected a list of entries")
         d0, d1, d2 = dims
-        memo = self.memo
+        memo, parse = self.memo, self.field.parse
+        entries = {}
+        try:
+            for i, j, k, s in obj:
+                if not (type(i) is int and type(j) is int and type(k) is int and type(s) is str
+                        and 0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
+                    break
+                v = memo.get(s)
+                if v is None:
+                    v = memo[s] = parse(s)
+                if not v:
+                    break
+                entries[(i, j, k)] = v
+            else:
+                if len(entries) == len(obj):
+                    return SparseTensor3._canonical(dims, entries, self.field)
+        except (TypeError, ValueError, InputError):  # a row of bad shape, a bad scalar
+            pass
         entries = {}
         for idx, row in enumerate(obj):
-            # an entry of known-good shape at a new key: its scalar is read
-            # here, in the order ``_entry`` checks it, and only a zero, a
-            # duplicate or a bad shape falls through to ``_entry``
-            if type(row) is list and len(row) == 4:
-                i, j, k, s = row
-                if type(i) is int and type(j) is int and type(k) is int and 0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2:
-                    key = (i, j, k)
-                    if key not in entries:
-                        v = memo.get(s) if type(s) is str else None
-                        if v is None:
-                            v = self.scalar(s, path, idx)
-                        if v:
-                            entries[key] = v
-                            continue
             key, v = self._entry(row, dims, entries, path, idx)
             entries[key] = v
         return SparseTensor3._canonical(dims, entries, self.field)
@@ -367,9 +378,8 @@ def _render(value, indent=0):
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_render(v, indent + 1)}" for k, v in value.items()
-        )
+        # every key is a fixed ASCII payload name, which json.dumps would only quote
+        inner = ",\n".join(f'{pad}  "{k}": {_render(v, indent + 1)}' for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, list):
         if all(not isinstance(x, (dict, list)) for x in value):

@@ -132,10 +132,11 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
     the lexicographically least ``box`` tuple at which some ``out``
     coefficient of lhs - rhs is nonzero.
 
-    Only stored entries are visited, so the cost is the number of nonzero
-    products, whatever the size of the box.  Each (box, out) tuple is one
-    mixed-radix integer with the box letters most significant, so the
-    least failing key divided by the ``out`` volume is the witness.
+    Only stored entries are visited, so the cost is the entries of the
+    larger factor of each term plus the nonzero products, whatever the
+    size of the box.  Each (box, out) tuple is one mixed-radix integer
+    with the box letters most significant, so the least failing key
+    divided by the ``out`` volume is the witness.
     """
     sizes = {}
     for spec, T, U in (lhs, rhs):
@@ -169,7 +170,13 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
 
 
 def _contract(acc, sign, term, stride, free):
-    """Add sign * sum_l T[..l..] U[..l..] into acc, keyed by the free letters' radix code."""
+    """Add sign * sum_l T[..l..] U[..l..] into acc, keyed by the free letters' radix code.
+
+    The smaller factor U is grouped by l and the larger T walked against
+    the groups.  When every group has one entry (a scalar (co)action, a
+    grouplike or permutation tensor), each entry of T makes one product
+    with no inner loop.
+    """
     spec, T, U = term
     t_letters, u_letters = spec.split(",")
     if len(U.entries) > len(T.entries):
@@ -189,6 +196,16 @@ def _contract(acc, sign, term, stride, free):
         groups.setdefault(key[q], []).append((i * u0 + j * u1 + k * u2, v))
     t0, t1, t2 = (0 if c == l else stride[c] for c in t_letters)
     get = acc.get
+    if len(groups) == len(U.entries):
+        single = {m: (offset, sign * v2) for m, ((offset, v2),) in groups.items()}
+        for key, v in T.entries.items():
+            hit = single.get(key[p])
+            if hit:
+                i, j, k = key
+                offset, w = hit
+                code = i * t0 + j * t1 + k * t2 + offset
+                acc[code] = get(code, 0) + v * w
+        return
     for key, v in T.entries.items():
         group = groups.get(key[p])
         if group:

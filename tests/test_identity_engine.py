@@ -16,6 +16,7 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -480,15 +481,9 @@ def _tensor(draw, dims, field):
     return SparseTensor3(dims, draw(st.dictionaries(cells, values, max_size=6)), field)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([QQ, GF(2), GF(3)]))
-def test_first_witness_matches_dense_scan(data, na, ni, field):
-    mul = _tensor(data.draw, (na, na, na), field)
-    left = _tensor(data.draw, (na, ni, ni), field)
-    right = _tensor(data.draw, (ni, na, ni), field)
-    delta = _tensor(data.draw, (ni, ni, ni), field)
-    rho_l = _tensor(data.draw, (ni, na, ni), field)
-    identities = [
+def _identities(mul, left, right, delta, rho_l):
+    """(box, out, lhs, rhs) of an algebra, module, pair, coalgebra and comodule law."""
+    return [
         ("ijk", "m", ("ijl,lkm", mul, mul), ("jkl,ilm", mul, mul)),
         ("abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left)),
         ("xab", "y", ("abl,xly", mul, right), ("xaz,zby", right, right)),
@@ -496,6 +491,113 @@ def test_first_witness_matches_dense_scan(data, na, ni, field):
         ("x", "pqr", ("xir,ipq", delta, delta), ("xpj,jqr", delta, delta)),
         ("x", "pqy", ("xcy,cpq", rho_l, mul), ("xpz,zqy", rho_l, rho_l)),
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_first_witness_matches_dense_scan(data, na, ni, field):
+    identities = _identities(
+        _tensor(data.draw, (na, na, na), field),
+        _tensor(data.draw, (na, ni, ni), field),
+        _tensor(data.draw, (ni, na, ni), field),
+        _tensor(data.draw, (ni, ni, ni), field),
+        _tensor(data.draw, (ni, na, ni), field),
+    )
+    for box, out, lhs, rhs in identities:
+        expected = _dense_first_witness(field, box, out, lhs, rhs)
+        assert first_witness(field, box, out, lhs, rhs) == expected
+
+
+# ---------------------------------------------------------------------------
+# factors with one entry per summed index
+
+
+def _one_entry_sides(lhs, rhs):
+    """Per side, whether the factor ``_contract`` groups has one entry per summed index."""
+    sides = []
+    for spec, T, U in (lhs, rhs):
+        t_letters, u_letters = spec.split(",")
+        (l,) = set(t_letters) & set(u_letters)
+        if len(U.entries) > len(T.entries):
+            U, u_letters = T, t_letters
+        q = u_letters.index(l)
+        sides.append(len({key[q] for key in U.entries}) == len(U.entries))
+    return tuple(sides)
+
+
+def _one_entry_laws(field, values):
+    """(one-entry sides, a passing law, the law with one entry moved) for a
+    grouplike coalgebra, a scalar coaction over it and over the divided
+    powers, and a permuted identity module over the idempotents k^3."""
+    c0, c1, c2 = values
+
+    def t(entries):
+        return SparseTensor3((3, 3, 3), entries, field)
+
+    grouplike = {(0, 0, 0): c0, (1, 1, 1): c1, (2, 2, 2): c2}
+    divided = {(n, i, n - i): c0 if n == 0 else c1 for n in range(3) for i in range(n + 1)}
+    scalar = {(x, 0, x): c0 for x in range(3)}
+    sigma = (1, 2, 0)
+    permuted = {(sigma[x], x, x): values[sigma[x]] for x in range(3)}
+
+    def coassociativity(delta):
+        return ("x", "pqr", ("xir,ipq", delta, delta), ("xpj,jqr", delta, delta))
+
+    def comodule(rho, delta):
+        return ("x", "pqy", ("xcy,cpq", rho, delta), ("xpz,zqy", rho, rho))
+
+    def module(mul, left):
+        return ("abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left))
+
+    def moved(entries, old, new):
+        out = dict(entries)
+        out[new] = out.pop(old)
+        return t(out)
+
+    return [
+        ((True, True), coassociativity(t(grouplike)),
+         coassociativity(moved(grouplike, (1, 1, 1), (1, 0, 2)))),
+        ((True, True), comodule(t(scalar), t(grouplike)),
+         comodule(moved(scalar, (1, 0, 1), (1, 2, 0)), t(grouplike))),
+        ((False, True), comodule(t(scalar), t(divided)),
+         comodule(moved(scalar, (1, 0, 1), (1, 1, 1)), t(divided))),
+        ((True, True), module(t(grouplike), t(permuted)),
+         module(t(grouplike), moved(permuted, (1, 0, 0), (1, 0, 1)))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [(QQ, (-2, Fraction(2, 3), 1)), (GF(2), (1, 1, 1)), (GF(3), (2, 1, 2))],
+    ids=["QQ", "GF2", "GF3"],
+)
+def test_one_entry_factors_match_dense_scan(field, values):
+    for sides, law, bent in _one_entry_laws(field, values):
+        for (box, out, lhs, rhs), passes in ((law, True), (bent, False)):
+            assert _one_entry_sides(lhs, rhs) == sides
+            expected = _dense_first_witness(field, box, out, lhs, rhs)
+            assert (expected is None) == passes
+            assert first_witness(field, box, out, lhs, rhs) == expected
+
+
+def _permutation_tensor(draw, dims, field):
+    """Entries at (π0(t), π1(t), π2(t)) for t < size: one per index on every leg."""
+    size = draw(st.integers(0, min(dims)))
+    keys = zip(*(draw(st.permutations(range(d)))[:size] for d in dims))
+    values = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]) if field.p is None else st.integers(1, field.p - 1)
+    return SparseTensor3(dims, {key: draw(values) for key in keys}, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_first_witness_matches_dense_scan_on_permutation_tensors(data, na, ni, field):
+    identities = _identities(
+        _permutation_tensor(data.draw, (na, na, na), field),
+        _permutation_tensor(data.draw, (na, ni, ni), field),
+        _permutation_tensor(data.draw, (ni, na, ni), field),
+        _permutation_tensor(data.draw, (ni, ni, ni), field),
+        _permutation_tensor(data.draw, (ni, na, ni), field),
+    )
     for box, out, lhs, rhs in identities:
         expected = _dense_first_witness(field, box, out, lhs, rhs)
         assert first_witness(field, box, out, lhs, rhs) == expected

@@ -347,6 +347,20 @@ SEEN_EDITS = {
     "bool index": (lambda rows: rows.append([True, 1, 1, "1"]), "[3]: index i must be an integer"),
     "out of range": (lambda rows: rows.append([0, 2, 1, "1"]), "[3]: index (0,2,1) out of range for dims (2, 2, 2)"),
     "bad after good": (lambda rows: rows.append([1, 1, 1, "2/4"]), "[3]: non-canonical rational '2/4'"),
+    # rows the one-pass read hands back to the per-entry checks
+    "float index": (lambda rows: rows.append([1.0, 1, 1, "1"]), "[3]: index i must be an integer"),
+    "unhashable scalar": (lambda rows: rows.append([1, 1, 1, ["1"]]), "[3]: scalar must be a string, got list"),
+    "integer scalar": (lambda rows: rows.append([1, 1, 1, 1]), "[3]: scalar must be a string, got int"),
+    "string row": (lambda rows: rows.append("1234"), "[3]: expected [i, j, k, scalar]"),
+    "short row": (lambda rows: rows.append([0, 0, 0]), "[3]: expected [i, j, k, scalar]"),
+    "zero before bad shape": (
+        lambda rows: rows.__setitem__(0, [*rows[0][:3], "0"]) or rows.append([0, 0, 0]),
+        "[0]: explicit zero entries are not allowed",
+    ),
+    "duplicate before bad scalar": (
+        lambda rows: rows.extend([rows[0], [1, 1, 1, "2/4"]]),
+        "[3]: duplicate entry at (0,0,0)",
+    ),
 }
 
 
