@@ -18,11 +18,16 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dorroh import tensors
 from dorroh.algebra import (
+    ACTION_LAWS,
+    ASSOCIATIVITY,
+    PAIR_LAWS,
     Algebra,
     BimoduleAction,
     DorrohPairAlgebra,
@@ -56,12 +61,15 @@ from dorroh.gallery import (
     grouplikes,
     matrix_algebra_2,
     matrix_coalgebra_2,
+    conjugate_algebra_pair,
     nilpotent_line,
+    random_invertible,
+    regular_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
     truncated_polynomials,
 )
-from dorroh.tensors import SparseTensor3, first_witness
+from dorroh.tensors import TO_COALGEBRA, SparseTensor3, first_witness, rotate
 
 from support import entry, random_algebra_pair, random_coalgebra_pair
 
@@ -612,6 +620,151 @@ def test_first_witness_rejects_malformed_specs():
     with pytest.raises(ValueError):
         u = SparseTensor3((3, 2, 2), {}, QQ)
         first_witness(QQ, "ijk", "m", ("ijl,lkm", t, u), ("jkl,ilm", t, t))  # l sized 2 and 3
+
+
+# ---------------------------------------------------------------------------
+# dense laws over F_p: the packed path
+
+
+MERSENNE_31, MERSENNE_61 = GF(2**31 - 1), GF(2**61 - 1)
+
+
+def _packs(field, box, out, lhs, rhs):
+    """Whether the packed path should decide the law: over F_p, volume
+    nonzero and at most PACK_VOLUME, at least two estimated products per
+    code, and twice the least multiple of p at least size(l) (p - 1)^2
+    below 2^64."""
+    sizes = {}
+    for spec, T, U in (lhs, rhs):
+        for letters, t in zip(spec.split(","), (T, U)):
+            sizes.update(zip(letters, t.dims))
+    volume = 1
+    for c in box + out:
+        volume *= sizes[c]
+    if field.p is None or not 0 < volume <= tensors.PACK_VOLUME:
+        return False
+    estimate, bound = 0, 0
+    for spec, T, U in (lhs, rhs):
+        t_letters, u_letters = spec.split(",")
+        (l,) = set(t_letters) & set(u_letters)
+        estimate += Fraction(len(T.entries) * len(U.entries), sizes[l] or 1)
+        bound = max(bound, sizes[l] * (field.p - 1) ** 2)
+    bias = -(-bound // field.p) * field.p
+    return estimate >= 2 * volume and 2 * bias < 2**64
+
+
+def _witness_and_path(field, box, out, lhs, rhs):
+    """first_witness's answer, and whether the packed path gave it."""
+    with mock.patch.object(tensors, "_packed", wraps=tensors._packed) as packed:
+        witness = first_witness(field, box, out, lhs, rhs)
+    return witness, packed.called
+
+
+def _dense_tensor(draw, dims, field):
+    """Every cell drawn from the field, or (one time in five) no entries."""
+    cells = list(itertools.product(*(range(d) for d in dims)))
+    if not draw(st.integers(0, 4)):
+        return SparseTensor3(dims, {}, field)
+    values = draw(st.lists(st.integers(0, field.p - 1), min_size=len(cells), max_size=len(cells)))
+    return SparseTensor3(dims, dict(zip(cells, values)), field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(), st.integers(0, 5), st.integers(0, 5),
+    st.sampled_from([GF(2), GF(7), GF(10007), MERSENNE_31, MERSENNE_61]),
+)
+def test_packed_path_matches_dense_scan(data, na, ni, field):
+    identities = _identities(
+        _dense_tensor(data.draw, (na, na, na), field),
+        _dense_tensor(data.draw, (na, ni, ni), field),
+        _dense_tensor(data.draw, (ni, na, ni), field),
+        _dense_tensor(data.draw, (ni, ni, ni), field),
+        _dense_tensor(data.draw, (ni, na, ni), field),
+    )
+    for box, out, lhs, rhs in identities:
+        witness, packed = _witness_and_path(field, box, out, lhs, rhs)
+        assert witness == _dense_first_witness(field, box, out, lhs, rhs)
+        assert packed == _packs(field, box, out, lhs, rhs)
+        if field is MERSENNE_61:
+            assert not packed  # no slot holds a product of two values below 2^61
+
+
+def _triangular_3(field):
+    """T(3): upper-triangular 3 x 3 matrices, e_ij (i <= j) in lex order."""
+    index = {(i, j): n for n, (i, j) in enumerate((i, j) for i in range(3) for j in range(i, 3))}
+    entries = {(a, index[j, m], index[i, m]): 1 for (i, j), a in index.items() for m in range(j, 3)}
+    return Algebra(6, SparseTensor3((6, 6, 6), entries, field), field)
+
+
+def _pair_laws(pair):
+    """(box, out, lhs, rhs) of the eight laws of a pair (associativity of A
+    and of I, three action laws, three pair laws), algebra forms then
+    the coalgebra forms on the Kronecker duals of its tensors."""
+    roles = {"mul": pair.A.mul, "left": pair.action.left, "right": pair.action.right, "mi": pair.I.mul}
+    duals = {name: rotate(t, TO_COALGEBRA) for name, t in roles.items()}
+    laws = []
+    for table, bound in ((ASSOCIATIVITY, ("mul",)), (ASSOCIATIVITY, ("mi",)), (ACTION_LAWS, ()), (PAIR_LAWS, ())):
+        for side, named in (("algebra", roles), ("coalgebra", duals)):
+            named = {"mul": named[bound[0]]} if bound else named
+            for _, box, out, (ls, l1, l2), (rs, r1, r2) in getattr(table, side):
+                laws.append((box, out, (ls, named[l1], named[l2]), (rs, named[r1], named[r2])))
+    return laws
+
+
+def _moved(T, rng):
+    """T with one seeded entry added onto another cell and removed from its own."""
+    entries = dict(T.entries)
+    old = rng.choice(sorted(entries))
+    new = tuple(rng.randrange(d) for d in T.dims)
+    value = entries.pop(old)
+    entries[new] = entries.get(new, 0) + value
+    return SparseTensor3(T.dims, entries, T.field)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(10007), MERSENNE_31], ids=["GF7", "GF10007", "GF2^31-1"])
+@pytest.mark.parametrize("algebra", [matrix_algebra_2, _triangular_3], ids=["M2", "T3"])
+def test_packed_path_decides_conjugated_regular_pairs(algebra, field):
+    rng = random.Random(30)
+    a = algebra(field)
+    pair = conjugate_algebra_pair(
+        regular_pair(a), random_invertible(rng, a.dim, field), random_invertible(rng, a.dim, field)
+    )
+    paths = []
+    failed = 0
+    for box, out, lhs, rhs in _pair_laws(pair):
+        witness, packed = _witness_and_path(field, box, out, lhs, rhs)
+        assert witness is None
+        assert packed == _packs(field, box, out, lhs, rhs)
+        paths.append(packed)
+        side = rng.randrange(2)
+        term = (lhs, rhs)[side]
+        slot = rng.randrange(1, 3)
+        bent = list(term)
+        bent[slot] = _moved(term[slot], rng)
+        lhs, rhs = (tuple(bent), rhs) if side == 0 else (lhs, tuple(bent))
+        witness, packed = _witness_and_path(field, box, out, lhs, rhs)
+        assert witness == _dense_first_witness(field, box, out, lhs, rhs)
+        assert packed == _packs(field, box, out, lhs, rhs)
+        failed += witness is not None
+    assert len(paths) == 16 and failed >= 12
+    # conjugated by dense changes, every law is dense; 2^31 - 1 fits a slot only at size(l) = 1
+    assert all(paths) if field is not MERSENNE_31 else not any(paths)
+
+
+def test_first_witness_rejects_malformed_specs_on_the_packed_path():
+    field = GF(10007)
+    cells = itertools.product(range(4), repeat=3)
+    t = SparseTensor3((4, 4, 4), {key: 1 + sum(key) for key in cells}, field)
+    law = ("ijk", "m", ("ijl,lkm", t, t), ("jkl,ilm", t, t))
+    assert _witness_and_path(field, *law)[1]  # the well-formed law packs
+    with pytest.raises(ValueError):
+        first_witness(field, "ijk", "m", ("ijl,lkl", t, t), ("jkl,ilm", t, t))  # l twice
+    with pytest.raises(ValueError):
+        first_witness(field, "ijk", "m", ("ijl,lkn", t, t), ("jkl,ilm", t, t))  # n not free
+    with pytest.raises(ValueError):
+        u = SparseTensor3((5, 4, 4), {key: 1 for key in itertools.product(range(5), range(4), range(4))}, field)
+        first_witness(field, "ijk", "m", ("ijl,lkm", t, u), ("jkl,ilm", t, t))  # l sized 4 and 5
 
 
 if __name__ == "__main__":

@@ -186,3 +186,20 @@ def test_place_rejects_overflow_and_overlap():
     assert place((4, 1, 1), QQ, (t, (0, 0, 0)), (t, (2, 0, 0))).entries == {
         (0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1, (3, 0, 0): 2,
     }
+
+
+@pytest.mark.parametrize(
+    "offsets, order",
+    [((0, 0, 0), None), ((0, 0, 0), (0, 1, 2)), ((1, 0, 2), None), ((0, 0, 0), (2, 0, 1)), ((1, 2, 0), (1, 2, 0))],
+    ids=["origin", "origin-identity-order", "offset", "rotated", "rotated-offset"],
+)
+def test_place_matches_dense_reindex_on_each_layout(offsets, order):
+    # a block at the origin in leg order, an unpermuted one at an offset and a permuted one
+    field = GF(7)
+    T = SparseTensor3((2, 3, 4), {key: sum(key) + 1 for key in itertools.product(range(2), range(3), range(4))}, field)
+    shape = T.dims if order is None else tuple(T.dims[p] for p in order)
+    dims = tuple(o + d + 1 for o, d in zip(offsets, shape))
+    part = (T, offsets) if order is None else (T, offsets, order)
+    placed = place(dims, field, part)
+    assert placed == _dense_place(dims, field, [(T, offsets, order or (0, 1, 2))])
+    assert placed.entries is not T.entries
