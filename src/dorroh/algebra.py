@@ -11,10 +11,12 @@ Conventions:
 
 Algebras here need not be unital and modules need not respect units.
 
-The classes, extension, zero-action pair, gluing and iterated triple are
-written once, for both sides: a ``Convention`` names a side's classes and
-attributes, which the bases ``_Structure``, ``_Action``, ``_Pair`` and
-``_Module`` read, and its ``order`` lays each block out in that side's legs.
+The classes, module laws, extension, split, morphism law, zero-action
+pair, gluing and iterated triple are written once, for both sides: a
+``Convention`` names a side's classes and attributes, which the bases
+``_Structure``, ``_Action``, ``_Pair`` and ``_Module`` read, its ``order``
+lays each block out in that side's legs, and its ``legs`` tells the input
+legs of the side's structure tensor from its output legs.
 """
 
 from __future__ import annotations
@@ -166,13 +168,16 @@ class Convention(NamedTuple):
     also a (co)module's attribute for the structure it is over, ``co``
     prefixes the side's words (an action's acting structure is its
     ``co + "acting"``), and ``order`` takes legs in algebra convention to
-    this side's: ``TO_COALGEBRA`` for coalgebras.  ``unit_law`` names the
+    this side's: ``TO_COALGEBRA`` for coalgebras.  ``inputs`` counts the
+    leading legs of the side's structure tensor that are inputs: 2 for a
+    product (i, j, k), 1 for a coproduct (k, i, j).  ``unit_law`` names the
     (co)unit's law, and ``labels`` name the left and right action tensors
     and one action in error texts."""
 
     name: str
     co: str
     order: tuple
+    inputs: int
     structure: type
     tensor: str
     unit: str
@@ -191,6 +196,11 @@ class Convention(NamedTuple):
         """Block offsets or dims in algebra convention, laid out in this side's legs."""
         return tuple(legs[o] for o in self.order)
 
+    def legs(self, ins, out) -> tuple:
+        """``ins`` on each input leg of the side's structure tensor, ``out`` on
+        each output leg: a basis change S takes (S^T, S^-1)."""
+        return (ins,) * self.inputs + (out,) * (3 - self.inputs)
+
     def parts_of(self, pair) -> tuple:
         """The acting structure, the carrier and the action tensors of ``pair``."""
         (_, acting), (_, carrier) = self.parts
@@ -202,10 +212,10 @@ class Convention(NamedTuple):
 
 
 def _convention(**names) -> Convention:
-    """A side's Convention, set as ``_conv`` on its four classes, whose
+    """A side's Convention, set as ``_conv`` on its five classes, whose
     shared bases read every side-specific name from it."""
     conv = Convention(**names)
-    for cls in (conv.structure, conv.action_type, conv.pair, conv.module):
+    for cls in (conv.structure, conv.morphism, conv.action_type, conv.pair, conv.module):
         cls._conv = conv
     return conv
 
@@ -236,9 +246,9 @@ def _laws(co_order, *rows) -> Laws:
     return Laws(algebra, tuple(coalgebra))
 
 
-def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None) -> Report:
+def check_laws(report: Report, field, laws, tensors: dict, memo=None) -> Report:
     """Add to ``report`` the first witness of each law whose roles are all
-    bound to a tensor in ``tensors``; ``names`` renames the laws in order.
+    bound to a tensor in ``tensors``.
 
     ``memo`` maps the canonical form of each law decided so far (see
     ``_law_key``) to [witness, uses, lhs, rhs]; a law whose form is there
@@ -249,7 +259,7 @@ def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None
     """
     if memo is None:
         memo = {}
-    for i, (name, box, out, (ls, l1, l2), (rs, r1, r2)) in enumerate(laws):
+    for name, box, out, (ls, l1, l2), (rs, r1, r2) in laws:
         a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
         if a is not None and b is not None and c is not None and d is not None:
             lhs, rhs = (ls, a, b), (rs, c, d)
@@ -258,7 +268,7 @@ def check_laws(report: Report, field, laws, tensors: dict, names=None, memo=None
             if seen is None:
                 seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0, lhs, rhs]
             seen[1] += 1
-            report.add_witness(names[i] if names else name, seen[0])
+            report.add_witness(name, seen[0])
     return report
 
 
@@ -322,6 +332,11 @@ ACTION_LAWS = _laws(
      "xab", "y", ("abl,xly", "mul", "right"), ("xaz,zby", "right", "right")),
     ("(ax)b=a(xb)", "(rho_l(x)1)rho_r=(1(x)rho_r)rho_l",
      "axb", "y", ("axz,zby", "left", "right"), ("xbz,azy", "right", "left")),
+)
+# The action laws under the names a module states them in.
+MODULE_LAWS = Laws(
+    tuple((name, *row[1:]) for name, row in zip(("(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)"), ACTION_LAWS.algebra)),
+    ACTION_LAWS.coalgebra,
 )
 # ``mi`` is the multiplication of I (Delta_P).  Coalgebra forms, with
 # p_1 (x) p_2 = Delta_P(p) and p_(-1) (x) p_(0), p_(0) (x) p_(1) the coactions:
@@ -555,6 +570,25 @@ def _unit_law(conv: Convention, pair, unit) -> bool | None:
     return known.unit_law
 
 
+def _split_basis(conv: Convention, B, a_basis, i_basis, letter: str):
+    """The basis S of columns a_basis then i_basis, B's tensor T in it (B's
+    own when S is the identity) and the acting block's size; ``letter``
+    names B in error texts."""
+    na = len(a_basis)
+    if na + len(i_basis) != B.dim:
+        raise InputError("bases do not span a direct sum: wrong total size")
+    S = Matrix.from_columns(list(a_basis) + list(i_basis), B.field)
+    if S.rows != B.dim:
+        raise InputError(f"basis vectors must live in {letter}")
+    T = getattr(B, conv.tensor)
+    if not is_identity(S):
+        Sinv = invert(S)
+        if Sinv is None:
+            raise InputError("bases do not span a direct sum: dependent vectors")
+        T = transport(T, conv.legs(S.transpose(), Sinv))
+    return S, T, na
+
+
 def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     """The pair carried by the four blocks of T, the structure of B in the
     basis S whose first ``na`` vectors span the acting block, and the
@@ -602,6 +636,7 @@ class Morphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self.field = source.field
         self.verified = verified
 
     def __repr__(self):
@@ -613,37 +648,35 @@ class AlgebraMorphism(Morphism):
 
 
 def verify_algebra_morphism(F: AlgebraMorphism, iso: bool = False) -> Report:
-    """Check F(e_i e_j) = F(e_i) F(e_j) on all basis pairs; optionally invertibility.
+    """Check F(e_i e_j) = F(e_i) F(e_j) on all basis pairs; optionally invertibility."""
+    return _verify(ALGEBRA, F, iso)
 
-    Both sides are tensors (i, j, k): F carries the last leg of the source
-    multiplication, F^T the first two legs of the target's.  The witness
-    is the least (i, j) at which they differ.  An identity matrix carries
-    nothing, so its sides are the two multiplications as they stand.
+
+def _verify(conv: Convention, F, iso: bool) -> Report:
+    """F's structure law, and its invertibility when ``iso`` is asked for.
+
+    F carries the source tensor's output legs, F^T the target's input legs;
+    the witness is the least tuple of input legs where they differ.  An
+    identity matrix carries nothing.  F is stamped "unchecked" when the law
+    fails, else "iso" or "hom" by invertibility; without ``iso`` only an
+    "iso" stamp is put to the invertibility test, outside the report.
     """
     M = F.matrix
-    lhs, rhs = F.source.mul, F.target.mul
+    lhs, rhs = getattr(F.source, conv.tensor), getattr(F.target, conv.tensor)
     if not is_identity(M):
-        lhs = transport(lhs, (None, None, M))
-        Mt = M.transpose()
-        rhs = transport(rhs, (Mt, Mt, None))
-    report = Report().add_witness("multiplicative", first_difference(lhs.entries, rhs.entries, 2))
-    return _record_verified(F, iso, report)
-
-
-def _record_verified(F, iso: bool, report: Report) -> Report:
-    """Add the invertibility check when ``iso`` is asked for and stamp F
-    with what is proved: "unchecked" when the structure check failed,
-    otherwise "iso" or "hom" by invertibility.  Without ``iso`` only an
-    "iso" stamp is put to the invertibility test, outside the report."""
+        lhs = transport(lhs, conv.legs(None, M))
+        rhs = transport(rhs, conv.legs(M.transpose(), None))
+    witness = first_difference(lhs.entries, rhs.entries, conv.inputs)
+    report = Report().add_witness(conv.co + "multiplicative", witness)
     invertible = False
     if iso:
-        invertible = _invertible(F.matrix)
+        invertible = _invertible(M)
         report.add("invertible", invertible)
-    if not report.checks[0].ok:
+    if witness is not None:
         F.verified = "unchecked"
     else:
         if not iso and F.verified == "iso":
-            invertible = _invertible(F.matrix)
+            invertible = _invertible(M)
         F.verified = "iso" if invertible else "hom"
     return report
 
@@ -705,22 +738,8 @@ def split_algebra_extension(B: Algebra, a_basis, i_basis):
     structure constants off products in B, and returns the pair together
     with the verified isomorphism A|xI -> B, (a,x) -> a + x.
     """
-    field = B.field
-    na, ni = len(a_basis), len(i_basis)
-    if na + ni != B.dim:
-        raise InputError("bases do not span a direct sum: wrong total size")
-    S = Matrix.from_columns(list(a_basis) + list(i_basis), field)
-    if S.rows != B.dim:
-        raise InputError("basis vectors must live in B")
-    # B in the split basis: (u, v, w) -> c means s_u s_v contains c s_w.
-    T = B.mul
-    if not is_identity(S):
-        Sinv = invert(S)
-        if Sinv is None:
-            raise InputError("bases do not span a direct sum: dependent vectors")
-        St = S.transpose()
-        T = transport(B.mul, (St, St, Sinv))
-    split = T.entries
+    S, T, na = _split_basis(ALGEBRA, B, a_basis, i_basis, "B")
+    split = T.entries  # (u, v, w) -> c means s_u s_v contains c s_w
 
     Report().add_witness(
         "A_closed", min(((i, j) for i, j, k in split if i < na and j < na and k >= na), default=None)
@@ -783,10 +802,17 @@ class _Module:
             elif t is not None:
                 raise InputError(f"{other} {conv.co}module cannot carry a {own} {conv.action}")
         setattr(self, conv.name, algebra)
+        self.field = algebra.field
         self.dim = dim
         self.side = side
         for key, t in zip(conv.actions, (left, right)):
             setattr(self, key, t)
+
+    def validate(self) -> Report:
+        conv = self._conv
+        left, right = conv.tensors(self)
+        tensors = {"mul": getattr(getattr(self, conv.name), conv.tensor), "left": left, "right": right}
+        return check_laws(Report(), self.field, getattr(MODULE_LAWS, conv.name), tensors)
 
 
 class ModuleOverAlgebra(_Module):
@@ -796,16 +822,11 @@ class ModuleOverAlgebra(_Module):
     ``right`` (m,a,m') -> c: v_m . e_a contains c v_{m'}.
     """
 
-    def validate(self) -> Report:
-        tensors = {"mul": self.algebra.mul, "left": self.left, "right": self.right}
-        names = ("(ab)m=a(bm)", "m(ab)=(ma)b", "(am)b=a(mb)")
-        return check_laws(Report(), self.algebra.field, ACTION_LAWS.algebra, tensors, names)
-
 
 ALGEBRA = _convention(
-    name="algebra", co="", order=(0, 1, 2), structure=Algebra, tensor="mul", unit="unit", unit_law="identity",
-    find_unit="find_identity", morphism=AlgebraMorphism, pair=DorrohPairAlgebra, parts=(("a", "A"), ("i", "I")),
-    action="action", action_type=BimoduleAction, actions=("left", "right"),
+    name="algebra", co="", order=(0, 1, 2), inputs=2, structure=Algebra, tensor="mul", unit="unit",
+    unit_law="identity", find_unit="find_identity", morphism=AlgebraMorphism, pair=DorrohPairAlgebra,
+    parts=(("a", "A"), ("i", "I")), action="action", action_type=BimoduleAction, actions=("left", "right"),
     labels=("left action", "right action", "an action"), module=ModuleOverAlgebra,
 )
 

@@ -233,8 +233,7 @@ def cmd_iso(args):
     # the report of verify_*_morphism(morphism, iso=True): each constructor
     # raises unless that verification passed
     morphism = _named_iso(args.which, obj)
-    law = "multiplicative" if isinstance(morphism, AlgebraMorphism) else "comultiplicative"
-    return Report().add(law, True).add("invertible", True), morphism
+    return Report().add(morphism._conv.co + "multiplicative", True).add("invertible", True), morphism
 
 
 def cmd_findual(args):

@@ -8,8 +8,9 @@ Conventions:
   * Extensions order the basis C-block first, then P-block; the
     comultiplication of the extension restricted to the P-block carries
     the rho_l, rho_r and Delta_P terms.  The classes' shared code, the
-    extension, gluing and iterated triple are those of ``algebra.py``,
-    with every block rotated by ``TO_COALGEBRA``, the Kronecker dual.
+    extension, split, morphism law, gluing and iterated triple are those
+    of ``algebra.py``, with every block rotated by ``TO_COALGEBRA``, the
+    Kronecker dual, and one input leg where an algebra has two.
 
 Coalgebras need not be counital; a coideal is a subspace P with
 Delta(P) inside D(x)P + P(x)D (the non-counital sense, which keeps the
@@ -33,17 +34,20 @@ from .algebra import (
     _build,
     _convention,
     _iterated_triple,
-    _record_verified,
     _scope,
     _split,
+    _split_basis,
     _two_sided_unit,
     _validate,
+    _verify,
     _zero_action_pair,
     check_laws,
 )
 from .errors import InputError, PreconditionError
 from .fields import FieldSpec
-from .linalg import Matrix, invert, is_identity
+# ``invert`` and ``is_identity`` are re-exported: tests patch and count
+# them in each side's module.
+from .linalg import Matrix, invert, is_identity  # noqa: F401
 from .reports import Report
 from .tensors import TO_ALGEBRA, TO_COALGEBRA, SparseTensor3, first_difference, place, rotate, transport
 
@@ -115,20 +119,8 @@ class CoalgebraMorphism(Morphism):
 
 
 def verify_coalgebra_morphism(F: CoalgebraMorphism, iso: bool = False) -> Report:
-    """Check Delta(F(e_k)) = (F (x) F)(Delta(e_k)) basiswise; optionally invertibility.
-
-    Both sides are tensors (k, a, b): F^T carries the first leg of the
-    target comultiplication, F the last two legs of the source's.  The
-    witness is the least (k,) at which they differ.  An identity matrix
-    carries nothing, so its sides are the two comultiplications.
-    """
-    M = F.matrix
-    lhs, rhs = F.target.delta, F.source.delta
-    if not is_identity(M):
-        lhs = transport(lhs, (M.transpose(), None, None))
-        rhs = transport(rhs, (None, M, M))
-    report = Report().add_witness("comultiplicative", first_difference(lhs.entries, rhs.entries, 1))
-    return _record_verified(F, iso, report)
+    """Check Delta(F(e_k)) = (F (x) F)(Delta(e_k)) basiswise; optionally invertibility."""
+    return _verify(COALGEBRA, F, iso)
 
 
 def zero_coaction_pair(C: Coalgebra, P: Coalgebra) -> DorrohPairCoalgebra:
@@ -183,21 +175,8 @@ def split_coalgebra_extension(D: Coalgebra, c_basis, p_basis):
     extracts Delta_P, rho_l, rho_r by projecting Delta of D, and returns
     the pair with the verified isomorphism C|xP -> D, (c,p) -> c + p.
     """
-    field = D.field
-    nc, np_ = len(c_basis), len(p_basis)
-    if nc + np_ != D.dim:
-        raise InputError("bases do not span a direct sum: wrong total size")
-    S = Matrix.from_columns(list(c_basis) + list(p_basis), field)
-    if S.rows != D.dim:
-        raise InputError("basis vectors must live in D")
-    # Delta in the split basis: (k, a, b) -> v means Delta(s_k) contains v s_a (x) s_b.
-    T = D.delta
-    if not is_identity(S):
-        Sinv = invert(S)
-        if Sinv is None:
-            raise InputError("bases do not span a direct sum: dependent vectors")
-        T = transport(D.delta, (S.transpose(), Sinv, Sinv))
-    split = T.entries
+    S, T, nc = _split_basis(COALGEBRA, D, c_basis, p_basis, "D")
+    split = T.entries  # (k, a, b) -> v means Delta(s_k) contains v s_a (x) s_b
 
     Report().add_witness(
         "C_subcoalgebra", min(((k,) for k, a, b in split if k < nc and (a >= nc or b >= nc)), default=None)
@@ -252,13 +231,9 @@ class ComoduleOverCoalgebra(_Module):
     def __init__(self, coalgebra: Coalgebra, dim: int, side: str, rho_l=None, rho_r=None):
         super().__init__(coalgebra, dim, side, rho_l, rho_r)
 
-    def validate(self) -> Report:
-        tensors = {"mul": self.coalgebra.delta, "left": self.rho_l, "right": self.rho_r}
-        return check_laws(Report(), self.coalgebra.field, ACTION_LAWS.coalgebra, tensors)
-
 
 COALGEBRA = _convention(
-    name="coalgebra", co="co", order=TO_COALGEBRA, structure=Coalgebra, tensor="delta", unit="counit",
+    name="coalgebra", co="co", order=TO_COALGEBRA, inputs=1, structure=Coalgebra, tensor="delta", unit="counit",
     unit_law="counit", find_unit="find_counit", morphism=CoalgebraMorphism, pair=DorrohPairCoalgebra,
     parts=(("c", "C"), ("p", "P")), action="coaction", action_type=BicomoduleCoaction, actions=("rho_l", "rho_r"),
     labels=("rho_l", "rho_r", "a coaction"), module=ComoduleOverCoalgebra,

@@ -12,9 +12,10 @@ giving (k,i,j), (x,a,y) and (x,y,a); a coalgebra-side tensor goes back by
 its coalgebra law (``algebra._laws``).
 
 A basis change commutes with the duality: when the basis changes by S
-(e'_j = sum_i S[i][j] e_i), the Kronecker dual basis changes by S^-T.  So
-conjugating a structure by S is conjugating its dual by S^-T, which is how
-``gallery`` writes the basis change once for both sides.
+(e'_j = sum_i S[i][j] e_i), the Kronecker dual basis changes by S^-T.  Each
+side carries its tensor by S^T on input legs and S^-1 on output legs
+(``Convention.legs``), and the dual swaps inputs and outputs, so
+conjugating a structure by S is conjugating its dual by S^-T.
 """
 
 from __future__ import annotations

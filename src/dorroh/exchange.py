@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from operator import attrgetter
 
 from .algebra import ALGEBRA, SIDES
 from .coalgebra import COALGEBRA
@@ -319,14 +318,14 @@ def _parse_sequence(reader, payload, path):
 # ---------------------------------------------------------------------------
 # documents
 
-_ENCODERS = [(RecurrentSequence, "sequence", _sequence_payload, lambda o: o.field)]
+_ENCODERS = [(RecurrentSequence, "sequence", _sequence_payload)]
 _PARSERS = {"morphism": _parse_morphism, "sequence": _parse_sequence}
 for _side in _SIDES.values():
     _ENCODERS += [
-        (_side.structure, _side.name, partial(_structure_payload, _side), lambda o: o.field),
-        (_side.pair, f"pair-{_side.name}", partial(_pair_payload, _side), lambda o: o.field),
-        (_side.module, f"{_side.co}module", partial(_module_payload, _side), attrgetter(f"{_side.name}.field")),
-        (_side.morphism, "morphism", partial(_morphism_payload, _side), lambda o: o.source.field),
+        (_side.structure, _side.name, partial(_structure_payload, _side)),
+        (_side.pair, f"pair-{_side.name}", partial(_pair_payload, _side)),
+        (_side.module, f"{_side.co}module", partial(_module_payload, _side)),
+        (_side.morphism, "morphism", partial(_morphism_payload, _side)),
     ]
     _PARSERS[_side.name] = partial(_parse_structure, _side)
     _PARSERS[f"pair-{_side.name}"] = partial(_parse_pair, _side)
@@ -334,11 +333,11 @@ for _side in _SIDES.values():
 
 
 def encode(obj) -> dict:
-    for cls, kind, payload_fn, field_fn in _ENCODERS:
+    for cls, kind, payload_fn in _ENCODERS:
         if isinstance(obj, cls):
             return {
                 "format": FORMAT,
-                "field": field_fn(obj).to_json(),
+                "field": obj.field.to_json(),
                 "kind": kind,
                 "payload": payload_fn(obj),
             }

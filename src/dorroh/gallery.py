@@ -420,19 +420,14 @@ def conjugate_coalgebra(c: Coalgebra, S: Matrix) -> Coalgebra:
 
 def _conjugate(conv, s, S):
     """The ``conv``-side structure s in the new basis e'_j = sum_i S[i][j] e_i,
-    and the matrices (input, output) that carry its legs there.
-
-    An algebra takes S^T on its input legs and S^-1 on its output leg.
-    The Kronecker dual basis changes by S^-T, so a coalgebra takes the
-    same two matrices the other way round, laid out by ``lay``.
-    """
+    and the pair (S^T, S^-1) that carries its input and output legs there."""
     if S.field != s.field or (S.rows, S.cols) != (s.dim, s.dim):
         raise InputError(f"basis change must be a {s.dim}x{s.dim} matrix over {s.field!r}")
     Sinv = invert(S)
     if Sinv is None:
         raise InputError("basis change must be invertible")
-    ins, out = (S.transpose(), Sinv) if conv is ALGEBRA else (Sinv, S.transpose())
-    return conv.structure(s.dim, transport(getattr(s, conv.tensor), conv.lay((ins, ins, out))), s.field), (ins, out)
+    carry = S.transpose(), Sinv
+    return conv.structure(s.dim, transport(getattr(s, conv.tensor), conv.legs(*carry)), s.field), carry
 
 
 def conjugate_algebra_pair(pair: DorrohPairAlgebra, SA: Matrix, SI: Matrix) -> DorrohPairAlgebra:
@@ -445,12 +440,13 @@ def conjugate_coalgebra_pair(pair: DorrohPairCoalgebra, SC: Matrix, SP: Matrix) 
 
 def _conjugate_pair(conv, pair, SA, SI):
     acting, carrier, left, right = conv.parts_of(pair)
-    A2, (a_in, _) = _conjugate(conv, acting, SA)
-    I2, (i_in, i_out) = _conjugate(conv, carrier, SI)
-    action = conv.action_type(
-        A2,
-        carrier.dim,
-        transport(left, conv.lay((a_in, i_in, i_out))),
-        transport(right, conv.lay((i_in, a_in, i_out))),
+    A2, a = _conjugate(conv, acting, SA)
+    I2, i = _conjugate(conv, carrier, SI)
+    # each leg of an action takes its owner's input or output matrix, as
+    # the leg is an input or an output of the side's structure tensor
+    kinds = conv.legs(0, 1)
+    left, right = (
+        transport(t, tuple(m[k] for m, k in zip(conv.lay(owners), kinds)))
+        for t, owners in ((left, (a, i, i)), (right, (i, a, i)))
     )
-    return conv.pair(A2, I2, action)
+    return conv.pair(A2, I2, conv.action_type(A2, carrier.dim, left, right))

@@ -13,14 +13,21 @@ rejects invalid pairs), and compares the status of every check by name.
 The constructions commute with the dual too: where the algebra side
 builds an extension, a glued module or an associator, the coalgebra side
 builds the rotated tensors, and the found counit is the found unit.
+
+So do morphisms and splits, the two checks that carry tensors through a
+matrix: F: A -> B is an algebra map exactly when F^T: B* -> A* is a
+coalgebra map, and a split of B along coordinate blocks succeeds exactly
+when the same split of B* does, into the dual pair.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dorroh.algebra import (
     Algebra,
+    AlgebraMorphism,
     BimoduleAction,
     DorrohPairAlgebra,
     ModuleOverAlgebra,
@@ -30,10 +37,13 @@ from dorroh.algebra import (
     check_dorroh_pair_algebra,
     check_iterated_algebra_triple,
     regular_bimodule,
+    split_algebra_extension,
+    verify_algebra_morphism,
 )
 from dorroh.coalgebra import (
     BicomoduleCoaction,
     Coalgebra,
+    CoalgebraMorphism,
     ComoduleOverCoalgebra,
     DorrohPairCoalgebra,
     assemble_comodule,
@@ -41,13 +51,18 @@ from dorroh.coalgebra import (
     check_coassociativity,
     check_dorroh_pair_coalgebra,
     check_iterated_coalgebra_triple,
+    split_coalgebra_extension,
+    verify_coalgebra_morphism,
 )
+from dorroh.duality import dual_coalgebra_of_algebra, dualize_algebra_pair
 from dorroh.tensors import TO_COALGEBRA
 from dorroh.errors import ValidationFailure
 from dorroh.fields import GF, QQ
+from dorroh.gallery import conjugate_algebra, random_invertible
+from dorroh.linalg import Matrix, invert
 from dorroh.tensors import SparseTensor3, place
 
-from support import random_algebra_pair
+from support import basis, random_algebra_pair
 
 ACTION = {
     "(ab)x=a(bx)": "(Delta(x)1)rho_l=(1(x)rho_l)rho_l",
@@ -236,3 +251,146 @@ def test_every_check_agrees_with_its_kronecker_dual(data, seed, field):
 
 def test_the_name_map_covers_every_check_once():
     assert len(DUAL_NAME) == 24 and len(set(DUAL_NAME.values())) == 21
+
+
+# ---------------------------------------------------------------------------
+# morphisms and splits against their duals
+
+
+ORACLE_FIELDS = (QQ, GF(2), GF(7), GF(10007))
+
+
+def _scalar(rng, field):
+    return rng.randrange(field.p) if field.p else rng.randint(-2, 2)
+
+
+def _difference_set(F):
+    """Every (i, j, k) with F(e_i e_j) != F(e_i) F(e_j) at coordinate k,
+    from dense sums over the two multiplications."""
+    A, B, M = F.source, F.target, F.matrix.dense()
+    canon = A.field.canon
+    image = {}  # F(e_i e_j)
+    for (i, j, l), c in A.mul.entries.items():
+        for k in range(B.dim):
+            image[i, j, k] = image.get((i, j, k), 0) + c * M[k][l]
+    out = set()
+    for i in range(A.dim):
+        for j in range(A.dim):
+            product = [0] * B.dim  # F(e_i) F(e_j)
+            for (p, q, k), c in B.mul.entries.items():
+                product[k] += c * M[p][i] * M[q][j]
+            out.update((i, j, k) for k in range(B.dim) if canon(image.get((i, j, k), 0) - product[k]))
+    return out
+
+
+def _morphism_case(rng, field):
+    """A map into or out of a random pair's extension E: an algebra map
+    (the identity carried to a conjugate of E, the projection E -> A, the
+    inclusion A -> E or the zero map), half the time with one entry bent,
+    or a random matrix, singular or not, onto a conjugate of E."""
+    pair = random_algebra_pair(rng, field, max_total_dim=5)
+    E = build_dorroh_algebra(pair)
+    n, na = E.dim, pair.A.dim
+    source, target = E, E
+    kind = rng.randrange(5)
+    if kind == 0:
+        S = random_invertible(rng, n, field)
+        target = conjugate_algebra(E, S)
+        M = invert(S).dense()
+    elif kind == 1:
+        target = pair.A
+        M = [[int(r == c) for c in range(n)] for r in range(na)]
+    elif kind == 2:
+        source = pair.A
+        M = [[int(r == c) for c in range(na)] for r in range(n)]
+    elif kind == 3:
+        M = [[0] * n for _ in range(n)]
+    else:
+        target = conjugate_algebra(E, random_invertible(rng, n, field))
+        M = [[_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+    if kind < 4 and rng.random() < 0.5:
+        r, c = rng.randrange(len(M)), rng.randrange(len(M[0]))
+        M[r][c] += rng.choice((1, 2))
+    return AlgebraMorphism(source, target, Matrix(target.dim, source.dim, M, field))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_a_morphism_holds_exactly_when_its_transpose_holds_on_the_duals(field):
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(100):
+        F = _morphism_case(rng, field)
+        dual = CoalgebraMorphism(
+            dual_coalgebra_of_algebra(F.target), dual_coalgebra_of_algebra(F.source), F.matrix.transpose()
+        )
+        alg, co = verify_algebra_morphism(F).checks, verify_coalgebra_morphism(dual).checks
+        assert [c.name for c in alg] == ["multiplicative"] and [c.name for c in co] == ["comultiplicative"]
+        # one difference set: F at (i, j) in A and coordinate k in B is
+        # F^T at k in B* and the coordinates (i, j) in A*
+        diff = _difference_set(F)
+        assert alg[0].witness == min(((i, j) for i, j, _ in diff), default=None)
+        assert co[0].witness == min(((k,) for _, _, k in diff), default=None)
+        assert alg[0].ok == co[0].ok == (not diff)
+        outcomes.append(alg[0].ok)
+    assert 10 <= sum(outcomes) <= 90
+
+
+def _split_case(rng, field):
+    """An extension, sometimes carried to a random basis, with its basis
+    vectors in a random order cut into an acting and a carrier block: at
+    the pair's acting dim and within the two blocks, or anywhere."""
+    pair = random_algebra_pair(rng, field, max_total_dim=6)
+    B = build_dorroh_algebra(pair)
+    n, na = B.dim, pair.A.dim
+    if rng.random() < 0.2:
+        B = conjugate_algebra(B, random_invertible(rng, n, field))
+    if rng.random() < 0.7:
+        order = rng.sample(range(na), na) + rng.sample(range(na, n), n - na)
+    else:
+        order, na = rng.sample(range(n), n), rng.randint(0, n)
+    return B, order, na
+
+
+def _split_outcome(split, B, blocks):
+    """The split's pair and isomorphism, or the name and witness of the check that failed."""
+    try:
+        return split(B, *blocks)
+    except ValidationFailure as err:
+        check = err.report.first_failure()
+        return check.name, check.witness
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_a_split_holds_exactly_when_its_dual_split_holds(field):
+    """Coordinate blocks order the basis by a permutation S, and S^-T = S,
+    so the dual basis splits B* along the same blocks.  In that basis the
+    entries (u, v, w) of B with u, v acting and w carrier both leave the
+    acting span unclosed and P not a coideal, and those with w acting and
+    u or v carrier both leave I no ideal and C not a subcoalgebra; each
+    side reports its first check's least witness in its own legs."""
+    rng = random.Random(2025)
+    split = 0
+    for _ in range(75):
+        B, order, na = _split_case(rng, field)
+        vectors = [basis(B, i) for i in order]
+        blocks = vectors[:na], vectors[na:]
+        at = {i: u for u, i in enumerate(order)}
+        T = [(at[i], at[j], at[k]) for i, j, k in B.mul.entries]
+        unclosed = [(u, v, w) for u, v, w in T if u < na and v < na and w >= na]
+        no_ideal = [(u, v, w) for u, v, w in T if w < na and (u >= na or v >= na)]
+        out = _split_outcome(split_algebra_extension, B, blocks)
+        coout = _split_outcome(split_coalgebra_extension, dual_coalgebra_of_algebra(B), blocks)
+        if unclosed:
+            assert out == ("A_closed", min((u, v) for u, v, _ in unclosed))
+        elif no_ideal:
+            assert out == ("I_ideal", min((u >= na, v >= na, u, v) for u, v, _ in no_ideal)[2:])
+        if no_ideal:
+            assert coout == ("C_subcoalgebra", min((w,) for _, _, w in no_ideal))
+        elif unclosed:
+            assert coout == ("P_coideal", min((w - na,) for _, _, w in unclosed))
+        if not unclosed and not no_ideal:
+            (pair, iso), (copair, coiso) = out, coout
+            assert dualize_algebra_pair(pair)[0] == copair
+            assert iso.matrix == coiso.matrix and iso.verified == coiso.verified == "iso"
+            split += 1
+    assert 15 <= split <= 70
