@@ -45,9 +45,7 @@ from .algebra import (
 )
 from .errors import InputError, PreconditionError
 from .fields import FieldSpec
-# ``invert`` and ``is_identity`` are re-exported: tests patch and count
-# them in each side's module.
-from .linalg import Matrix, invert, is_identity  # noqa: F401
+from .linalg import Matrix
 from .reports import Report
 from .tensors import TO_ALGEBRA, TO_COALGEBRA, SparseTensor3, first_difference, place, rotate, transport
 

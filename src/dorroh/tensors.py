@@ -5,9 +5,11 @@ stores multiplications (i,j,k), comultiplications (k,i,j), module actions
 and comodule coactions; each owner documents its own index convention.
 
 Every axiom is an identity between two contractions of such tensors;
-``first_witness`` decides one from the nonzero entries alone, summing
-the products in a dict, or, for a dense law over F_p in a small box, in
-the 64-bit slots of one packed int (Kronecker substitution).  Every
+``first_witness`` decides one from the nonzero entries alone: with no
+product at all when each side renames one letter of the same tensor
+through a Kronecker delta (a scalar action or trivial coaction), else
+summing the products in a dict, or, for a dense law over F_p in a small
+box, in the 64-bit slots of one packed int (Kronecker substitution).  Every
 morphism, basis change and vector law carries a tensor's legs through
 matrices; ``transport`` does that from the nonzero entries alone and
 ``first_difference`` names where two results differ.  Every extension,
@@ -157,9 +159,13 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
 
     Each (box, out) tuple is one mixed-radix integer, its code, with the
     box letters most significant, so the least failing code divided by
-    the ``out`` volume is the witness.  The input picks one of three ways
-    to sum the products into the codes:
+    the ``out`` volume is the witness.  The input picks one of four ways
+    to decide the law:
 
+    - delta (``_readings``): when one factor of each side is a Kronecker
+      delta, the side is its other factor X with the summed letter
+      renamed; if both sides rename equal tensors to the same letters,
+      the law holds and no product is made;
     - grouped (``_contract``): only stored entries are visited, so the
       cost is the entries of the larger factor of each term plus one dict
       update per nonzero product, whatever the size of the box;
@@ -172,8 +178,11 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
       one factor's span of codes) and log2(rows) passes over the volume
       to shift the rows in, not one dict update per product.
 
-    Which way runs is decided in O(1) from the entry counts and the
-    specs, each parsed once (``_letters``).
+    Which way runs is decided from the entry counts and the specs, each
+    parsed once (``_letters``): in O(1), except that a delta candidate,
+    a factor with one entry per value of the summed letter, costs one
+    pass over its entries.  The other three ways sum the products into
+    the codes.
     """
     free = box + out
     terms = [(_letters(spec, free), T, U) for spec, T, U in (lhs, rhs)]
@@ -183,6 +192,10 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
             for c, d in zip(letters, t.dims):
                 if sizes.setdefault(c, d) != d:
                     raise ValueError(f"index {c!r} has sizes {sizes[c]} and {d}")
+    right = _readings(terms[1], sizes)
+    for X, letters in _readings(terms[0], sizes) if right else ():
+        if any(letters == b and (X is Y or X.entries == Y.entries) for Y, b in right):
+            return None
     stride = {}
     volume = 1
     for c in reversed(free):
@@ -214,6 +227,34 @@ def _letters(spec: str, free: str) -> tuple:
     if l is None or sorted((t_letters + u_letters).replace(l, "")) != sorted(free):
         raise ValueError(f"spec {spec!r} does not contract to {free!r}")
     return t_letters, u_letters, l
+
+
+def _readings(term, sizes) -> list:
+    """Every (X, X's letters with l renamed to y) that reads a term as its
+    factor X renamed through its other factor D, a Kronecker delta.
+
+    D is one when it has size(l) entries, each 1 with equal indices on l
+    and on a free letter y of size(l), and its third letter z has size 1:
+    then sum_l X[..l..] D[l, y, z] is X[..y..] at z = 0.  The renamed
+    letters and z are the term's free letters, so the letters fix z too.
+    Entry counts rule a factor out in O(1); a candidate costs one pass
+    over its entries.
+    """
+    (t_letters, u_letters, l), T, U = term
+    n = sizes[l]
+    found = []
+    for d_letters, D, x_letters, X in ((t_letters, T, u_letters, U), (u_letters, U, t_letters, T)):
+        if len(D.entries) != n:
+            continue
+        q = d_letters.index(l)
+        for r, y in enumerate(d_letters):
+            z = d_letters.replace(l, "").replace(y, "")
+            if y == l or sizes[y] != n or len(z) != 1 or sizes[z] != 1:
+                continue
+            letters = x_letters.replace(l, y)
+            if len(set(letters)) == 3 and all(v == 1 and key[q] == key[r] for key, v in D.entries.items()):
+                found.append((X, letters))
+    return found
 
 
 def _pack_bias(terms, sizes, volume, p):

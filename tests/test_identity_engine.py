@@ -55,6 +55,7 @@ from dorroh.errors import ValidationFailure
 from dorroh.fields import GF, QQ
 from dorroh.gallery import (
     algebra_k,
+    counital_hull,
     divided_power,
     dual_numbers,
     group_algebra_z2,
@@ -65,6 +66,7 @@ from dorroh.gallery import (
     nilpotent_line,
     random_invertible,
     regular_pair,
+    scalar_action_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
     truncated_polynomials,
@@ -630,10 +632,13 @@ MERSENNE_31, MERSENNE_61 = GF(2**31 - 1), GF(2**61 - 1)
 
 
 def _packs(field, box, out, lhs, rhs):
-    """Whether the packed path should decide the law: over F_p, volume
+    """Whether the packed path should decide the law: no common delta
+    reading decides it first (``_common_reading``), and over F_p, volume
     nonzero and at most PACK_VOLUME, at least two estimated products per
     code, and twice the least multiple of p at least size(l) (p - 1)^2
     below 2^64."""
+    if _common_reading(lhs, rhs):
+        return False
     sizes = {}
     for spec, T, U in (lhs, rhs):
         for letters, t in zip(spec.split(","), (T, U)):
@@ -765,6 +770,190 @@ def test_first_witness_rejects_malformed_specs_on_the_packed_path():
     with pytest.raises(ValueError):
         u = SparseTensor3((5, 4, 4), {key: 1 for key in itertools.product(range(5), range(4), range(4))}, field)
         first_witness(field, "ijk", "m", ("ijl,lkm", t, u), ("jkl,ilm", t, t))  # l sized 4 and 5
+
+
+# ---------------------------------------------------------------------------
+# terms that rename a factor through a Kronecker delta
+
+
+def _delta_readings(term, sizes):
+    """Reference: each (X's entries, X's letters with l renamed to y, z)
+    for which the other factor D of ``term`` equals, entry for entry, the
+    Kronecker delta D[l, y, z] = [l = y] [z = 0] with size(y) = size(l)
+    and size(z) = 1."""
+    spec, T, U = term
+    t_letters, u_letters = spec.split(",")
+    (l,) = set(t_letters) & set(u_letters)
+    readings = []
+    for d_letters, D, x_letters, X in ((t_letters, T, u_letters, U), (u_letters, U, t_letters, T)):
+        for y, z in itertools.permutations(d_letters.replace(l, "")):
+            if sizes[y] != sizes[l] or sizes[z] != 1:
+                continue
+            delta = {tuple({l: m, y: m, z: 0}[c] for c in d_letters): 1 for m in range(sizes[l])}
+            if D.entries == delta:
+                readings.append((X.entries, x_letters.replace(l, y), z))
+    return readings
+
+
+def _common_reading(lhs, rhs):
+    """Whether some delta reading of lhs equals some delta reading of rhs."""
+    sizes = {}
+    for spec, T, U in (lhs, rhs):
+        for letters, t in zip(spec.split(","), (T, U)):
+            sizes.update(zip(letters, t.dims))
+    right = _delta_readings(rhs, sizes)
+    return any(reading in right for reading in _delta_readings(lhs, sizes))
+
+
+def _witness_and_contraction(field, box, out, lhs, rhs):
+    """first_witness's answer, and whether the grouped or the packed path ran."""
+    with mock.patch.object(tensors, "_grouped", wraps=tensors._grouped) as grouped, \
+            mock.patch.object(tensors, "_packed", wraps=tensors._packed) as packed:
+        witness = first_witness(field, box, out, lhs, rhs)
+    return witness, grouped.called or packed.called
+
+
+NEAR_DELTAS = ("exact", "value", "extra", "moved", "missing", "pinned2")
+
+
+def _scalar_tensor(draw, dims, acting, field, kind):
+    """The scalar (co)action on a carrier of size n = ``dims`` off the
+    ``acting`` leg, {(x, 0, x) laid out by dims: 1}, or a near-delta:
+    one entry's value 2 or -1, one extra entry, one entry moved off the
+    diagonal or one entry missing.  ``pinned2`` is exact on an acting leg
+    of size 2, whose index 1 no entry uses."""
+    n = dims[2]
+    entries = {}
+    for x in range(n):
+        key = [x, x, x]
+        key[acting] = 0
+        entries[tuple(key)] = 1
+    cells = list(itertools.product(*(range(d) for d in dims)))
+    off = [key for key in cells if key not in entries]
+    if kind in ("value", "moved", "missing") and entries:
+        key = draw(st.sampled_from(sorted(entries)))
+        value = entries.pop(key)
+        if kind == "value":
+            entries[key] = draw(st.sampled_from([2, -1]))
+        elif kind == "moved" and off:
+            entries[draw(st.sampled_from(off))] = value
+    elif kind == "extra" and off:
+        entries[draw(st.sampled_from(off))] = draw(st.sampled_from([1, 2, -1]))
+    return SparseTensor3(dims, entries, field)
+
+
+def _copy(T):
+    """An equal tensor that is not the same object."""
+    return SparseTensor3(T.dims, dict(T.entries), T.field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.data(), st.integers(1, 4), st.sampled_from(NEAR_DELTAS), st.sampled_from(NEAR_DELTAS),
+    st.sampled_from([QQ, GF(2), GF(7), GF(10007)]),
+)
+def test_delta_factors_match_dense_scan(data, ni, left_kind, right_kind, field):
+    """Over the scalar (co)actions of a 1- or 2-dimensional acting
+    structure and their near-deltas, every witness is the dense scan's,
+    and no contraction runs exactly when the two sides share a reading."""
+    na = 2 if "pinned2" in (left_kind, right_kind) else 1
+    if na == 1:
+        mul = SparseTensor3((1, 1, 1), {(0, 0, 0): data.draw(st.sampled_from([1, 1, 2, -1, 0]))}, field)
+    else:
+        mul = _tensor(data.draw, (2, 2, 2), field)
+    left = _scalar_tensor(data.draw, (na, ni, ni), 0, field, left_kind)
+    right = _scalar_tensor(data.draw, (ni, na, ni), 1, field, right_kind)
+    rho_l = _scalar_tensor(data.draw, (ni, na, ni), 1, field, data.draw(st.sampled_from(NEAR_DELTAS[:5])))
+    delta = _tensor(data.draw, (ni, ni, ni), field)
+    copies = data.draw(st.booleans())
+    for box, out, lhs, rhs in _identities(mul, left, right, delta, rho_l):
+        if copies:
+            rhs = (rhs[0], _copy(rhs[1]), _copy(rhs[2]))
+        witness, contracted = _witness_and_contraction(field, box, out, lhs, rhs)
+        assert witness == _dense_first_witness(field, box, out, lhs, rhs)
+        assert contracted == (not _common_reading(lhs, rhs))
+
+
+def test_each_near_delta_takes_a_contraction():
+    """Each near-delta alone keeps the module law (ab)x=a(bx) off the delta
+    rule, with the dense scan's witness; the exact scalar action takes the
+    rule."""
+    field, n = GF(7), 3
+    one = SparseTensor3((1, 1, 1), {(0, 0, 0): 1}, field)
+    exact = {(0, x, x): 1 for x in range(n)}
+    near = {
+        "exact": (one, exact),
+        "value": (one, {**exact, (0, 1, 1): 2}),
+        "extra": (one, {**exact, (0, 1, 2): 1}),
+        "moved": (one, {(0, 0, 0): 1, (0, 1, 2): 1, (0, 2, 2): 1}),
+        "missing": (one, {(0, 0, 0): 1, (0, 2, 2): 1}),
+        "pinned2": (SparseTensor3((2, 2, 2), {(0, 0, 0): 1}, field), exact),
+    }
+    for kind, (mul, entries) in near.items():
+        left = SparseTensor3((mul.dims[0], n, n), entries, field)
+        law = ("abx", "y", ("abl,lxy", mul, left), ("bxz,azy", left, left))
+        witness, contracted = _witness_and_contraction(field, *law)
+        assert witness == _dense_first_witness(field, *law)
+        assert contracted == (kind != "exact"), kind
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_delta_reading_keeps_its_letters(symmetric):
+    """X[x, y, w] = X[y, x, w] renames X through a delta on each side, to
+    "xyw" and to "yxw": the rule never takes it, and it fails exactly when
+    X is not symmetric in its first two legs."""
+    field, n = QQ, 3
+    delta = SparseTensor3((n, n, 1), {(x, x, 0): 1 for x in range(n)}, field)
+    entries = {(0, 1, 0): 1, (1, 0, 0): 1 if symmetric else 2, (2, 2, 1): 3}
+    X = SparseTensor3((n, n, 2), entries, field)
+    law = ("xya", "w", ("xlw,lya", X, delta), ("ylw,lxa", X, delta))
+    witness, contracted = _witness_and_contraction(field, *law)
+    assert witness == _dense_first_witness(field, *law)
+    assert (witness is None) == symmetric
+    assert contracted
+
+
+def _counter(monkeypatch, name):
+    """The list that records each call of ``tensors.<name>``, which still runs."""
+    calls = []
+    real = getattr(tensors, name)
+    monkeypatch.setattr(tensors, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+def test_scalar_pairs_decide_every_law_without_contraction(monkeypatch, field):
+    """The counital hull of the divided powers and the scalar action pairs
+    decide all six pair laws on delta readings; a hull whose rho_l is bent
+    on one diagonal entry fails with the dense scan's witnesses."""
+    hull = counital_hull(divided_power(5, field))
+    pairs = [
+        (check_dorroh_pair_coalgebra, hull),
+        (check_dorroh_pair_algebra, scalar_action_pair(field, truncated_polynomials(5, field))),
+        (check_dorroh_pair_algebra, scalar_action_pair(field, matrix_algebra_2(field))),
+    ]
+    readings = _counter(monkeypatch, "_readings")
+    contractions = [_counter(monkeypatch, name) for name in ("_grouped", "_packed")]
+    for check, pair in pairs:
+        report = check(pair)
+        assert [c.ok for c in report.checks] == [True] * 6
+    assert contractions == [[], []]
+    assert len(readings) >= 2 * len(pairs)
+    monkeypatch.undo()
+
+    C, P, co = hull.C, hull.P, hull.coaction
+    bent = dict(co.rho_l.entries)
+    bent[(2, 0, 2)] = 2
+    rho_l = SparseTensor3(co.rho_l.dims, bent, field)
+    report = check_dorroh_pair_coalgebra(_coalgebra_pair(C, P, rho_l, co.rho_r))
+    roles = {"mul": C.delta, "left": rho_l, "right": co.rho_r, "mi": P.delta}
+    laws = {name: (box, out, (ls, roles[l1], roles[l2]), (rs, roles[r1], roles[r2]))
+            for table in (ACTION_LAWS, PAIR_LAWS)
+            for name, box, out, (ls, l1, l2), (rs, r1, r2) in table.coalgebra}
+    assert [c.name for c in report.checks] == list(laws)
+    for c in report.checks:
+        assert c.witness == _dense_first_witness(field, *laws[c.name])
+    assert not report.ok
 
 
 if __name__ == "__main__":

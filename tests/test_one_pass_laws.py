@@ -222,7 +222,7 @@ def test_unit_laws_run_no_transport(monkeypatch, field):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_unitriangular_isos_run_no_elimination(monkeypatch, field):
     pairs = _parsed_pairs(field)
-    inverts = [_counter(monkeypatch, module, "invert") for module in (linalg, algebra, coalgebra)]
+    inverts = [_counter(monkeypatch, module, "invert") for module in (linalg, algebra)]
     made = 0
     for pair in pairs:
         side = _side(pair)
@@ -235,7 +235,7 @@ def test_unitriangular_isos_run_no_elimination(monkeypatch, field):
             continue
         assert iso.verified == "iso"
         made += 1
-    assert inverts == [[], [], []]
+    assert inverts == [[], []]
     assert made >= 10
 
 
@@ -248,7 +248,7 @@ def test_a_split_along_a_basis_change_inverts_it_once(monkeypatch, field):
         built = side["build"](pair)
         na = side["conv"].parts_of(pair)[0].dim
         cases.append((side, built, _block_basis(rng, field, na, built.dim)))
-    inverts = [_counter(monkeypatch, module, "invert") for module in (linalg, algebra, coalgebra)]
+    inverts = [_counter(monkeypatch, module, "invert") for module in (linalg, algebra)]
     moved = 0
     for side, built, (acting_basis, carrier_basis) in cases:
         before = sum(map(len, inverts))
