@@ -193,9 +193,9 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
                 if sizes.setdefault(c, d) != d:
                     raise ValueError(f"index {c!r} has sizes {sizes[c]} and {d}")
     right = _readings(terms[1], sizes)
-    for X, letters in _readings(terms[0], sizes) if right else ():
-        if any(letters == b and (X is Y or X.entries == Y.entries) for Y, b in right):
-            return None
+    if right and any(a == b and (X is Y or X.entries == Y.entries)
+                     for X, a in _readings(terms[0], sizes) for Y, b in right):
+        return None
     stride = {}
     volume = 1
     for c in reversed(free):
