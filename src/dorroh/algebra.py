@@ -34,6 +34,7 @@ from .tensors import (
     TO_COALGEBRA,
     SparseTensor3,
     first_difference,
+    first_tensor_difference,
     first_witness,
     place,
     rotate_spec,
@@ -595,11 +596,12 @@ def _split(conv: Convention, build, verify, B, S: Matrix, T, na: int):
     verified isomorphism from its extension onto B.
 
     When S is the identity and B was built from a valid pair whose acting
-    structure has dimension ``na``, T is B's tensor, the one that pair's
-    blocks were laid into, so the blocks read back are that pair's tensors
-    entry for entry: the recovered pair is valid, the acting structure
-    takes the pair's (co)unit and the action its unit-law decision.  Any
-    other split, and any B not built here, is validated in full.
+    structure has dimension ``na``, T is B's tensor, the layout of that
+    pair's blocks, so the blocks read back are that pair's tensors (the
+    very objects, where they have entries): the recovered pair is valid,
+    the acting structure takes the pair's (co)unit and the action its
+    unit-law decision.  Any other split, and any B not built here, is
+    validated in full.
     """
     field, n = B.field, B.dim
     acting = conv.structure(na, T.block((0, 0, 0), (na, na, na)), field)
@@ -657,16 +659,19 @@ def _verify(conv: Convention, F, iso: bool) -> Report:
 
     F carries the source tensor's output legs, F^T the target's input legs;
     the witness is the least tuple of input legs where they differ.  An
-    identity matrix carries nothing.  F is stamped "unchecked" when the law
-    fails, else "iso" or "hom" by invertibility; without ``iso`` only an
-    "iso" stamp is put to the invertibility test, outside the report.
+    identity matrix carries nothing, so two layouts of the same blocks,
+    an identity isomorphism's source and target, are compared block by
+    block (``first_tensor_difference``).  F is stamped "unchecked" when
+    the law fails, else "iso" or "hom" by invertibility; without ``iso``
+    only an "iso" stamp is put to the invertibility test, outside the
+    report.
     """
     M = F.matrix
     lhs, rhs = getattr(F.source, conv.tensor), getattr(F.target, conv.tensor)
     if not is_identity(M):
         lhs = transport(lhs, conv.legs(None, M))
         rhs = transport(rhs, conv.legs(M.transpose(), None))
-    witness = first_difference(lhs.entries, rhs.entries, conv.inputs)
+    witness = first_tensor_difference(lhs, rhs, conv.inputs)
     report = Report().add_witness(conv.co + "multiplicative", witness)
     invertible = False
     if iso:

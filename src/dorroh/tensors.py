@@ -14,7 +14,14 @@ morphism, basis change and vector law carries a tensor's legs through
 matrices; ``transport`` does that from the nonzero entries alone and
 ``first_difference`` names where two results differ.  Every extension,
 gluing and Kronecker dual lays tensors out as blocks of a larger one
-with ``place``; ``SparseTensor3.block`` reads a block back out.
+with ``place``, which returns a ``Layout``: the blocks themselves, as
+leaves (tensor, offsets, leg order), with nested layouts and rotations
+flattened into their leaves.  A layout lays its entries out only when
+they are first read, and keeps them.  ``SparseTensor3.block`` reads a
+block back out, and a block that is one leaf is that leaf;
+``first_tensor_difference`` compares two layouts of the same boxes block
+by block, as the identity isomorphisms (split, duality witness,
+associator) compare the two layouts of one extension.
 
 The Kronecker dual of an algebra-side tensor is the leg rotation
 ``TO_COALGEBRA``, undone by ``TO_ALGEBRA``.  ``rotate`` turns a tensor and
@@ -24,6 +31,7 @@ written once for algebras also holds or fails on the dual coalgebras.
 
 from __future__ import annotations
 
+import logging
 import sys
 from functools import cache
 
@@ -42,6 +50,10 @@ from .fields import FieldSpec
 # size where the packed path takes at most twice the grouped path's
 # memory.
 PACK_VOLUME = 1 << 16
+
+IN_ORDER = (0, 1, 2)
+
+_log = logging.getLogger("dorroh.tensors")
 
 
 class SparseTensor3:
@@ -81,8 +93,9 @@ class SparseTensor3:
         return sorted(self.entries.items())
 
     def block(self, lo, hi) -> "SparseTensor3":
-        """The entries with lo <= key < hi in every leg, shifted to the origin."""
-        (a0, a1, a2), (b0, b1, b2) = lo, hi
+        """The entries with lo <= key < hi in every leg, shifted to the
+        origin; ValueError unless 0 <= lo <= hi <= dims in every leg."""
+        (a0, a1, a2), (b0, b1, b2) = _box(lo, hi, self.dims)
         entries = {
             (i - a0, j - a1, k - a2): v
             for (i, j, k), v in self.entries.items()
@@ -102,32 +115,101 @@ class SparseTensor3:
         return f"SparseTensor3(dims={self.dims}, nnz={len(self.entries)})"
 
 
-def place(dims, field: FieldSpec, *parts) -> SparseTensor3:
+def _box(lo, hi, dims) -> tuple:
+    """(lo, hi) as tuples, or ValueError unless 0 <= lo <= hi <= dims in every leg."""
+    lo, hi = tuple(lo), tuple(hi)
+    if len(lo) != 3 or len(hi) != 3 or not all(0 <= a <= b <= d for a, b, d in zip(lo, hi, dims)):
+        raise ValueError(f"box {lo} to {hi} does not lie in {dims}")
+    return lo, hi
+
+
+class Layout(SparseTensor3):
+    """A tensor that ``place`` laid out of blocks, held as its ``leaves``.
+
+    A leaf is ``(T, offsets, order)``, T an eager tensor with entries:
+    entry ``key`` of T is entry ``offsets[t] + key[order[t]]`` in leg t.
+    The leaves' boxes are disjoint, so they hold every entry once.
+    ``entries`` is laid out from them when first read, and kept; eager
+    tensors keep theirs in a plain slot.
+    """
+
+    __slots__ = ("leaves", "_laid")
+
+    @property
+    def entries(self) -> dict:
+        laid = self._laid
+        if laid is None:
+            laid = {}
+            for T, (o0, o1, o2), order in self.leaves:
+                if order != IN_ORDER:
+                    p, q, r = order
+                    laid.update({(key[p] + o0, key[q] + o1, key[r] + o2): v for key, v in T.entries.items()})
+                elif o0 or o1 or o2:
+                    laid.update({(i + o0, j + o1, k + o2): v for (i, j, k), v in T.entries.items()})
+                else:
+                    laid.update(T.entries)
+            self._laid = laid
+            _log.debug("layout parts=%d entries=%d", len(self.leaves), len(laid))
+        return laid
+
+    def block(self, lo, hi) -> SparseTensor3:
+        """As ``SparseTensor3.block``, but a box that is exactly one leaf's,
+        in leg order, is that leaf, read without a scan of the entries."""
+        lo, hi = _box(lo, hi, self.dims)
+        size = tuple(b - a for a, b in zip(lo, hi))
+        for T, offsets, order in self.leaves:
+            if offsets == lo and order == IN_ORDER and T.dims == size:
+                return T
+        return SparseTensor3.block(self, lo, hi)
+
+
+def place(dims, field: FieldSpec, *parts) -> Layout:
     """A tensor of shape ``dims`` holding each part as one block.
 
     A part is ``(T, offsets)`` or ``(T, offsets, order)``: entry ``key`` of
     T lands at leg t = ``offsets[t] + key[order[t]]``, so ``order`` permutes
     T's legs (default ``(0, 1, 2)``) before the block is shifted into
-    place.  Parts must fit in ``dims`` and must not overlap.
+    place.  Parts must fit in ``dims`` (offsets are not negative) and the
+    boxes of the parts with entries must not overlap; both are checked
+    here, pair by pair of parts, without reading an entry.
+
+    Nothing is copied: the result is a ``Layout`` whose leaves are the
+    parts, a part that is itself a layout (a nested extension, a rotation)
+    giving its own leaves composed with its offsets and order, so every
+    leaf is an eager tensor.  A part without entries leaves no leaf.
     """
     dims = tuple(dims)
-    entries = {}
-    stored = 0
+    d0, d1, d2 = dims
+    leaves = []
+    boxes = []
     for T, offsets, *order in parts:
-        p, q, r = order[0] if order else (0, 1, 2)
+        order = tuple(order[0]) if order else IN_ORDER
+        p, q, r = order
         o0, o1, o2 = offsets
-        if any(o + T.dims[t] > d for o, t, d in zip(offsets, (p, q, r), dims)):
-            raise ValueError(f"block {T.dims} at {offsets} does not fit in {dims}")
-        if (p, q, r) != (0, 1, 2):
-            entries.update({(key[p] + o0, key[q] + o1, key[r] + o2): v for key, v in T.entries.items()})
-        elif o0 or o1 or o2:
-            entries.update({(i + o0, j + o1, k + o2): v for (i, j, k), v in T.entries.items()})
+        size = T.dims
+        h0, h1, h2 = o0 + size[p], o1 + size[q], o2 + size[r]
+        if o0 < 0 or o1 < 0 or o2 < 0 or h0 > d0 or h1 > d1 or h2 > d2:
+            raise ValueError(f"block {size} at {offsets} does not fit in {dims}")
+        if type(T) is Layout:
+            if not T.leaves:
+                continue
+            if order == IN_ORDER:
+                leaves += [(U, (o0 + u0, o1 + u1, o2 + u2), u) for U, (u0, u1, u2), u in T.leaves]
+            else:
+                leaves += [(U, (o0 + uo[p], o1 + uo[q], o2 + uo[r]), (u[p], u[q], u[r])) for U, uo, u in T.leaves]
+        elif T.entries:
+            leaves.append((T, (o0, o1, o2), order))
         else:
-            entries.update(T.entries)
-        stored += len(T.entries)
-    if len(entries) != stored:
-        raise ValueError("placed blocks overlap")
-    return SparseTensor3._canonical(dims, entries, field)
+            continue
+        # parts with entries have no empty leg, so two boxes meet exactly
+        # when their ranges meet in every leg
+        for b0, b1, b2, c0, c1, c2 in boxes:
+            if o0 < c0 and b0 < h0 and o1 < c1 and b1 < h1 and o2 < c2 and b2 < h2:
+                raise ValueError("placed blocks overlap")
+        boxes.append((o0, o1, o2, h0, h1, h2))
+    t = Layout.__new__(Layout)
+    t.dims, t.field, t.leaves, t._laid = dims, field, leaves, None
+    return t
 
 
 TO_COALGEBRA = (2, 0, 1)
@@ -443,6 +525,38 @@ def _carry(acc, size, stride, cols, p):
     if p:
         return {key: r for key, v in out.items() if (r := v % p)}
     return {key: v for key, v in out.items() if v}
+
+
+def first_tensor_difference(lhs: SparseTensor3, rhs: SparseTensor3, width: int):
+    """``first_difference`` of two tensors' entries, decided block by block
+    when their leaves fill the same boxes.
+
+    A layout's leaves are its blocks, and an eager tensor with entries is
+    one leaf at the origin.  Each tensor's boxes are disjoint, so when
+    both have as many leaves and every leaf of lhs has a leaf of rhs at
+    the same offsets, in the same leg order and with equal entries (the
+    same tensor, mostly), the two hold the same entries: they are equal
+    and neither is laid out.  Any other pair, a box that differs or a
+    differing block is compared on the full entries, so the witness is
+    the same.
+    """
+    ours, theirs = _leaves(lhs), _leaves(rhs)
+    if len(ours) == len(theirs):
+        placed = {offsets: (U, order) for U, offsets, order in theirs}
+        for T, offsets, order in ours:
+            U, u_order = placed.get(offsets, (None, None))
+            if U is None or u_order != order or U.dims != T.dims or not (U is T or U.entries == T.entries):
+                break
+        else:
+            return None
+    return first_difference(lhs.entries, rhs.entries, width)
+
+
+def _leaves(T: SparseTensor3) -> list:
+    """A layout's leaves; an eager tensor is one leaf, or none without entries."""
+    if type(T) is Layout:
+        return T.leaves
+    return [(T, (0, 0, 0), IN_ORDER)] if T.entries else []
 
 
 def first_difference(lhs: dict, rhs: dict, width: int):

@@ -6,10 +6,12 @@ and decides each key once per memo scope: one ``check_dorroh_pair_*`` call
 or one iterated triple.  A pair of the same A, I and action objects as a
 validated pair takes the report recorded on its action (``algebra._known``).
 A morphism whose matrix is the identity is verified by comparing the two
-structure tensors entry by entry, and is invertible without an
-elimination.  The tests pin the work these save and check the results
-against the paths they replace; ``test_derived_reports.py`` holds the
-law-by-law reference for every report.
+structure tensors, block by block when they are layouts of the same
+boxes, and is invertible without an elimination; only the layouts that
+are emitted or transported are laid out.  The tests pin the work these
+save and check the results against the paths they replace;
+``test_derived_reports.py`` holds the law-by-law reference for every
+report.
 """
 
 import logging
@@ -30,7 +32,10 @@ from dorroh.algebra import (
     _law_key,
     check_associativity,
     check_dorroh_pair_algebra,
+    check_iterated_algebra_triple,
+    direct_product_pair,
     split_algebra_extension,
+    unital_ideal_iso,
     verify_algebra_morphism,
 )
 from dorroh.cli import _canonical_triple
@@ -39,20 +44,24 @@ from dorroh.coalgebra import (
     CoalgebraMorphism,
     DorrohPairCoalgebra,
     check_dorroh_pair_coalgebra,
+    counital_split_iso,
     split_coalgebra_extension,
     verify_coalgebra_morphism,
 )
 from dorroh.duality import double_dual_iso, double_dual_iso_coalgebra, dualize_algebra_pair, dualize_coalgebra_pair
 from dorroh.fields import GF, QQ
 from dorroh.gallery import (
+    algebra_k,
     dual_numbers,
     matrix_algebra_2,
     matrix_coalgebra_2,
+    regular_copair,
+    regular_pair,
     standard_algebra_pairs,
     standard_coalgebra_pairs,
 )
 from dorroh.linalg import Matrix
-from dorroh.tensors import SparseTensor3, first_witness
+from dorroh.tensors import SparseTensor3, first_difference, first_witness
 
 from support import random_algebra_pair, random_coalgebra_pair
 
@@ -233,6 +242,89 @@ def test_identity_verification_matches_the_transport_path(monkeypatch):
         results.append(got)
     assert results[0] == results[1]
     assert sum(report["status"] == "fail" for report, _ in results[0]) >= 12
+
+
+def test_a_misplaced_bracketing_block_fails_the_associator_with_the_full_witness(monkeypatch):
+    """The canonical triple of (k, M(2)) with zero actions, its left
+    bracketing's action laying the block of A2 on A3 at the origin instead
+    of below A1's: the bracketings no longer have the same boxes, so the
+    associator is compared entry by entry and fails with the witness the
+    full comparison names, (0, 5) as before block-by-block comparison."""
+    for field in FIELDS:
+        pair = direct_product_pair(algebra_k(field), matrix_algebra_2(field))
+        A, I = pair.A, pair.I
+        n1, n2 = A.dim, I.dim
+        place = algebra.place
+
+        def misplaced(dims, field, *parts):
+            if dims == (n1 + n2, n2, n2) and len(parts) == 2 and parts[1][1] == (n1, 0, 0):
+                parts = (parts[0], (parts[1][0], (0, 0, 0)))
+            return place(dims, field, *parts)
+
+        monkeypatch.setattr(algebra, "place", misplaced)
+        regular = BimoduleAction(I, n2, I.mul, I.mul)
+        report, associator = check_iterated_algebra_triple(A, I, I, pair.action, pair.action, regular)
+        monkeypatch.undo()
+        (failed,) = [c for c in report.checks if not c.ok]
+        assert failed.name == "associator:multiplicative" and failed.witness == (0, 5)
+        full = first_difference(associator.source.mul.entries, associator.target.mul.entries, 2)
+        assert failed.witness == full
+
+
+def _pair_pipeline(pair):
+    """The benchmark's pair-pipeline sequence on a parsed pair: validate,
+    build, split along the block basis, the unital-ideal or counital-split
+    isomorphism, dualize, the canonical triple, and emit the extension and
+    the dual pair.  Returns what each step made."""
+    assert pair.validate().ok
+    if isinstance(pair, DorrohPairAlgebra):
+        steps = algebra.build_dorroh_algebra, split_algebra_extension, unital_ideal_iso, dualize_algebra_pair
+    else:
+        steps = coalgebra.build_dorroh_coalgebra, split_coalgebra_extension, counital_split_iso, dualize_coalgebra_pair
+    build, split, iso, dualize = steps
+    built = build(pair)
+    na, n = _pair_tensors(pair)[0].dims[0], built.dim
+    _, split_iso = split(built, _block_basis(n, 0, na), _block_basis(n, na, n))
+    unital = iso(pair)
+    dual, witness = dualize(pair)
+    report, associator = _canonical_triple(pair)
+    assert report.ok and all(m.verified == "iso" for m in (split_iso, unital, witness.forward, associator))
+    exchange.emit(built)
+    exchange.emit(dual)
+    return built, split_iso, unital, dual, witness, associator
+
+
+def _tensor(structure):
+    return structure.mul if isinstance(structure, algebra.Algebra) else structure.delta
+
+
+def _pair_tensors(pair):
+    if isinstance(pair, DorrohPairAlgebra):
+        return pair.A.mul, pair.I.mul, pair.action.left, pair.action.right
+    return pair.C.delta, pair.P.delta, pair.coaction.rho_l, pair.coaction.rho_r
+
+
+def test_only_emitted_and_transported_layouts_are_laid_out(caplog):
+    """One ``dorroh.tensors`` event per layout that lays its entries out:
+    the built extension (split scans it, emit writes it), the unital-ideal
+    or counital-split isomorphism's target (carried through its matrix)
+    and the dual pair's four rotated tensors (emitted).  The split's
+    rebuild, both sides of the duality witness, I|xI and both bracketings
+    are compared block by block and never laid out."""
+    caplog.set_level(logging.DEBUG, logger="dorroh.tensors")
+    for pair in (regular_pair(matrix_algebra_2(QQ)), regular_copair(matrix_coalgebra_2(GF(5)))):
+        caplog.clear()
+        built, split_iso, unital, dual, witness, associator = _pair_pipeline(exchange.parse(exchange.emit(pair)))
+        assert all(r.name == "dorroh.tensors" and r.levelno == logging.DEBUG for r in caplog.records)
+        events = [r.args for r in caplog.records]
+        laid = [_tensor(built), _tensor(unital.target), *_pair_tensors(dual)]
+        assert events == [(len(t.leaves), len(t.entries)) for t in laid]
+        assert [len(t.leaves) for t in laid] == [4, 2, 1, 1, 1, 1]
+        i_by_i = _pair_tensors(associator.target._built_from)[1]
+        for structure in (split_iso.source, witness.forward.source, witness.forward.target, associator.source,
+                          associator.target):
+            assert _tensor(structure)._laid is None
+        assert i_by_i._laid is None and len(i_by_i.leaves) == 4
 
 
 # ---------------------------------------------------------------------------
