@@ -241,19 +241,16 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
 
     Each (box, out) tuple is one mixed-radix integer, its code, with the
     box letters most significant, so the least failing code divided by
-    the ``out`` volume is the witness.  The input picks one of four ways
+    the ``out`` volume is the witness.  The input picks one of three ways
     to decide the law:
 
     - delta (``_readings``): when one factor of each side is a Kronecker
       delta, the side is its other factor X with the summed letter
       renamed; if both sides rename equal tensors to the same letters,
       the law holds and no product is made;
-    - grouped (``_contract``): only stored entries are visited, so the
+    - grouped (``_grouped``): only stored entries are visited, so the
       cost is the entries of the larger factor of each term plus one dict
       update per nonzero product, whatever the size of the box;
-    - one-entry (``_contract``): when the grouped factor has one entry per
-      summed index, one product per entry of the larger factor, with no
-      inner loop;
     - packed (``_packed``), over F_p on a dense law in a box of at most
       ``PACK_VOLUME`` codes: every code's sum is a slot of one int, so
       the cost is one int multiply-add per entry of each term (ints of
@@ -263,7 +260,7 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
     Which way runs is decided from the entry counts and the specs, each
     parsed once (``_letters``): in O(1), except that a delta candidate,
     a factor with one entry per value of the summed letter, costs one
-    pass over its entries.  The other three ways sum the products into
+    pass over its entries.  The other two ways sum the products into
     the codes.
     """
     free = box + out
@@ -359,55 +356,40 @@ def _pack_bias(terms, sizes, volume, p):
 
 
 def _grouped(terms, stride, p):
-    """The least code of a nonzero coefficient of lhs - rhs, or None, summed in a dict."""
+    """The least code of a nonzero coefficient of lhs - rhs, or None, summed in a dict.
+
+    Each term adds sign * sum_l T[..l..] U[..l..] into one dict keyed by
+    the free letters' radix code: its smaller factor U is grouped by l
+    and the larger T walked against the groups.
+    """
     acc = {}
+    get = acc.get
     for sign, ((t_letters, u_letters, l), T, U) in zip((1, -1), terms):
-        _contract(acc, sign, t_letters, u_letters, l, T, U, stride)
+        if len(U.entries) > len(T.entries):
+            # group the smaller tensor: grouping allocates per entry, iterating does not
+            T, U, t_letters, u_letters = U, T, u_letters, t_letters
+        if not U.entries:  # an empty factor contributes nothing: skip the walk of the other
+            continue
+        q = u_letters.index(l)
+        u0, u1, u2 = (0 if c == l else stride[c] for c in u_letters)
+        groups = {}
+        for key, v in U.entries.items():
+            i, j, k = key
+            groups.setdefault(key[q], []).append((i * u0 + j * u1 + k * u2, v))
+        r = t_letters.index(l)
+        t0, t1, t2 = (0 if c == l else stride[c] for c in t_letters)
+        for key, v in T.entries.items():
+            group = groups.get(key[r])
+            if group:
+                i, j, k = key
+                base = i * t0 + j * t1 + k * t2
+                v = sign * v
+                for offset, v2 in group:
+                    code = base + offset
+                    acc[code] = get(code, 0) + v * v2
     # Raw sums are ints or Fractions over Q and ints over F_p, so this is
     # canon(v) != 0 without canonicalising every coefficient.
     return min((key for key, v in acc.items() if (v % p if p else v)), default=None)
-
-
-def _contract(acc, sign, t_letters, u_letters, l, T, U, stride):
-    """Add sign * sum_l T[..l..] U[..l..] into acc, keyed by the free letters' radix code.
-
-    The smaller factor U is grouped by l and the larger T walked against
-    the groups.  When every group has one entry (a scalar (co)action, a
-    grouplike or permutation tensor), each entry of T makes one product
-    with no inner loop.
-    """
-    if len(U.entries) > len(T.entries):
-        # group the smaller tensor: grouping allocates per entry, iterating does not
-        T, U, t_letters, u_letters = U, T, u_letters, t_letters
-    if not U.entries:  # an empty factor contributes nothing: skip the walk of the other
-        return
-    p, q = t_letters.index(l), u_letters.index(l)
-    u0, u1, u2 = (0 if c == l else stride[c] for c in u_letters)
-    groups = {}
-    for key, v in U.entries.items():
-        i, j, k = key
-        groups.setdefault(key[q], []).append((i * u0 + j * u1 + k * u2, v))
-    t0, t1, t2 = (0 if c == l else stride[c] for c in t_letters)
-    get = acc.get
-    if len(groups) == len(U.entries):
-        single = {m: (offset, sign * v2) for m, ((offset, v2),) in groups.items()}
-        for key, v in T.entries.items():
-            hit = single.get(key[p])
-            if hit:
-                i, j, k = key
-                offset, w = hit
-                code = i * t0 + j * t1 + k * t2 + offset
-                acc[code] = get(code, 0) + v * w
-        return
-    for key, v in T.entries.items():
-        group = groups.get(key[p])
-        if group:
-            i, j, k = key
-            base = i * t0 + j * t1 + k * t2
-            v = sign * v
-            for offset, v2 in group:
-                code = base + offset
-                acc[code] = get(code, 0) + v * v2
 
 
 def _packed(terms, stride, volume, bias, p):

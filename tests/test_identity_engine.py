@@ -523,7 +523,7 @@ def test_first_witness_matches_dense_scan(data, na, ni, field):
 
 
 def _one_entry_sides(lhs, rhs):
-    """Per side, whether the factor ``_contract`` groups has one entry per summed index."""
+    """Per side, whether the smaller factor (U on a tie) has one entry per summed index."""
     sides = []
     for spec, T, U in (lhs, rhs):
         t_letters, u_letters = spec.split(",")
