@@ -260,17 +260,118 @@ def check_laws(report: Report, field, laws, tensors: dict, memo=None) -> Report:
     """
     if memo is None:
         memo = {}
-    for name, box, out, (ls, l1, l2), (rs, r1, r2) in laws:
-        a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
-        if a is not None and b is not None and c is not None and d is not None:
-            lhs, rhs = (ls, a, b), (rs, c, d)
-            key = _law_key(box, out, lhs, rhs)
-            seen = memo.get(key)
-            if seen is None:
-                seen = memo[key] = [first_witness(field, box, out, lhs, rhs), 0, lhs, rhs]
+    for law in laws:
+        seen = _decide(memo, field, law, tensors)
+        if seen is not None:
             seen[1] += 1
-            report.add_witness(name, seen[0])
+            report.add_witness(law[0], seen[0])
     return report
+
+
+def _decide(memo, field, law, tensors, on=None, groupings=None):
+    """``law``'s entry in ``memo``, decided by ``first_witness`` (with ``on``
+    and ``groupings``) unless the memo holds its key, or None when one of
+    its roles is not bound to a tensor in ``tensors``."""
+    _, box, out, (ls, l1, l2), (rs, r1, r2) = law
+    a, b, c, d = tensors.get(l1), tensors.get(l2), tensors.get(r1), tensors.get(r2)
+    if a is None or b is None or c is None or d is None:
+        return None
+    lhs, rhs = (ls, a, b), (rs, c, d)
+    key = _law_key(box, out, lhs, rhs)
+    seen = memo.get(key)
+    if seen is None:
+        seen = memo[key] = [first_witness(field, box, out, lhs, rhs, on, groupings), 0, lhs, rhs]
+    return seen
+
+
+def _action_laws(conv: Convention, acting, left, right, laws, memo=None) -> Report:
+    """The (co)module laws ``laws`` (a side's ACTION_LAWS or MODULE_LAWS
+    rows) of ``acting`` through ``left`` and ``right`` (None: a side not
+    acted on), as ``check_laws`` reports them in ``memo``, each decided
+    on carrier generators where that pays (``_generators``).
+
+    The certificate is Light's associativity test for modules.  Over an
+    associative A, the x with (ab)x = a(bx) for all a, b form a left
+    submodule: (ab)(cx) = ((ab)c)x = (a(bc))x = a((bc)x) = a(b(cx)).  The
+    x with x(ab) = (xa)b form a right submodule, and the x with (ax)b =
+    a(xb) a left submodule once (ab)x = a(bx) holds everywhere, a right
+    one once x(ab) = (xa)b does.  A law that holds on vectors generating
+    the carrier as such a module holds everywhere.  So the premise, the
+    acting structure's (co)associativity, is decided first in ``memo``
+    and not reported; (ab)x = a(bx) is then decided on H_left, x(ab) =
+    (xa)b on H_right, and (ax)b = a(xb) on H_left once the first law
+    passed, else on H_right once the second passed, else in full.  With
+    no generators on either side, or a failed premise, every law is
+    decided in full by ``check_laws``.  In every row the carrier letter
+    acted on is x, and a failing law names the witness ``first_witness``
+    names without ``on``.  A coalgebra's laws are its Kronecker duals',
+    so the same certificate holds.  The groupings the laws share live
+    for this call only.
+    """
+    mul = getattr(acting, conv.tensor)
+    field = acting.field
+    tensors = {"mul": mul, "left": left, "right": right}
+    if memo is None:
+        memo = {}
+    gens = [_generators(conv, mul, T, legs) for T, legs in ((left, (0, 1, 2)), (right, (1, 0, 2)))]
+    if not any(gens) or _decide(memo, field, getattr(ASSOCIATIVITY, conv.name)[0], {"mul": mul})[0] is not None:
+        return check_laws(Report(), field, laws, tensors, memo)
+    report = Report()
+    groupings = {}  # the other factors' groupings, shared by the laws of this check
+    holds = []
+    for row, law in enumerate(laws):
+        H = gens[row] if row < 2 else next((H for H, held in zip(gens, holds) if H and held), None)
+        seen = _decide(memo, field, law, tensors, ("x", H) if H else None, groupings)
+        holds.append(seen is not None and seen[0] is None)
+        if seen is not None:
+            seen[1] += 1
+            report.add_witness(law[0], seen[0])
+    return report
+
+
+def _generators(conv: Convention, mul, T, legs):
+    """Least-index carrier basis vectors that generate the carrier under
+    the action T, or None where deciding a law on them does not pay.
+
+    ``legs`` are T's acting, carrier and image legs in algebra convention:
+    (0, 1, 2) for a left action (a, x, y), (1, 0, 2) for a right one (x,
+    a, y); ``conv.order`` finds them in the side's legs.  Only one-term
+    images are followed: e_a f_x = c f_y puts f_y in the submodule that
+    f_x generates, and an image of several terms is not followed, so the
+    set generates under any action.  Each vector not yet reached is added
+    and its images followed.  It pays when the set is at most a quarter
+    of the carrier, and T has at least twice ``mul``'s entries, so that
+    the premise costs at most half a term of a law it restricts.  Over an
+    associative structure of dim na one vector generates at most na + 1,
+    so a structure of dim below 3 is not scanned.
+    """
+    if T is None or mul.dims[0] < 3 or 2 * len(mul.entries) > len(T.entries):
+        return None
+    pa, px, py = (conv.order.index(t) for t in legs)
+    images = {}
+    for key in T.entries:
+        ax = key[pa], key[px]
+        images[ax] = None if ax in images else key[py]
+    edges = {}
+    for (_, x), y in images.items():
+        if y is not None:
+            edges.setdefault(x, []).append(y)
+    n = T.dims[py]
+    H = []
+    reached = set()
+    for x in range(n):
+        if x not in reached:
+            H.append(x)
+            if 4 * len(H) > n:
+                return None
+            reached.add(x)
+            stack = [x]
+            while stack:
+                for y in edges.get(stack.pop(), ()):
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+    return frozenset(H)
 
 
 @contextmanager
@@ -412,9 +513,12 @@ class BimoduleAction(_Action):
     """An algebra acting on a carrier from both sides."""
 
     def validate(self, memo=None) -> Report:
-        """Bimodule axioms over all basis triples."""
-        tensors = {"mul": self.acting.mul, "left": self.left, "right": self.right}
-        return check_laws(Report(), self.acting.field, ACTION_LAWS.algebra, tensors, memo=memo)
+        """Bimodule axioms over all basis triples, in ``memo``.  Where it
+        pays each is decided on generators of the carrier: over an
+        associative A (the premise, decided first, not reported) the x with
+        (ab)x = a(bx), or with x(ab) = (xa)b, form a submodule, as do those
+        with (ax)b = a(xb) once either law holds (``_action_laws``)."""
+        return _action_laws(ALGEBRA, self.acting, self.left, self.right, ACTION_LAWS.algebra, memo)
 
 
 class _Pair:
@@ -814,10 +918,13 @@ class _Module:
             setattr(self, key, t)
 
     def validate(self) -> Report:
+        """The laws of the sides it acts on.  Where it pays each is decided
+        on generators of the carrier: over a (co)associative structure (the
+        premise, decided first, not reported) the x with (ab)x = a(bx), or
+        with x(ab) = (xa)b, form a submodule, as do those with (ax)b = a(xb)
+        once either law holds; dually for comodules (``_action_laws``)."""
         conv = self._conv
-        left, right = conv.tensors(self)
-        tensors = {"mul": getattr(getattr(self, conv.name), conv.tensor), "left": left, "right": right}
-        return check_laws(Report(), self.field, getattr(MODULE_LAWS, conv.name), tensors)
+        return _action_laws(conv, getattr(self, conv.name), *conv.tensors(self), getattr(MODULE_LAWS, conv.name))
 
 
 class ModuleOverAlgebra(_Module):

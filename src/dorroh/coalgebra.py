@@ -29,6 +29,7 @@ from .algebra import (
     _Module,
     _Pair,
     _Structure,
+    _action_laws,
     _acts_as_identity,
     _assemble,
     _build,
@@ -76,9 +77,11 @@ class BicomoduleCoaction(_Action):
         super().__init__(coacting, carrier_dim, rho_l, rho_r)
 
     def validate(self, memo=None) -> Report:
-        """Left/right comodule coassociativity and the bicomodule exchange."""
-        tensors = {"mul": self.coacting.delta, "left": self.rho_l, "right": self.rho_r}
-        return check_laws(Report(), self.coacting.field, ACTION_LAWS.coalgebra, tensors, memo=memo)
+        """Left/right comodule coassociativity and the bicomodule exchange,
+        in ``memo``, decided as ``BimoduleAction.validate`` decides the
+        bimodule laws of the Kronecker duals, behind the coassociativity of
+        C (``_action_laws``)."""
+        return _action_laws(COALGEBRA, self.coacting, self.rho_l, self.rho_r, ACTION_LAWS.coalgebra, memo)
 
 
 class DorrohPairCoalgebra(_Pair):

@@ -18,7 +18,8 @@ with ``place``, which returns a ``Layout``: the blocks themselves, as
 leaves (tensor, offsets, leg order), with nested layouts and rotations
 flattened into their leaves.  A layout lays its entries out only when
 they are first read, and keeps them.  ``SparseTensor3.block`` reads a
-block back out, and a block that is one leaf is that leaf;
+block back out, a layout's from the leaves that meet it, and a block
+that is one leaf is that leaf;
 ``first_tensor_difference`` compares two layouts of the same boxes block
 by block, as the identity isomorphisms (split, duality witness,
 associator) compare the two layouts of one extension.
@@ -153,14 +154,25 @@ class Layout(SparseTensor3):
         return laid
 
     def block(self, lo, hi) -> SparseTensor3:
-        """As ``SparseTensor3.block``, but a box that is exactly one leaf's,
-        in leg order, is that leaf, read without a scan of the entries."""
+        """As ``SparseTensor3.block``, read from the leaves whose boxes meet
+        the box, never from the laid-out entries; a box that is exactly one
+        leaf's, in leg order, is that leaf."""
         lo, hi = _box(lo, hi, self.dims)
-        size = tuple(b - a for a, b in zip(lo, hi))
+        (a0, a1, a2), (b0, b1, b2) = lo, hi
+        size = (b0 - a0, b1 - a1, b2 - a2)
+        entries = {}
         for T, offsets, order in self.leaves:
             if offsets == lo and order == IN_ORDER and T.dims == size:
                 return T
-        return SparseTensor3.block(self, lo, hi)
+            p, q, r = order
+            o0, o1, o2 = offsets
+            d = T.dims
+            if a0 < o0 + d[p] and o0 < b0 and a1 < o1 + d[q] and o1 < b1 and a2 < o2 + d[r] and o2 < b2:
+                for key, v in T.entries.items():
+                    i, j, k = key[p] + o0, key[q] + o1, key[r] + o2
+                    if a0 <= i < b0 and a1 <= j < b1 and a2 <= k < b2:
+                        entries[i - a0, j - a1, k - a2] = v
+        return SparseTensor3._canonical(size, entries, self.field)
 
 
 def place(dims, field: FieldSpec, *parts) -> Layout:
@@ -229,7 +241,7 @@ def rotate_spec(spec: str, order) -> str:
     return ",".join("".join(letters[o] for o in order) for letters in spec.split(","))
 
 
-def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
+def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs, on=None, groupings=None):
     """The least ``box`` index tuple at which two contractions differ, or None.
 
     ``box`` and ``out`` are strings of index letters.  Each side is a term
@@ -262,6 +274,22 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
     a factor with one entry per value of the summed letter, costs one
     pass over its entries.  The other two ways sum the products into
     the codes.
+
+    ``on`` = (letter, H) is a certificate the caller holds: the law holds
+    everywhere once it holds at every code whose free ``letter`` lies in
+    H.  The (co)module laws have one over a (co)associative structure:
+    the carrier vectors x at which (ab)x = a(bx), or x(ab) = (xa)b, holds
+    for all a, b form a submodule, as do those at which (ax)b = a(xb)
+    holds once either of the other two laws holds everywhere, so a law
+    holds when it holds on generators H of the carrier
+    (``algebra._action_laws``).  The grouped way then walks, of each
+    term, the factor holding the letter, its entries in H first, and
+    returns None when their sums vanish; a residual there is a failure,
+    and the rest of the entries are summed into the same dict, so the
+    witness is the one found without ``on``.  ``groupings``, a dict the
+    caller keeps for the laws of one check, holds each grouping of the
+    other factors for the next law.  The delta and packed ways ignore
+    both.
     """
     free = box + out
     terms = [(_letters(spec, free), T, U) for spec, T, U in (lhs, rhs)]
@@ -281,7 +309,7 @@ def first_witness(field: FieldSpec, box: str, out: str, lhs, rhs):
         stride[c] = volume
         volume *= sizes[c]
     bias = _pack_bias(terms, sizes, volume, field.p)
-    bad = _grouped(terms, stride, field.p) if bias is None else _packed(terms, stride, volume, bias, field.p)
+    bad = _grouped(terms, stride, field.p, on, groupings) if bias is None else _packed(terms, stride, volume, bias, field.p)
     if bad is None:
         return None
     out_volume = 1
@@ -355,40 +383,67 @@ def _pack_bias(terms, sizes, volume, p):
     return bias if 2 * bias < 1 << 64 else None
 
 
-def _grouped(terms, stride, p):
+def _grouped(terms, stride, p, on=None, groupings=None):
     """The least code of a nonzero coefficient of lhs - rhs, or None, summed in a dict.
 
     Each term adds sign * sum_l T[..l..] U[..l..] into one dict keyed by
-    the free letters' radix code: its smaller factor U is grouped by l
-    and the larger T walked against the groups.
+    the free letters' radix code: U is grouped by l and T walked against
+    the groups.  U is the smaller factor, as grouping allocates per entry
+    and walking does not, or with ``on`` = (letter, H) the factor without
+    the letter; T's entries with the letter in H are then walked first,
+    and the rest only when those sums leave a residual (``first_witness``).
+    ``groupings`` keeps each grouping by U's identity, slot and strides.
     """
     acc = {}
-    get = acc.get
+    rest = []
     for sign, ((t_letters, u_letters, l), T, U) in zip((1, -1), terms):
-        if len(U.entries) > len(T.entries):
-            # group the smaller tensor: grouping allocates per entry, iterating does not
+        if on[0] in u_letters if on else len(U.entries) > len(T.entries):
             T, U, t_letters, u_letters = U, T, u_letters, t_letters
         if not U.entries:  # an empty factor contributes nothing: skip the walk of the other
             continue
         q = u_letters.index(l)
         u0, u1, u2 = (0 if c == l else stride[c] for c in u_letters)
-        groups = {}
-        for key, v in U.entries.items():
-            i, j, k = key
-            groups.setdefault(key[q], []).append((i * u0 + j * u1 + k * u2, v))
+        groups = None if groupings is None else groupings.get((id(U), q, u0, u1, u2))
+        if groups is None:
+            groups = {}
+            for key, v in U.entries.items():
+                i, j, k = key
+                groups.setdefault(key[q], []).append((i * u0 + j * u1 + k * u2, v))
+            if groupings is not None:
+                groupings[id(U), q, u0, u1, u2] = groups
         r = t_letters.index(l)
         t0, t1, t2 = (0 if c == l else stride[c] for c in t_letters)
-        for key, v in T.entries.items():
-            group = groups.get(key[r])
-            if group:
-                i, j, k = key
-                base = i * t0 + j * t1 + k * t2
-                v = sign * v
-                for offset, v2 in group:
-                    code = base + offset
-                    acc[code] = get(code, 0) + v * v2
-    # Raw sums are ints or Fractions over Q and ints over F_p, so this is
-    # canon(v) != 0 without canonicalising every coefficient.
+        items = T.entries.items()
+        if on:
+            s, H = t_letters.index(on[0]), on[1]
+            rest.append((sign, items, s, groups, r, t0, t1, t2))
+            items = [kv for kv in items if kv[0][s] in H]
+        _walk(acc, sign, items, groups, r, t0, t1, t2)
+    if rest and _least(acc, p) is None:
+        return None
+    for sign, items, s, *walk in rest:
+        _walk(acc, sign, [kv for kv in items if kv[0][s] not in H], *walk)
+    return _least(acc, p)
+
+
+def _walk(acc, sign, items, groups, r, t0, t1, t2):
+    """Add sign times the products of T's ``items`` with the groups into ``acc``."""
+    get = acc.get
+    for key, v in items:
+        group = groups.get(key[r])
+        if group:
+            i, j, k = key
+            base = i * t0 + j * t1 + k * t2
+            v = sign * v
+            for offset, v2 in group:
+                code = base + offset
+                acc[code] = get(code, 0) + v * v2
+
+
+def _least(acc, p):
+    """The least code of a nonzero sum in ``acc``, or None.  Raw sums are
+    ints or Fractions over Q and ints over F_p, so this is canon(v) != 0
+    without canonicalising every coefficient."""
     return min((key for key, v in acc.items() if (v % p if p else v)), default=None)
 
 

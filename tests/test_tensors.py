@@ -1,4 +1,6 @@
 import itertools
+import logging
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,24 @@ def _dense_place(dims, field, parts):
     return SparseTensor3(dims, out, field)
 
 
+@contextmanager
+def _layout_events():
+    """The ``dorroh.tensors`` debug events logged inside the block: one per
+    layout that lays its entries out."""
+    events = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = events.append
+    logger = logging.getLogger("dorroh.tensors")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield events
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _dense_block(T, lo, hi):
     """Reference: every cell of the box lo..hi of T, shifted to the origin."""
     shape = tuple(b - a for a, b in zip(lo, hi))
@@ -185,7 +205,8 @@ def _drawn_tensor(data, field, depth=2):
 def test_place_matches_dense_reindex(data, field):
     """Parts that are tensors, rotations and nested layouts, each block read
     back, one leaf-aligned block read as the leaf itself, and a block
-    that may cut across leaves."""
+    that may cut across leaves, read from the leaves without laying the
+    layout out."""
     parts, refs = [], []
     corner = [0, 0, 0]
     for _ in range(data.draw(st.integers(0, 3))):
@@ -208,7 +229,9 @@ def test_place_matches_dense_reindex(data, field):
             assert got is T
     lo = tuple(data.draw(st.integers(0, d)) for d in dims)
     hi = tuple(data.draw(st.integers(a, d)) for a, d in zip(lo, dims))
-    assert placed.block(lo, hi) == _dense_block(expected, lo, hi)
+    with _layout_events() as events:
+        block = placed.block(lo, hi)
+    assert block == _dense_block(expected, lo, hi) and events == []
     assert placed == expected
 
 
@@ -282,8 +305,11 @@ def test_place_matches_dense_reindex_on_each_layout(offsets, order, wrap):
     # is, or rotated by (1, 2, 0) and placed back by (2, 0, 1)
     in_order = wrap != "nested" and (order or IN_ORDER) == {None: IN_ORDER, "rotated": (2, 0, 1)}[wrap]
     assert (placed.block(offsets, hi) is T) == in_order
-    # a box cutting across the block and the empty margin around it
-    assert placed.block((0, 1, 1), dims) == _dense_block(expected, (0, 1, 1), dims)
+    # a box cutting across the block and the empty margin around it, read
+    # from the leaf without laying the layout out
+    with _layout_events() as events:
+        block = placed.block((0, 1, 1), dims)
+    assert block == _dense_block(expected, (0, 1, 1), dims) and events == []
     assert placed == expected
     assert placed.entries is not T.entries
 
