@@ -186,29 +186,58 @@ def test_a_non_associative_algebra_decides_the_module_laws_in_full():
             assert counts["decided"] == 0
 
 
+def _exchange_decision(bend, field, coalgebra):
+    """A pair of trunc_poly(6) on two copies of itself with ``bend`` applied
+    to its left and right entries, its report, the plain engine's, and
+    the certificate and witness its exchange law (ax)b = a(xb) was
+    decided with."""
+    mul = _trunc_poly(6)
+    left, right = _free(mul, 7, 2)
+    bend(left, right)
+    pair, reference = _checked("pair", coalgebra, mul, left, right, 7, 14, field)
+    calls = []
+    decide = algebra.first_witness
+
+    def recorded(field, box, out, lhs, rhs, on=None, groupings=None):
+        witness = decide(field, box, out, lhs, rhs, on, groupings)
+        calls.append((box + out, on, witness))
+        return witness
+
+    with mock.patch.object(algebra, "first_witness", recorded):
+        report = pair.validate()
+    exchange = getattr(ACTION_LAWS, pair._conv.name)[2]
+    (decision,) = [(on, w) for letters, on, w in calls if letters == exchange[1] + exchange[2]]
+    return report, reference, decision
+
+
 def test_a_failing_left_law_decides_the_exchange_law_on_the_right_generators():
     """The unit of trunc_poly(6) acting twice on f_3 from the left fails
     (ab)x = a(bx) and (ax)b = a(xb), and x(ab) = (xa)b passes on the right
     generators, so the exchange law is decided on them: with a residual
     there, summed in full, and named with the plain engine's witness."""
+    def bend(left, right):
+        left[0, 3, 3] = 2
+
     for field in (QQ, GF(3), GF(7)):
         for coalgebra in (False, True):
-            mul = _trunc_poly(6)
-            left, right = _free(mul, 7, 2)
-            left[0, 3, 3] = 2
-            pair, reference = _checked("pair", coalgebra, mul, left, right, 7, 14, field)
-            calls = []
-            decide = algebra.first_witness
-
-            def recorded(field, box, out, lhs, rhs, on=None, groupings=None):
-                witness = decide(field, box, out, lhs, rhs, on, groupings)
-                calls.append((box + out, on, witness))
-                return witness
-
-            with mock.patch.object(algebra, "first_witness", recorded):
-                report = pair.validate()
+            report, reference, (on, witness) = _exchange_decision(bend, field, coalgebra)
             assert report.to_json() == reference.to_json()
             assert [c.ok for c in report.checks[:3]] == [False, True, False]
-            exchange = getattr(ACTION_LAWS, pair._conv.name)[2]
-            (on, witness), = [(on, w) for letters, on, w in calls if letters == exchange[1] + exchange[2]]
             assert on == ("x", frozenset({0, 7})) and witness == report.checks[2].witness
+
+
+def test_two_failing_laws_decide_the_exchange_law_in_full():
+    """x f_1 = 2 f_2 on both sides of the first copy breaks (ab)x = a(bx)
+    and x(ab) = (xa)b, and (ax)b = a(xb) still holds at the two units,
+    which generate the carrier, but fails at f_1: with neither side law
+    holding, the x at which the exchange law holds need not form a
+    submodule, so it is decided in full and fails."""
+    def bend(left, right):
+        left[1, 1, 2] = right[1, 1, 2] = 2
+
+    for field in (QQ, GF(3), GF(7)):
+        for coalgebra in (False, True):
+            report, reference, (on, witness) = _exchange_decision(bend, field, coalgebra)
+            assert report.to_json() == reference.to_json()
+            assert [c.ok for c in report.checks[:3]] == [False, False, False]
+            assert on is None and witness == report.checks[2].witness
